@@ -18,6 +18,11 @@ class MalformedTableError(ValueError):
     """An operation table has the wrong shape or an out-of-range entry."""
 
 
+class InvariantError(ValueError):
+    """A result breaks an invariant that holds for every valid input, so the
+    input is not what the algorithm assumes (or its data were corrupted)."""
+
+
 @dataclass
 class OpTableSemigroup:
     n: int
@@ -278,7 +283,10 @@ def sigma(S: OpTableSemigroup):
 
     co = cong.class_of
     for x in range(S.n):
-        assert co[S.plus[x]] == co[P[0]] and co[S.star[x]] == co[P[0]]
+        if co[S.plus[x]] != co[P[0]] or co[S.star[x]] != co[P[0]]:
+            raise InvariantError(
+                f"sigma does not collapse the projections {S.plus[x]} and "
+                f"{S.star[x]} of element {x} into the class of {P[0]}")
 
     reps = [cls[0] for cls in cong.classes]
     k = len(reps)
@@ -407,20 +415,30 @@ def _block_expansions(S, Y, max_block, cap):
     return out, truncated
 
 
-def _equivalent_factorizations(S, Yset, start, goal, max_len, expansions, budget):
-    """BFS over contract/expand moves; True / False(saturated) / None(budget)."""
-    if start == goal:
-        return True
+def _first_unreached_factorization(S, Yset, start, goals, max_len, expansions,
+                                   budget):
+    """First of goals (in order) not reached from start by contract/expand moves.
+
+    One BFS from start serves every goal: the visiting order does not depend
+    on the goal, and a goal counts as reached as soon as it is generated as a
+    neighbour, before the budget is consulted, so each answer is the one a
+    separate search for that goal would give.  At most budget nodes are
+    kept; the search stops when every goal is reached or the frontier is
+    exhausted.  Returns None when all goals are reached.
+    """
+    m = S.mult
+    remaining = set(goals)
+    remaining.discard(start)
     seen = {start}
     frontier = deque([start])
-    pruned = False
-    while frontier:
+    while remaining and frontier:
         fact = frontier.popleft()
-        neighbours = []
         k = len(fact)
-        for i in range(k):
+        neighbours = []
+        for i in range(k - 1):
+            prod = fact[i]
             for j in range(i + 1, k):
-                prod = S.prod(fact[i:j + 1])
+                prod = m[prod][fact[j]]
                 if prod in Yset:
                     neighbours.append(fact[:i] + (prod,) + fact[j + 1:])
         for i in range(k):
@@ -428,15 +446,11 @@ def _equivalent_factorizations(S, Yset, start, goal, max_len, expansions, budget
                 if k - 1 + len(block) <= max_len:
                     neighbours.append(fact[:i] + block + fact[i + 1:])
         for nb in neighbours:
-            if nb == goal:
-                return True
-            if nb not in seen:
-                if len(seen) >= budget:
-                    pruned = True
-                    continue
+            remaining.discard(nb)
+            if nb not in seen and len(seen) < budget:
                 seen.add(nb)
                 frontier.append(nb)
-    return None if pruned else False
+    return next((g for g in goals if g in remaining), None)
 
 
 @dataclass
@@ -465,9 +479,12 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
     proper; (4) every element has a matching Y-factorization of length at
     most max_len; (5) factorizations of length at most max_len are pairwise
     equivalent under contract/expand moves, searched with intermediate
-    length cap max_len + 2.  Condition (5) is a bounded search and may come
-    back INCONCLUSIVE; factorization length is unbounded in general, so no
-    completeness is claimed.
+    length cap max_len + 2.  Condition (5) runs one breadth-first search per
+    element, from its first factorization towards all the others, and
+    budget bounds the nodes that search keeps; the verdicts and witnesses
+    are those of a separate search per pair of factorizations.  Condition
+    (5) is a bounded search and may come back INCONCLUSIVE; factorization
+    length is unbounded in general, so no completeness is claimed.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -530,15 +547,13 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
         facts, t2 = _enumerate_matching_factorizations(S, Yset, s, max_len, budget)
         if t2:
             trunc = True
-        base = facts[0] if facts else None
-        for other in facts[1:]:
-            res = _equivalent_factorizations(S, Yset, base, other,
-                                             max_len + 2, expansions, budget)
-            if res is not True:
-                # saturation inside the length cap cannot prove inequivalence
-                status, witness = INCONCLUSIVE, (s, base, other)
-                break
-        if status != PASS:
+        if len(facts) < 2:
+            continue
+        other = _first_unreached_factorization(S, Yset, facts[0], facts[1:],
+                                               max_len + 2, expansions, budget)
+        if other is not None:
+            # saturation inside the length cap cannot prove inequivalence
+            status, witness = INCONCLUSIVE, (s, facts[0], other)
             break
     if status == PASS and trunc:
         status, witness = INCONCLUSIVE, ("enumeration truncated",)

@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core, product, relmonoid
-from .core import OpTableSemigroup
+from .core import InvariantError, OpTableSemigroup
 from .report import AxiomReport, Check, INCONCLUSIVE, PASS
-from .resgraph import (FreeMonoid, ResGraph, corestrict_path, restrict_path)
+# restrict_path and corestrict_path stay importable from here: they are the
+# path-level definition that cover_mult computes on tables
+from .resgraph import (FreeMonoid, ResGraph, RestrictionUndefinedError,  # noqa: F401
+                       corestrict_path, restrict_path)
 
 
 class GeneratorError(ValueError):
@@ -63,7 +66,7 @@ class CanonicalPath:
 
 class CoverGraph:
     def __init__(self, S, gens, letters, valuation, proj_list, proj_index,
-                 sl, graph, decomp):
+                 sl, graph, decomp, restrict_table, corestrict_table):
         self.S = S
         self.gens = gens
         self.letters = letters
@@ -73,6 +76,30 @@ class CoverGraph:
         self.sl = sl
         self.graph = graph
         self.decomp = decomp            # element -> tuple of ('g', x) / ('p', e)
+        # letter edge (d, a, r) -> list over vertices: the target of its
+        # restriction to that source / the source of its corestriction to
+        # that target, -1 where undefined
+        self.restrict_table = restrict_table
+        self.corestrict_table = corestrict_table
+
+
+def _letter_edge_tables(graph: ResGraph):
+    """Restriction and corestriction of every letter edge as integer tables,
+    read off a materialized graph."""
+    n = graph.sl.n
+    restr, corestr = {}, {}
+    for c in graph.sorted_edges():
+        d, lab, r = c
+        if not lab:
+            continue
+        rrow, crow = [-1] * n, [-1] * n
+        for g in graph.sl.below(d):
+            rrow[g] = graph.restrict(c, g)[2]
+        for h in graph.sl.below(r):
+            crow[h] = graph.corestrict(c, h)[0]
+        restr[(d, lab[0], r)] = rrow
+        corestr[(d, lab[0], r)] = crow
+    return restr, corestr
 
 
 def _generating_closure(S: OpTableSemigroup, gens):
@@ -144,7 +171,7 @@ def build_cover_graph(S: OpTableSemigroup, gens) -> CoverGraph:
 
     graph = ResGraph(sl, mon, edges, restrict_rule, corestrict_rule).materialized()
     return CoverGraph(S, gens, letters, valuation, proj_list, proj_index,
-                      sl, graph, decomp)
+                      sl, graph, decomp, *_letter_edge_tables(graph))
 
 
 def canonicalize(cg: CoverGraph, path) -> CanonicalPath:
@@ -167,12 +194,38 @@ def to_path(cg: CoverGraph, u: CanonicalPath) -> tuple:
                  for i in range(0, len(ent) - 1, 2))
 
 
+def _undefined(ent, i, cur, row, kind) -> RestrictionUndefinedError:
+    edge = f"({ent[i]},{ent[i + 1]},{ent[i + 2]})"
+    if row is None:
+        return RestrictionUndefinedError(f"{edge} is not a letter edge")
+    return RestrictionUndefinedError(f"{kind} of {edge} to {cur} is undefined")
+
+
 def cover_mult(cg: CoverGraph, u: CanonicalPath, v: CanonicalPath) -> CanonicalPath:
-    pu, pv = to_path(cg, u), to_path(cg, v)
-    m = cg.sl.meet[u.r][v.d]
-    left = corestrict_path(cg.graph, pu, m)
-    right = restrict_path(cg.graph, pv, m)
-    return canonicalize(cg, left + right)
+    """Corestrict u and restrict v to the meet of u.r and v.d, then join them.
+
+    Folds over the entries with the letter-edge tables; identity loops never
+    appear in canonical forms, so the joined entries are already canonical.
+    """
+    ue, ve = u.entries, v.entries
+    n = len(ue)
+    out = list(ue)
+    out.extend(ve[1:])
+    meet = cur = out[n - 1] = cg.sl.meet[ue[-1]][ve[0]]
+    table = cg.corestrict_table
+    for i in range(n - 3, -1, -2):
+        row = table.get(ue[i:i + 3])
+        if row is None or (cur := row[cur]) < 0:
+            raise _undefined(ue, i, out[i + 2], row, "corestriction")
+        out[i] = cur
+    cur = meet
+    table = cg.restrict_table
+    for i in range(n + 1, len(out), 2):
+        row = table.get(ve[i - n - 1:i - n + 2])
+        if row is None or (cur := row[cur]) < 0:
+            raise _undefined(ve, i - n - 1, out[i - 2], row, "restriction")
+        out[i] = cur
+    return CanonicalPath(tuple(out))
 
 
 def cover_plus_star(cg: CoverGraph, u: CanonicalPath):
@@ -182,11 +235,11 @@ def cover_plus_star(cg: CoverGraph, u: CanonicalPath):
 def phi(cg: CoverGraph, u: CanonicalPath) -> int:
     """The covering morphism: alternating product of vertices and generator
     values in S."""
-    S = cg.S
-    acc = cg.proj_list[u.entries[0]]
+    m, proj, val = cg.S.mult, cg.proj_list, cg.valuation
     ent = u.entries
+    acc = proj[ent[0]]
     for i in range(1, len(ent), 2):
-        acc = S.mult[S.mult[acc][cg.valuation[ent[i]]]][cg.proj_list[ent[i + 1]]]
+        acc = m[m[acc][val[ent[i]]]][proj[ent[i + 1]]]
     return acc
 
 
@@ -212,7 +265,9 @@ def canonical_preimage(cg: CoverGraph, s: int) -> CanonicalPath:
         else:
             gens_seq.append(v)
             projs.append(None)
-    assert gens_seq, "a projection-free word means s is a projection"
+    if not gens_seq:
+        raise InvariantError(
+            f"stored word for {s} has no generator, but {s} is not a projection")
 
     m = len(gens_seq)
     fences = []
@@ -226,21 +281,28 @@ def canonical_preimage(cg: CoverGraph, s: int) -> CanonicalPath:
             parts.append(S.plus[gens_seq[i]])
         fences.append(S.prod(parts))
     bricks = [S.prod([fences[i], gens_seq[i], fences[i + 1]]) for i in range(m)]
-    assert S.prod(bricks) == s
+    if S.prod(bricks) != s:
+        raise InvariantError(
+            f"bricks {bricks} of the stored word multiply to {S.prod(bricks)}, not {s}")
 
     matched = core.matchify(S, bricks)
-    assert S.prod(matched) == s
+    if S.prod(matched) != s:
+        raise InvariantError(
+            f"matching factors {matched} multiply to {S.prod(matched)}, not {s}")
 
     entries = [cg.proj_index[S.plus[matched[0]]]]
     for i, b in enumerate(matched):
         e_prev = cg.proj_list[entries[-1]]
         e_next = S.star[b]
-        assert S.prod([e_prev, gens_seq[i], e_next]) == b
+        if S.prod([e_prev, gens_seq[i], e_next]) != b:
+            raise InvariantError(
+                f"factor {b} of {s} is not {e_prev} {gens_seq[i]} {e_next}")
         entries.append(letter_of[gens_seq[i]])
         entries.append(cg.proj_index[e_next])
     u = CanonicalPath(tuple(entries))
     for c in to_path(cg, u):
-        assert c in cg.graph.edges
+        if c not in cg.graph.edges:
+            raise InvariantError(f"preimage {u} of {s} uses {c}, which is not an edge")
     return u
 
 
@@ -282,20 +344,21 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> AxiomReport:
                         tuple(c.name for c in graph_report.failures()) or None))
 
     forms = enumerate_canonical(cg, len_bound)
+    phis = [phi(cg, u) for u in forms]
 
     w = None
-    for u in forms:
+    for u, fu in zip(forms, phis):
         up, us = cover_plus_star(cg, u)
-        if phi(cg, up) != S.plus[phi(cg, u)] or phi(cg, us) != S.star[phi(cg, u)]:
+        if phi(cg, up) != S.plus[fu] or phi(cg, us) != S.star[fu]:
             w = (str(u),)
             break
     checks.append(Check("phi_preserves_unary_operations", w is None, w))
 
     w = None
-    for u in forms:
-        fu = phi(cg, u)
-        for v in forms:
-            if phi(cg, cover_mult(cg, u, v)) != S.mult[fu][phi(cg, v)]:
+    for u, fu in zip(forms, phis):
+        row = S.mult[fu]
+        for v, fv in zip(forms, phis):
+            if phi(cg, cover_mult(cg, u, v)) != row[fv]:
                 w = (str(u), str(v))
                 break
         if w:

@@ -1,5 +1,7 @@
 """Independent brute-force oracles used to cross-check the main algorithms."""
 
+from collections import deque
+
 from ehresmann import core
 
 
@@ -89,3 +91,38 @@ def brute_min_congruence(S):
 def compose_pairs(pairs_a, pairs_b):
     """Set-level relation composition, the definitional oracle."""
     return {(x, z) for (x, y) in pairs_a for (y2, z) in pairs_b if y == y2}
+
+
+def reference_equivalent_factorizations(S, Yset, start, goal, max_len,
+                                        expansions, budget):
+    """One BFS per pair of factorizations over contract/expand moves, keeping
+    at most budget nodes: True when goal is reached, False when the search
+    saturates without it, None when the budget pruned a node."""
+    if start == goal:
+        return True
+    seen = {start}
+    frontier = deque([start])
+    pruned = False
+    while frontier:
+        fact = frontier.popleft()
+        neighbours = []
+        k = len(fact)
+        for i in range(k):
+            for j in range(i + 1, k):
+                prod = S.prod(fact[i:j + 1])
+                if prod in Yset:
+                    neighbours.append(fact[:i] + (prod,) + fact[j + 1:])
+        for i in range(k):
+            for block in expansions.get(fact[i], ()):
+                if k - 1 + len(block) <= max_len:
+                    neighbours.append(fact[:i] + block + fact[i + 1:])
+        for nb in neighbours:
+            if nb == goal:
+                return True
+            if nb not in seen:
+                if len(seen) >= budget:
+                    pruned = True
+                    continue
+                seen.add(nb)
+                frontier.append(nb)
+    return None if pruned else False

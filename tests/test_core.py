@@ -6,7 +6,7 @@ from ehresmann import core, corpus, relmonoid
 from ehresmann.core import MalformedTableError, OpTableSemigroup
 from ehresmann.report import FAIL, INCONCLUSIVE, PASS
 
-from oracles import brute_min_congruence
+from oracles import brute_min_congruence, reference_equivalent_factorizations
 
 
 def small_corpus():
@@ -378,3 +378,41 @@ def test_check_proper_ideal_inconclusive_at_tight_bound():
     assert rep.status == INCONCLUSIVE
     rep2 = core.check_proper_ideal(S, Y, max_len=2)
     assert rep2["factorization_exists"].status == PASS
+
+
+def _order_ideals(S):
+    """The whole set, the projections, and the projections together with the
+    principal order ideal of each non-projection."""
+    P = frozenset(core.projections(S).members)
+    le = core.natural_orders(S).le
+    ideals = {frozenset(range(S.n)), P}
+    for s in range(S.n):
+        if s not in P:
+            ideals.add(P | {t for t in range(S.n) if le[t][s]})
+    return sorted(sorted(Y) for Y in ideals)
+
+
+def _per_pair_search(S, Yset, start, goals, max_len, expansions, budget):
+    for goal in goals:
+        if reference_equivalent_factorizations(S, Yset, start, goal, max_len,
+                                               expansions, budget) is not True:
+            return goal
+    return None
+
+
+def test_check_proper_ideal_matches_per_pair_search(monkeypatch):
+    """One shared search per element gives the reports, witnesses included,
+    of one search per pair of factorizations."""
+    cases = [(S, Y, max_len, budget)
+             for _, S in corpus.semigroups() if S.n <= 12
+             for Y in _order_ideals(S)
+             for max_len in (2, 3)
+             for budget in (3, 300, 20000)]
+    fast = [core.check_proper_ideal(*case).lines() for case in cases]
+    monkeypatch.setattr(core, "_first_unreached_factorization", _per_pair_search)
+    reference = [core.check_proper_ideal(*case).lines() for case in cases]
+    assert fast == reference
+    searched_out = [lines for lines in reference
+                    if lines[-1].startswith(INCONCLUSIVE)
+                    and "skipped" not in lines[-1] and "truncated" not in lines[-1]]
+    assert searched_out

@@ -3,12 +3,15 @@ import random
 import pytest
 
 from ehresmann import core, corpus, product, relmonoid, resgraph
+from ehresmann.core import InvariantError
 from ehresmann.cover import (CanonicalPath, GeneratorError,
                              build_cover_graph, canonical_preimage,
                              canonicalize, cover_mult, cover_plus_star,
                              enumerate_canonical, fes_witness_check,
                              max_edge_for_letter, phi, to_path, verify_cover)
 from ehresmann.report import PASS
+from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
+                                restrict_path)
 
 
 def e2_cover():
@@ -82,6 +85,30 @@ def test_cover_mult_two_chain_example():
     assert cover_mult(cg, u, v) == CanonicalPath((0, "x1", 0, "x0", 0))
 
 
+def test_cover_mult_matches_path_restriction():
+    for name, S, gens in corpus.cover_cases():
+        cg = build_cover_graph(S, gens)
+        forms = enumerate_canonical(cg, 2)
+        for u in forms:
+            for v in forms:
+                m = cg.sl.meet[u.r][v.d]
+                expected = canonicalize(
+                    cg, corestrict_path(cg.graph, to_path(cg, u), m)
+                    + restrict_path(cg.graph, to_path(cg, v), m))
+                assert cover_mult(cg, u, v) == expected, (name, str(u), str(v))
+
+
+def test_cover_mult_rejects_missing_letter_edge():
+    # the letter for f acts only at the bottom of the two-chain f < e
+    cg = e2_cover()
+    u = CanonicalPath((1, "x0", 1))
+    assert (1, ("x0",), 1) not in cg.graph.edges
+    with pytest.raises(RestrictionUndefinedError):
+        cover_mult(cg, u, CanonicalPath.loop_at(1))
+    with pytest.raises(RestrictionUndefinedError):
+        cover_mult(cg, CanonicalPath.loop_at(1), u)
+
+
 def test_cover_mult_associative_bounded():
     for name, S, gens in corpus.cover_cases()[:2]:
         cg = build_cover_graph(S, gens)
@@ -151,6 +178,15 @@ def test_preimage_round_trip_all_cases():
         for s in range(S.n):
             u = canonical_preimage(cg, s)
             assert phi(cg, u) == s, (name, s)
+
+
+def test_preimage_rejects_corrupted_word():
+    name, S, gens = corpus.cover_cases()[1]
+    cg = build_cover_graph(S, gens)
+    s, t = [x for x in range(S.n) if x not in cg.proj_index][:2]
+    cg.decomp[s] = cg.decomp[t]
+    with pytest.raises(InvariantError):
+        canonical_preimage(cg, s)
 
 
 def test_preimage_of_projection_is_loop():
