@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import core, product, relmonoid
 from .core import OpTableSemigroup
 from .relmonoid import Rel
-from .report import AxiomReport, Check
+from .report import AxiomReport, Check, first_witness
 from .resgraph import FiniteMonoid, ResGraph, Semilattice
 
 
@@ -47,37 +47,31 @@ def _phi_items(pm):
 
 def validate_premorphism(pm) -> AxiomReport:
     """Nonempty relations, id inside phi_1, and phi_s phi_t inside phi_st."""
-    checks = []
     n = pm.ground if isinstance(pm, Premorphism) else pm.sl.n
-    w = None
-    for t in pm.mon.elements():
+
+    def problem(t):
         if t not in pm.phi:
-            w = (t, "missing")
-            break
+            return "missing"
         if pm.phi[t].n != n:
-            w = (t, "ground size mismatch")
-            break
+            return "ground size mismatch"
         if pm.phi[t].bits == 0:
-            w = (t, "empty relation")
-            break
-    checks.append(Check("relations_nonempty", w is None, w))
-    if w is not None:
+            return "empty relation"
+        return None
+
+    checks = [first_witness("relations_nonempty", (
+        (t, why) for t in pm.mon.elements() for why in [problem(t)] if why))]
+    if not checks[0].ok:
         return AxiomReport(checks)
 
     ident = relmonoid.identity(n)
     ok = ident.issubset(pm.phi[pm.mon.one])
     checks.append(Check("identity_in_phi_1", ok, None if ok else (pm.mon.one,)))
 
-    w = None
-    for s in pm.mon.elements():
-        for t in pm.mon.elements():
-            comp = relmonoid.compose(pm.phi[s], pm.phi[t])
-            if not comp.issubset(pm.phi[pm.mon.mul(s, t)]):
-                w = (s, t)
-                break
-        if w:
-            break
-    checks.append(Check("phi_s_phi_t_in_phi_st", w is None, w))
+    labels = pm.mon.elements()
+    checks.append(first_witness("phi_s_phi_t_in_phi_st", (
+        (s, t) for s in labels for t in labels
+        if not relmonoid.compose(pm.phi[s], pm.phi[t]).issubset(
+            pm.phi[pm.mon.mul(s, t)]))))
     return AxiomReport(checks)
 
 
@@ -148,13 +142,10 @@ def check_sigma_iff_label(G: ResGraph):
     """
     S, edges = product.build_product(G)
     cong, _ = core.sigma(S)
-    for i in range(S.n):
-        for j in range(S.n):
-            same_class = cong.same(i, j)
-            same_label = edges[i][1] == edges[j][1]
-            if same_class != same_label:
-                return False, (edges[i], edges[j])
-    return True, None
+    rng = range(S.n)
+    witness = next(((edges[i], edges[j]) for i in rng for j in rng
+                    if cong.same(i, j) != (edges[i][1] == edges[j][1])), None)
+    return witness is None, witness
 
 
 @dataclass
@@ -174,26 +165,10 @@ def classify_restriction(G: ResGraph) -> RestrictionClass:
     cong, _ = core.sigma(S)
     rep = core.verify_restriction(S, "both")
     checks = list(rep.checks)
-
-    w = None
-    for a in range(S.n):
-        for b in range(a + 1, S.n):
-            if S.plus[a] == S.plus[b] and cong.same(a, b):
-                w = (edges[a], edges[b])
-                break
-        if w:
-            break
-    checks.append(Check("left_proper", w is None, w))
-
-    w = None
-    for a in range(S.n):
-        for b in range(a + 1, S.n):
-            if S.star[a] == S.star[b] and cong.same(a, b):
-                w = (edges[a], edges[b])
-                break
-        if w:
-            break
-    checks.append(Check("right_proper", w is None, w))
+    for name, unary in (("left_proper", S.plus), ("right_proper", S.star)):
+        checks.append(first_witness(name, (
+            (edges[a], edges[b]) for a in range(S.n) for b in range(a + 1, S.n)
+            if unary[a] == unary[b] and cong.same(a, b))))
 
     report = AxiomReport(checks)
     left = report["x y^+ = (x y)^+ x"].ok and report["left_proper"].ok
@@ -273,62 +248,27 @@ def check_partial_action_laws(pa: PartialAction) -> AxiomReport:
         raise ValueError("laws need a deterministic premorphism (LD or RD)")
     sl = pa.sl
     checks = []
+    items = _phi_items(pa)
     if "LD" in sides:
-        w = None
-        for t, rel in _phi_items(pa):
-            domain = [x for x in range(sl.n) if rel.row(x)]
-            for e in domain:
-                for f in sl.below(e):
-                    if f not in domain:
-                        w = (t, f, e)
-                        break
-                if w:
-                    break
-            if w:
-                break
-        checks.append(Check("domains_are_order_ideals", w is None, w))
-
-        w = None
-        for t, rel in _phi_items(pa):
-            image = dict(rel.pairs())
-            for e in image:
-                for f in image:
-                    if sl.leq(f, e) and not sl.leq(image[f], image[e]):
-                        w = (t, f, e)
-                        break
-                if w:
-                    break
-            if w:
-                break
-        checks.append(Check("maps_order_preserving", w is None, w))
+        domains = {t: [x for x in range(sl.n) if rel.row(x)] for t, rel in items}
+        checks.append(first_witness("domains_are_order_ideals", (
+            (t, f, e) for t, domain in domains.items() for e in domain
+            for f in sl.below(e) if f not in domain)))
+        images = {t: dict(rel.pairs()) for t, rel in items}
+        checks.append(first_witness("maps_order_preserving", (
+            (t, f, e) for t, image in images.items() for e in image for f in image
+            if sl.leq(f, e) and not sl.leq(image[f], image[e]))))
     if "RD" in sides:
-        w = None
-        for t, rel in _phi_items(pa):
-            rng = [y for y in range(sl.n) if any(rel.has(x, y) for x in range(sl.n))]
-            for e in rng:
-                for f in sl.below(e):
-                    if f not in rng:
-                        w = (t, f, e)
-                        break
-                if w:
-                    break
-            if w:
-                break
-        checks.append(Check("ranges_are_order_ideals", w is None, w))
-
-        w = None
-        for t, rel in _phi_items(pa):
-            preimage = {y: x for (x, y) in rel.pairs()}
-            for e in preimage:
-                for f in preimage:
-                    if sl.leq(f, e) and not sl.leq(preimage[f], preimage[e]):
-                        w = (t, f, e)
-                        break
-                if w:
-                    break
-            if w:
-                break
-        checks.append(Check("inverse_maps_order_preserving", w is None, w))
+        ranges = {t: [y for y in range(sl.n) if any(rel.has(x, y) for x in range(sl.n))]
+                  for t, rel in items}
+        checks.append(first_witness("ranges_are_order_ideals", (
+            (t, f, e) for t, rng in ranges.items() for e in rng
+            for f in sl.below(e) if f not in rng)))
+        preimages = {t: {y: x for (x, y) in rel.pairs()} for t, rel in items}
+        checks.append(first_witness("inverse_maps_order_preserving", (
+            (t, f, e) for t, preimage in preimages.items() for e in preimage
+            for f in preimage
+            if sl.leq(f, e) and not sl.leq(preimage[f], preimage[e]))))
     return AxiomReport(checks)
 
 
@@ -338,27 +278,24 @@ def validate_partial_action(pa: PartialAction) -> AxiomReport:
     checks = list(validate_premorphism(pa).checks)
     if not all(c.ok for c in checks):
         return AxiomReport(checks)
-    w = None
-    for t, rel in _phi_items(pa):
-        if not relmonoid.classify(rel)["in_I"]:
-            w = (t,)
-            break
-    checks.append(Check("relations_are_partial_bijections", w is None, w))
-    if w is None:
-        laws = check_partial_action_laws(pa)
-        checks.extend(laws.checks)
+    checks.append(first_witness("relations_are_partial_bijections", (
+        (t,) for t, rel in _phi_items(pa) if not relmonoid.classify(rel)["in_I"])))
+    if checks[-1].ok:
+        checks.extend(check_partial_action_laws(pa).checks)
     return AxiomReport(checks)
 
 
 def _apply(rel: Rel, x: int):
     row = rel.row(x)
-    assert row and row & (row - 1) == 0, "not defined or not single-valued"
+    if not row or row & (row - 1):
+        raise core.InvariantError(f"relation is not defined or not single-valued at {x}")
     return row.bit_length() - 1
 
 
 def _apply_inv(rel: Rel, y: int):
     xs = [x for x in range(rel.n) if rel.has(x, y)]
-    assert len(xs) == 1, "not defined or not injective"
+    if len(xs) != 1:
+        raise core.InvariantError(f"relation is not defined or not injective at {y}")
     return xs[0]
 
 
@@ -419,22 +356,13 @@ def pair_form_iso_check(pa: PartialAction) -> AxiomReport:
     S2, edges = product.build_product(G)
     idx2 = {c: i for i, c in enumerate(edges)}
     psi = [idx2[(e, s, _apply(pa.phi[s], e))] for (e, s) in pairs]
-    checks = []
-    checks.append(Check("bijective", sorted(psi) == list(range(S2.n)), None))
-    w = None
-    for a in range(S1.n):
-        for b in range(S1.n):
-            if psi[S1.mult[a][b]] != S2.mult[psi[a]][psi[b]]:
-                w = (pairs[a], pairs[b])
-                break
-        if w:
-            break
-    checks.append(Check("preserves_multiplication", w is None, w))
-    w = None
-    for a in range(S1.n):
-        if (psi[S1.plus[a]] != S2.plus[psi[a]]
-                or psi[S1.star[a]] != S2.star[psi[a]]):
-            w = (pairs[a],)
-            break
-    checks.append(Check("preserves_unary_operations", w is None, w))
-    return AxiomReport(checks)
+    rng = range(S1.n)
+    return AxiomReport([
+        Check("bijective", sorted(psi) == list(range(S2.n)), None),
+        first_witness("preserves_multiplication", (
+            (pairs[a], pairs[b]) for a in rng for b in rng
+            if psi[S1.mult[a][b]] != S2.mult[psi[a]][psi[b]])),
+        first_witness("preserves_unary_operations", (
+            (pairs[a],) for a in rng
+            if psi[S1.plus[a]] != S2.plus[psi[a]] or psi[S1.star[a]] != S2.star[psi[a]])),
+    ])

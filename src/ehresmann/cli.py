@@ -109,7 +109,7 @@ def cmd_analyze(args) -> int:
     P = core.projections(S)
     orders = core.natural_orders(S)
     cong, quotient = core.sigma(S)
-    proper = core.proper_elements(S, cong)
+    proper = core.proper_elements(S)
     restr = core.verify_restriction(S, "both")
     strictly = len(proper) == S.n
     sizes = {

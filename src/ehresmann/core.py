@@ -7,11 +7,12 @@ send each element to its domain projection (``plus``) and range projection
 
 from __future__ import annotations
 
+import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .report import (AxiomReport, Check, CondResult, FAIL, INCONCLUSIVE,
-                     PASS, combine_status)
+                     PASS, combine_status, first_witness)
 
 
 class MalformedTableError(ValueError):
@@ -23,31 +24,70 @@ class InvariantError(ValueError):
     input is not what the algorithm assumes (or its data were corrupted)."""
 
 
+# ---------------------------------------------------------------------------
+# the table kernel shared by every class built on an operation table
+
+def _check_row(row, n: int, label: str) -> None:
+    if not isinstance(row, list) or len(row) != n:
+        raise MalformedTableError(f"{label} must be a list of length {n}")
+    for j, v in enumerate(row):
+        # bool is an int subclass; JSON true must not pass as 1
+        if type(v) is not int or not 0 <= v < n:
+            raise MalformedTableError(f"{label}[{j}] = {v!r} out of range")
+
+
+def validate_table(table, n: int, label: str = "mult") -> None:
+    """Raise MalformedTableError unless table is a list of n list rows of
+    ints in range(n)."""
+    if not isinstance(table, list) or len(table) != n:
+        raise MalformedTableError(f"{label} table must be a list of {n} rows")
+    for i, row in enumerate(table):
+        _check_row(row, n, f"{label}[{i}]")
+
+
+def associativity_witness(table):
+    """First (x, y, z) in lexicographic order with (x y) z != x (y z), or
+    None when the validated table is associative.
+
+    Compares whole rows: row x y of the table against row y read through
+    row x.
+    """
+    rng = range(len(table))
+    for x in rng:
+        mx = table[x]
+        at_x = mx.__getitem__
+        for y in rng:
+            mxy, my = table[mx[y]], table[y]
+            if mxy != list(map(at_x, my)):
+                z = next(z for z in rng if mxy[z] != mx[my[z]])
+                return (x, y, z)
+    return None
+
+
 @dataclass
 class OpTableSemigroup:
+    """A finite semigroup with its two unary operations as tables.
+
+    The tables are never mutated after construction, so the analyses that
+    depend only on them (projections, natural orders, sigma, fibers) are
+    computed once per object and cached in a private field that takes no
+    part in construction, repr or equality.
+    """
+
     n: int
     mult: list
     plus: list
     star: list
     names: list | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.n <= 0:
             raise MalformedTableError("need at least one element")
-        if len(self.mult) != self.n:
-            raise MalformedTableError("mult table must have n rows")
-        for i, row in enumerate(self.mult):
-            if len(row) != self.n:
-                raise MalformedTableError(f"mult row {i} has length {len(row)}")
-            for j, v in enumerate(row):
-                if not (isinstance(v, int) and 0 <= v < self.n):
-                    raise MalformedTableError(f"mult[{i}][{j}] = {v!r} out of range")
-        for label, table in (("plus", self.plus), ("star", self.star)):
-            if len(table) != self.n:
-                raise MalformedTableError(f"{label} table must have length n")
-            for i, v in enumerate(table):
-                if not (isinstance(v, int) and 0 <= v < self.n):
-                    raise MalformedTableError(f"{label}[{i}] = {v!r} out of range")
+        validate_table(self.mult, self.n)
+        _check_row(self.plus, self.n, "plus")
+        _check_row(self.star, self.n, "star")
         if self.names is not None and len(self.names) != self.n:
             raise MalformedTableError("names must have length n")
 
@@ -70,6 +110,21 @@ class OpTableSemigroup:
         return range(self.n)
 
 
+def _memoised(fn):
+    """Cache fn(S) on S; valid because S's tables never change.  Every
+    caller gets the same result object and must not mutate it.  A cached
+    value must not refer back to S, or S would sit in a reference cycle."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(S):
+        memo = S._memo
+        if key not in memo:
+            memo[key] = fn(S)
+        return memo[key]
+    return cached
+
+
 def verify_ehresmann(S: OpTableSemigroup) -> AxiomReport:
     """Check associativity and the eight defining unary identities.
 
@@ -77,45 +132,26 @@ def verify_ehresmann(S: OpTableSemigroup) -> AxiomReport:
     """
     m, p, st = S.mult, S.plus, S.star
     rng = range(S.n)
-    checks = []
 
-    w = None
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if m[m[x][y]][z] != m[x][m[y][z]]:
-                    w = (x, y, z)
-                    break
-            if w:
-                break
-        if w:
-            break
-    checks.append(Check("associativity", w is None, w))
+    def each(name, holds):
+        return first_witness(name, ((x,) for x in rng if not holds(x)))
 
-    def check1(name, pred):
-        for x in rng:
-            if not pred(x):
-                checks.append(Check(name, False, (x,)))
-                return
-        checks.append(Check(name, True))
+    def each_pair(name, holds):
+        return first_witness(name, ((x, y) for x in rng for y in rng
+                                    if not holds(x, y)))
 
-    def check2(name, pred):
-        for x in rng:
-            for y in rng:
-                if not pred(x, y):
-                    checks.append(Check(name, False, (x, y)))
-                    return
-        checks.append(Check(name, True))
-
-    check1("x^+ x = x", lambda x: m[p[x]][x] == x)
-    check2("x^+ y^+ = y^+ x^+", lambda x, y: m[p[x]][p[y]] == m[p[y]][p[x]])
-    check2("(x y)^+ = (x y^+)^+", lambda x, y: p[m[x][y]] == p[m[x][p[y]]])
-    check1("x x^* = x", lambda x: m[x][st[x]] == x)
-    check2("x^* y^* = y^* x^*", lambda x, y: m[st[x]][st[y]] == m[st[y]][st[x]])
-    check2("(x y)^* = (x^* y)^*", lambda x, y: st[m[x][y]] == st[m[st[x]][y]])
-    check1("(x^+)^* = x^+", lambda x: st[p[x]] == p[x])
-    check1("(x^*)^+ = x^*", lambda x: p[st[x]] == st[x])
-    return AxiomReport(checks)
+    assoc = associativity_witness(m)
+    return AxiomReport([
+        Check("associativity", assoc is None, assoc),
+        each("x^+ x = x", lambda x: m[p[x]][x] == x),
+        each_pair("x^+ y^+ = y^+ x^+", lambda x, y: m[p[x]][p[y]] == m[p[y]][p[x]]),
+        each_pair("(x y)^+ = (x y^+)^+", lambda x, y: p[m[x][y]] == p[m[x][p[y]]]),
+        each("x x^* = x", lambda x: m[x][st[x]] == x),
+        each_pair("x^* y^* = y^* x^*", lambda x, y: m[st[x]][st[y]] == m[st[y]][st[x]]),
+        each_pair("(x y)^* = (x^* y)^*", lambda x, y: st[m[x][y]] == st[m[st[x]][y]]),
+        each("(x^+)^* = x^+", lambda x: st[p[x]] == p[x]),
+        each("(x^*)^+ = x^*", lambda x: p[st[x]] == st[x]),
+    ])
 
 
 def verify_restriction(S: OpTableSemigroup, side: str = "both") -> AxiomReport:
@@ -126,25 +162,11 @@ def verify_restriction(S: OpTableSemigroup, side: str = "both") -> AxiomReport:
     rng = range(S.n)
     checks = []
     if side in ("left", "both"):
-        w = None
-        for x in rng:
-            for y in rng:
-                if m[x][p[y]] != m[p[m[x][y]]][x]:
-                    w = (x, y)
-                    break
-            if w:
-                break
-        checks.append(Check("x y^+ = (x y)^+ x", w is None, w))
+        checks.append(first_witness("x y^+ = (x y)^+ x", (
+            (x, y) for x in rng for y in rng if m[x][p[y]] != m[p[m[x][y]]][x])))
     if side in ("right", "both"):
-        w = None
-        for x in rng:
-            for y in rng:
-                if m[st[x]][y] != m[y][st[m[x][y]]]:
-                    w = (x, y)
-                    break
-            if w:
-                break
-        checks.append(Check("x^* y = y (x y)^*", w is None, w))
+        checks.append(first_witness("x^* y = y (x y)^*", (
+            (x, y) for x in rng for y in rng if m[st[x]][y] != m[y][st[m[x][y]]])))
     return AxiomReport(checks)
 
 
@@ -174,6 +196,11 @@ class ProjectionSet:
 
 def projections(S: OpTableSemigroup) -> ProjectionSet:
     """The common image of the two unary operations, as a meet semilattice."""
+    return ProjectionSet(_projection_members(S), S)
+
+
+@_memoised
+def _projection_members(S: OpTableSemigroup) -> tuple:
     plus_img = sorted(set(S.plus))
     star_img = sorted(set(S.star))
     if plus_img != star_img:
@@ -183,7 +210,7 @@ def projections(S: OpTableSemigroup) -> ProjectionSet:
     for e in plus_img:
         if S.plus[e] != e or S.star[e] != e:
             raise ValueError(f"projection {e} is not fixed by the unary operations")
-    return ProjectionSet(tuple(plus_img), S)
+    return tuple(plus_img)
 
 
 @dataclass
@@ -193,6 +220,7 @@ class OrderRelations:
     le: list
 
 
+@_memoised
 def natural_orders(S: OpTableSemigroup) -> OrderRelations:
     """The natural left/right/two-sided partial orders as boolean tables.
 
@@ -256,6 +284,7 @@ def _congruence_from_unionfind(uf, n) -> Congruence:
     return Congruence(n, class_of, [tuple(c) for c in classes])
 
 
+@_memoised
 def sigma(S: OpTableSemigroup):
     """Least congruence identifying all projections, plus the reduced quotient.
 
@@ -298,20 +327,26 @@ def sigma(S: OpTableSemigroup):
     return cong, quotient
 
 
-def proper_elements(S: OpTableSemigroup, cong: Congruence | None = None) -> frozenset:
+@_memoised
+def fibers(S: OpTableSemigroup) -> tuple:
+    """For each element s, the elements sharing its coordinates
+    (s^+, s^*, sigma-class of s), in increasing order."""
+    class_of = sigma(S)[0].class_of
+    keys = [(S.plus[s], S.star[s], class_of[s]) for s in range(S.n)]
+    groups = {}
+    for s, key in enumerate(keys):
+        groups.setdefault(key, []).append(s)
+    groups = {key: tuple(group) for key, group in groups.items()}
+    return tuple(groups[key] for key in keys)
+
+
+def proper_elements(S: OpTableSemigroup) -> frozenset:
     """Elements uniquely determined by (s^+, s^*, sigma-class of s)."""
-    if cong is None:
-        cong, _ = sigma(S)
-    fibers = {}
-    for s in range(S.n):
-        key = (S.plus[s], S.star[s], cong.class_of[s])
-        fibers.setdefault(key, []).append(s)
-    return frozenset(s for group in fibers.values() if len(group) == 1
-                     for s in group)
+    return frozenset(s for s, fiber in enumerate(fibers(S)) if len(fiber) == 1)
 
 
-def is_strictly_proper(S: OpTableSemigroup, cong: Congruence | None = None) -> bool:
-    return len(proper_elements(S, cong)) == S.n
+def is_strictly_proper(S: OpTableSemigroup) -> bool:
+    return len(proper_elements(S)) == S.n
 
 
 def is_matching(S: OpTableSemigroup, seq) -> bool:
@@ -500,28 +535,14 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
                             tuple(missing) or None))
 
     orders = natural_orders(S)
-    ideal_witness = None
-    for y in sorted(Yset):
-        for s in range(S.n):
-            if orders.le[s][y] and s not in Yset:
-                ideal_witness = (s, y)
-                break
-        if ideal_witness:
-            break
+    ideal_witness = next(((s, y) for y in sorted(Yset) for s in range(S.n)
+                          if orders.le[s][y] and s not in Yset), None)
     conds.append(CondResult("Y_is_order_ideal", FAIL if ideal_witness else PASS,
                             ideal_witness))
 
-    cong, _ = sigma(S)
-    fibers = {}
-    for s in range(S.n):
-        fibers.setdefault((S.plus[s], S.star[s], cong.class_of[s]), []).append(s)
-    improper_witness = None
-    for y in sorted(Yset):
-        group = fibers[(S.plus[y], S.star[y], cong.class_of[y])]
-        if len(group) > 1:
-            others = [t for t in group if t != y]
-            improper_witness = (y, others[0])
-            break
+    fib = fibers(S)
+    improper_witness = next(((y, next(t for t in fib[y] if t != y))
+                             for y in sorted(Yset) if len(fib[y]) > 1), None)
     conds.append(CondResult("Y_elements_proper",
                             FAIL if improper_witness else PASS, improper_witness))
 

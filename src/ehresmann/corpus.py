@@ -46,11 +46,8 @@ def fan() -> OpTableSemigroup:
 def reduced(mult, names=None) -> OpTableSemigroup:
     """A monoid with both unary operations constantly its identity."""
     k = len(mult)
-    ident = None
-    for e in range(k):
-        if all(mult[e][x] == x == mult[x][e] for x in range(k)):
-            ident = e
-            break
+    ident = next((e for e in range(k)
+                  if all(mult[e][x] == x == mult[x][e] for x in range(k))), None)
     if ident is None:
         raise ValueError("not a monoid")
     return OpTableSemigroup(k, mult, [ident] * k, [ident] * k, names)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import core, product, relmonoid
 from .core import InvariantError, OpTableSemigroup
-from .report import AxiomReport, Check, INCONCLUSIVE, PASS
+from .report import AxiomReport, Check, INCONCLUSIVE, PASS, first_witness
 # restrict_path and corestrict_path stay importable from here: they are the
 # path-level definition that cover_mult computes on tables
 from .resgraph import (FreeMonoid, ResGraph, RestrictionUndefinedError,  # noqa: F401
@@ -346,52 +346,30 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> AxiomReport:
     forms = enumerate_canonical(cg, len_bound)
     phis = [phi(cg, u) for u in forms]
 
-    w = None
-    for u, fu in zip(forms, phis):
+    def unary_preserved(u, fu):
         up, us = cover_plus_star(cg, u)
-        if phi(cg, up) != S.plus[fu] or phi(cg, us) != S.star[fu]:
-            w = (str(u),)
-            break
-    checks.append(Check("phi_preserves_unary_operations", w is None, w))
+        return phi(cg, up) == S.plus[fu] and phi(cg, us) == S.star[fu]
 
-    w = None
-    for u, fu in zip(forms, phis):
-        row = S.mult[fu]
-        for v, fv in zip(forms, phis):
-            if phi(cg, cover_mult(cg, u, v)) != row[fv]:
-                w = (str(u), str(v))
-                break
-        if w:
-            break
-    checks.append(Check("phi_preserves_multiplication", w is None, w))
+    checks.append(first_witness("phi_preserves_unary_operations", (
+        (str(u),) for u, fu in zip(forms, phis) if not unary_preserved(u, fu))))
+    checks.append(first_witness("phi_preserves_multiplication", (
+        (str(u), str(v)) for u, fu in zip(forms, phis) for v, fv in zip(forms, phis)
+        if phi(cg, cover_mult(cg, u, v)) != S.mult[fu][fv])))
+    checks.append(first_witness("phi_projection_separating", (
+        (e,) for e in range(cg.sl.n)
+        if phi(cg, CanonicalPath.loop_at(e)) != cg.proj_list[e]
+        or cg.proj_list[e] in cg.proj_list[:e])))
+    checks.append(first_witness("phi_surjective_via_preimages", (
+        (s, str(u)) for s in range(S.n)
+        for u in [canonical_preimage(cg, s)] if phi(cg, u) != s)))
 
-    w = None
-    seen = {}
-    for e in range(cg.sl.n):
-        val = phi(cg, CanonicalPath.loop_at(e))
-        if val != cg.proj_list[e] or val in seen:
-            w = (e,)
-            break
-        seen[val] = e
-    checks.append(Check("phi_projection_separating", w is None, w))
-
-    w = None
-    for s in range(S.n):
-        u = canonical_preimage(cg, s)
-        if phi(cg, u) != s:
-            w = (s, str(u))
-            break
-    checks.append(Check("phi_surjective_via_preimages", w is None, w))
-
-    w = None
-    for c in cg.graph.sorted_edges():
-        if not c[1]:
-            continue
+    def below_letter_maximum(c):
         top = max_edge_for_letter(cg, c[1][0])
-        if top not in cg.graph.edges or not product.edge_le(cg.graph, c, top):
-            w = (c,)
-            break
-    checks.append(Check("edges_below_letter_maximum", w is None, w))
+        return top in cg.graph.edges and product.edge_le(cg.graph, c, top)
+
+    checks.append(first_witness("edges_below_letter_maximum", (
+        (c,) for c in cg.graph.sorted_edges()
+        if c[1] and not below_letter_maximum(c))))
 
     ok = product.check_properness_criterion(cg.graph)
     checks.append(Check("properness_criterion", ok, None))
@@ -399,19 +377,16 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> AxiomReport:
     # sigma iff labels, constructively: each canonical form is the product
     # of its edges, and same-word forms are chained through the letter
     # maxima found above.
-    w = None
-    for u in forms:
-        if u.is_loop:
-            continue
+    def product_of_edges(u):
         pieces = [CanonicalPath((u.entries[i], u.entries[i + 1], u.entries[i + 2]))
                   for i in range(0, len(u.entries) - 2, 2)]
         acc = pieces[0]
         for piece in pieces[1:]:
             acc = cover_mult(cg, acc, piece)
-        if acc != u:
-            w = (str(u),)
-            break
-    checks.append(Check("forms_factor_through_edges", w is None, w))
+        return acc
+
+    checks.append(first_witness("forms_factor_through_edges", (
+        (str(u),) for u in forms if not u.is_loop and product_of_edges(u) != u)))
     return AxiomReport(checks)
 
 

@@ -8,12 +8,13 @@ of the adjacent endpoints and composes the results.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import core
 from .core import OpTableSemigroup
-from .report import AxiomReport, Check
-from .resgraph import FiniteMonoid, ResGraph, Semilattice
+from .report import AxiomReport, Check, first_witness
+from .resgraph import FiniteMonoid, ResGraph, Semilattice, check_pm
 
 
 class PMViolationError(ValueError):
@@ -36,15 +37,6 @@ def projection_semilattice(S: OpTableSemigroup):
     meet = [[index[S.mult[e][f]] for f in P] for e in P]
     names = [S.name(e) for e in P]
     return Semilattice(len(P), meet, names), list(P), index
-
-
-def check_pm(G: ResGraph):
-    """Return a witness composable pair with no composite edge, or None."""
-    for c in G.sorted_edges():
-        for d in G.edges_from(c[2]):
-            if (c[0], G.mon.mul(c[1], d[1]), d[2]) not in G.edges:
-                return (c, d)
-    return None
 
 
 def build_product(G: ResGraph):
@@ -103,46 +95,19 @@ def check_construction_claims(G: ResGraph, built=None) -> AxiomReport:
     semilattice."""
     S, edges = built if built is not None else build_product(G)
     cong, _ = core.sigma(S)
-    checks = []
-
-    w = None
-    for cls in cong.classes:
-        labels = {edges[i][1] for i in cls}
-        if len(labels) > 1:
-            w = tuple(edges[i] for i in cls[:2])
-            break
-    checks.append(Check("sigma_implies_equal_labels", w is None, w))
+    checks = [first_witness("sigma_implies_equal_labels", (
+        tuple(edges[i] for i in cls[:2]) for cls in cong.classes
+        if len({edges[i][1] for i in cls}) > 1))]
 
     orders = core.natural_orders(S)
-    w = None
-    for i in range(S.n):
-        for j in range(S.n):
-            if orders.le_l[i][j] != edge_le_l(G, edges[i], edges[j]):
-                w = (edges[i], edges[j])
-                break
-        if w:
-            break
-    checks.append(Check("le_l_is_restriction_reachability", w is None, w))
-
-    w = None
-    for i in range(S.n):
-        for j in range(S.n):
-            if orders.le_r[i][j] != edge_le_r(G, edges[i], edges[j]):
-                w = (edges[i], edges[j])
-                break
-        if w:
-            break
-    checks.append(Check("le_r_is_corestriction_reachability", w is None, w))
-
-    w = None
-    for i in range(S.n):
-        for j in range(S.n):
-            if orders.le[i][j] != edge_le(G, edges[i], edges[j]):
-                w = (edges[i], edges[j])
-                break
-        if w:
-            break
-    checks.append(Check("le_is_two_sided_reachability", w is None, w))
+    rng = range(S.n)
+    for name, table, edge_rel in (
+            ("le_l_is_restriction_reachability", orders.le_l, edge_le_l),
+            ("le_r_is_corestriction_reachability", orders.le_r, edge_le_r),
+            ("le_is_two_sided_reachability", orders.le, edge_le)):
+        checks.append(first_witness(name, (
+            (edges[i], edges[j]) for i in rng for j in rng
+            if table[i][j] != edge_rel(G, edges[i], edges[j]))))
 
     one = G.mon.one
     P = core.projections(S).members
@@ -152,18 +117,11 @@ def check_construction_claims(G: ResGraph, built=None) -> AxiomReport:
         checks.append(Check("projections_are_identity_loops", False,
                             (tuple(sorted(actual)),)))
     else:
-        w = None
-        for e in range(G.sl.n):
-            for f in range(G.sl.n):
-                i = next(i for i in P if edges[i] == (e, one, e))
-                j = next(j for j in P if edges[j] == (f, one, f))
-                prod_edge = edges[S.mult[i][j]]
-                if prod_edge != (G.sl.meet[e][f], one, G.sl.meet[e][f]):
-                    w = (e, f)
-                    break
-            if w:
-                break
-        checks.append(Check("projections_are_identity_loops", w is None, w))
+        loop_at = {edges[i][0]: i for i in P}
+        meet, vertices = G.sl.meet, range(G.sl.n)
+        checks.append(first_witness("projections_are_identity_loops", (
+            (e, f) for e in vertices for f in vertices
+            if edges[S.mult[loop_at[e]][loop_at[f]]] != (meet[e][f], one, meet[e][f]))))
     return AxiomReport(checks)
 
 
@@ -206,8 +164,7 @@ class UnderlyingGraphResult:
     proj_index: dict
 
 
-def underlying_graph(S: OpTableSemigroup, Y=None,
-                     cong: core.Congruence | None = None) -> UnderlyingGraphResult:
+def underlying_graph(S: OpTableSemigroup, Y=None) -> UnderlyingGraphResult:
     """The labelled graph on P(S) whose edges are the triples of Y-elements.
 
     Y must contain the projections, be an order ideal and consist of proper
@@ -217,10 +174,7 @@ def underlying_graph(S: OpTableSemigroup, Y=None,
     if Y is None:
         Y = range(S.n)
     Yset = frozenset(Y)
-    if cong is None:
-        cong, quotient = core.sigma(S)
-    else:
-        _, quotient = core.sigma(S)
+    cong, quotient = core.sigma(S)
     sl, proj_list, proj_index = projection_semilattice(S)
     P = frozenset(proj_list)
     if not P <= Yset:
@@ -230,8 +184,7 @@ def underlying_graph(S: OpTableSemigroup, Y=None,
         for s in range(S.n):
             if orders.le[s][y] and s not in Yset:
                 raise ValueError(f"Y is not an order ideal: {s} <= {y}")
-    proper = core.proper_elements(S, cong)
-    bad = sorted(Yset - proper)
+    bad = sorted(Yset - core.proper_elements(S))
     if bad:
         raise ValueError(f"Y contains non-proper elements {bad}")
 
@@ -240,7 +193,9 @@ def underlying_graph(S: OpTableSemigroup, Y=None,
     of_element, to_element = {}, {}
     for a in sorted(Yset):
         edge = (proj_index[S.plus[a]], cong.class_of[a], proj_index[S.star[a]])
-        assert edge not in to_element, "triple map not injective on Y"
+        if edge in to_element:
+            raise core.InvariantError(
+                f"triple map not injective on Y: {to_element[edge]} and {a} give {edge}")
         of_element[a] = edge
         to_element[edge] = a
 
@@ -261,29 +216,25 @@ def structure_iso_check(S: OpTableSemigroup, Y=None) -> AxiomReport:
     """Check that a |-> (a^+, [a], a^*) is an isomorphism onto the product
     of the underlying graph.  Requires a strictly proper S (Y defaults to
     all of S)."""
-    checks = []
-    cong, _ = core.sigma(S)
-    proper = core.proper_elements(S, cong)
+    proper = core.proper_elements(S)
     if Y is None:
         Y = range(S.n)
     Yset = frozenset(Y)
-    collision = None
-    seen = {}
-    for a in sorted(Yset):
-        key = (S.plus[a], S.star[a], cong.class_of[a])
-        if key in seen:
-            collision = (seen[key], a)
-            break
-        seen[key] = a
-    checks.append(Check("triple_map_injective", collision is None, collision))
-    if collision is not None:
+    for a in Yset:
+        if not 0 <= a < S.n:
+            raise ValueError(f"Y member {a} out of range")
+    fib = core.fibers(S)
+    first_in_Y = {a: min(Yset.intersection(fib[a])) for a in Yset}
+    checks = [first_witness("triple_map_injective", (
+        (first_in_Y[a], a) for a in sorted(Yset) if first_in_Y[a] != a))]
+    if not checks[0].ok:
         return AxiomReport(checks)
     if Yset != frozenset(range(S.n)) and not Yset <= proper:
         checks.append(Check("Y_elements_proper", False,
                             (sorted(Yset - proper)[0],)))
         return AxiomReport(checks)
 
-    ug = underlying_graph(S, Yset, cong)
+    ug = underlying_graph(S, Yset)
     pm_witness = check_pm(ug.graph)
     checks.append(Check("underlying_graph_is_partial_multiaction",
                         pm_witness is None, pm_witness))
@@ -297,22 +248,13 @@ def structure_iso_check(S: OpTableSemigroup, Y=None) -> AxiomReport:
     checks.append(Check("bijective", sorted(psi) == list(range(S2.n)),
                         None if sorted(psi) == list(range(S2.n)) else (len(set(psi)), S2.n)))
 
-    w = None
-    for a in range(S.n):
-        for b in range(S.n):
-            if psi[S.mult[a][b]] != S2.mult[psi[a]][psi[b]]:
-                w = (a, b)
-                break
-        if w:
-            break
-    checks.append(Check("preserves_multiplication", w is None, w))
-
-    w = None
-    for a in range(S.n):
-        if psi[S.plus[a]] != S2.plus[psi[a]] or psi[S.star[a]] != S2.star[psi[a]]:
-            w = (a,)
-            break
-    checks.append(Check("preserves_unary_operations", w is None, w))
+    rng = range(S.n)
+    checks.append(first_witness("preserves_multiplication", (
+        (a, b) for a in rng for b in rng
+        if psi[S.mult[a][b]] != S2.mult[psi[a]][psi[b]])))
+    checks.append(first_witness("preserves_unary_operations", (
+        (a,) for a in rng
+        if psi[S.plus[a]] != S2.plus[psi[a]] or psi[S.star[a]] != S2.star[psi[a]])))
     return AxiomReport(checks)
 
 
@@ -324,24 +266,18 @@ def round_trip_check(G: ResGraph) -> AxiomReport:
     S, edges = build_product(G)
     cong, _ = core.sigma(S)
 
-    label_of_class = {}
-    w = None
+    # every class's label is that of its first edge; sigma refines the label
+    # fibers when no edge disagrees with it, and coarsens them when no
+    # label spans two classes
+    label_of_class = [edges[cls[0]][1] for cls in cong.classes]
+    classes_of_label = {}
     for i, c in enumerate(edges):
-        cls = cong.class_of[i]
-        if cls in label_of_class and label_of_class[cls] != c[1]:
-            w = (c,)
-            break
-        label_of_class[cls] = c[1]
-    fiber = {}
-    for i, c in enumerate(edges):
-        fiber.setdefault(c[1], set()).add(cong.class_of[i])
-    if w is None:
-        for lab, classes in fiber.items():
-            if len(classes) > 1:
-                w = (lab,)
-                break
-    checks.append(Check("sigma_classes_are_label_fibers", w is None, w))
-    if w is not None:
+        classes_of_label.setdefault(c[1], set()).add(cong.class_of[i])
+    checks.append(first_witness("sigma_classes_are_label_fibers", itertools.chain(
+        ((c,) for i, c in enumerate(edges)
+         if c[1] != label_of_class[cong.class_of[i]]),
+        ((lab,) for lab, classes in classes_of_label.items() if len(classes) > 1))))
+    if not checks[0].ok:
         return AxiomReport(checks)
 
     ug = underlying_graph(S)
@@ -350,7 +286,9 @@ def round_trip_check(G: ResGraph) -> AxiomReport:
     vertex_map = {}
     for j, elem in enumerate(ug.proj_list):
         loop = edges[elem]
-        assert loop[1] == one and loop[0] == loop[2]
+        if loop[1] != one or loop[0] != loop[2]:
+            raise core.InvariantError(
+                f"projection {elem} of the product is {loop!r}, not an identity loop")
         vertex_map[j] = loop[0]
 
     recovered = set()
@@ -363,22 +301,22 @@ def round_trip_check(G: ResGraph) -> AxiomReport:
         return AxiomReport(checks)
 
     # compare restriction actions through the correspondence
-    w = None
-    for (d, cls, r) in ug.graph.sorted_edges():
-        g_edge = (vertex_map[d], label_of_class[cls], vertex_map[r])
-        for g in ug.graph.sl.below(d):
-            got = ug.graph.restrict((d, cls, r), g)
-            want = G.restrict(g_edge, vertex_map[g])
-            if (vertex_map[got[0]], label_of_class[got[1]], vertex_map[got[2]]) != want:
-                w = (g_edge, vertex_map[g])
-                break
-        for h in ug.graph.sl.below(r):
-            got = ug.graph.corestrict((d, cls, r), h)
-            want = G.corestrict(g_edge, vertex_map[h])
-            if (vertex_map[got[0]], label_of_class[got[1]], vertex_map[got[2]]) != want:
-                w = (g_edge, vertex_map[h])
-                break
-        if w:
-            break
-    checks.append(Check("restrictions_match", w is None, w))
+    def translate(c):
+        return (vertex_map[c[0]], label_of_class[c[1]], vertex_map[c[2]])
+
+    def mismatches():
+        for c in ug.graph.sorted_edges():
+            g_edge = translate(c)
+            bad_restrict = next((
+                (g_edge, vertex_map[g]) for g in ug.graph.sl.below(c[0])
+                if translate(ug.graph.restrict(c, g))
+                != G.restrict(g_edge, vertex_map[g])), None)
+            bad_corestrict = next((
+                (g_edge, vertex_map[h]) for h in ug.graph.sl.below(c[2])
+                if translate(ug.graph.corestrict(c, h))
+                != G.corestrict(g_edge, vertex_map[h])), None)
+            if bad_restrict or bad_corestrict:
+                yield bad_corestrict or bad_restrict
+
+    checks.append(first_witness("restrictions_match", mismatches()))
     return AxiomReport(checks)

@@ -21,6 +21,16 @@ class Check:
         return f"FAIL  {self.name}  witness={self.witness!r}"
 
 
+def first_witness(name: str, witnesses) -> Check:
+    """PASS when witnesses is empty, otherwise FAIL with its first element.
+
+    witnesses is usually a generator, so the search stops at the first hit.
+    """
+    for witness in witnesses:
+        return Check(name, False, witness)
+    return Check(name, True)
+
+
 @dataclass
 class AxiomReport:
     checks: list

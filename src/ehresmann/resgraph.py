@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .report import AxiomReport, Check, FAIL, INCONCLUSIVE, PASS
+from .core import associativity_witness, validate_table
+from .report import AxiomReport, Check, FAIL, INCONCLUSIVE, PASS, first_witness
 
 
 class RestrictionUndefinedError(ValueError):
@@ -28,23 +29,17 @@ class Semilattice:
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError("need at least one element")
-        if len(self.meet) != self.n or any(len(r) != self.n for r in self.meet):
-            raise ValueError("meet table must be n x n")
+        validate_table(self.meet, self.n, "meet")
         rng = range(self.n)
         for e in rng:
             for f in rng:
-                v = self.meet[e][f]
-                if not (isinstance(v, int) and 0 <= v < self.n):
-                    raise ValueError(f"meet[{e}][{f}] = {v!r} out of range")
-                if v != self.meet[f][e]:
+                if self.meet[e][f] != self.meet[f][e]:
                     raise ValueError(f"meet not commutative at ({e},{f})")
             if self.meet[e][e] != e:
                 raise ValueError(f"meet not idempotent at {e}")
-        for e in rng:
-            for f in rng:
-                for g in rng:
-                    if self.meet[self.meet[e][f]][g] != self.meet[e][self.meet[f][g]]:
-                        raise ValueError(f"meet not associative at ({e},{f},{g})")
+        w = associativity_witness(self.meet)
+        if w is not None:
+            raise ValueError("meet not associative at ({},{},{})".format(*w))
         if self.names is not None and len(self.names) != self.n:
             raise ValueError("names must have length n")
 
@@ -71,22 +66,13 @@ class FiniteMonoid:
     names: list | None = None
 
     def __post_init__(self):
-        rng = range(self.n)
-        if len(self.mult) != self.n or any(len(r) != self.n for r in self.mult):
-            raise ValueError("mult table must be n x n")
-        for a in rng:
-            for b in rng:
-                v = self.mult[a][b]
-                if not (isinstance(v, int) and 0 <= v < self.n):
-                    raise ValueError(f"mult[{a}][{b}] out of range")
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
-                        raise ValueError(f"monoid not associative at ({a},{b},{c})")
+        validate_table(self.mult, self.n)
+        w = associativity_witness(self.mult)
+        if w is not None:
+            raise ValueError("monoid not associative at ({},{},{})".format(*w))
         e = self.identity
         if not (0 <= e < self.n) or any(self.mult[e][a] != a or self.mult[a][e] != a
-                                        for a in rng):
+                                        for a in range(self.n)):
             raise ValueError("identity element is not a two-sided identity")
 
     is_free = False
@@ -312,12 +298,8 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> AxiomReport:
     sl, mon = G.sl, G.mon
     one = mon.one
 
-    w = None
-    for e in range(sl.n):
-        if (e, one, e) not in G.edges:
-            w = (e,)
-            break
-    checks.append(Check("identity_loops_present", w is None, w))
+    checks.append(first_witness("identity_loops_present", (
+        (e,) for e in range(sl.n) if (e, one, e) not in G.edges)))
 
     def try_restrict(c, g):
         try:
@@ -331,36 +313,17 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> AxiomReport:
         except RestrictionUndefinedError:
             return None
 
-    w_def = None
-    for c in G.sorted_edges():
-        for g in sl.below(c[0]):
-            if try_restrict(c, g) is None:
-                w_def = (c, g)
-                break
-        if w_def:
-            break
-    checks.append(Check("restriction_total", w_def is None, w_def))
-
-    w_def = None
-    for c in G.sorted_edges():
-        for h in sl.below(c[2]):
-            if try_corestrict(c, h) is None:
-                w_def = (c, h)
-                break
-        if w_def:
-            break
-    checks.append(Check("corestriction_total", w_def is None, w_def))
+    checks.append(first_witness("restriction_total", (
+        (c, g) for c in G.sorted_edges() for g in sl.below(c[0])
+        if try_restrict(c, g) is None)))
+    checks.append(first_witness("corestriction_total", (
+        (c, h) for c in G.sorted_edges() for h in sl.below(c[2])
+        if try_corestrict(c, h) is None)))
 
     # the remaining axioms evaluate restrictions of identity loops and are
     # only meaningful once the structural checks hold
     if not all(c.ok for c in checks):
         return AxiomReport(checks)
-
-    def first_violation(name, gen):
-        for witness in gen:
-            checks.append(Check(name, False, witness))
-            return
-        checks.append(Check(name, True))
 
     def gen_r1():
         for c in G.sorted_edges():
@@ -448,17 +411,12 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> AxiomReport:
                     if lhs != rhs or lhs != target:
                         yield (c, g, h)
 
-    first_violation("R1", gen_r1())
-    first_violation("R2", gen_r2())
-    first_violation("R3", gen_r3())
-    first_violation("R4", gen_r4())
-    first_violation("R5", gen_r5())
-    first_violation("CR1", gen_cr1())
-    first_violation("CR2", gen_cr2())
-    first_violation("CR3", gen_cr3())
-    first_violation("CR4", gen_cr4())
-    first_violation("CR5", gen_cr5())
-    first_violation("C", gen_c())
+    checks += [first_witness("R1", gen_r1()), first_witness("R2", gen_r2()),
+               first_witness("R3", gen_r3()), first_witness("R4", gen_r4()),
+               first_witness("R5", gen_r5()), first_witness("CR1", gen_cr1()),
+               first_witness("CR2", gen_cr2()), first_witness("CR3", gen_cr3()),
+               first_witness("CR4", gen_cr4()), first_witness("CR5", gen_cr5()),
+               first_witness("C", gen_c())]
 
     if not G.mon.is_free:
         labels = set()
@@ -489,13 +447,6 @@ def check_path_axioms(G: ResGraph, bound: int = 3) -> AxiomReport:
     """Check the path-level laws over all paths up to the length bound."""
     sl = G.sl
     paths = all_paths(G, bound)
-    checks = []
-
-    def first_violation(name, gen):
-        for witness in gen:
-            checks.append(Check(name, False, witness))
-            return
-        checks.append(Check(name, True))
 
     def gen_r3a():
         for p in paths:
@@ -544,12 +495,10 @@ def check_path_axioms(G: ResGraph, bound: int = 3) -> AxiomReport:
                     if lhs != rhs:
                         yield (p, e, f)
 
-    first_violation("R3a", gen_r3a())
-    first_violation("R4a", gen_r4a())
-    first_violation("CR3a", gen_cr3a())
-    first_violation("CR4a", gen_cr4a())
-    first_violation("Ca", gen_ca())
-    return AxiomReport(checks)
+    return AxiomReport([
+        first_witness("R3a", gen_r3a()), first_witness("R4a", gen_r4a()),
+        first_witness("CR3a", gen_cr3a()), first_witness("CR4a", gen_cr4a()),
+        first_witness("Ca", gen_ca())])
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +549,10 @@ def _is_prefix(word, target):
     return len(word) <= len(target) and tuple(target[:len(word)]) == tuple(word)
 
 
-def _is_pm(G: ResGraph) -> bool:
-    for c in G.sorted_edges():
-        for d in G.edges_from(c[2]):
-            if (c[0], G.mon.mul(c[1], d[1]), d[2]) not in G.edges:
-                return False
-    return True
+def check_pm(G: ResGraph):
+    """Return a witness composable pair with no composite edge, or None."""
+    return next(((c, d) for c in G.sorted_edges() for d in G.edges_from(c[2])
+                 if (c[0], G.mon.mul(c[1], d[1]), d[2]) not in G.edges), None)
 
 
 def _is_cover_shaped(G: ResGraph) -> bool:
@@ -642,7 +589,7 @@ def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
     if p == q:
         return EquivalenceResult(PASS, "equal paths")
 
-    if _is_pm(G):
+    if check_pm(G) is None:
         nf_p = (path_d(p), path_label(G, p), path_r(p))
         nf_q = (path_d(q), path_label(G, q), path_r(q))
         status = PASS if nf_p == nf_q else FAIL

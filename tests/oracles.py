@@ -88,6 +88,18 @@ def brute_min_congruence(S):
     return class_of, classes
 
 
+def reference_associativity_witness(table):
+    """First (x, y, z) in lexicographic order with (x y) z != x (y z), by the
+    plain triple loop over the table; None when the table is associative."""
+    rng = range(len(table))
+    for x in rng:
+        for y in rng:
+            for z in rng:
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return (x, y, z)
+    return None
+
+
 def compose_pairs(pairs_a, pairs_b):
     """Set-level relation composition, the definitional oracle."""
     return {(x, z) for (x, y) in pairs_a for (y2, z) in pairs_b if y == y2}

@@ -238,3 +238,13 @@ def test_sigma_label_violation_search_is_deterministic():
     a = actions.search_sigma_label_violation(seed=3, tries=10)
     b = actions.search_sigma_label_violation(seed=3, tries=10)
     assert (a is None) == (b is None)
+
+
+def test_partial_map_application_rejects_two_valued_relations():
+    two_valued = Rel.from_pairs(2, [(0, 0), (0, 1), (1, 1)])
+    assert actions._apply(two_valued, 1) == 1
+    with pytest.raises(core.InvariantError):
+        actions._apply(two_valued, 0)
+    assert actions._apply_inv(two_valued, 0) == 0
+    with pytest.raises(core.InvariantError):
+        actions._apply_inv(two_valued, 1)

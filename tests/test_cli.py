@@ -51,11 +51,23 @@ def test_verify_broken_semigroup(tmp_path, capsys):
 
 
 def test_verify_malformed_table(tmp_path, capsys):
-    doc = io.dump_semigroup(corpus.chain(2))
-    doc["mult"] = [[0, 9], [0, 1]]
-    path = tmp_path / "malformed.json"
-    io.save(path, doc)
-    assert cli.main(["verify", str(path)]) == EXIT_INPUT
+    # each True stands where a valid table has a 1
+    docs = []
+    for mult in ([[0, 9], [0, 1]], 4, [[0, 0], 1], [[0, 0], [0, True]]):
+        doc = io.dump_semigroup(corpus.chain(2))
+        doc["mult"] = mult
+        docs.append(doc)
+    for part, key, tables in (
+            ("semilattice", "meet", (4, [[0, 0], 1], [[0, 0], [0, True]])),
+            ("monoid", "mult", (4, [[0, 1], 1], [[0, True], [1, 1]]))):
+        for table in tables:
+            doc = io.dump_resgraph(corpus.e2t2_graph())
+            doc[part][key] = table
+            docs.append(doc)
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"malformed{i}.json"
+        io.save(path, doc)
+        assert cli.main(["verify", str(path)]) == EXIT_INPUT, doc
 
 
 def test_verify_unreadable_file():

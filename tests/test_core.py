@@ -6,7 +6,8 @@ from ehresmann import core, corpus, relmonoid
 from ehresmann.core import MalformedTableError, OpTableSemigroup
 from ehresmann.report import FAIL, INCONCLUSIVE, PASS
 
-from oracles import brute_min_congruence, reference_equivalent_factorizations
+from oracles import (brute_min_congruence, reference_associativity_witness,
+                     reference_equivalent_factorizations)
 
 
 def small_corpus():
@@ -416,3 +417,51 @@ def test_check_proper_ideal_matches_per_pair_search(monkeypatch):
                     if lines[-1].startswith(INCONCLUSIVE)
                     and "skipped" not in lines[-1] and "truncated" not in lines[-1]]
     assert searched_out
+
+
+def _kernel_corpus_tables():
+    """Every square table of the corpus with at most 64 entries per row:
+    semigroup multiplications, semilattice meets and monoid tables."""
+    tables = [S.mult for _, S in corpus.semigroups()]
+    tables += [G.sl.meet for _, G in corpus.pm_graphs()]
+    tables += [G.mon.mult for _, G in corpus.pm_graphs() if not G.mon.is_free]
+    for alg in (relmonoid.full_B(2), relmonoid.full_I(3), relmonoid.full_PT(3)):
+        tables.append(alg.to_semigroup().mult)
+    return [t for t in tables if len(t) <= 64]
+
+
+def test_associativity_kernel_matches_triple_loop_oracle():
+    rng = random.Random(3)
+    tables = _kernel_corpus_tables()
+    assert len(tables) > 30 and max(len(t) for t in tables) == 64
+    fails = 0
+    for table in tables:
+        assert core.associativity_witness(table) is None
+        assert reference_associativity_witness(table) is None
+        n = len(table)
+        if n == 1:
+            continue
+        for _ in range(2):
+            bad = [list(row) for row in table]
+            x, y = rng.randrange(n), rng.randrange(n)
+            bad[x][y] = (bad[x][y] + rng.randrange(1, n)) % n
+            witness = core.associativity_witness(bad)
+            assert witness == reference_associativity_witness(bad)
+            fails += witness is not None
+    assert fails > 50
+
+
+def test_sigma_and_orders_are_computed_once_per_semigroup():
+    S = corpus.rel_pt2()
+    cong, quotient = core.sigma(S)
+    again = core.sigma(S)
+    assert again[0] is cong and again[1] is quotient
+    assert core.natural_orders(S) is core.natural_orders(S)
+    assert core.fibers(S) is core.fibers(S)
+    assert core.projections(S).members is core.projections(S).members
+    # the cache takes no part in equality, repr or the interchange format
+    fresh = OpTableSemigroup(S.n, S.mult, S.plus, S.star, S.names)
+    assert fresh == S and repr(fresh) == repr(S)
+    assert "_memo" not in repr(S)
+    from ehresmann import io
+    assert io.dump_semigroup(fresh) == io.dump_semigroup(S)

@@ -23,6 +23,21 @@ def test_semigroup_rejects_bad_unary_and_names():
         OpTableSemigroup(2, [[0, 1], [1, 1]], [0, 1], [0, 1], names=["a"])
 
 
+def test_tables_reject_non_lists_and_bools():
+    # JSON true is a bool, which Python counts as the int 1
+    for bad in (4, [[0, 1], 1], ((0, 1), (1, 1)), [[0, True], [1, 1]]):
+        with pytest.raises(MalformedTableError):
+            OpTableSemigroup(2, bad, [0, 1], [0, 1])
+        with pytest.raises(ValueError):
+            Semilattice(2, bad)
+        with pytest.raises(ValueError):
+            FiniteMonoid(2, bad, 0)
+    with pytest.raises(MalformedTableError):
+        OpTableSemigroup(2, [[0, 1], [1, 1]], [0, True], [0, 1])
+    with pytest.raises(MalformedTableError):
+        OpTableSemigroup(2, [[0, 1], [1, 1]], [0, 1], 7)
+
+
 def test_empty_product_rejected():
     with pytest.raises(ValueError):
         corpus.chain(2).prod([])
@@ -43,6 +58,9 @@ def test_restriction_side_validated():
 def test_proper_ideal_member_out_of_range():
     with pytest.raises(ValueError):
         core.check_proper_ideal(corpus.chain(2), [0, 7], max_len=2)
+    for Y in ([0, 7], [-1, 0, 1]):
+        with pytest.raises(ValueError):
+            product.structure_iso_check(corpus.chain(2), Y)
 
 
 def test_rel_from_pairs_out_of_range():
