@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import core, product, relmonoid
 from .core import OpTableSemigroup
 from .relmonoid import Rel
-from .report import AxiomReport, Check, first_witness
+from .report import Check, FAIL, PASS, Report, first_witness
 from .resgraph import FiniteMonoid, ResGraph, Semilattice
 
 
@@ -45,7 +45,7 @@ def _phi_items(pm):
     return [(t, pm.phi[t]) for t in sorted(pm.phi)]
 
 
-def validate_premorphism(pm) -> AxiomReport:
+def validate_premorphism(pm) -> Report:
     """Nonempty relations, id inside phi_1, and phi_s phi_t inside phi_st."""
     n = pm.ground if isinstance(pm, Premorphism) else pm.sl.n
 
@@ -61,18 +61,19 @@ def validate_premorphism(pm) -> AxiomReport:
     checks = [first_witness("relations_nonempty", (
         (t, why) for t in pm.mon.elements() for why in [problem(t)] if why))]
     if not checks[0].ok:
-        return AxiomReport(checks)
+        return Report(checks)
 
     ident = relmonoid.identity(n)
     ok = ident.issubset(pm.phi[pm.mon.one])
-    checks.append(Check("identity_in_phi_1", ok, None if ok else (pm.mon.one,)))
+    checks.append(Check("identity_in_phi_1", PASS if ok else FAIL,
+                        None if ok else (pm.mon.one,)))
 
     labels = pm.mon.elements()
     checks.append(first_witness("phi_s_phi_t_in_phi_st", (
         (s, t) for s in labels for t in labels
         if not relmonoid.compose(pm.phi[s], pm.phi[t]).issubset(
             pm.phi[pm.mon.mul(s, t)]))))
-    return AxiomReport(checks)
+    return Report(checks)
 
 
 @dataclass
@@ -152,7 +153,7 @@ def check_sigma_iff_label(G: ResGraph):
 class RestrictionClass:
     left: bool
     right: bool
-    report: AxiomReport
+    report: Report
 
 
 def classify_restriction(G: ResGraph) -> RestrictionClass:
@@ -170,7 +171,7 @@ def classify_restriction(G: ResGraph) -> RestrictionClass:
             (edges[a], edges[b]) for a in range(S.n) for b in range(a + 1, S.n)
             if unary[a] == unary[b] and cong.same(a, b))))
 
-    report = AxiomReport(checks)
+    report = Report(checks)
     left = report["x y^+ = (x y)^+ x"].ok and report["left_proper"].ok
     right = report["x^* y = y (x y)^*"].ok and report["right_proper"].ok
     return RestrictionClass(left, right, report)
@@ -236,7 +237,7 @@ def search_sigma_label_violation(seed: int, tries: int = 200):
     return None
 
 
-def check_partial_action_laws(pa: PartialAction) -> AxiomReport:
+def check_partial_action_laws(pa: PartialAction) -> Report:
     """For deterministic relations: domains (ranges) are order ideals and
     the maps are order-preserving in the available direction."""
     sides = []
@@ -269,20 +270,20 @@ def check_partial_action_laws(pa: PartialAction) -> AxiomReport:
             (t, f, e) for t, preimage in preimages.items() for e in preimage
             for f in preimage
             if sl.leq(f, e) and not sl.leq(preimage[f], preimage[e]))))
-    return AxiomReport(checks)
+    return Report(checks)
 
 
-def validate_partial_action(pa: PartialAction) -> AxiomReport:
+def validate_partial_action(pa: PartialAction) -> Report:
     """Premorphism laws plus: every relation is a partial bijection that is
     an order isomorphism between order ideals."""
     checks = list(validate_premorphism(pa).checks)
     if not all(c.ok for c in checks):
-        return AxiomReport(checks)
+        return Report(checks)
     checks.append(first_witness("relations_are_partial_bijections", (
         (t,) for t, rel in _phi_items(pa) if not relmonoid.classify(rel)["in_I"])))
     if checks[-1].ok:
         checks.extend(check_partial_action_laws(pa).checks)
-    return AxiomReport(checks)
+    return Report(checks)
 
 
 def _apply(rel: Rel, x: int):
@@ -348,7 +349,7 @@ def build_pair_form(pa: PartialAction):
     return OpTableSemigroup(k, mult, plus, star, names), pairs
 
 
-def pair_form_iso_check(pa: PartialAction) -> AxiomReport:
+def pair_form_iso_check(pa: PartialAction) -> Report:
     """(e, s) -> (e, s, e phi_s) is an isomorphism onto the product of the
     induced graph."""
     S1, pairs = build_pair_form(pa)
@@ -356,13 +357,4 @@ def pair_form_iso_check(pa: PartialAction) -> AxiomReport:
     S2, edges = product.build_product(G)
     idx2 = {c: i for i, c in enumerate(edges)}
     psi = [idx2[(e, s, _apply(pa.phi[s], e))] for (e, s) in pairs]
-    rng = range(S1.n)
-    return AxiomReport([
-        Check("bijective", sorted(psi) == list(range(S2.n)), None),
-        first_witness("preserves_multiplication", (
-            (pairs[a], pairs[b]) for a in rng for b in rng
-            if psi[S1.mult[a][b]] != S2.mult[psi[a]][psi[b]])),
-        first_witness("preserves_unary_operations", (
-            (pairs[a],) for a in rng
-            if psi[S1.plus[a]] != S2.plus[psi[a]] or psi[S1.star[a]] != S2.star[psi[a]])),
-    ])
+    return Report(core.isomorphism_checks(S1, S2, psi, pairs.__getitem__))

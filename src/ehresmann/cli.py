@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a check failed (witness printed),
-2 input error, 3 an INCONCLUSIVE result is present.
+2 input error, 3 no check failed but one is INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import actions, core, corpus, cover, io, product, relmonoid, resgraph
-from .report import FAIL, INCONCLUSIVE, PASS
+from .report import FAIL, INCONCLUSIVE, PASS, Report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -36,8 +36,18 @@ def _report_payload(name, report):
     }
 
 
-def _exit_from_reports(reports) -> int:
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_FAIL
+def _exit(reports) -> int:
+    """The exit code of the combined status of all checks in reports."""
+    status = Report([c for r in reports for c in r.checks]).status
+    return {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[status]
+
+
+def _load(path, kind, command):
+    """Load the document at path, which must be of the given kind."""
+    got, obj = io.load_path(path)
+    if got != kind:
+        raise io.SchemaError(f"{command} expects a {kind} document")
+    return obj
 
 
 def _synthesized_semigroup(args):
@@ -94,18 +104,16 @@ def cmd_verify(args) -> int:
         reports.append(rep)
         lines += [f"premorphism laws on {source}:"] + rep.lines()
     _emit(args, {"reports": [_report_payload(source, r) for r in reports]}, lines)
-    return _exit_from_reports(reports)
+    return _exit(reports)
 
 
 def cmd_analyze(args) -> int:
-    kind, S = io.load_path(args.path)
-    if kind != "semigroup":
-        raise io.SchemaError("analyze expects a semigroup document")
+    S = _load(args.path, "semigroup", args.command)
     rep = core.verify_ehresmann(S)
     if not rep.ok:
         _emit(args, _report_payload("ehresmann", rep),
               ["not an Ehresmann semigroup:"] + [c.line() for c in rep.failures()])
-        return EXIT_FAIL
+        return _exit([rep])
     P = core.projections(S)
     orders = core.natural_orders(S)
     cong, quotient = core.sigma(S)
@@ -151,9 +159,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    kind, S = io.load_path(args.path)
-    if kind != "semigroup":
-        raise io.SchemaError("sigma expects a semigroup document")
+    S = _load(args.path, "semigroup", args.command)
     cong, quotient = core.sigma(S)
     payload = {
         "classes": [[S.name(x) for x in cls] for cls in cong.classes],
@@ -168,9 +174,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    kind, S = io.load_path(args.path)
-    if kind != "semigroup":
-        raise io.SchemaError("factorize expects a semigroup document")
+    S = _load(args.path, "semigroup", args.command)
     seq = [int(x) for x in args.seq.split(",")]
     for s in seq:
         if not 0 <= s < S.n:
@@ -194,9 +198,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_graph_check(args) -> int:
-    kind, G = io.load_path(args.path)
-    if kind != "resgraph":
-        raise io.SchemaError("graph-check expects a resgraph document")
+    G = _load(args.path, "resgraph", args.command)
     rep = resgraph.check_axioms(G, max_chain=args.max_chain)
     reports = [rep]
     lines = ["edge axioms:"] + rep.lines()
@@ -205,13 +207,11 @@ def cmd_graph_check(args) -> int:
         reports.append(prep)
         lines += [f"path axioms up to length {args.path_bound}:"] + prep.lines()
     _emit(args, {"reports": [_report_payload(args.path, r) for r in reports]}, lines)
-    return _exit_from_reports(reports)
+    return _exit(reports)
 
 
 def cmd_product(args) -> int:
-    kind, G = io.load_path(args.path)
-    if kind != "resgraph":
-        raise io.SchemaError("product expects a resgraph document")
+    G = _load(args.path, "resgraph", args.command)
     try:
         S, edges = product.build_product(G)
     except product.PMViolationError as exc:
@@ -237,7 +237,7 @@ def cmd_product(args) -> int:
     _emit(args, {"n": S.n,
                  "reports": [_report_payload(args.path, r) for r in reports]},
           lines)
-    return _exit_from_reports(reports)
+    return _exit(reports)
 
 
 def _parse_gens(raw):
@@ -245,9 +245,7 @@ def _parse_gens(raw):
 
 
 def cmd_cover(args) -> int:
-    kind, S = io.load_path(args.path)
-    if kind != "semigroup":
-        raise io.SchemaError("cover expects a semigroup document")
+    S = _load(args.path, "semigroup", args.command)
     gens = _parse_gens(args.gens)
     if args.action == "build":
         cg = cover.build_cover_graph(S, gens)
@@ -263,24 +261,20 @@ def cmd_cover(args) -> int:
     rep = cover.verify_cover(S, gens, len_bound=args.len_bound)
     _emit(args, _report_payload("cover", rep),
           [f"cover verification at length bound {args.len_bound}:"] + rep.lines())
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return _exit([rep])
 
 
 def cmd_iso(args) -> int:
-    kind, S = io.load_path(args.path)
-    if kind != "semigroup":
-        raise io.SchemaError("iso expects a semigroup document")
+    S = _load(args.path, "semigroup", args.command)
     Y = _parse_gens(args.ideal) if args.ideal else None
     rep = product.structure_iso_check(S, Y)
     _emit(args, _report_payload("structure_iso", rep),
           ["structure isomorphism:"] + rep.lines())
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return _exit([rep])
 
 
 def cmd_preimage(args) -> int:
-    kind, S = io.load_path(args.path)
-    if kind != "semigroup":
-        raise io.SchemaError("preimage expects a semigroup document")
+    S = _load(args.path, "semigroup", args.command)
     gens = _parse_gens(args.gens)
     cg = cover.build_cover_graph(S, gens)
     s = args.element
@@ -297,17 +291,14 @@ def cmd_preimage(args) -> int:
 
 
 def cmd_proper_ideal(args) -> int:
-    kind, S = io.load_path(args.path)
-    if kind != "semigroup":
-        raise io.SchemaError("proper-ideal expects a semigroup document")
+    S = _load(args.path, "semigroup", args.command)
     Y = _parse_gens(args.ideal) if args.ideal else list(range(S.n))
     rep = core.check_proper_ideal(S, Y, max_len=args.max_len)
     payload = {"status": rep.status,
                "conditions": [{"name": c.name, "status": c.status,
-                               "witness": c.witness} for c in rep.conditions]}
+                               "witness": c.witness} for c in rep.checks]}
     _emit(args, payload, [f"proper ideal check: {rep.status}"] + rep.lines())
-    return {PASS: EXIT_OK, FAIL: EXIT_FAIL,
-            INCONCLUSIVE: EXIT_INCONCLUSIVE}[rep.status]
+    return _exit([rep])
 
 
 def _corpus_expectations():
@@ -332,8 +323,9 @@ def cmd_corpus_run(args) -> int:
         with open(args.path) as fh:
             raw = json.load(fh)
         for item in raw:
-            kind, obj = io.load_document(item["payload"])
-            entries.append((item["name"], kind, obj, item.get("expect", {})))
+            kind, obj = io.load_document(io._need(item, "payload", "corpus entry"))
+            entries.append((io._need(item, "name", "corpus entry"), kind, obj,
+                            item.get("expect", {})))
     bad = 0
     for name, kind, obj, expect in entries:
         results = {}

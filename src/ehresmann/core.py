@@ -11,8 +11,7 @@ import functools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .report import (AxiomReport, Check, CondResult, FAIL, INCONCLUSIVE,
-                     PASS, combine_status, first_witness)
+from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
 class MalformedTableError(ValueError):
@@ -125,7 +124,7 @@ def _memoised(fn):
     return cached
 
 
-def verify_ehresmann(S: OpTableSemigroup) -> AxiomReport:
+def verify_ehresmann(S: OpTableSemigroup) -> Report:
     """Check associativity and the eight defining unary identities.
 
     Each check is reported PASS or FAIL with a witness tuple on FAIL.
@@ -141,8 +140,8 @@ def verify_ehresmann(S: OpTableSemigroup) -> AxiomReport:
                                     if not holds(x, y)))
 
     assoc = associativity_witness(m)
-    return AxiomReport([
-        Check("associativity", assoc is None, assoc),
+    return Report([
+        Check("associativity", FAIL if assoc else PASS, assoc),
         each("x^+ x = x", lambda x: m[p[x]][x] == x),
         each_pair("x^+ y^+ = y^+ x^+", lambda x, y: m[p[x]][p[y]] == m[p[y]][p[x]]),
         each_pair("(x y)^+ = (x y^+)^+", lambda x, y: p[m[x][y]] == p[m[x][p[y]]]),
@@ -154,7 +153,7 @@ def verify_ehresmann(S: OpTableSemigroup) -> AxiomReport:
     ])
 
 
-def verify_restriction(S: OpTableSemigroup, side: str = "both") -> AxiomReport:
+def verify_restriction(S: OpTableSemigroup, side: str = "both") -> Report:
     """Check the ample identity for the requested side(s)."""
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be left, right or both, not {side!r}")
@@ -167,7 +166,7 @@ def verify_restriction(S: OpTableSemigroup, side: str = "both") -> AxiomReport:
     if side in ("right", "both"):
         checks.append(first_witness("x^* y = y (x y)^*", (
             (x, y) for x in rng for y in rng if m[st[x]][y] != m[y][st[m[x][y]]])))
-    return AxiomReport(checks)
+    return Report(checks)
 
 
 @dataclass
@@ -488,26 +487,36 @@ def _first_unreached_factorization(S, Yset, start, goals, max_len, expansions,
     return next((g for g in goals if g in remaining), None)
 
 
-@dataclass
-class ProperIdealReport:
-    conditions: list  # CondResult per condition
+def ideal_members(S: OpTableSemigroup, Y=None) -> frozenset:
+    """Y (all of S when None) as a set, after checking that every member is
+    an element of S; raises ValueError otherwise."""
+    Yset = frozenset(range(S.n) if Y is None else Y)
+    for y in Yset:
+        if not 0 <= y < S.n:
+            raise ValueError(f"Y member {y} out of range")
+    return Yset
 
-    @property
-    def status(self) -> str:
-        return combine_status(c.status for c in self.conditions)
 
-    def __getitem__(self, name):
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def lines(self):
-        return [c.line() for c in self.conditions]
+def ideal_checks(S: OpTableSemigroup, Y) -> list:
+    """Conditions (1)-(3) of a proper generating ideal Y: the projections
+    lie in Y, Y is an order ideal, and the members of Y are proper.
+    Raises ValueError for a member of Y outside S."""
+    Yset = ideal_members(S, Y)
+    missing = tuple(e for e in projections(S) if e not in Yset)
+    le = natural_orders(S).le
+    ideal_witness = next(((s, y) for y in sorted(Yset) for s in range(S.n)
+                          if le[s][y] and s not in Yset), None)
+    fib = fibers(S)
+    improper_witness = next(((y, next(t for t in fib[y] if t != y))
+                             for y in sorted(Yset) if len(fib[y]) > 1), None)
+    return [Check("projections_in_Y", FAIL if missing else PASS, missing or None),
+            Check("Y_is_order_ideal", FAIL if ideal_witness else PASS, ideal_witness),
+            Check("Y_elements_proper", FAIL if improper_witness else PASS,
+                  improper_witness)]
 
 
 def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
-                       budget: int = 20000) -> ProperIdealReport:
+                       budget: int = 20000) -> Report:
     """Check the defining conditions of a proper generating ideal Y.
 
     (1) projections lie in Y; (2) Y is an order ideal; (3) Y-elements are
@@ -523,44 +532,24 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    Yset = frozenset(Y)
-    for y in Yset:
-        if not 0 <= y < S.n:
-            raise ValueError(f"Y member {y} out of range")
-    conds = []
-
-    P = projections(S)
-    missing = [e for e in P if e not in Yset]
-    conds.append(CondResult("projections_in_Y", FAIL if missing else PASS,
-                            tuple(missing) or None))
-
-    orders = natural_orders(S)
-    ideal_witness = next(((s, y) for y in sorted(Yset) for s in range(S.n)
-                          if orders.le[s][y] and s not in Yset), None)
-    conds.append(CondResult("Y_is_order_ideal", FAIL if ideal_witness else PASS,
-                            ideal_witness))
-
-    fib = fibers(S)
-    improper_witness = next(((y, next(t for t in fib[y] if t != y))
-                             for y in sorted(Yset) if len(fib[y]) > 1), None)
-    conds.append(CondResult("Y_elements_proper",
-                            FAIL if improper_witness else PASS, improper_witness))
+    Yset = ideal_members(S, Y)
+    checks = ideal_checks(S, Yset)
 
     minlen = _matching_products(S, Yset)
     unreachable = [s for s in range(S.n) if s not in minlen]
     too_long = [s for s in range(S.n) if minlen.get(s, 0) > max_len]
     if unreachable:
-        conds.append(CondResult("factorization_exists", FAIL, (unreachable[0],)))
+        checks.append(Check("factorization_exists", FAIL, (unreachable[0],)))
     elif too_long:
-        conds.append(CondResult("factorization_exists", INCONCLUSIVE,
-                                (too_long[0], minlen[too_long[0]])))
+        checks.append(Check("factorization_exists", INCONCLUSIVE,
+                            (too_long[0], minlen[too_long[0]])))
     else:
-        conds.append(CondResult("factorization_exists", PASS))
+        checks.append(Check("factorization_exists", PASS))
 
-    if any(c.status == FAIL for c in conds):
-        conds.append(CondResult("factorizations_equivalent", INCONCLUSIVE,
-                                ("skipped: earlier condition failed",)))
-        return ProperIdealReport(conds)
+    if any(c.status == FAIL for c in checks):
+        checks.append(Check("factorizations_equivalent", INCONCLUSIVE,
+                            ("skipped: earlier condition failed",)))
+        return Report(checks)
 
     expansions, trunc = _block_expansions(S, Yset, max_len + 1, budget)
     status, witness = PASS, None
@@ -578,5 +567,24 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
             break
     if status == PASS and trunc:
         status, witness = INCONCLUSIVE, ("enumeration truncated",)
-    conds.append(CondResult("factorizations_equivalent", status, witness))
-    return ProperIdealReport(conds)
+    checks.append(Check("factorizations_equivalent", status, witness))
+    return Report(checks)
+
+
+def isomorphism_checks(S: OpTableSemigroup, T: OpTableSemigroup, psi,
+                       name_of) -> list:
+    """Checks that psi, the list of images in T of the elements of S, is a
+    bijection preserving multiplication and both unary operations.  FAIL
+    witnesses show elements of S through name_of."""
+    onto = sorted(psi) == list(range(T.n))
+    rng = range(S.n)
+    return [
+        Check("bijective", PASS if onto else FAIL,
+              None if onto else (len(set(psi)), T.n)),
+        first_witness("preserves_multiplication", (
+            (name_of(a), name_of(b)) for a in rng for b in rng
+            if psi[S.mult[a][b]] != T.mult[psi[a]][psi[b]])),
+        first_witness("preserves_unary_operations", (
+            (name_of(a),) for a in rng
+            if psi[S.plus[a]] != T.plus[psi[a]] or psi[S.star[a]] != T.star[psi[a]])),
+    ]

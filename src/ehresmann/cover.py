@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import core, product, relmonoid
 from .core import InvariantError, OpTableSemigroup
-from .report import AxiomReport, Check, INCONCLUSIVE, PASS, first_witness
+from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 # restrict_path and corestrict_path stay importable from here: they are the
 # path-level definition that cover_mult computes on tables
 from .resgraph import (FreeMonoid, ResGraph, RestrictionUndefinedError,  # noqa: F401
@@ -325,7 +325,7 @@ def max_edge_for_letter(cg: CoverGraph, letter: str):
     return (cg.proj_index[cg.S.plus[g]], (letter,), cg.proj_index[cg.S.star[g]])
 
 
-def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> AxiomReport:
+def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     """End-to-end verification of the cover over the given generators.
 
     Checks, on all canonical forms up to len_bound: that phi is a
@@ -340,7 +340,7 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> AxiomReport:
     checks = []
 
     graph_report = check_axioms(cg.graph, max_chain=2)
-    checks.append(Check("cover_graph_axioms", graph_report.ok,
+    checks.append(Check("cover_graph_axioms", graph_report.status,
                         tuple(c.name for c in graph_report.failures()) or None))
 
     forms = enumerate_canonical(cg, len_bound)
@@ -372,7 +372,7 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> AxiomReport:
         if c[1] and not below_letter_maximum(c))))
 
     ok = product.check_properness_criterion(cg.graph)
-    checks.append(Check("properness_criterion", ok, None))
+    checks.append(Check("properness_criterion", PASS if ok else FAIL))
 
     # sigma iff labels, constructively: each canonical form is the product
     # of its edges, and same-word forms are chained through the letter
@@ -387,7 +387,7 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> AxiomReport:
 
     checks.append(first_witness("forms_factor_through_edges", (
         (str(u),) for u in forms if not u.is_loop and product_of_edges(u) != u)))
-    return AxiomReport(checks)
+    return Report(checks)
 
 
 @dataclass

@@ -25,6 +25,8 @@ class SchemaError(ValueError):
 
 
 def _need(doc, key, kind):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{kind} must be an object, not {type(doc).__name__}")
     if key not in doc:
         raise SchemaError(f"{kind} document is missing {key!r}")
     return doc[key]
@@ -40,11 +42,12 @@ def load_path(path):
 
 
 def load_document(doc):
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
-    kind = _need(doc, "kind", "any")
+    kind = _need(doc, "kind", "document")
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
+    version = _need(doc, "version", kind)
+    if type(version) is not int or version != VERSION:
+        raise SchemaError(f"unsupported version {version!r}; expected {VERSION}")
     loader = {
         "semigroup": load_semigroup,
         "resgraph": load_resgraph,
@@ -123,7 +126,7 @@ def _label_from_json(mon, raw):
         if not isinstance(raw, list):
             raise SchemaError(f"free label must be a list, not {raw!r}")
         return tuple(raw)
-    if not isinstance(raw, int):
+    if type(raw) is not int:
         raise SchemaError(f"finite label must be an int, not {raw!r}")
     return raw
 
@@ -141,18 +144,19 @@ def load_resgraph(doc) -> ResGraph:
         edges.append((_need(item, "d", "edge"),
                       _label_from_json(mon, _need(item, "l", "edge")),
                       _need(item, "r", "edge")))
-    restrict = {}
-    for item in doc.get("restrict", []):
-        c = edges[_need(item, "edge", "restrict")]
-        restrict[(c, _need(item, "g", "restrict"))] = edges[_need(item, "to", "restrict")]
-    corestrict = {}
-    for item in doc.get("corestrict", []):
-        c = edges[_need(item, "edge", "corestrict")]
-        corestrict[(c, _need(item, "h", "corestrict"))] = edges[_need(item, "to", "corestrict")]
+
+    def edge_at(item, key, kind):
+        i = _need(item, key, kind)
+        if type(i) is not int or not 0 <= i < len(edges):
+            raise SchemaError(f"{kind} {key} {i!r} is not an edge index")
+        return edges[i]
+
+    maps = []
+    for kind, vertex in (("restrict", "g"), ("corestrict", "h")):
+        maps.append({(edge_at(item, "edge", kind), _need(item, vertex, kind)):
+                     edge_at(item, "to", kind) for item in doc.get(kind, [])} or None)
     try:
-        return ResGraph(sl, mon, set(edges),
-                        restrict if restrict else None,
-                        corestrict if corestrict else None)
+        return ResGraph(sl, mon, set(edges), *maps)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -204,7 +208,7 @@ def load_premorphism(doc):
         raise SchemaError("premorphisms need a finite monoid")
     ground = _need(doc, "ground", "premorphism")
     raw_phi = _need(doc, "phi", "premorphism")
-    if "semilattice" in ground:
+    if isinstance(ground, dict) and "semilattice" in ground:
         sl = _load_semilattice(ground["semilattice"])
         n = sl.n
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import core
 from .core import OpTableSemigroup
-from .report import AxiomReport, Check, first_witness
+from .report import Check, FAIL, PASS, Report, first_witness
 from .resgraph import FiniteMonoid, ResGraph, Semilattice, check_pm
 
 
@@ -88,7 +88,7 @@ def edge_le(G: ResGraph, u, v) -> bool:
     return False
 
 
-def check_construction_claims(G: ResGraph, built=None) -> AxiomReport:
+def check_construction_claims(G: ResGraph, built=None) -> Report:
     """Verify the structure-theorem claims about the product semigroup:
     sigma refines label fibers, the natural orders are restriction
     reachability, and the projections form a copy of the vertex
@@ -114,7 +114,7 @@ def check_construction_claims(G: ResGraph, built=None) -> AxiomReport:
     expected = {(e, one, e) for e in range(G.sl.n)}
     actual = {edges[i] for i in P}
     if actual != expected:
-        checks.append(Check("projections_are_identity_loops", False,
+        checks.append(Check("projections_are_identity_loops", FAIL,
                             (tuple(sorted(actual)),)))
     else:
         loop_at = {edges[i][0]: i for i in P}
@@ -122,7 +122,7 @@ def check_construction_claims(G: ResGraph, built=None) -> AxiomReport:
         checks.append(first_witness("projections_are_identity_loops", (
             (e, f) for e in vertices for f in vertices
             if edges[S.mult[loop_at[e]][loop_at[f]]] != (meet[e][f], one, meet[e][f]))))
-    return AxiomReport(checks)
+    return Report(checks)
 
 
 def check_properness_criterion(G: ResGraph) -> bool:
@@ -171,22 +171,12 @@ def underlying_graph(S: OpTableSemigroup, Y=None) -> UnderlyingGraphResult:
     elements; the restriction of an edge to g is the triple of g*a, the
     corestriction to h the triple of a*h.
     """
-    if Y is None:
-        Y = range(S.n)
-    Yset = frozenset(Y)
+    Yset = core.ideal_members(S, Y)
+    bad = next((c for c in core.ideal_checks(S, Yset) if not c.ok), None)
+    if bad is not None:
+        raise ValueError(f"Y fails {bad.name}: witness={bad.witness!r}")
     cong, quotient = core.sigma(S)
     sl, proj_list, proj_index = projection_semilattice(S)
-    P = frozenset(proj_list)
-    if not P <= Yset:
-        raise ValueError("Y must contain all projections")
-    orders = core.natural_orders(S)
-    for y in Yset:
-        for s in range(S.n):
-            if orders.le[s][y] and s not in Yset:
-                raise ValueError(f"Y is not an order ideal: {s} <= {y}")
-    bad = sorted(Yset - core.proper_elements(S))
-    if bad:
-        raise ValueError(f"Y contains non-proper elements {bad}")
 
     mon = FiniteMonoid(quotient.n, quotient.mult, cong.class_of[proj_list[0]],
                        quotient.names)
@@ -212,53 +202,37 @@ def underlying_graph(S: OpTableSemigroup, Y=None) -> UnderlyingGraphResult:
                                  quotient, proj_list, proj_index)
 
 
-def structure_iso_check(S: OpTableSemigroup, Y=None) -> AxiomReport:
+def structure_iso_check(S: OpTableSemigroup, Y=None) -> Report:
     """Check that a |-> (a^+, [a], a^*) is an isomorphism onto the product
     of the underlying graph.  Requires a strictly proper S (Y defaults to
     all of S)."""
     proper = core.proper_elements(S)
-    if Y is None:
-        Y = range(S.n)
-    Yset = frozenset(Y)
-    for a in Yset:
-        if not 0 <= a < S.n:
-            raise ValueError(f"Y member {a} out of range")
+    Yset = core.ideal_members(S, Y)
     fib = core.fibers(S)
     first_in_Y = {a: min(Yset.intersection(fib[a])) for a in Yset}
     checks = [first_witness("triple_map_injective", (
         (first_in_Y[a], a) for a in sorted(Yset) if first_in_Y[a] != a))]
     if not checks[0].ok:
-        return AxiomReport(checks)
+        return Report(checks)
     if Yset != frozenset(range(S.n)) and not Yset <= proper:
-        checks.append(Check("Y_elements_proper", False,
+        checks.append(Check("Y_elements_proper", FAIL,
                             (sorted(Yset - proper)[0],)))
-        return AxiomReport(checks)
+        return Report(checks)
 
     ug = underlying_graph(S, Yset)
     pm_witness = check_pm(ug.graph)
     checks.append(Check("underlying_graph_is_partial_multiaction",
-                        pm_witness is None, pm_witness))
+                        FAIL if pm_witness else PASS, pm_witness))
     if pm_witness is not None:
-        return AxiomReport(checks)
+        return Report(checks)
 
     S2, edges2 = build_product(ug.graph)
     idx2 = {c: i for i, c in enumerate(edges2)}
     psi = [idx2[ug.of_element[a]] for a in range(S.n)]
-
-    checks.append(Check("bijective", sorted(psi) == list(range(S2.n)),
-                        None if sorted(psi) == list(range(S2.n)) else (len(set(psi)), S2.n)))
-
-    rng = range(S.n)
-    checks.append(first_witness("preserves_multiplication", (
-        (a, b) for a in rng for b in rng
-        if psi[S.mult[a][b]] != S2.mult[psi[a]][psi[b]])))
-    checks.append(first_witness("preserves_unary_operations", (
-        (a,) for a in rng
-        if psi[S.plus[a]] != S2.plus[psi[a]] or psi[S.star[a]] != S2.star[psi[a]])))
-    return AxiomReport(checks)
+    return Report(checks + core.isomorphism_checks(S, S2, psi, lambda a: a))
 
 
-def round_trip_check(G: ResGraph) -> AxiomReport:
+def round_trip_check(G: ResGraph) -> Report:
     """Build the product of G, recover its underlying graph, and check it is
     isomorphic to G (vertex by vertex, with labels matched through the
     sigma classes).  Needs sigma classes to be exactly the label fibers."""
@@ -278,7 +252,7 @@ def round_trip_check(G: ResGraph) -> AxiomReport:
          if c[1] != label_of_class[cong.class_of[i]]),
         ((lab,) for lab, classes in classes_of_label.items() if len(classes) > 1))))
     if not checks[0].ok:
-        return AxiomReport(checks)
+        return Report(checks)
 
     ug = underlying_graph(S)
     one = G.mon.one
@@ -291,14 +265,13 @@ def round_trip_check(G: ResGraph) -> AxiomReport:
                 f"projection {elem} of the product is {loop!r}, not an identity loop")
         vertex_map[j] = loop[0]
 
-    recovered = set()
-    for (d, cls, r) in ug.graph.edges:
-        recovered.add((vertex_map[d], label_of_class[cls], vertex_map[r]))
-    same = recovered == set(G.edges)
-    checks.append(Check("edge_sets_match", same,
-                        None if same else (tuple(sorted(recovered ^ set(G.edges))[:2]),)))
-    if not same:
-        return AxiomReport(checks)
+    recovered = {(vertex_map[d], label_of_class[cls], vertex_map[r])
+                 for (d, cls, r) in ug.graph.edges}
+    diff = sorted(recovered ^ set(G.edges))
+    checks.append(Check("edge_sets_match", FAIL if diff else PASS,
+                        (tuple(diff[:2]),) if diff else None))
+    if diff:
+        return Report(checks)
 
     # compare restriction actions through the correspondence
     def translate(c):
@@ -319,4 +292,4 @@ def round_trip_check(G: ResGraph) -> AxiomReport:
                 yield bad_corestrict or bad_restrict
 
     checks.append(first_witness("restrictions_match", mismatches()))
-    return AxiomReport(checks)
+    return Report(checks)

@@ -1,4 +1,9 @@
-"""Shared report types for axiom and property checks."""
+"""The report type shared by every check.
+
+A check settles to PASS, FAIL with a witness, or INCONCLUSIVE when a
+bounded search could not decide it.  Checks over a finite table are always
+PASS or FAIL; only the semi-decidable conditions come back INCONCLUSIVE.
+"""
 
 from __future__ import annotations
 
@@ -12,13 +17,17 @@ INCONCLUSIVE = "INCONCLUSIVE"
 @dataclass(frozen=True)
 class Check:
     name: str
-    ok: bool
+    status: str  # PASS / FAIL / INCONCLUSIVE
     witness: tuple | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.status == PASS
 
     def line(self) -> str:
         if self.ok:
             return f"PASS  {self.name}"
-        return f"FAIL  {self.name}  witness={self.witness!r}"
+        return f"{self.status}  {self.name}  witness={self.witness!r}"
 
 
 def first_witness(name: str, witnesses) -> Check:
@@ -27,19 +36,30 @@ def first_witness(name: str, witnesses) -> Check:
     witnesses is usually a generator, so the search stops at the first hit.
     """
     for witness in witnesses:
-        return Check(name, False, witness)
-    return Check(name, True)
+        return Check(name, FAIL, witness)
+    return Check(name, PASS)
 
 
 @dataclass
-class AxiomReport:
+class Report:
     checks: list
 
     @property
+    def status(self) -> str:
+        """FAIL if any check fails, else INCONCLUSIVE if any check is
+        inconclusive, else PASS."""
+        statuses = {c.status for c in self.checks}
+        for status in (FAIL, INCONCLUSIVE):
+            if status in statuses:
+                return status
+        return PASS
+
+    @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return self.status == PASS
 
     def failures(self):
+        """The checks that did not pass."""
         return [c for c in self.checks if not c.ok]
 
     def __getitem__(self, name: str) -> Check:
@@ -50,30 +70,3 @@ class AxiomReport:
 
     def lines(self):
         return [c.line() for c in self.checks]
-
-    def text(self) -> str:
-        return "\n".join(self.lines())
-
-
-@dataclass(frozen=True)
-class CondResult:
-    """Three-valued outcome for semi-decidable conditions."""
-
-    name: str
-    status: str  # PASS / FAIL / INCONCLUSIVE
-    witness: tuple | None = None
-
-    def line(self) -> str:
-        out = f"{self.status:<12}  {self.name}"
-        if self.witness is not None:
-            out += f"  witness={self.witness!r}"
-        return out
-
-
-def combine_status(statuses) -> str:
-    statuses = list(statuses)
-    if any(s == FAIL for s in statuses):
-        return FAIL
-    if any(s == INCONCLUSIVE for s in statuses):
-        return INCONCLUSIVE
-    return PASS

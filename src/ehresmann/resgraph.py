@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import associativity_witness, validate_table
-from .report import AxiomReport, Check, FAIL, INCONCLUSIVE, PASS, first_witness
+from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
 class RestrictionUndefinedError(ValueError):
@@ -71,8 +71,8 @@ class FiniteMonoid:
         if w is not None:
             raise ValueError("monoid not associative at ({},{},{})".format(*w))
         e = self.identity
-        if not (0 <= e < self.n) or any(self.mult[e][a] != a or self.mult[a][e] != a
-                                        for a in range(self.n)):
+        if type(e) is not int or not 0 <= e < self.n or any(
+                self.mult[e][a] != a or self.mult[a][e] != a for a in range(self.n)):
             raise ValueError("identity element is not a two-sided identity")
 
     is_free = False
@@ -91,7 +91,7 @@ class FiniteMonoid:
         return range(self.n)
 
     def check_label(self, label):
-        if not (isinstance(label, int) and 0 <= label < self.n):
+        if not (type(label) is int and 0 <= label < self.n):
             raise ValueError(f"label {label!r} not a monoid element")
 
     def label_str(self, label) -> str:
@@ -138,7 +138,7 @@ class ResGraph:
         self.sl = sl
         self.mon = mon
         for (d, lab, r) in edges:
-            if not (0 <= d < sl.n and 0 <= r < sl.n):
+            if not all(type(v) is int and 0 <= v < sl.n for v in (d, r)):
                 raise ValueError(f"edge ({d},{lab!r},{r}) has a bad vertex")
             mon.check_label(lab)
         self.edges = frozenset(edges)
@@ -286,7 +286,7 @@ def composable_chains(G: ResGraph, min_len: int, max_len: int):
 # ---------------------------------------------------------------------------
 # axiom checking
 
-def check_axioms(G: ResGraph, max_chain: int = 3) -> AxiomReport:
+def check_axioms(G: ResGraph, max_chain: int = 3) -> Report:
     """Machine-check the edge-level restriction/corestriction axioms.
 
     The chain axioms quantify over arbitrarily long edge chains; they are
@@ -323,7 +323,7 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> AxiomReport:
     # the remaining axioms evaluate restrictions of identity loops and are
     # only meaningful once the structural checks hold
     if not all(c.ok for c in checks):
-        return AxiomReport(checks)
+        return Report(checks)
 
     def gen_r1():
         for c in G.sorted_edges():
@@ -437,13 +437,13 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> AxiomReport:
                     seen.add(state)
                     frontier.append(state)
         missing = [t for t in mon.elements() if t not in labels]
-        checks.append(Check("every_label_has_a_path", not missing,
+        checks.append(Check("every_label_has_a_path", FAIL if missing else PASS,
                             tuple(missing) or None))
 
-    return AxiomReport(checks)
+    return Report(checks)
 
 
-def check_path_axioms(G: ResGraph, bound: int = 3) -> AxiomReport:
+def check_path_axioms(G: ResGraph, bound: int = 3) -> Report:
     """Check the path-level laws over all paths up to the length bound."""
     sl = G.sl
     paths = all_paths(G, bound)
@@ -495,7 +495,7 @@ def check_path_axioms(G: ResGraph, bound: int = 3) -> AxiomReport:
                     if lhs != rhs:
                         yield (p, e, f)
 
-    return AxiomReport([
+    return Report([
         first_witness("R3a", gen_r3a()), first_witness("R4a", gen_r4a()),
         first_witness("CR3a", gen_cr3a()), first_witness("CR4a", gen_cr4a()),
         first_witness("Ca", gen_ca())])

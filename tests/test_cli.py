@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ehresmann import cli, corpus, io
-from ehresmann.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK
+from ehresmann.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK
 
 
 @pytest.fixture
@@ -50,8 +50,14 @@ def test_verify_broken_semigroup(tmp_path, capsys):
     assert "witness" in out
 
 
+def _edited(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
 def test_verify_malformed_table(tmp_path, capsys):
-    # each True stands where a valid table has a 1
+    # each True or False stands where a valid document has a 1 or a 0
     docs = []
     for mult in ([[0, 9], [0, 1]], 4, [[0, 0], 1], [[0, 0], [0, True]]):
         doc = io.dump_semigroup(corpus.chain(2))
@@ -64,10 +70,28 @@ def test_verify_malformed_table(tmp_path, capsys):
             doc = io.dump_resgraph(corpus.e2t2_graph())
             doc[part][key] = table
             docs.append(doc)
-    for i, doc in enumerate(docs):
+    graph = io.dump_resgraph(corpus.e2t2_graph())
+    assert graph["edges"][1]["l"] == graph["edges"][2]["d"] == 1
+    assert graph["monoid"]["identity"] == 0
+    docs += [_edited(graph, edit) for edit in (
+        lambda d: d["edges"][1].update(l=True),
+        lambda d: d["edges"][2].update(d=True),
+        lambda d: d["monoid"].update(identity=False),
+        lambda d: d["restrict"][0].update(edge=len(d["edges"]) + 5),
+        lambda d: d["restrict"][0].update(edge=-1),
+        lambda d: d["edges"].__setitem__(0, 7))]
+    premorphism = io.dump_premorphism(corpus.pa_chain2())
+    docs.append(_edited(premorphism, lambda d: d.update(ground=3)))
+    for version in (9, True):
+        docs.append(_edited(io.dump_semigroup(corpus.chain(2)),
+                            lambda d: d.update(version=version)))
+    cases = [("verify", doc) for doc in docs]
+    cases.append(("corpus-run", [{"name": "no_payload",
+                                  "expect": {"ehresmann": True}}]))
+    for i, (command, doc) in enumerate(cases):
         path = tmp_path / f"malformed{i}.json"
         io.save(path, doc)
-        assert cli.main(["verify", str(path)]) == EXIT_INPUT, doc
+        assert cli.main([command, str(path)]) == EXIT_INPUT, doc
 
 
 def test_verify_unreadable_file():
@@ -181,6 +205,35 @@ def test_proper_ideal_command(e2_file, tmp_path, capsys):
     path = tmp_path / "i2.json"
     io.save(path, io.dump_semigroup(corpus.rel_i2()))
     assert cli.main(["proper-ideal", str(path)]) == EXIT_FAIL
+
+
+def test_proper_ideal_inconclusive(tmp_path, capsys):
+    # on S3 the element 2 needs a factorization of length 2 over {0, 1, 3}
+    path = tmp_path / "s3.json"
+    io.save(path, io.dump_semigroup(corpus.symmetric_group_3()))
+    argv = ["proper-ideal", str(path), "--ideal", "0,1,3", "--max-len", "1"]
+    capsys.readouterr()
+    assert cli.main(argv) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.splitlines() == [
+        "proper ideal check: INCONCLUSIVE",
+        "PASS  projections_in_Y",
+        "PASS  Y_is_order_ideal",
+        "PASS  Y_elements_proper",
+        "INCONCLUSIVE  factorization_exists  witness=(2, 2)",
+        "PASS  factorizations_equivalent",
+    ]
+    assert cli.main(argv + ["--json"]) == EXIT_INCONCLUSIVE
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "INCONCLUSIVE",
+        "conditions": [
+            {"name": "projections_in_Y", "status": "PASS", "witness": None},
+            {"name": "Y_is_order_ideal", "status": "PASS", "witness": None},
+            {"name": "Y_elements_proper", "status": "PASS", "witness": None},
+            {"name": "factorization_exists", "status": "INCONCLUSIVE",
+             "witness": [2, 2]},
+            {"name": "factorizations_equivalent", "status": "PASS",
+             "witness": None},
+        ]}
 
 
 def test_corpus_run_builtin(capsys):

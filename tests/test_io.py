@@ -65,8 +65,10 @@ def test_unknown_kind_rejected():
 
 
 def test_missing_key_rejected():
-    with pytest.raises(io.SchemaError):
-        io.load_document({"kind": "semigroup", "elements": ["a"]})
+    for doc in ({"kind": "semigroup", "elements": ["a"]},
+                {"kind": "semigroup", "version": 1, "elements": ["a"]}):
+        with pytest.raises(io.SchemaError):
+            io.load_document(doc)
 
 
 def test_semigroup_schema_error_on_bad_entry():

@@ -58,9 +58,12 @@ def test_restriction_side_validated():
 def test_proper_ideal_member_out_of_range():
     with pytest.raises(ValueError):
         core.check_proper_ideal(corpus.chain(2), [0, 7], max_len=2)
-    for Y in ([0, 7], [-1, 0, 1]):
-        with pytest.raises(ValueError):
-            product.structure_iso_check(corpus.chain(2), Y)
+    # [0, 1, 7] holds both projections of chain(2), so only the range
+    # check can reject it
+    for Y in ([0, 7], [-1, 0, 1], [0, 1, 7]):
+        for check in (product.structure_iso_check, product.underlying_graph):
+            with pytest.raises(ValueError):
+                check(corpus.chain(2), Y)
 
 
 def test_rel_from_pairs_out_of_range():
