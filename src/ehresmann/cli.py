@@ -51,14 +51,16 @@ def _load(path, kind, command):
 
 
 def _synthesized_semigroup(args):
-    for flag, builder in (("full_B", relmonoid.full_B),
-                          ("full_PT", relmonoid.full_PT),
-                          ("full_I", relmonoid.full_I)):
+    # largest ground sizes, by element count: |B(3)| = 512 (|B(4)| = 65,536),
+    # |PT(4)| = 625 and |I(4)| = 209
+    for flag, builder, bound in (("full_B", relmonoid.full_B, 3),
+                                 ("full_PT", relmonoid.full_PT, 4),
+                                 ("full_I", relmonoid.full_I, 4)):
         n = getattr(args, flag, None)
         if n is not None:
-            if not 1 <= n <= 3:
+            if not 1 <= n <= bound:
                 raise io.SchemaError(f"--{flag.replace('_', '-')} needs "
-                                     f"ground size 1..3, not {n}")
+                                     f"ground size 1..{bound}, not {n}")
             return builder(n).to_semigroup()
     return None
 
@@ -320,12 +322,17 @@ def cmd_corpus_run(args) -> int:
     else:
         if not args.path:
             raise io.SchemaError("corpus-run needs a file or --builtin")
-        with open(args.path) as fh:
-            raw = json.load(fh)
+        raw = io.read_json(args.path)
+        if not isinstance(raw, list):
+            raise io.SchemaError("a corpus file must be a list of entries")
         for item in raw:
             kind, obj = io.load_document(io._need(item, "payload", "corpus entry"))
-            entries.append((io._need(item, "name", "corpus entry"), kind, obj,
-                            item.get("expect", {})))
+            name = io._need(item, "name", "corpus entry")
+            expect = item.get("expect", {})
+            if not isinstance(name, str) or not isinstance(expect, dict):
+                raise io.SchemaError(f"corpus entry {name!r} needs a string name "
+                                     "and an object expect")
+            entries.append((name, kind, obj, expect))
     bad = 0
     for name, kind, obj, expect in entries:
         results = {}
@@ -363,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-B", type=int, dest="full_B",
                    help="synthesize the full relation monoid on 1..3 points")
     p.add_argument("--full-PT", type=int, dest="full_PT",
-                   help="synthesize the partial transformation monoid")
+                   help="synthesize the partial transformation monoid on 1..4 points")
     p.add_argument("--full-I", type=int, dest="full_I",
-                   help="synthesize the symmetric inverse monoid")
+                   help="synthesize the symmetric inverse monoid on 1..4 points")
     p.add_argument("-o", "--out", help="write the synthesized semigroup")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -8,6 +8,7 @@ send each element to its domain projection (``plus``) and range projection
 from __future__ import annotations
 
 import functools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -44,23 +45,79 @@ def validate_table(table, n: int, label: str = "mult") -> None:
         _check_row(row, n, f"{label}[{i}]")
 
 
+def right_cayley_graph(candidates, multiply):
+    """A greedy generating set, its right Cayley graph and a word over it
+    for every element reached (Froidure & Pin, "Algorithms for computing
+    finite semigroups", 1997).
+
+    candidates is an iterable of element ids, scanned in order; it may
+    yield ids that multiply created.  A candidate not yet reached becomes
+    the next generator a_j, every element reached so far is multiplied on
+    the right by it, and what is new is multiplied by every generator.
+    multiply(y, g) is the id of y g.  Returns (gens, order, word, right):
+    order lists the reached elements in the order they were reached;
+    word[y] is (None, j) when y = a_j and (p, j) when y = p a_j with p
+    earlier in order; right[y][j] is the id of y a_j.  With n elements
+    reached this takes n * len(gens) products.
+    """
+    gens, order, word, right = [], [], {}, {}
+
+    def reach(y, j):
+        z = multiply(y, gens[j])
+        right[y].append(z)
+        if z not in word:
+            word[z], right[z] = (y, j), []
+            order.append(z)
+
+    for g in candidates:
+        if g in word:
+            continue
+        j = len(gens)
+        gens.append(g)
+        old = len(order)
+        word[g], right[g] = (None, j), []
+        order.append(g)
+        for y in order[:old]:
+            reach(y, j)
+        k = old
+        while k < len(order):   # order grows while it is scanned
+            for i in range(j + 1):
+                reach(order[k], i)
+            k += 1
+    return gens, order, word, right
+
+
+def _rows_differ(table, y):
+    """The test x -> (x y) z != x (y z) for some z, by whole rows: row x y
+    of the table against row y read through row x.  Needs len(table) >= 2,
+    since itemgetter returns a tuple only for two or more indices."""
+    through = operator.itemgetter(*table[y])
+    return lambda x: tuple(table[table[x][y]]) != through(table[x])
+
+
 def associativity_witness(table):
     """First (x, y, z) in lexicographic order with (x y) z != x (y z), or
     None when the validated table is associative.
 
-    Compares whole rows: row x y of the table against row y read through
-    row x.
+    Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    1.2) compares rows for y in a greedy generating set A only.  The set of
+    y with (x y) z = x (y z) for all x, z is closed under the product of the
+    table even when the table is not associative, and every element is
+    reached from A by right multiplication, so n^2 |A| lookups decide a
+    pass.  On a failure every row is compared, so the witness is the first
+    triple.
     """
-    rng = range(len(table))
-    for x in rng:
-        mx = table[x]
-        at_x = mx.__getitem__
-        for y in rng:
-            mxy, my = table[mx[y]], table[y]
-            if mxy != list(map(at_x, my)):
-                z = next(z for z in rng if mxy[z] != mx[my[z]])
-                return (x, y, z)
-    return None
+    n = len(table)
+    if n < 2:
+        return None     # [] and [[0]]
+    rng = range(n)
+    gens = right_cayley_graph(rng, lambda y, g: table[y][g])[0]
+    if not any(any(map(_rows_differ(table, a), rng)) for a in gens):
+        return None
+    differs = [_rows_differ(table, y) for y in rng]
+    x, y = next((x, y) for x in rng for y in rng if differs[y](x))
+    mx, my = table[x], table[y]
+    return (x, y, next(z for z in rng if table[mx[y]][z] != mx[my[z]]))
 
 
 @dataclass
@@ -124,6 +181,18 @@ def _memoised(fn):
     return cached
 
 
+def _pairwise(name, rng, rows) -> Check:
+    """Check an identity in x and y one x at a time: rows(x) gives both
+    sides for every y as two lists.  The witness is the first (x, y) in
+    lexicographic order where they differ."""
+    def witnesses():
+        for x in rng:
+            lhs, rhs = rows(x)
+            if lhs != rhs:
+                yield x, next(y for y in rng if lhs[y] != rhs[y])
+    return first_witness(name, witnesses())
+
+
 def verify_ehresmann(S: OpTableSemigroup) -> Report:
     """Check associativity and the eight defining unary identities.
 
@@ -135,19 +204,25 @@ def verify_ehresmann(S: OpTableSemigroup) -> Report:
     def each(name, holds):
         return first_witness(name, ((x,) for x in rng if not holds(x)))
 
-    def each_pair(name, holds):
-        return first_witness(name, ((x, y) for x in rng for y in rng
-                                    if not holds(x, y)))
+    def commute(name, u):
+        # u(x) u(y) = u(y) u(x): row u(x) against column u(x), both read at u
+        cols = {e: [row[e] for row in m] for e in set(u)}
+        return _pairwise(name, rng, lambda x: (list(map(m[u[x]].__getitem__, u)),
+                                               list(map(cols[u[x]].__getitem__, u))))
 
     assoc = associativity_witness(m)
     return Report([
         Check("associativity", FAIL if assoc else PASS, assoc),
         each("x^+ x = x", lambda x: m[p[x]][x] == x),
-        each_pair("x^+ y^+ = y^+ x^+", lambda x, y: m[p[x]][p[y]] == m[p[y]][p[x]]),
-        each_pair("(x y)^+ = (x y^+)^+", lambda x, y: p[m[x][y]] == p[m[x][p[y]]]),
+        commute("x^+ y^+ = y^+ x^+", p),
+        _pairwise("(x y)^+ = (x y^+)^+", rng, lambda x: (
+            list(map(p.__getitem__, m[x])),
+            [p[m[x][q]] for q in p])),
         each("x x^* = x", lambda x: m[x][st[x]] == x),
-        each_pair("x^* y^* = y^* x^*", lambda x, y: m[st[x]][st[y]] == m[st[y]][st[x]]),
-        each_pair("(x y)^* = (x^* y)^*", lambda x, y: st[m[x][y]] == st[m[st[x]][y]]),
+        commute("x^* y^* = y^* x^*", st),
+        _pairwise("(x y)^* = (x^* y)^*", rng, lambda x: (
+            list(map(st.__getitem__, m[x])),
+            list(map(st.__getitem__, m[st[x]])))),
         each("(x^+)^* = x^+", lambda x: st[p[x]] == p[x]),
         each("(x^*)^+ = x^*", lambda x: p[st[x]] == st[x]),
     ])

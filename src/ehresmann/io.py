@@ -32,13 +32,24 @@ def _need(doc, key, kind):
     return doc[key]
 
 
-def load_path(path):
+def _need_list(doc, key, kind):
+    value = _need(doc, key, kind)
+    if not isinstance(value, list):
+        raise SchemaError(f"{kind} {key!r} must be a list, not {type(value).__name__}")
+    return value
+
+
+def read_json(path):
+    """The JSON value in the file at path; SchemaError if it cannot be read."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return load_document(doc)
+
+
+def load_path(path):
+    return load_document(read_json(path))
 
 
 def load_document(doc):
@@ -58,7 +69,7 @@ def load_document(doc):
 
 
 def load_semigroup(doc) -> OpTableSemigroup:
-    elements = _need(doc, "elements", "semigroup")
+    elements = _need_list(doc, "elements", "semigroup")
     mult = _need(doc, "mult", "semigroup")
     plus = _need(doc, "plus", "semigroup")
     star = _need(doc, "star", "semigroup")
@@ -80,7 +91,7 @@ def dump_semigroup(S: OpTableSemigroup) -> dict:
 
 
 def _load_semilattice(doc) -> Semilattice:
-    elements = _need(doc, "elements", "semilattice")
+    elements = _need_list(doc, "elements", "semilattice")
     meet = _need(doc, "meet", "semilattice")
     try:
         return Semilattice(len(elements), meet, list(elements))
@@ -98,7 +109,7 @@ def _dump_semilattice(sl: Semilattice) -> dict:
 def _load_monoid(doc):
     kind = _need(doc, "kind", "monoid")
     if kind == "finite":
-        elements = _need(doc, "elements", "monoid")
+        elements = _need_list(doc, "elements", "monoid")
         mult = _need(doc, "mult", "monoid")
         ident = _need(doc, "identity", "monoid")
         try:
@@ -182,10 +193,19 @@ def dump_resgraph(G: ResGraph) -> dict:
     return doc
 
 
+def _is_pair(p) -> bool:
+    return isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
+
+
 def load_relgen(doc):
     n = _need(doc, "ground_size", "relgen")
+    if type(n) is not int or n < 1:
+        raise SchemaError(f"relgen ground_size must be an int >= 1, not {n!r}")
     gens = []
-    for pairs in _need(doc, "generators", "relgen"):
+    for pairs in _need_list(doc, "generators", "relgen"):
+        if not isinstance(pairs, list) or not all(map(_is_pair, pairs)):
+            raise SchemaError(f"relgen generator {pairs!r} is not a list of "
+                              "[x, y] pairs of ints")
         try:
             gens.append(Rel.from_pairs(n, [tuple(p) for p in pairs]))
         except ValueError as exc:

@@ -7,10 +7,13 @@ some y.  dom/ran give the sub-identity relations on the domain and range.
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
+from . import core
 from .core import OpTableSemigroup
 
 DEFAULT_CLOSURE_CAP = 100000
@@ -75,30 +78,53 @@ def diagonal(n: int, members) -> Rel:
     return Rel.from_pairs(n, [(x, x) for x in members])
 
 
+def _right_multiplier(n: int, b: int):
+    """The map a -> a ; b on bit masks of relations on n points.  Row x of
+    a ; b is the union of the rows of b that row x of a selects; the image
+    of each row mask is computed once."""
+    mask = (1 << n) - 1
+    rows = [b >> (y * n) & mask for y in range(n)]
+    shifts = range(0, n * n, n)
+    image = {0: 0}
+
+    def times(a: int) -> int:
+        out = 0
+        for s in shifts:
+            m = a >> s & mask
+            r = image.get(m)
+            if r is None:
+                r = image[m] = functools.reduce(
+                    operator.or_, (rows[y] for y in range(n) if m >> y & 1), 0)
+            out |= r << s
+        return out
+    return times
+
+
 def compose(a: Rel, b: Rel) -> Rel:
     if a.n != b.n:
         raise ValueError(f"ground sizes differ: {a.n} vs {b.n}")
-    n = a.n
-    rows = [b.row(y) for y in range(n)]
-    bits = 0
+    return Rel(a.n, _right_multiplier(a.n, b.bits)(a.bits))
+
+
+def _dom_ran_bits(n: int, a: int):
+    """dom and ran of the relation with bit mask a, as bit masks."""
+    mask = (1 << n) - 1
+    d = image = 0
     for x in range(n):
-        m = a.row(x)
-        out = 0
-        y = 0
-        while m:
-            if m & 1:
-                out |= rows[y]
-            m >>= 1
-            y += 1
-        bits |= out << (x * n)
-    return Rel(n, bits)
+        row = a >> (x * n) & mask
+        if row:
+            d |= 1 << (x * n + x)
+            image |= row
+    r = 0
+    for y in range(n):
+        if image >> y & 1:
+            r |= 1 << (y * n + y)
+    return d, r
 
 
 def dom_ran(a: Rel):
-    dom_members = [x for x in range(a.n) if a.row(x)]
-    ran_members = [y for y in range(a.n)
-                   if any(a.has(x, y) for x in range(a.n))]
-    return diagonal(a.n, dom_members), diagonal(a.n, ran_members)
+    d, r = _dom_ran_bits(a.n, a.bits)
+    return Rel(a.n, d), Rel(a.n, r)
 
 
 def dom(a: Rel) -> Rel:
@@ -156,6 +182,49 @@ def all_partial_bijections(n: int):
     return [a for a in all_partial_maps(n) if classify(a)["in_I"]]
 
 
+def _table(n: int, bits: list, register) -> list:
+    """The multiplication table of the relations bits[0], bits[1], ...,
+    read off the right Cayley graph of a greedy generating set A.
+
+    register(mask) is the id of a relation; it may append a new relation
+    to bits, which is then reached as well.  Composition is associative,
+    so for y = p a_j a generator's row follows the graph, a y = (a p) a_j,
+    and every other row is a generator's row read through an earlier row,
+    y x = p (a_j x): n |A| compositions and n^2 lookups instead of n^2
+    compositions.
+    """
+    times = {}
+
+    def every_id():
+        i = 0
+        while i < len(bits):
+            yield i
+            i += 1
+
+    def multiply(y, g):
+        if g not in times:
+            times[g] = _right_multiplier(n, bits[g])
+        return register(times[g](bits[y]))
+
+    gens, order, word, right = core.right_cayley_graph(every_id(), multiply)
+    words = [(z, *word[z]) for z in order]
+    rows = [None] * len(bits)
+    for g in gens:
+        row = rows[g] = [None] * len(bits)
+        for z, p, j in words:
+            row[z] = right[g if p is None else row[p]][j]
+    for z, p, j in words:
+        if p is not None:
+            rows[z] = list(map(rows[p].__getitem__, rows[gens[j]]))
+    return rows
+
+
+def _plus_star(n: int, bits: list, id_of):
+    """The plus and star tables: the ids of dom and ran of each relation."""
+    pairs = [[id_of(x) for x in _dom_ran_bits(n, b)] for b in bits]
+    return [d for d, _ in pairs], [r for _, r in pairs]
+
+
 @dataclass
 class RelationAlgebra:
     n: int
@@ -163,54 +232,86 @@ class RelationAlgebra:
     index: dict
 
     def to_semigroup(self) -> OpTableSemigroup:
-        k = len(self.elements)
-        mult = [[self.index[compose(a, b)] for b in self.elements]
-                for a in self.elements]
-        plus = [self.index[dom(a)] for a in self.elements]
-        star = [self.index[ran(a)] for a in self.elements]
+        bits = [a.bits for a in self.elements]
+        index_of = {b: i for i, b in enumerate(bits)}
+
+        def element(b):
+            if b not in index_of:
+                raise ValueError(f"{Rel(self.n, b)!r} is a product or projection "
+                                 "of the elements but not one of them")
+            return index_of[b]
+
+        mult = _table(self.n, bits, element)
+        plus, star = _plus_star(self.n, bits, element)
         names = [repr(a) for a in self.elements]
-        return OpTableSemigroup(k, mult, plus, star, names)
+        return OpTableSemigroup(len(bits), mult, plus, star, names)
+
+
+def _round_order(seeds, mult, plus, star) -> list:
+    """The order in which the round-by-round closure meets the elements of
+    a table: the seeds first; then each round adds plus and star of the
+    elements the last round added, then every product a b and b a of such
+    an a with an element b met so far, in that order."""
+    seen = bytearray(len(mult))
+    order = []
+
+    def meet(items):
+        for c in dict.fromkeys(items):
+            if not seen[c]:
+                seen[c] = 1
+                order.append(c)
+
+    meet(seeds)
+    start = 0
+    while start < len(order) < len(mult):
+        frontier = order[start:]
+        start = len(order)
+        meet(x for a in frontier for x in (plus[a], star[a]))
+        snapshot = list(order)
+        for a in frontier:
+            meet(chain.from_iterable(zip(
+                map(mult[a].__getitem__, snapshot), [mult[b][a] for b in snapshot])))
+    return order
 
 
 def generate(n: int, generators, cap: int | None = None) -> RelationAlgebra:
     """Least set of relations containing the generators and closed under
-    composition, dom and ran."""
+    composition, dom and ran.
+
+    The closure is found Froidure-Pin style, by right multiplication with
+    the generators and every dom and ran met on the way; the elements are
+    then numbered in the order of the round-by-round closure, which adds
+    dom and ran of each new relation, then its products with every known
+    relation on both sides.
+    """
     cap = closure_cap(cap)
     gens = sorted(set(generators), key=lambda r: r.bits)
     for g in gens:
         if g.n != n:
             raise ValueError("generator ground size mismatch")
-    elements = []
-    index = {}
+    bits, index_of = [], {}
 
-    def add(r):
-        if r not in index:
-            if len(elements) >= cap:
+    def register(b):
+        if b not in index_of:
+            if len(bits) >= cap:
                 raise ClosureOverflowError(
                     f"closure exceeded cap of {cap} elements")
-            index[r] = len(elements)
-            elements.append(r)
-            return True
-        return False
+            index_of[b] = len(bits)
+            bits.append(b)
+            for x in _dom_ran_bits(n, b):
+                register(x)
+        return index_of[b]
 
-    for g in gens:
-        add(g)
-    frontier = list(elements)
-    while frontier:
-        new = []
-        for a in frontier:
-            d, r = dom_ran(a)
-            for x in (d, r):
-                if add(x):
-                    new.append(x)
-        snapshot = list(elements)
-        for a in frontier:
-            for b in snapshot:
-                for c in (compose(a, b), compose(b, a)):
-                    if add(c):
-                        new.append(c)
-        frontier = new
-    return RelationAlgebra(n, elements, index)
+    seeds = [register(g.bits) for g in gens]
+    mult = _table(n, bits, register)
+    plus, star = _plus_star(n, bits, index_of.__getitem__)
+    order = _round_order(seeds, mult, plus, star)
+    if len(order) != len(bits):
+        raise core.InvariantError(
+            f"the round-by-round closure met {len(order)} of the "
+            f"{len(bits)} relations of the Froidure-Pin closure")
+    elements = [Rel(n, bits[i]) for i in order]
+    return RelationAlgebra(n, elements, {r: i for i, r in enumerate(elements)})
 
 
 def full_B(n: int) -> RelationAlgebra:

@@ -2,7 +2,7 @@
 
 from collections import deque
 
-from ehresmann import core
+from ehresmann import core, relmonoid
 
 
 def set_partitions(items):
@@ -138,3 +138,55 @@ def reference_equivalent_factorizations(S, Yset, start, goal, max_len,
                 seen.add(nb)
                 frontier.append(nb)
     return None if pruned else False
+
+
+def reference_generate(n, generators, cap=None):
+    """The round-by-round closure: each round adds dom and ran of the new
+    relations, then every product of a new relation with a known one, in
+    both orders; elements are numbered in the order they are first met."""
+    cap = relmonoid.closure_cap(cap)
+    gens = sorted(set(generators), key=lambda r: r.bits)
+    for g in gens:
+        if g.n != n:
+            raise ValueError("generator ground size mismatch")
+    elements = []
+    index = {}
+
+    def add(r):
+        if r not in index:
+            if len(elements) >= cap:
+                raise relmonoid.ClosureOverflowError(
+                    f"closure exceeded cap of {cap} elements")
+            index[r] = len(elements)
+            elements.append(r)
+            return True
+        return False
+
+    for g in gens:
+        add(g)
+    frontier = list(elements)
+    while frontier:
+        new = []
+        for a in frontier:
+            d, r = relmonoid.dom_ran(a)
+            for x in (d, r):
+                if add(x):
+                    new.append(x)
+        snapshot = list(elements)
+        for a in frontier:
+            for b in snapshot:
+                for c in (relmonoid.compose(a, b), relmonoid.compose(b, a)):
+                    if add(c):
+                        new.append(c)
+        frontier = new
+    return relmonoid.RelationAlgebra(n, elements, index)
+
+
+def reference_table(alg):
+    """The relation algebra as a semigroup, from all n^2 compositions."""
+    mult = [[alg.index[relmonoid.compose(a, b)] for b in alg.elements]
+            for a in alg.elements]
+    plus = [alg.index[relmonoid.dom(a)] for a in alg.elements]
+    star = [alg.index[relmonoid.ran(a)] for a in alg.elements]
+    names = [repr(a) for a in alg.elements]
+    return core.OpTableSemigroup(len(alg.elements), mult, plus, star, names)

@@ -85,9 +85,21 @@ def test_verify_malformed_table(tmp_path, capsys):
     for version in (9, True):
         docs.append(_edited(io.dump_semigroup(corpus.chain(2)),
                             lambda d: d.update(version=version)))
+    docs.append(_edited(io.dump_semigroup(corpus.chain(2)),
+                        lambda d: d.update(elements=2)))
+    relgen = io.dump_relgen(2, [corpus.Rel.from_pairs(2, [(0, 1), (1, 0)])])
+    assert relgen["ground_size"] == 2 and relgen["generators"] == [[[0, 1], [1, 0]]]
+    docs += [_edited(relgen, lambda d: d.update(**edit)) for edit in (
+        {"ground_size": "2"}, {"ground_size": True, "generators": [[[0, 0]]]},
+        {"generators": 5}, {"generators": [[0, 1]]}, {"generators": [[[0, "1"]]]})]
     cases = [("verify", doc) for doc in docs]
-    cases.append(("corpus-run", [{"name": "no_payload",
-                                  "expect": {"ehresmann": True}}]))
+    entry = {"name": "e2", "payload": io.dump_semigroup(corpus.chain(2)),
+             "expect": {"ehresmann": True}}
+    cases += [("corpus-run", corpus_doc) for corpus_doc in (
+        [{"name": "no_payload", "expect": {"ehresmann": True}}],
+        7,
+        [dict(entry, expect=[True])],
+        [dict(entry, name=["e2"])])]
     for i, (command, doc) in enumerate(cases):
         path = tmp_path / f"malformed{i}.json"
         io.save(path, doc)
@@ -96,6 +108,7 @@ def test_verify_malformed_table(tmp_path, capsys):
 
 def test_verify_unreadable_file():
     assert cli.main(["verify", "/nonexistent/file.json"]) == EXIT_INPUT
+    assert cli.main(["corpus-run", "/nonexistent/file.json"]) == EXIT_INPUT
 
 
 def test_verify_restriction_side(pt2_file, capsys):
@@ -299,7 +312,9 @@ def test_full_monoid_synthesis_flags(tmp_path, capsys):
     kind, S = io.load_path(out_path)
     assert kind == "semigroup" and S.n == 7
     capsys.readouterr()
+    assert cli.main(["verify", "--full-I", "4", "--side", "both"]) == EXIT_OK
     assert cli.main(["verify", "--full-B", "4"]) == EXIT_INPUT
+    assert cli.main(["verify", "--full-PT", "5"]) == EXIT_INPUT
     assert cli.main(["verify"]) == EXIT_INPUT
 
 

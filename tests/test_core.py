@@ -449,6 +449,15 @@ def test_associativity_kernel_matches_triple_loop_oracle():
             assert witness == reference_associativity_witness(bad)
             fails += witness is not None
     assert fails > 50
+    # Z_12 is generated by 0 and 1 in index order, so Light's test compares
+    # two rows only; one changed entry breaks associativity
+    z12 = [[(x + y) % 12 for y in range(12)] for x in range(12)]
+    assert core.right_cayley_graph(range(12), lambda y, g: z12[y][g])[0] == [0, 1]
+    assert core.associativity_witness(z12) is None
+    z12[3][4] = 0
+    witness = reference_associativity_witness(z12)
+    assert witness is not None
+    assert core.associativity_witness(z12) == witness
 
 
 def test_sigma_and_orders_are_computed_once_per_semigroup():

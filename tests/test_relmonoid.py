@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
-from ehresmann import core, relmonoid
+from ehresmann import core, corpus, relmonoid
 from ehresmann.relmonoid import ClosureOverflowError, Rel
 
-from oracles import compose_pairs
+from oracles import compose_pairs, reference_generate, reference_table
 
 
 def rel(n, *pairs):
@@ -160,3 +162,52 @@ def test_i2_table_order_is_inclusion():
     for i, a in enumerate(alg.elements):
         for j, b in enumerate(alg.elements):
             assert orders.le[i][j] == a.issubset(b)
+
+
+def _assert_same_algebra(alg, ref):
+    """Same element order and the same tables as the reference closure and
+    the reference n^2-composition table build."""
+    assert alg.elements == ref.elements and alg.index == ref.index
+    S, T = alg.to_semigroup(), reference_table(ref)
+    assert (S.mult, S.plus, S.star, S.names) == (T.mult, T.plus, T.star, T.names)
+
+
+@pytest.mark.parametrize("builder, sizes", [
+    (relmonoid.full_B, (1, 2)), (relmonoid.full_PT, (1, 2, 3)),
+    (relmonoid.full_I, (1, 2, 3)), (relmonoid.full_PTc, (2,))])
+def test_tables_match_reference_on_full_monoids(builder, sizes):
+    for n in sizes:
+        alg = builder(n)
+        _assert_same_algebra(alg, alg)
+        _assert_same_algebra(relmonoid.generate(n, alg.elements),
+                             reference_generate(n, alg.elements))
+
+
+@pytest.mark.parametrize("build, n, gens", [
+    (corpus.sub_b2_row, 2, [[(0, 0), (0, 1)]]),
+    (corpus.eight_monoid, 2, [[(0, 0), (0, 1)], [(1, 0)]]),
+    (corpus.sub_pt2_swap, 2, [[(0, 1), (1, 0)]])])
+def test_tables_match_reference_on_corpus_generators(build, n, gens):
+    # names are the relations, so equal names pin the element order
+    S = build()
+    T = reference_table(reference_generate(n, [Rel.from_pairs(n, g) for g in gens]))
+    assert (S.mult, S.plus, S.star, S.names) == (T.mult, T.plus, T.star, T.names)
+
+
+@pytest.mark.parametrize("n, density", [(2, 0.5), (3, 0.35)])
+def test_generate_matches_reference_on_random_generators(n, density):
+    rng = random.Random(n)
+    cap, overflows = 150, 0
+    for _ in range(40):
+        gens = [Rel.from_pairs(n, [(i, j) for i in range(n) for j in range(n)
+                                   if rng.random() < density])
+                for _ in range(rng.randint(1, 3))]
+        try:
+            ref = reference_generate(n, gens, cap=cap)
+        except ClosureOverflowError:
+            overflows += 1
+            with pytest.raises(ClosureOverflowError):
+                relmonoid.generate(n, gens, cap=cap)
+            continue
+        _assert_same_algebra(relmonoid.generate(n, gens, cap=cap), ref)
+    assert overflows < 40
