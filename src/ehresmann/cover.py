@@ -78,28 +78,9 @@ class CoverGraph:
         self.decomp = decomp            # element -> tuple of ('g', x) / ('p', e)
         # letter edge (d, a, r) -> list over vertices: the target of its
         # restriction to that source / the source of its corestriction to
-        # that target, -1 where undefined
+        # that target, -1 where undefined; read off graph's tables
         self.restrict_table = restrict_table
         self.corestrict_table = corestrict_table
-
-
-def _letter_edge_tables(graph: ResGraph):
-    """Restriction and corestriction of every letter edge as integer tables,
-    read off a materialized graph."""
-    n = graph.sl.n
-    restr, corestr = {}, {}
-    for c in graph.sorted_edges():
-        d, lab, r = c
-        if not lab:
-            continue
-        rrow, crow = [-1] * n, [-1] * n
-        for g in graph.sl.below(d):
-            rrow[g] = graph.restrict(c, g)[2]
-        for h in graph.sl.below(r):
-            crow[h] = graph.corestrict(c, h)[0]
-        restr[(d, lab[0], r)] = rrow
-        corestr[(d, lab[0], r)] = crow
-    return restr, corestr
 
 
 def _generating_closure(S: OpTableSemigroup, gens):
@@ -153,25 +134,39 @@ def build_cover_graph(S: OpTableSemigroup, gens) -> CoverGraph:
                 if S.plus[w] == e and S.star[w] == f:
                     edges.add((i, (letter,), j))
 
-    def restrict_rule(c, gv):
+    def rule(c, v, end):
+        # restriction (end 0) moves the source down to v, corestriction
+        # (end 2) the target
         d0, lab, r0 = c
         if not lab:
-            return (gv, (), gv)
-        abar = valuation[lab[0]]
-        new_r = S.mult[S.star[S.mult[proj_list[gv]][abar]]][proj_list[r0]]
-        return (gv, lab, proj_index[new_r])
+            return (v, (), v)
+        a, e = valuation[lab[0]], proj_list[v]
+        if end == 0:
+            return (v, lab, proj_index[S.mult[S.star[S.mult[e][a]]][proj_list[r0]]])
+        return (proj_index[S.mult[proj_list[d0]][S.plus[S.mult[a][e]]]], lab, v)
 
-    def corestrict_rule(c, hv):
-        d0, lab, r0 = c
-        if not lab:
-            return (hv, (), hv)
-        abar = valuation[lab[0]]
-        new_d = S.mult[proj_list[d0]][S.plus[S.mult[abar][proj_list[hv]]]]
-        return (proj_index[new_d], lab, hv)
+    # edge by edge, the restrictions then the corestrictions, up to the first
+    # value that is not an edge
+    maps = {}, {}
+    keys = [(c, end, v) for c in sorted(edges) for end in (0, 2) for v in sl.below(c[end])]
+    for c, end, v in keys:
+        maps[end // 2][(c, v)] = out = rule(c, v, end)
+        if out not in edges:
+            break
+    graph = ResGraph(sl, mon, edges, *maps)
+    if out not in edges:
+        # raises RestrictionUndefinedError, naming the value
+        (graph.restrict if end == 0 else graph.corestrict)(c, v)
 
-    graph = ResGraph(sl, mon, edges, restrict_rule, corestrict_rule).materialized()
-    return CoverGraph(S, gens, letters, valuation, proj_list, proj_index,
-                      sl, graph, decomp, *_letter_edge_tables(graph))
+    edge_list = graph.sorted_edges()
+
+    def vertex_rows(table, end):
+        return {(d, lab[0], r): [edge_list[i][end] if i >= 0 else -1 for i in row]
+                for (d, lab, r), row in zip(edge_list, table) if lab}
+
+    return CoverGraph(S, gens, letters, valuation, proj_list, proj_index, sl, graph,
+                      decomp, vertex_rows(graph.restrict_table, 2),
+                      vertex_rows(graph.corestrict_table, 0))
 
 
 def canonicalize(cg: CoverGraph, path) -> CanonicalPath:

@@ -39,6 +39,38 @@ def _need_list(doc, key, kind):
     return value
 
 
+def _need_strings(doc, key, kind):
+    value = _need_list(doc, key, kind)
+    if not all(isinstance(x, str) for x in value):
+        raise SchemaError(f"{kind} {key!r} must be a list of strings")
+    return value
+
+
+def _need_object(doc, key, kind):
+    value = _need(doc, key, kind)
+    if not isinstance(value, dict):
+        raise SchemaError(f"{kind} {key!r} must be an object, not {type(value).__name__}")
+    return value
+
+
+def _need_int(doc, key, kind):
+    value = _need(doc, key, kind)
+    if type(value) is not int:
+        raise SchemaError(f"{kind} {key!r} must be an int, not {value!r}")
+    return value
+
+
+def _is_pair(p) -> bool:
+    return isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
+
+
+def _pair_list(value, what):
+    """value as a list of (x, y) tuples of ints; SchemaError otherwise."""
+    if not isinstance(value, list) or not all(map(_is_pair, value)):
+        raise SchemaError(f"{what} {value!r} is not a list of [x, y] pairs of ints")
+    return [tuple(p) for p in value]
+
+
 def read_json(path):
     """The JSON value in the file at path; SchemaError if it cannot be read."""
     try:
@@ -69,7 +101,7 @@ def load_document(doc):
 
 
 def load_semigroup(doc) -> OpTableSemigroup:
-    elements = _need_list(doc, "elements", "semigroup")
+    elements = _need_strings(doc, "elements", "semigroup")
     mult = _need(doc, "mult", "semigroup")
     plus = _need(doc, "plus", "semigroup")
     star = _need(doc, "star", "semigroup")
@@ -91,7 +123,7 @@ def dump_semigroup(S: OpTableSemigroup) -> dict:
 
 
 def _load_semilattice(doc) -> Semilattice:
-    elements = _need_list(doc, "elements", "semilattice")
+    elements = _need_strings(doc, "elements", "semilattice")
     meet = _need(doc, "meet", "semilattice")
     try:
         return Semilattice(len(elements), meet, list(elements))
@@ -109,7 +141,7 @@ def _dump_semilattice(sl: Semilattice) -> dict:
 def _load_monoid(doc):
     kind = _need(doc, "kind", "monoid")
     if kind == "finite":
-        elements = _need_list(doc, "elements", "monoid")
+        elements = _need_strings(doc, "elements", "monoid")
         mult = _need(doc, "mult", "monoid")
         ident = _need(doc, "identity", "monoid")
         try:
@@ -117,7 +149,10 @@ def _load_monoid(doc):
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     if kind == "free":
-        return FreeMonoid(tuple(_need(doc, "alphabet", "monoid")))
+        try:
+            return FreeMonoid(tuple(_need_strings(doc, "alphabet", "monoid")))
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
     raise SchemaError(f"unknown monoid kind {kind!r}")
 
 
@@ -136,9 +171,13 @@ def _label_from_json(mon, raw):
     if mon.is_free:
         if not isinstance(raw, list):
             raise SchemaError(f"free label must be a list, not {raw!r}")
-        return tuple(raw)
-    if type(raw) is not int:
+        raw = tuple(raw)
+    elif type(raw) is not int:
         raise SchemaError(f"finite label must be an int, not {raw!r}")
+    try:
+        mon.check_label(raw)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     return raw
 
 
@@ -149,12 +188,9 @@ def _label_to_json(mon, label):
 def load_resgraph(doc) -> ResGraph:
     sl = _load_semilattice(_need(doc, "semilattice", "resgraph"))
     mon = _load_monoid(_need(doc, "monoid", "resgraph"))
-    raw_edges = _need(doc, "edges", "resgraph")
-    edges = []
-    for item in raw_edges:
-        edges.append((_need(item, "d", "edge"),
-                      _label_from_json(mon, _need(item, "l", "edge")),
-                      _need(item, "r", "edge")))
+    edges = [(_need_int(item, "d", "edge"), _label_from_json(mon, _need(item, "l", "edge")),
+              _need_int(item, "r", "edge"))
+             for item in _need_list(doc, "edges", "resgraph")]
 
     def edge_at(item, key, kind):
         i = _need(item, key, kind)
@@ -164,10 +200,11 @@ def load_resgraph(doc) -> ResGraph:
 
     maps = []
     for kind, vertex in (("restrict", "g"), ("corestrict", "h")):
-        maps.append({(edge_at(item, "edge", kind), _need(item, vertex, kind)):
-                     edge_at(item, "to", kind) for item in doc.get(kind, [])} or None)
+        items = _need_list(doc, kind, "resgraph") if kind in doc else []
+        maps.append({(edge_at(item, "edge", kind), _need_int(item, vertex, kind)):
+                     edge_at(item, "to", kind) for item in items} or None)
     try:
-        return ResGraph(sl, mon, set(edges), *maps)
+        return ResGraph(sl, mon, edges, *maps)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -193,21 +230,15 @@ def dump_resgraph(G: ResGraph) -> dict:
     return doc
 
 
-def _is_pair(p) -> bool:
-    return isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
-
-
 def load_relgen(doc):
     n = _need(doc, "ground_size", "relgen")
     if type(n) is not int or n < 1:
         raise SchemaError(f"relgen ground_size must be an int >= 1, not {n!r}")
     gens = []
     for pairs in _need_list(doc, "generators", "relgen"):
-        if not isinstance(pairs, list) or not all(map(_is_pair, pairs)):
-            raise SchemaError(f"relgen generator {pairs!r} is not a list of "
-                              "[x, y] pairs of ints")
+        pairs = _pair_list(pairs, "relgen generator")
         try:
-            gens.append(Rel.from_pairs(n, [tuple(p) for p in pairs]))
+            gens.append(Rel.from_pairs(n, pairs))
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     return n, gens
@@ -227,7 +258,7 @@ def load_premorphism(doc):
     if mon.is_free:
         raise SchemaError("premorphisms need a finite monoid")
     ground = _need(doc, "ground", "premorphism")
-    raw_phi = _need(doc, "phi", "premorphism")
+    raw_phi = _need_object(doc, "phi", "premorphism")
     if isinstance(ground, dict) and "semilattice" in ground:
         sl = _load_semilattice(ground["semilattice"])
         n = sl.n
@@ -240,8 +271,9 @@ def load_premorphism(doc):
             t = int(key)
         except ValueError as exc:
             raise SchemaError(f"phi key {key!r} is not a label index") from exc
+        pairs = _pair_list(pairs, f"phi entry {key!r}")
         try:
-            phi[t] = Rel.from_pairs(n, [tuple(p) for p in pairs])
+            phi[t] = Rel.from_pairs(n, pairs)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     if sl is not None:

@@ -206,7 +206,6 @@ def structure_iso_check(S: OpTableSemigroup, Y=None) -> Report:
     """Check that a |-> (a^+, [a], a^*) is an isomorphism onto the product
     of the underlying graph.  Requires a strictly proper S (Y defaults to
     all of S)."""
-    proper = core.proper_elements(S)
     Yset = core.ideal_members(S, Y)
     fib = core.fibers(S)
     first_in_Y = {a: min(Yset.intersection(fib[a])) for a in Yset}
@@ -214,10 +213,11 @@ def structure_iso_check(S: OpTableSemigroup, Y=None) -> Report:
         (first_in_Y[a], a) for a in sorted(Yset) if first_in_Y[a] != a))]
     if not checks[0].ok:
         return Report(checks)
-    if Yset != frozenset(range(S.n)) and not Yset <= proper:
-        checks.append(Check("Y_elements_proper", FAIL,
-                            (sorted(Yset - proper)[0],)))
-        return Report(checks)
+    whole = Yset == frozenset(range(S.n))
+    if not whole:
+        proper = core.ideal_checks(S, Yset)[2]
+        if not proper.ok:
+            return Report(checks + [proper])
 
     ug = underlying_graph(S, Yset)
     pm_witness = check_pm(ug.graph)
@@ -225,6 +225,11 @@ def structure_iso_check(S: OpTableSemigroup, Y=None) -> Report:
                         FAIL if pm_witness else PASS, pm_witness))
     if pm_witness is not None:
         return Report(checks)
+    # the product has one element per member of Y, so S maps into it only
+    # when Y is all of S
+    if not whole:
+        outside = next(a for a in range(S.n) if a not in Yset)
+        return Report(checks + [Check("triple_map_defined_on_S", FAIL, (outside,))])
 
     S2, edges2 = build_product(ug.graph)
     idx2 = {c: i for i, c in enumerate(edges2)}

@@ -142,10 +142,6 @@ def classify(a: Rel) -> dict:
     return {"in_PT": in_pt, "in_PTc": in_ptc, "in_I": in_pt and in_ptc}
 
 
-def is_sub_identity(a: Rel) -> bool:
-    return a.issubset(identity(a.n))
-
-
 def natural_le(a: Rel, b: Rel) -> bool:
     """a <= b in the Ehresmann order: a = e b f for sub-identities e, f."""
     if a.n != b.n:

@@ -42,12 +42,14 @@ class Semilattice:
             raise ValueError("meet not associative at ({},{},{})".format(*w))
         if self.names is not None and len(self.names) != self.n:
             raise ValueError("names must have length n")
+        # the down-set of every element, computed once; callers only read it
+        self._below = [[g for g in rng if self.meet[g][e] == g] for e in rng]
 
     def leq(self, e: int, f: int) -> bool:
         return self.meet[e][f] == e
 
     def below(self, e: int):
-        return [g for g in range(self.n) if self.leq(g, e)]
+        return self._below[e]
 
     def name(self, e: int) -> str:
         return self.names[e] if self.names else str(e)
@@ -130,8 +132,12 @@ class FreeMonoid:
 class ResGraph:
     """Labelled directed graph with optional restriction/corestriction maps.
 
-    restrict/corestrict may be dicts keyed by (edge, vertex), or callables
-    (edge, vertex) -> edge, or None when the structure is absent.
+    restrict and corestrict are dicts keyed by (edge, vertex), or None when
+    the structure is absent.  The constructor numbers the sorted edges and
+    stores each map once as an integer table, restrict_table[edge id][g]
+    and corestrict_table[edge id][h], holding the id of the resulting edge,
+    or -1 where the map is undefined, gives a non-edge, or the vertex is not
+    below the edge's source (target).
     """
 
     def __init__(self, sl: Semilattice, mon, edges, restrict=None, corestrict=None):
@@ -143,11 +149,25 @@ class ResGraph:
             mon.check_label(lab)
         self.edges = frozenset(edges)
         self._edge_list = sorted(self.edges)
+        self.edge_id = {c: i for i, c in enumerate(self._edge_list)}
         self._restrict = restrict
         self._corestrict = corestrict
+        self.restrict_table = self._table(restrict, 0)
+        self.corestrict_table = self._table(corestrict, 2)
         self._out = {}
         for c in self._edge_list:
             self._out.setdefault(c[0], []).append(c)
+
+    def _table(self, given, end):
+        ids, below = self.edge_id, self.sl.below
+        table = []
+        for c in self._edge_list:
+            row = [-1] * self.sl.n
+            if given is not None:
+                for v in below(c[end]):
+                    row[v] = ids.get(given.get((c, v)), -1)
+            table.append(row)
+        return table
 
     @property
     def has_restrictions(self) -> bool:
@@ -163,47 +183,40 @@ class ResGraph:
         d, lab, r = c
         return f"({self.sl.name(d)},{self.mon.label_str(lab)},{self.sl.name(r)})"
 
-    def _apply(self, table, c, v, kind):
-        if table is None:
+    def restrict(self, c, g: int):
+        try:
+            i = self.restrict_table[self.edge_id[c]][g]
+        except (KeyError, IndexError, TypeError):
+            i = -1
+        if i < 0 or g < 0:
+            self._undefined(c, g, 0, self._restrict, "restriction")
+        return self._edge_list[i]
+
+    def corestrict(self, c, h: int):
+        try:
+            i = self.corestrict_table[self.edge_id[c]][h]
+        except (KeyError, IndexError, TypeError):
+            i = -1
+        if i < 0 or h < 0:
+            self._undefined(c, h, 2, self._corestrict, "corestriction")
+        return self._edge_list[i]
+
+    def _undefined(self, c, v, end, given, kind):
+        """Raise the error for a table entry of -1 (or a bad argument)."""
+        if c not in self.edges:
+            raise ValueError(f"{c!r} is not an edge")
+        if not self.sl.leq(v, c[end]):
+            raise RestrictionUndefinedError(
+                f"{kind} of {self.edge_str(c)} to non-lower vertex {v}")
+        if given is None:
             raise RestrictionUndefinedError(f"graph has no {kind} structure")
-        if callable(table):
-            out = table(c, v)
-        else:
-            out = table.get((c, v))
+        out = given.get((c, v))
         if out is None:
             raise RestrictionUndefinedError(
                 f"{kind} of {self.edge_str(c)} to {self.sl.name(v)} is undefined")
-        if out not in self.edges:
-            raise RestrictionUndefinedError(
-                f"{kind} of {self.edge_str(c)} to {self.sl.name(v)} "
-                f"gives {out!r}, which is not an edge")
-        return out
-
-    def restrict(self, c, g: int):
-        if c not in self.edges:
-            raise ValueError(f"{c!r} is not an edge")
-        if not self.sl.leq(g, c[0]):
-            raise RestrictionUndefinedError(
-                f"restriction of {self.edge_str(c)} to non-lower vertex {g}")
-        return self._apply(self._restrict, c, g, "restriction")
-
-    def corestrict(self, c, h: int):
-        if c not in self.edges:
-            raise ValueError(f"{c!r} is not an edge")
-        if not self.sl.leq(h, c[2]):
-            raise RestrictionUndefinedError(
-                f"corestriction of {self.edge_str(c)} to non-lower vertex {h}")
-        return self._apply(self._corestrict, c, h, "corestriction")
-
-    def materialized(self) -> "ResGraph":
-        """Copy with restriction/corestriction stored extensionally."""
-        restr, corestr = {}, {}
-        for c in self._edge_list:
-            for g in self.sl.below(c[0]):
-                restr[(c, g)] = self.restrict(c, g)
-            for h in self.sl.below(c[2]):
-                corestr[(c, h)] = self.corestrict(c, h)
-        return ResGraph(self.sl, self.mon, self.edges, restr, corestr)
+        raise RestrictionUndefinedError(
+            f"{kind} of {self.edge_str(c)} to {self.sl.name(v)} "
+            f"gives {out!r}, which is not an edge")
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +248,6 @@ def path_label(G: ResGraph, p):
     for c in p[1:]:
         lab = G.mon.mul(lab, c[1])
     return lab
-
-
-def path_vertices(p):
-    return (p[0][0],) + tuple(c[2] for c in p)
 
 
 def restrict_path(G: ResGraph, p, e: int) -> tuple:
@@ -301,24 +310,13 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> Report:
     checks.append(first_witness("identity_loops_present", (
         (e,) for e in range(sl.n) if (e, one, e) not in G.edges)))
 
-    def try_restrict(c, g):
-        try:
-            return G.restrict(c, g)
-        except RestrictionUndefinedError:
-            return None
-
-    def try_corestrict(c, h):
-        try:
-            return G.corestrict(c, h)
-        except RestrictionUndefinedError:
-            return None
-
+    edges = G.sorted_edges()
     checks.append(first_witness("restriction_total", (
-        (c, g) for c in G.sorted_edges() for g in sl.below(c[0])
-        if try_restrict(c, g) is None)))
+        (c, g) for c, row in zip(edges, G.restrict_table) for g in sl.below(c[0])
+        if row[g] < 0)))
     checks.append(first_witness("corestriction_total", (
-        (c, h) for c in G.sorted_edges() for h in sl.below(c[2])
-        if try_corestrict(c, h) is None)))
+        (c, h) for c, row in zip(edges, G.corestrict_table) for h in sl.below(c[2])
+        if row[h] < 0)))
 
     # the remaining axioms evaluate restrictions of identity loops and are
     # only meaningful once the structural checks hold

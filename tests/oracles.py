@@ -2,7 +2,8 @@
 
 from collections import deque
 
-from ehresmann import core, relmonoid
+from ehresmann import core, product, relmonoid, resgraph
+from ehresmann.report import first_witness
 
 
 def set_partitions(items):
@@ -190,3 +191,169 @@ def reference_table(alg):
     star = [alg.index[relmonoid.ran(a)] for a in alg.elements]
     names = [repr(a) for a in alg.elements]
     return core.OpTableSemigroup(len(alg.elements), mult, plus, star, names)
+
+
+class ReferenceResGraph:
+    """The per-call restriction structure that the integer tables of
+    resgraph.ResGraph replace: restrict and corestrict are dicts keyed by
+    (edge, vertex) or callables (edge, vertex) -> edge, and every call checks
+    edge membership, the order and the value it finds."""
+
+    def __init__(self, sl, mon, edges, restrict=None, corestrict=None):
+        self.sl = sl
+        self.mon = mon
+        self.edges = frozenset(edges)
+        self._edge_list = sorted(self.edges)
+        self._restrict = restrict
+        self._corestrict = corestrict
+        self._out = {}
+        for c in self._edge_list:
+            self._out.setdefault(c[0], []).append(c)
+
+    @property
+    def has_restrictions(self):
+        return self._restrict is not None and self._corestrict is not None
+
+    def sorted_edges(self):
+        return list(self._edge_list)
+
+    def edges_from(self, v):
+        return self._out.get(v, [])
+
+    def edge_str(self, c):
+        d, lab, r = c
+        return f"({self.sl.name(d)},{self.mon.label_str(lab)},{self.sl.name(r)})"
+
+    def _apply(self, table, c, v, kind):
+        if table is None:
+            raise resgraph.RestrictionUndefinedError(f"graph has no {kind} structure")
+        if callable(table):
+            out = table(c, v)
+        else:
+            out = table.get((c, v))
+        if out is None:
+            raise resgraph.RestrictionUndefinedError(
+                f"{kind} of {self.edge_str(c)} to {self.sl.name(v)} is undefined")
+        if out not in self.edges:
+            raise resgraph.RestrictionUndefinedError(
+                f"{kind} of {self.edge_str(c)} to {self.sl.name(v)} "
+                f"gives {out!r}, which is not an edge")
+        return out
+
+    def restrict(self, c, g):
+        if c not in self.edges:
+            raise ValueError(f"{c!r} is not an edge")
+        if not self.sl.leq(g, c[0]):
+            raise resgraph.RestrictionUndefinedError(
+                f"restriction of {self.edge_str(c)} to non-lower vertex {g}")
+        return self._apply(self._restrict, c, g, "restriction")
+
+    def corestrict(self, c, h):
+        if c not in self.edges:
+            raise ValueError(f"{c!r} is not an edge")
+        if not self.sl.leq(h, c[2]):
+            raise resgraph.RestrictionUndefinedError(
+                f"corestriction of {self.edge_str(c)} to non-lower vertex {h}")
+        return self._apply(self._corestrict, c, h, "corestriction")
+
+    def _table(self, apply, end):
+        # -1 wherever a call raises, as the old try_restrict returned None
+        index = {c: i for i, c in enumerate(self._edge_list)}
+        table = []
+        for c in self._edge_list:
+            row = [-1] * self.sl.n
+            for v in self.sl.below(c[end]):
+                try:
+                    row[v] = index[apply(c, v)]
+                except resgraph.RestrictionUndefinedError:
+                    pass
+            table.append(row)
+        return table
+
+    @property
+    def restrict_table(self):
+        return self._table(self.restrict, 0)
+
+    @property
+    def corestrict_table(self):
+        return self._table(self.corestrict, 2)
+
+
+def reference_totality_checks(G):
+    """restriction_total and corestriction_total by calling G.restrict and
+    G.corestrict on every edge and lower vertex, None where a call raises."""
+
+    def attempt(f, c, v):
+        try:
+            return f(c, v)
+        except resgraph.RestrictionUndefinedError:
+            return None
+
+    sl = G.sl
+    return [first_witness("restriction_total", (
+                (c, g) for c in G.sorted_edges() for g in sl.below(c[0])
+                if attempt(G.restrict, c, g) is None)),
+            first_witness("corestriction_total", (
+                (c, h) for c in G.sorted_edges() for h in sl.below(c[2])
+                if attempt(G.corestrict, c, h) is None))]
+
+
+def reference_cover_graph(S, gens):
+    """The cover graph of S over gens with restriction and corestriction as
+    callables, computed in S from the valuation on every call; every value
+    is checked edge by edge, restrictions first, and the first one that is
+    not an edge raises."""
+    sl, proj_list, proj_index = product.projection_semilattice(S)
+    valuation = {f"x{g}": g for g in sorted(set(gens))}
+    edges = {(i, (), i) for i in range(sl.n)}
+    for letter, g in valuation.items():
+        for i, e in enumerate(proj_list):
+            for j, f in enumerate(proj_list):
+                w = S.mult[S.mult[e][g]][f]
+                if S.plus[w] == e and S.star[w] == f:
+                    edges.add((i, (letter,), j))
+
+    def restrict_rule(c, gv):
+        d0, lab, r0 = c
+        if not lab:
+            return (gv, (), gv)
+        abar = valuation[lab[0]]
+        new_r = S.mult[S.star[S.mult[proj_list[gv]][abar]]][proj_list[r0]]
+        return (gv, lab, proj_index[new_r])
+
+    def corestrict_rule(c, hv):
+        d0, lab, r0 = c
+        if not lab:
+            return (hv, (), hv)
+        abar = valuation[lab[0]]
+        new_d = S.mult[proj_list[d0]][S.plus[S.mult[abar][proj_list[hv]]]]
+        return (proj_index[new_d], lab, hv)
+
+    graph = ReferenceResGraph(sl, resgraph.FreeMonoid(tuple(valuation)), edges,
+                              restrict_rule, corestrict_rule)
+    for c in graph.sorted_edges():
+        for g in sl.below(c[0]):
+            graph.restrict(c, g)
+        for h in sl.below(c[2]):
+            graph.corestrict(c, h)
+    return graph
+
+
+def reference_letter_edge_tables(graph):
+    """Restriction and corestriction of every letter edge as vertex rows,
+    (d, a, r) -> [target of the restriction to g / source of the
+    corestriction to h, or -1], read off graph.restrict and graph.corestrict."""
+    n = graph.sl.n
+    restr, corestr = {}, {}
+    for c in graph.sorted_edges():
+        d, lab, r = c
+        if not lab:
+            continue
+        rrow, crow = [-1] * n, [-1] * n
+        for g in graph.sl.below(d):
+            rrow[g] = graph.restrict(c, g)[2]
+        for h in graph.sl.below(r):
+            crow[h] = graph.corestrict(c, h)[0]
+        restr[(d, lab[0], r)] = rrow
+        corestr[(d, lab[0], r)] = crow
+    return restr, corestr

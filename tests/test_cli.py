@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ehresmann import cli, corpus, io
+from ehresmann import cli, corpus, cover, io
 from ehresmann.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK
 
 
@@ -79,9 +79,29 @@ def test_verify_malformed_table(tmp_path, capsys):
         lambda d: d["monoid"].update(identity=False),
         lambda d: d["restrict"][0].update(edge=len(d["edges"]) + 5),
         lambda d: d["restrict"][0].update(edge=-1),
-        lambda d: d["edges"].__setitem__(0, 7))]
+        lambda d: d["edges"].__setitem__(0, 7),
+        lambda d: d.update(edges=5),
+        lambda d: d.update(restrict=5),
+        lambda d: d.update(corestrict={"edge": 0}),
+        lambda d: d["edges"][0].update(d=[1]),
+        lambda d: d["edges"][0].update(r={"v": 1}),
+        lambda d: d["restrict"][0].update(g=[0]),
+        lambda d: d["corestrict"][0].update(h={"v": 0}))]
+    cover_graph = io.dump_resgraph(cover.build_cover_graph(
+        corpus.chain(2), [0, 1]).graph)
+    docs += [_edited(cover_graph, edit) for edit in (
+        lambda d: d["edges"][0].update(l=[["x0"]]),
+        lambda d: d["monoid"].update(alphabet=[["x0"], "x1"]),
+        lambda d: d["monoid"].update(alphabet=5))]
     premorphism = io.dump_premorphism(corpus.pa_chain2())
-    docs.append(_edited(premorphism, lambda d: d.update(ground=3)))
+    docs += [_edited(premorphism, edit) for edit in (
+        lambda d: d.update(ground=3),
+        lambda d: d.update(phi=[[0, 0]]),
+        lambda d: d["phi"].update({"0": 5}),
+        lambda d: d["phi"].update({"0": [[0, 0], 1]}),
+        lambda d: d["phi"].update({"1": [[0, "1"]]}))]
+    docs.append(_edited(io.dump_semigroup(corpus.chain(2)),
+                        lambda d: d["elements"].__setitem__(0, 7)))
     for version in (9, True):
         docs.append(_edited(io.dump_semigroup(corpus.chain(2)),
                             lambda d: d.update(version=version)))
@@ -201,6 +221,21 @@ def test_iso_command(e2_file, tmp_path, capsys):
     io.save(path, io.dump_semigroup(corpus.rel_i2()))
     assert cli.main(["iso", str(path)]) == EXIT_FAIL
     assert "triple_map_injective" in capsys.readouterr().out
+
+
+def test_iso_ideal_failures(tmp_path, capsys):
+    # an improper member of Y is reported as condition 3 of a proper ideal;
+    # a Y short of S fails at the first element of S outside it
+    named = dict(corpus.semigroups())
+    for name, ideal, line in (
+            ("pt2", "0,1,6,7", "FAIL  Y_elements_proper  witness=(7, 5)"),
+            ("z2", "0", "FAIL  triple_map_defined_on_S  witness=(1,)"),
+            ("e2t2_product", "0,2", "FAIL  triple_map_defined_on_S  witness=(1,)")):
+        path = tmp_path / f"{name}.json"
+        io.save(path, io.dump_semigroup(named[name]))
+        capsys.readouterr()
+        assert cli.main(["iso", str(path), "--ideal", ideal]) == EXIT_FAIL
+        assert capsys.readouterr().out.splitlines()[-1] == line
 
 
 def test_preimage_command(pt2_file, capsys):

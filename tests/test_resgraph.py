@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
-from ehresmann import corpus, cover, resgraph
-from ehresmann.report import FAIL, INCONCLUSIVE, PASS
+from ehresmann import core, corpus, cover, product, resgraph
+from ehresmann.report import FAIL, INCONCLUSIVE, PASS, Report
 from ehresmann.resgraph import (FiniteMonoid, FreeMonoid, ResGraph,
                                 RestrictionUndefinedError, Semilattice,
                                 all_paths, chain_semilattice, contract_step,
                                 corestrict_path, equivalent_paths, make_path,
                                 path_d, path_label, path_r, restrict_path)
+from oracles import (ReferenceResGraph, reference_cover_graph,
+                     reference_letter_edge_tables, reference_totality_checks)
 
 
 def test_semilattice_validation():
@@ -242,3 +246,122 @@ def test_restriction_respects_equivalence():
             for e in G.sl.below(path_d(p)):
                 rp, rq = restrict_path(G, p, e), restrict_path(G, q, e)
                 assert equivalent_paths(G, rp, rq).status == PASS
+
+
+def _rows(checks):
+    return [(c.name, c.status, c.witness) for c in checks]
+
+
+def _outcome(f, *args):
+    try:
+        value = f(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return ("raise", type(exc), str(exc))
+    if isinstance(value, Report):
+        return ("report", _rows(value.checks))
+    return ("value", value)
+
+
+def _assert_same_structure(G, ref, what):
+    sl = G.sl
+    probes = G.sorted_edges() + [(sl.n + 1, G.mon.one, 0)]
+    for c in probes:
+        for v in range(-1, sl.n + 1):
+            for kind in ("restrict", "corestrict"):
+                assert (_outcome(getattr(G, kind), c, v)
+                        == _outcome(getattr(ref, kind), c, v)), (what, kind, c, v)
+    assert G.has_restrictions == ref.has_restrictions, what
+    report = _outcome(resgraph.check_axioms, G, 2)
+    assert report == _outcome(resgraph.check_axioms, ref, 2), what
+    # the totality scan reads the tables; the reference calls the maps
+    assert report[0] == "report", what
+    assert report[1][1:3] == _rows(reference_totality_checks(ref)), what
+    assert (_outcome(resgraph.check_path_axioms, G, 2)
+            == _outcome(resgraph.check_path_axioms, ref, 2)), what
+
+
+def _maps_of(G):
+    # the dicts the graph was built from
+    return G._restrict, G._corestrict
+
+
+def _perturbed(G, maps):
+    """Copies of the maps with an entry dropped, an entry sent to a
+    non-edge, entries added at non-lower vertices, and no maps at all."""
+    sl, edges = G.sl, G.sorted_edges()
+    out = [(None, None), (maps[0], None)]
+    for side in (0, 1):
+        keys = sorted(maps[side])
+        for key in {keys[0], keys[len(keys) // 2], keys[-1]}:
+            dropped = [dict(m) for m in maps]
+            del dropped[side][key]
+            out.append(tuple(dropped))
+            sent = [dict(m) for m in maps]
+            sent[side][key] = ("not an edge", key[1])
+            out.append(tuple(sent))
+        extra = [dict(m) for m in maps]
+        for c in edges:
+            for v in range(sl.n):
+                if not sl.leq(v, c[2 * side]):
+                    extra[side][(c, v)] = c
+        out.append(tuple(extra))
+    return out
+
+
+def _kernel_graphs():
+    """(name, graph, reference) over the corpus graphs (partial-action
+    graphs among them), the underlying graphs of the strictly proper corpus
+    semigroups and the cover graphs, each reference given its maps the old
+    way."""
+    out = []
+    for name, G in corpus.pm_graphs():
+        out.append((name, G, ReferenceResGraph(G.sl, G.mon, G.edges, *_maps_of(G))))
+    for name, S in corpus.semigroups():
+        if core.proper_elements(S) == frozenset(range(S.n)):
+            G = product.underlying_graph(S).graph
+            out.append((name + "_underlying", G,
+                        ReferenceResGraph(G.sl, G.mon, G.edges, *_maps_of(G))))
+    for name, S, gens in corpus.cover_cases():
+        out.append((name + "_cover", cover.build_cover_graph(S, gens).graph,
+                    reference_cover_graph(S, gens)))
+    return out
+
+
+def test_kernel_matches_reference_maps():
+    graphs = _kernel_graphs()
+    assert len(graphs) > 30
+    for name, G, ref in graphs:
+        _assert_same_structure(G, ref, name)
+        for restrict, corestrict in _perturbed(G, _maps_of(G)):
+            _assert_same_structure(
+                ResGraph(G.sl, G.mon, G.edges, restrict, corestrict),
+                ReferenceResGraph(G.sl, G.mon, G.edges, restrict, corestrict), name)
+
+
+def test_cover_rows_match_reference_tables():
+    for name, S, gens in corpus.cover_cases():
+        cg = cover.build_cover_graph(S, gens)
+        assert ((cg.restrict_table, cg.corestrict_table)
+                == reference_letter_edge_tables(reference_cover_graph(S, gens))), name
+
+
+def test_cover_graph_raises_where_the_reference_does():
+    # unary tables that are not Ehresmann send some restrictions off the
+    # edge set; the first such value raises, with the same message
+    rng = random.Random(5)
+    raised = 0
+    for name, S in corpus.semigroups()[:18]:
+        for _ in range(40):
+            plus, star = list(S.plus), list(S.star)
+            for _ in range(rng.randint(1, 2)):
+                (plus if rng.random() < .5 else star)[rng.randrange(S.n)] = \
+                    rng.randrange(S.n)
+            T = core.OpTableSemigroup(S.n, S.mult, plus, star)
+            got = _outcome(cover.build_cover_graph, T, range(S.n))
+            if got[:2] == ("raise", cover.GeneratorError):
+                continue
+            want = _outcome(reference_cover_graph, T, range(S.n))
+            if "raise" in (got[0], want[0]):
+                assert got == want, name
+            raised += got[1] is RestrictionUndefinedError
+    assert raised > 10
