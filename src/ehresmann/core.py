@@ -41,8 +41,14 @@ def validate_table(table, n: int, label: str = "mult") -> None:
     ints in range(n)."""
     if not isinstance(table, list) or len(table) != n:
         raise MalformedTableError(f"{label} table must be a list of {n} rows")
+    # a row is accepted by C-level scans, types first so that every entry is
+    # hashable; _check_row runs on a rejected row only, to name its first bad
+    # entry
+    ids = frozenset(range(n))
     for i, row in enumerate(table):
-        _check_row(row, n, f"{label}[{i}]")
+        if not (isinstance(row, list) and len(row) == n
+                and {int}.issuperset(map(type, row)) and ids.issuperset(row)):
+            _check_row(row, n, f"{label}[{i}]")
 
 
 def right_cayley_graph(candidates, multiply):

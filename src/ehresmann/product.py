@@ -34,6 +34,11 @@ def projection_semilattice(S: OpTableSemigroup):
     and semilattice indices."""
     P = core.projections(S).members
     index = {e: i for i, e in enumerate(P)}
+    outside = next(((e, f) for e in P for f in P if S.mult[e][f] not in index), None)
+    if outside is not None:
+        e, f = outside
+        raise ValueError(f"product of projections {e} and {f} is {S.mult[e][f]}, "
+                         "which is not a projection")
     meet = [[index[S.mult[e][f]] for f in P] for e in P]
     names = [S.name(e) for e in P]
     return Semilattice(len(P), meet, names), list(P), index
@@ -215,9 +220,9 @@ def structure_iso_check(S: OpTableSemigroup, Y=None) -> Report:
         return Report(checks)
     whole = Yset == frozenset(range(S.n))
     if not whole:
-        proper = core.ideal_checks(S, Yset)[2]
-        if not proper.ok:
-            return Report(checks + [proper])
+        failed = [c for c in core.ideal_checks(S, Yset) if not c.ok]
+        if failed:
+            return Report(checks + failed)
 
     ug = underlying_graph(S, Yset)
     pm_witness = check_pm(ug.graph)

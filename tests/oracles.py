@@ -2,7 +2,7 @@
 
 from collections import deque
 
-from ehresmann import core, product, relmonoid, resgraph
+from ehresmann import core, cover, product, relmonoid, resgraph
 from ehresmann.report import first_witness
 
 
@@ -357,3 +357,12 @@ def reference_letter_edge_tables(graph):
         restr[(d, lab[0], r)] = rrow
         corestr[(d, lab[0], r)] = crow
     return restr, corestr
+
+
+def reference_mult_witnesses(cg, forms, phis):
+    """The cover's phi_preserves_multiplication check pair by pair: every
+    (u, v) over the forms in enumeration order, u first, with
+    phi(u v) != phi(u) phi(v); phis[i] is phi of forms[i]."""
+    mult = cg.S.mult
+    return ((str(u), str(v)) for u, fu in zip(forms, phis) for v, fv in zip(forms, phis)
+            if cover.phi(cg, cover.cover_mult(cg, u, v)) != mult[fu][fv])

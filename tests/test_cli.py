@@ -112,18 +112,23 @@ def test_verify_malformed_table(tmp_path, capsys):
     docs += [_edited(relgen, lambda d: d.update(**edit)) for edit in (
         {"ground_size": "2"}, {"ground_size": True, "generators": [[[0, 0]]]},
         {"generators": 5}, {"generators": [[0, 1]]}, {"generators": [[[0, "1"]]]})]
-    cases = [("verify", doc) for doc in docs]
+    cases = [(["verify"], doc, []) for doc in docs]
     entry = {"name": "e2", "payload": io.dump_semigroup(corpus.chain(2)),
              "expect": {"ehresmann": True}}
-    cases += [("corpus-run", corpus_doc) for corpus_doc in (
+    cases += [(["corpus-run"], corpus_doc, []) for corpus_doc in (
         [{"name": "no_payload", "expect": {"ehresmann": True}}],
         7,
         [dict(entry, expect=[True])],
         [dict(entry, name=["e2"])])]
-    for i, (command, doc) in enumerate(cases):
+    # the projection 1 times itself is 2, which is not a projection
+    t3zero = _edited(io.dump_semigroup(dict(corpus.semigroups())["singleton_t3zero_product"]),
+                     lambda d: d.update(plus=[0, 1, 0], star=[0, 1, 0]))
+    cases += [(command, t3zero, ["--gens", "0,1,2"] + extra) for command, extra in (
+        (["cover", "build"], []), (["cover", "verify"], []), (["preimage"], ["--element", "0"]))]
+    for i, (command, doc, extra) in enumerate(cases):
         path = tmp_path / f"malformed{i}.json"
         io.save(path, doc)
-        assert cli.main([command, str(path)]) == EXIT_INPUT, doc
+        assert cli.main(command + [str(path)] + extra) == EXIT_INPUT, doc
 
 
 def test_verify_unreadable_file():
@@ -224,18 +229,24 @@ def test_iso_command(e2_file, tmp_path, capsys):
 
 
 def test_iso_ideal_failures(tmp_path, capsys):
-    # an improper member of Y is reported as condition 3 of a proper ideal;
-    # a Y short of S fails at the first element of S outside it
+    # a Y that is not a proper ideal is reported with the failing conditions
+    # (1)-(3) of proper-ideal; a Y short of S fails at the first element of S
+    # outside it
     named = dict(corpus.semigroups())
-    for name, ideal, line in (
-            ("pt2", "0,1,6,7", "FAIL  Y_elements_proper  witness=(7, 5)"),
-            ("z2", "0", "FAIL  triple_map_defined_on_S  witness=(1,)"),
-            ("e2t2_product", "0,2", "FAIL  triple_map_defined_on_S  witness=(1,)")):
+    for name, ideal, lines in (
+            ("pt2", "0,1,6,7", ["FAIL  Y_elements_proper  witness=(7, 5)"]),
+            ("pt2", "1,2", ["FAIL  projections_in_Y  witness=(0, 6, 7)",
+                            "FAIL  Y_is_order_ideal  witness=(0, 1)"]),
+            ("z2", "0", ["FAIL  triple_map_defined_on_S  witness=(1,)"]),
+            ("e2t2_product", "0,2", ["FAIL  triple_map_defined_on_S  witness=(1,)"])):
         path = tmp_path / f"{name}.json"
         io.save(path, io.dump_semigroup(named[name]))
         capsys.readouterr()
         assert cli.main(["iso", str(path), "--ideal", ideal]) == EXIT_FAIL
-        assert capsys.readouterr().out.splitlines()[-1] == line
+        assert capsys.readouterr().out.splitlines()[-len(lines):] == lines
+        if name == "pt2":
+            assert cli.main(["proper-ideal", str(path), "--ideal", ideal]) == EXIT_FAIL
+            assert set(lines) <= set(capsys.readouterr().out.splitlines())
 
 
 def test_preimage_command(pt2_file, capsys):

@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from ehresmann import core, corpus, product, relmonoid, resgraph
-from ehresmann.core import InvariantError
+from ehresmann import core, corpus, cover, product, relmonoid, resgraph
+from ehresmann.core import InvariantError, OpTableSemigroup
 from ehresmann.cover import (CanonicalPath, GeneratorError,
                              build_cover_graph, canonical_preimage,
                              canonicalize, cover_mult, cover_plus_star,
                              enumerate_canonical, fes_witness_check,
                              max_edge_for_letter, phi, to_path, verify_cover)
-from ehresmann.report import PASS
+from ehresmann.report import FAIL, PASS, first_witness
 from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
                                 restrict_path)
+from oracles import reference_mult_witnesses
 
 
 def e2_cover():
@@ -301,3 +302,84 @@ def test_fes_terms_sigma_related_in_b2():
     left = relmonoid.compose(x, relmonoid.dom(y))
     right = relmonoid.compose(relmonoid.dom(relmonoid.compose(x, y)), x)
     assert cong.same(alg.index[left], alg.index[right])
+
+
+def _mult_check(witnesses, cg, forms):
+    """phi_preserves_multiplication over forms, or the undefined product
+    it raised."""
+    phis = [phi(cg, u) for u in forms]
+    try:
+        return first_witness("phi_preserves_multiplication", witnesses(cg, forms, phis))
+    except RestrictionUndefinedError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_mult_check_matches_pairwise(cg, forms):
+    got = _mult_check(cover._mult_failures, cg, forms)
+    assert got == _mult_check(reference_mult_witnesses, cg, forms)
+    return got
+
+
+def test_factored_mult_check_matches_pairwise_on_cover_cases():
+    for name, S, gens in corpus.cover_cases():
+        cg = build_cover_graph(S, gens)
+        for length in (1, 2, 3, 4):
+            check = _assert_mult_check_matches_pairwise(cg, enumerate_canonical(cg, length))
+            assert check.status == PASS, (name, length)
+
+
+def test_factored_mult_check_matches_pairwise_on_i3_and_pt3():
+    # a transposition, a 3-cycle and a rank-2 element: a partial bijection
+    # that is not a projection for I(3), a total map for PT(3)
+    Rel = relmonoid.Rel
+    perms = [Rel.from_pairs(3, enumerate(p)) for p in ((1, 0, 2), (1, 2, 0))]
+    for alg, rank2 in ((relmonoid.full_I(3), [(0, 1), (1, 0)]),
+                       (relmonoid.full_PT(3), [(0, 0), (1, 0), (2, 1)])):
+        S = alg.to_semigroup()
+        cg = build_cover_graph(S, [alg.index[a] for a in perms + [Rel.from_pairs(3, rank2)]])
+        check = _assert_mult_check_matches_pairwise(cg, enumerate_canonical(cg, 2))
+        assert check.status == PASS
+
+
+def _perturbed(S, rng):
+    """S with one entry of plus, star or mult changed."""
+    mult = [row[:] for row in S.mult]
+    plus, star = S.plus[:], S.star[:]
+    table = rng.choice((plus, star, mult, mult))
+    row = rng.choice(table) if table is mult else table
+    row[rng.randrange(S.n)] = rng.randrange(S.n)
+    return OpTableSemigroup(S.n, mult, plus, star)
+
+
+def _perturb_letter_edge_rows(cg, rng):
+    """Change one or two entries of the letter edges' restriction and
+    corestriction rows to another vertex or to undefined (-1)."""
+    for _ in range(rng.randint(1, 2)):
+        rows = rng.choice((cg.restrict_table, cg.corestrict_table))
+        row = rows[rng.choice(sorted(rows))]
+        row[rng.randrange(len(row))] = rng.randrange(-1, len(row))
+
+
+def test_factored_mult_check_matches_pairwise_on_perturbed_tables():
+    # perturbed plus, star or mult tables, perturbed letter-edge rows, or
+    # both: non-associative tables take the pairwise fallback, undefined
+    # rows make cover_mult raise, and changed rows give FAILs on the
+    # factored path whose first witness needs the least failing pair
+    rng = random.Random(20221)
+    statuses = {PASS: 0, FAIL: 0, "raised": 0}
+    fallbacks = 0
+    for name, S, gens in corpus.cover_cases():
+        length = 2 if name == "pt2" else 3
+        for _ in range(150):
+            kind = rng.choice(("table", "rows", "both"))
+            T = S if kind == "rows" else _perturbed(S, rng)
+            try:
+                cg = build_cover_graph(T, gens)
+            except ValueError:
+                continue
+            if kind != "table":
+                _perturb_letter_edge_rows(cg, rng)
+            check = _assert_mult_check_matches_pairwise(cg, enumerate_canonical(cg, length))
+            statuses["raised" if isinstance(check, tuple) else check.status] += 1
+            fallbacks += core.associativity_witness(T.mult) is not None
+    assert min(statuses.values()) > 0 and fallbacks > 0, (statuses, fallbacks)

@@ -38,6 +38,26 @@ def test_tables_reject_non_lists_and_bools():
         OpTableSemigroup(2, [[0, 1], [1, 1]], [0, 1], 7)
 
 
+def test_table_errors_name_the_first_bad_entry():
+    # rows are accepted by whole-row scans; the message still names the
+    # first bad entry of the first bad row
+    ok = [[0, 1, 2], [2, 2, 2], [1, 0, 0]]
+    for row, message in (
+            ([0, 3, True], "mult[1][1] = 3 out of range"),
+            ([0, True, 3], "mult[1][1] = True out of range"),
+            ([-1, 0, 0], "mult[1][0] = -1 out of range"),
+            ([0, 1, 2.0], "mult[1][2] = 2.0 out of range"),
+            ([0, None, 0], "mult[1][1] = None out of range"),
+            ([0, 1, [2]], "mult[1][2] = [2] out of range")):
+        with pytest.raises(MalformedTableError) as exc:
+            core.validate_table([ok[0], row, [5, 0, 0]], 3)
+        assert str(exc.value) == message
+    core.validate_table(ok, 3)
+    core.validate_table([], 0)
+    with pytest.raises(MalformedTableError):
+        core.validate_table([[]], 1)
+
+
 def test_empty_product_rejected():
     with pytest.raises(ValueError):
         corpus.chain(2).prod([])
