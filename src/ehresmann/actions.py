@@ -10,13 +10,15 @@ partial bijections, which is the classical partial-action setting.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from . import core, product, relmonoid
 from .core import OpTableSemigroup
 from .relmonoid import Rel
 from .report import Check, FAIL, PASS, Report, first_witness
-from .resgraph import FiniteMonoid, ResGraph, Semilattice
+from .resgraph import (FiniteMonoid, ResGraph, Semilattice, chain_semilattice, check_axioms,
+                       rectangle_graph)
 
 
 @dataclass
@@ -43,6 +45,11 @@ class PartialAction:
 
 def _phi_items(pm):
     return [(t, pm.phi[t]) for t in sorted(pm.phi)]
+
+
+def _phi_edges(pm) -> set:
+    """The edges (x, t, y) of the pairs (x, y) of every phi_t."""
+    return {(x, t, y) for t, rel in _phi_items(pm) for (x, y) in rel.pairs()}
 
 
 def validate_premorphism(pm) -> Report:
@@ -115,25 +122,13 @@ def premorphism_to_graph(pm) -> PMGraph:
         bad = report.failures()[0]
         raise ValueError(f"not a premorphism: {bad.name} witness={bad.witness}")
     n = pm.ground if isinstance(pm, Premorphism) else pm.sl.n
-    edges = set()
-    for t, rel in _phi_items(pm):
-        for (x, y) in rel.pairs():
-            edges.add((x, t, y))
-    return PMGraph(n, pm.mon, frozenset(edges))
+    return PMGraph(n, pm.mon, frozenset(_phi_edges(pm)))
 
 
 def check_determinism(G) -> dict:
     """LD: at most one target per (source, label); RD dually."""
-    ld, rd = True, True
-    seen_out, seen_in = set(), set()
-    for (d, lab, r) in G.edges:
-        if (d, lab) in seen_out:
-            ld = False
-        if (r, lab) in seen_in:
-            rd = False
-        seen_out.add((d, lab))
-        seen_in.add((r, lab))
-    return {"LD": ld, "RD": rd}
+    return {side: len({(c[end], c[1]) for c in G.edges}) == len(G.edges)
+            for side, end in (("LD", 0), ("RD", 2))}
 
 
 def check_sigma_iff_label(G: ResGraph):
@@ -177,21 +172,41 @@ def classify_restriction(G: ResGraph) -> RestrictionClass:
     return RestrictionClass(left, right, report)
 
 
+def down_rectangle_graph(rng, sl: Semilattice, mon: FiniteMonoid) -> ResGraph:
+    """Identity loops and, per other label, one to three down-rectangles of
+    edges, closed under composable products, as a rectangle_graph."""
+    edges = {(e, mon.one, e) for e in range(sl.n)}
+    for t in mon.elements():
+        if t == mon.one:
+            continue
+        for _seed in range(rng.randint(1, 3)):
+            e = rng.randrange(sl.n)
+            f = rng.randrange(sl.n)
+            edges |= {(g, t, h) for g in sl.below(e) for h in sl.below(f)}
+    # close under composable label products (down-rectangles compose
+    # into down-rectangles, so this terminates quickly)
+    changed = True
+    while changed:
+        changed = False
+        for (d1, l1, r1) in list(edges):
+            for (d2, l2, r2) in list(edges):
+                if r1 == d2:
+                    comp = (d1, mon.mul(l1, l2), r2)
+                    if comp[1] != mon.one and comp not in edges:
+                        edges.add(comp)
+                        changed = True
+    return rectangle_graph(sl, mon, edges)
+
+
 def search_sigma_label_violation(seed: int, tries: int = 200):
     """Random search for a compatible graph whose product separates two
     same-label edges under sigma.
 
-    Samples down-rectangle edge sets (source- and target-downward closed
-    per label) over small semilattices, which always admit the
-    target-preserving restriction and source-preserving corestriction.
+    Samples down-rectangle graphs over small semilattices and monoids.
     Returns (witness graph, edge pair) or None.  Finding none at this
     scale reports absence only; it is no nonexistence claim.
     """
-    import random as _random
-
-    from .resgraph import chain_semilattice, check_axioms
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     diamond = Semilattice(4, [[0, 0, 0, 0], [0, 1, 0, 1],
                               [0, 0, 2, 2], [0, 1, 2, 3]])
     lattices = [chain_semilattice(2), chain_semilattice(3), diamond]
@@ -201,34 +216,7 @@ def search_sigma_label_violation(seed: int, tries: int = 200):
     for _ in range(tries):
         sl = rng.choice(lattices)
         mon = rng.choice(monoids)
-        edges = {(e, mon.one, e) for e in range(sl.n)}
-        for t in mon.elements():
-            if t == mon.one:
-                continue
-            for _seed in range(rng.randint(1, 3)):
-                e = rng.randrange(sl.n)
-                f = rng.randrange(sl.n)
-                edges |= {(g, t, h) for g in sl.below(e) for h in sl.below(f)}
-        # close under composable label products (down-rectangles compose
-        # into down-rectangles, so this terminates quickly)
-        changed = True
-        while changed:
-            changed = False
-            for (d1, l1, r1) in list(edges):
-                for (d2, l2, r2) in list(edges):
-                    if r1 == d2:
-                        comp = (d1, mon.mul(l1, l2), r2)
-                        if comp[1] != mon.one and comp not in edges:
-                            edges.add(comp)
-                            changed = True
-        restrict, corestrict = {}, {}
-        for c in edges:
-            d, lab, r = c
-            for g in sl.below(d):
-                restrict[(c, g)] = (g, lab, g) if lab == mon.one else (g, lab, r)
-            for h in sl.below(r):
-                corestrict[(c, h)] = (h, lab, h) if lab == mon.one else (d, lab, h)
-        G = ResGraph(sl, mon, edges, restrict, corestrict)
+        G = down_rectangle_graph(rng, sl, mon)
         if not check_axioms(G, max_chain=2).ok:
             continue
         ok, witness = check_sigma_iff_label(G)
@@ -247,29 +235,20 @@ def check_partial_action_laws(pa: PartialAction) -> Report:
         sides.append("RD")
     if not sides:
         raise ValueError("laws need a deterministic premorphism (LD or RD)")
-    sl = pa.sl
-    checks = []
-    items = _phi_items(pa)
-    if "LD" in sides:
-        domains = {t: [x for x in range(sl.n) if rel.row(x)] for t, rel in items}
-        checks.append(first_witness("domains_are_order_ideals", (
-            (t, f, e) for t, domain in domains.items() for e in domain
-            for f in sl.below(e) if f not in domain)))
-        images = {t: dict(rel.pairs()) for t, rel in items}
-        checks.append(first_witness("maps_order_preserving", (
-            (t, f, e) for t, image in images.items() for e in image for f in image
-            if sl.leq(f, e) and not sl.leq(image[f], image[e]))))
-    if "RD" in sides:
-        ranges = {t: [y for y in range(sl.n) if any(rel.has(x, y) for x in range(sl.n))]
-                  for t, rel in items}
-        checks.append(first_witness("ranges_are_order_ideals", (
-            (t, f, e) for t, rng in ranges.items() for e in rng
-            for f in sl.below(e) if f not in rng)))
-        preimages = {t: {y: x for (x, y) in rel.pairs()} for t, rel in items}
-        checks.append(first_witness("inverse_maps_order_preserving", (
-            (t, f, e) for t, preimage in preimages.items() for e in preimage
-            for f in preimage
-            if sl.leq(f, e) and not sl.leq(preimage[f], preimage[e]))))
+    sl, checks = pa.sl, []
+    for side, ideal, monotone in (
+            ("LD", "domains_are_order_ideals", "maps_order_preserving"),
+            ("RD", "ranges_are_order_ideals", "inverse_maps_order_preserving")):
+        if side in sides:
+            # each relation as a map, read forwards (LD) or backwards (RD)
+            maps = {t: dict(p if side == "LD" else p[::-1] for p in rel.pairs())
+                    for t, rel in _phi_items(pa)}
+            checks.append(first_witness(ideal, (
+                (t, f, e) for t, m in maps.items() for e in sorted(m)
+                for f in sl.below(e) if f not in m)))
+            checks.append(first_witness(monotone, (
+                (t, f, e) for t, m in maps.items() for e in m for f in m
+                if sl.leq(f, e) and not sl.leq(m[f], m[e]))))
     return Report(checks)
 
 
@@ -307,18 +286,11 @@ def partial_action_graph(pa: PartialAction) -> ResGraph:
     if not report.ok:
         bad = report.failures()[0]
         raise ValueError(f"not a partial action: {bad.name} witness={bad.witness}")
-    edges = set()
-    for t, rel in _phi_items(pa):
-        for (x, y) in rel.pairs():
-            edges.add((x, t, y))
-    restrict = {}
-    corestrict = {}
-    for (x, t, y) in edges:
-        rel = pa.phi[t]
-        for g in pa.sl.below(x):
-            restrict[((x, t, y), g)] = (g, t, _apply(rel, g))
-        for h in pa.sl.below(y):
-            corestrict[((x, t, y), h)] = (_apply_inv(rel, h), t, h)
+    edges = _phi_edges(pa)
+    restrict = {((x, t, y), g): (g, t, _apply(pa.phi[t], g))
+                for (x, t, y) in edges for g in pa.sl.below(x)}
+    corestrict = {((x, t, y), h): (_apply_inv(pa.phi[t], h), t, h)
+                  for (x, t, y) in edges for h in pa.sl.below(y)}
     return ResGraph(pa.sl, pa.mon, edges, restrict, corestrict)
 
 

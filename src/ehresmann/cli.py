@@ -109,13 +109,18 @@ def cmd_verify(args) -> int:
     return _exit(reports)
 
 
+def _not_ehresmann(args, rep) -> int:
+    """Print the failing Ehresmann axioms of a semigroup that fails them."""
+    _emit(args, _report_payload("ehresmann", rep),
+          ["not an Ehresmann semigroup:"] + [c.line() for c in rep.failures()])
+    return _exit([rep])
+
+
 def cmd_analyze(args) -> int:
     S = _load(args.path, "semigroup", args.command)
     rep = core.verify_ehresmann(S)
     if not rep.ok:
-        _emit(args, _report_payload("ehresmann", rep),
-              ["not an Ehresmann semigroup:"] + [c.line() for c in rep.failures()])
-        return _exit([rep])
+        return _not_ehresmann(args, rep)
     P = core.projections(S)
     orders = core.natural_orders(S)
     cong, quotient = core.sigma(S)
@@ -216,8 +221,8 @@ def cmd_product(args) -> int:
     G = _load(args.path, "resgraph", args.command)
     try:
         S, edges = product.build_product(G)
-    except product.PMViolationError as exc:
-        print(f"FAIL  partial multiaction: {exc}")
+    except (product.PMViolationError, product.MissingProductError) as exc:
+        print(f"FAIL  {exc.check}: {exc}")
         return EXIT_FAIL
     lines = [f"product has {S.n} elements"]
     reports = []
@@ -260,6 +265,10 @@ def cmd_cover(args) -> int:
             lines.append(f"wrote {args.out}")
         _emit(args, doc, lines)
         return EXIT_OK
+    rep = core.verify_ehresmann(S)
+    if not rep.ok:
+        cover.build_cover_graph(S, gens)  # input errors come before failed axioms
+        return _not_ehresmann(args, rep)
     rep = cover.verify_cover(S, gens, len_bound=args.len_bound)
     _emit(args, _report_payload("cover", rep),
           [f"cover verification at length bound {args.len_bound}:"] + rep.lines())

@@ -199,6 +199,7 @@ def _pairwise(name, rng, rows) -> Check:
     return first_witness(name, witnesses())
 
 
+@_memoised
 def verify_ehresmann(S: OpTableSemigroup) -> Report:
     """Check associativity and the eight defining unary identities.
 
@@ -253,16 +254,6 @@ def verify_restriction(S: OpTableSemigroup, side: str = "both") -> Report:
 @dataclass
 class ProjectionSet:
     members: tuple
-    semigroup: OpTableSemigroup
-
-    def meet(self, e: int, f: int) -> int:
-        return self.semigroup.mult[e][f]
-
-    def leq(self, e: int, f: int) -> bool:
-        return self.semigroup.mult[e][f] == e
-
-    def below(self, e: int):
-        return [g for g in self.members if self.leq(g, e)]
 
     def __contains__(self, e):
         return e in self.members
@@ -275,8 +266,8 @@ class ProjectionSet:
 
 
 def projections(S: OpTableSemigroup) -> ProjectionSet:
-    """The common image of the two unary operations, as a meet semilattice."""
-    return ProjectionSet(_projection_members(S), S)
+    """The projections: the common image of the two unary operations."""
+    return ProjectionSet(_projection_members(S))
 
 
 @_memoised

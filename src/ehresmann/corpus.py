@@ -10,7 +10,8 @@ from . import relmonoid
 from .actions import PartialAction
 from .core import OpTableSemigroup
 from .relmonoid import Rel
-from .resgraph import FiniteMonoid, ResGraph, Semilattice, chain_semilattice
+from .resgraph import (FiniteMonoid, ResGraph, Semilattice, chain_semilattice,
+                       rectangle_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +198,7 @@ def complete2_t2_graph() -> ResGraph:
     sl = chain_semilattice(2)
     mon = t2_monoid()
     edges = {(0, 0, 0), (1, 0, 1)} | {(d, 1, r) for d in (0, 1) for r in (0, 1)}
-    restrict, corestrict = {}, {}
-    for c in edges:
-        d, lab, r = c
-        for g in sl.below(d):
-            restrict[(c, g)] = (g, lab, g) if lab == 0 else (g, lab, r)
-        for h in sl.below(r):
-            corestrict[(c, h)] = (h, lab, h) if lab == 0 else (d, lab, h)
-    return ResGraph(sl, mon, edges, restrict, corestrict)
+    return rectangle_graph(sl, mon, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 # restrict_path and corestrict_path stay importable from here: they are the
 # path-level definition that cover_mult computes on tables
 from .resgraph import (FreeMonoid, ResGraph, RestrictionUndefinedError,  # noqa: F401
-                       corestrict_path, restrict_path)
+                       check_axioms, corestrict_path, restrict_path)
 
 
 class GeneratorError(ValueError):
@@ -339,7 +339,7 @@ def _mult_failures(cg: CoverGraph, forms, phis):
     loop(m) v is undefined, every pair is checked in order: (u, loop(m)) is
     itself a pair, so the exception comes from the same first pair.
     """
-    if core.associativity_witness(cg.S.mult) is not None:
+    if not core.verify_ehresmann(cg.S)["associativity"].ok:
         return _pairwise_mult_failures(cg, forms, phis)
     below = cg.sl.below
     loops = [CanonicalPath.loop_at(m) for m in range(cg.sl.n)]
@@ -385,8 +385,6 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     all N^2 pairs; the verdict, witness and any exception are the same
     either way.
     """
-    from .resgraph import check_axioms
-
     cg = build_cover_graph(S, gens)
     checks = []
 

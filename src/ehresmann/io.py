@@ -14,7 +14,7 @@ from .actions import PartialAction, Premorphism
 from .core import OpTableSemigroup
 from .cover import CanonicalPath
 from .relmonoid import Rel
-from .resgraph import FiniteMonoid, FreeMonoid, ResGraph, Semilattice
+from .resgraph import FiniteMonoid, FreeMonoid, ResGraph, Semilattice, Side
 
 VERSION = 1
 KINDS = ("semigroup", "resgraph", "relgen", "premorphism")
@@ -211,7 +211,6 @@ def load_resgraph(doc) -> ResGraph:
 
 def dump_resgraph(G: ResGraph) -> dict:
     edges = G.sorted_edges()
-    index = {c: i for i, c in enumerate(edges)}
     doc = {
         "kind": "resgraph",
         "version": VERSION,
@@ -221,12 +220,10 @@ def dump_resgraph(G: ResGraph) -> dict:
                   for c in edges],
     }
     if G.has_restrictions:
-        doc["restrict"] = [
-            {"edge": index[c], "g": g, "to": index[G.restrict(c, g)]}
-            for c in edges for g in G.sl.below(c[0])]
-        doc["corestrict"] = [
-            {"edge": index[c], "h": h, "to": index[G.corestrict(c, h)]}
-            for c in edges for h in G.sl.below(c[2])]
+        for key, vertex, side in (("restrict", "g", Side(G, 0)),
+                                  ("corestrict", "h", Side(G, 2))):
+            doc[key] = [{"edge": i, vertex: v, "to": j} for i, c in enumerate(edges)
+                        for v, j in zip(G.sl.below(c[side.end]), side.moves(i))]
     return doc
 
 

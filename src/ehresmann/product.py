@@ -14,15 +14,28 @@ from dataclasses import dataclass
 from . import core
 from .core import OpTableSemigroup
 from .report import Check, FAIL, PASS, Report, first_witness
-from .resgraph import FiniteMonoid, ResGraph, Semilattice, check_pm
+from .resgraph import (FiniteMonoid, ResGraph, Semilattice, Side, check_pm,
+                       cover_shape_problem)
 
 
 class PMViolationError(ValueError):
     """A composable pair of edges has no composite edge."""
 
+    check = "partial multiaction"
+
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"missing composite edge for {witness!r}")
+
+
+class MissingProductError(ValueError):
+    """The product of two edges is a triple that is not an edge."""
+
+    check = "edge product"
+
+    def __init__(self, c, d, triple):
+        self.witness = (c, d, triple)
+        super().__init__(f"product of {c!r} and {d!r} is {triple!r}, which is not an edge")
 
 
 class InapplicableError(ValueError):
@@ -58,39 +71,43 @@ def build_product(G: ResGraph):
     for e in range(G.sl.n):
         if (e, one, e) not in G.edges:
             raise ValueError(f"missing identity loop at vertex {e}")
-    edges = G.sorted_edges()
-    idx = {c: i for i, c in enumerate(edges)}
-    k = len(edges)
-    mult = [[0] * k for _ in range(k)]
+    R, C = Side(G, 0), Side(G, 2)
+    edges, ids, meet, mul = R.edges, R.ids, G.sl.meet, G.mon.mul
+    mult = []
     for i, c in enumerate(edges):
+        row, crow, at = [], C.table[i], meet[c[2]]
         for j, d in enumerate(edges):
-            m = G.sl.meet[c[2]][d[0]]
-            c2 = G.corestrict(c, m)
-            d2 = G.restrict(d, m)
-            comp = (c2[0], G.mon.mul(c2[1], d2[1]), d2[2])
-            mult[i][j] = idx[comp]
-    plus = [idx[(c[0], one, c[0])] for c in edges]
-    star = [idx[(c[2], one, c[2])] for c in edges]
+            m = at[d[0]]
+            x, y = crow[m], R.table[j][m]
+            if x < 0 or y < 0:
+                x, y = C.id(i, m), R.id(j, m)
+            x, y = edges[x], edges[y]
+            comp = (x[0], mul(x[1], y[1]), y[2])
+            z = ids.get(comp)
+            if z is None:
+                raise MissingProductError(c, d, comp)
+            row.append(z)
+        mult.append(row)
+    plus = [ids[(c[0], one, c[0])] for c in edges]
+    star = [ids[(c[2], one, c[2])] for c in edges]
     names = [G.edge_str(c) for c in edges]
-    return OpTableSemigroup(k, mult, plus, star, names), edges
+    return OpTableSemigroup(len(edges), mult, plus, star, names), edges
 
 
-def edge_le_l(G: ResGraph, u, v) -> bool:
-    return any(G.restrict(v, g) == u for g in G.sl.below(v[0]))
-
-
-def edge_le_r(G: ResGraph, u, v) -> bool:
-    return any(G.corestrict(v, h) == u for h in G.sl.below(v[2]))
+def edge_orders(G: ResGraph):
+    """The edge orders <=_l, <=_r and <= as down-sets of edge ids: u <=_l v
+    when u is a restriction of v, u <=_r v when u is a corestriction of v,
+    and u <= v when u is a corestriction of a restriction of v."""
+    R, C = Side(G, 0), Side(G, 2)
+    down_l, down_r = ([set(s.moves(i)) for i in range(len(s.edges))] for s in (R, C))
+    return down_l, down_r, [set().union(*(down_r[m] for m in ms)) for ms in down_l]
 
 
 def edge_le(G: ResGraph, u, v) -> bool:
     """u <= v in the edge order: u is a corestriction of a restriction of v."""
-    for g in G.sl.below(v[0]):
-        m = G.restrict(v, g)
-        for h in G.sl.below(m[2]):
-            if G.corestrict(m, h) == u:
-                return True
-    return False
+    R, C = Side(G, 0), Side(G, 2)
+    u = R.ids.get(u)
+    return any(u in C.moves(m) for m in R.moves(R.index(v)))
 
 
 def check_construction_claims(G: ResGraph, built=None) -> Report:
@@ -106,13 +123,13 @@ def check_construction_claims(G: ResGraph, built=None) -> Report:
 
     orders = core.natural_orders(S)
     rng = range(S.n)
-    for name, table, edge_rel in (
-            ("le_l_is_restriction_reachability", orders.le_l, edge_le_l),
-            ("le_r_is_corestriction_reachability", orders.le_r, edge_le_r),
-            ("le_is_two_sided_reachability", orders.le, edge_le)):
+    for name, table, down in zip(
+            ("le_l_is_restriction_reachability", "le_r_is_corestriction_reachability",
+             "le_is_two_sided_reachability"),
+            (orders.le_l, orders.le_r, orders.le), edge_orders(G)):
         checks.append(first_witness(name, (
             (edges[i], edges[j]) for i in rng for j in rng
-            if table[i][j] != edge_rel(G, edges[i], edges[j]))))
+            if table[i][j] != (i in down[j]))))
 
     one = G.mon.one
     P = core.projections(S).members
@@ -139,23 +156,17 @@ def check_properness_criterion(G: ResGraph) -> bool:
     common edge in the edge order, which forces the sigma classes of the
     product to be exactly the label fibers.
     """
-    if not G.mon.is_free:
-        raise InapplicableError("criterion needs free-monoid labels")
-    for (d, lab, r) in G.edges:
-        if len(lab) > 1:
-            raise InapplicableError(f"label {lab!r} is not a letter or identity")
-        if len(lab) == 0 and d != r:
-            raise InapplicableError(f"identity-labelled edge ({d},{r}) is not a loop")
+    problem = cover_shape_problem(G)
+    if problem is not None:
+        raise InapplicableError(problem)
     by_letter = {}
-    for c in G.sorted_edges():
+    for i, c in enumerate(G.sorted_edges()):
         if c[1]:
-            by_letter.setdefault(c[1], []).append(c)
-    for group in by_letter.values():
-        for i, u in enumerate(group):
-            for v in group[i:]:
-                if not any(edge_le(G, u, w) and edge_le(G, v, w) for w in group):
-                    return False
-    return True
+            by_letter.setdefault(c[1], []).append(i)
+    down = edge_orders(G)[2]
+    return all(any(u in down[w] and v in down[w] for w in group)
+               for group in by_letter.values()
+               for k, u in enumerate(group) for v in group[k:])
 
 
 @dataclass
@@ -194,14 +205,12 @@ def underlying_graph(S: OpTableSemigroup, Y=None) -> UnderlyingGraphResult:
         of_element[a] = edge
         to_element[edge] = a
 
-    restrict, corestrict = {}, {}
+    m, restrict, corestrict = S.mult, {}, {}
     for a, edge in of_element.items():
-        for g in sl.below(edge[0]):
-            ga = S.mult[proj_list[g]][a]
-            restrict[(edge, g)] = of_element[ga]
-        for h in sl.below(edge[2]):
-            ah = S.mult[a][proj_list[h]]
-            corestrict[(edge, h)] = of_element[ah]
+        restrict.update(((edge, g), of_element[m[proj_list[g]][a]])
+                        for g in sl.below(edge[0]))
+        corestrict.update(((edge, h), of_element[m[a][proj_list[h]]])
+                          for h in sl.below(edge[2]))
     graph = ResGraph(sl, mon, set(to_element), restrict, corestrict)
     return UnderlyingGraphResult(graph, to_element, of_element, cong,
                                  quotient, proj_list, proj_index)
@@ -287,19 +296,23 @@ def round_trip_check(G: ResGraph) -> Report:
     def translate(c):
         return (vertex_map[c[0]], label_of_class[c[1]], vertex_map[c[2]])
 
+    sides = {end: (Side(ug.graph, end), Side(G, end)) for end in (0, 2)}
+
+    def mismatch(i, c, end):
+        # the first vertex where moving c and moving its translation disagree
+        mine, theirs = sides[end]
+        g_edge = translate(c)
+        j = theirs.index(g_edge)
+        return next(((g_edge, vertex_map[v])
+                     for v, x in zip(mine.sl.below(c[end]), mine.moves(i))
+                     if translate(mine.edges[x])
+                     != theirs.edges[theirs.id(j, vertex_map[v])]), None)
+
     def mismatches():
-        for c in ug.graph.sorted_edges():
-            g_edge = translate(c)
-            bad_restrict = next((
-                (g_edge, vertex_map[g]) for g in ug.graph.sl.below(c[0])
-                if translate(ug.graph.restrict(c, g))
-                != G.restrict(g_edge, vertex_map[g])), None)
-            bad_corestrict = next((
-                (g_edge, vertex_map[h]) for h in ug.graph.sl.below(c[2])
-                if translate(ug.graph.corestrict(c, h))
-                != G.corestrict(g_edge, vertex_map[h])), None)
-            if bad_restrict or bad_corestrict:
-                yield bad_corestrict or bad_restrict
+        for i, c in enumerate(ug.graph.sorted_edges()):
+            bad = [mismatch(i, c, end) for end in (0, 2)]
+            if bad[0] or bad[1]:
+                yield bad[1] or bad[0]
 
     checks.append(first_witness("restrictions_match", mismatches()))
     return Report(checks)

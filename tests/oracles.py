@@ -3,7 +3,7 @@
 from collections import deque
 
 from ehresmann import core, cover, product, relmonoid, resgraph
-from ehresmann.report import first_witness
+from ehresmann.report import Check, FAIL, PASS, Report, first_witness
 
 
 def set_partitions(items):
@@ -204,6 +204,7 @@ class ReferenceResGraph:
         self.mon = mon
         self.edges = frozenset(edges)
         self._edge_list = sorted(self.edges)
+        self.edge_id = {c: i for i, c in enumerate(self._edge_list)}
         self._restrict = restrict
         self._corestrict = corestrict
         self._out = {}
@@ -258,7 +259,7 @@ class ReferenceResGraph:
 
     def _table(self, apply, end):
         # -1 wherever a call raises, as the old try_restrict returned None
-        index = {c: i for i, c in enumerate(self._edge_list)}
+        index = self.edge_id
         table = []
         for c in self._edge_list:
             row = [-1] * self.sl.n
@@ -366,3 +367,328 @@ def reference_mult_witnesses(cg, forms, phis):
     mult = cg.S.mult
     return ((str(u), str(v)) for u, fu in zip(forms, phis) for v, fv in zip(forms, phis)
             if cover.phi(cg, cover.cover_mult(cg, u, v)) != mult[fu][fv])
+
+
+# ---------------------------------------------------------------------------
+# the graph laws written side by side, one restriction or corestriction call
+# per edge; the kernel in resgraph and product writes each dual pair once
+
+def reference_all_paths(G, max_len):
+    """All paths of length 1..max_len, in deterministic order."""
+    out = []
+    frontier = [(c,) for c in G.sorted_edges()]
+    for _ in range(max_len):
+        out.extend(frontier)
+        frontier = [p + (c,) for p in frontier for c in G.edges_from(p[-1][2])]
+    return out
+
+
+def reference_restrict_path(G, p, e):
+    """Left-to-right fold of edge restriction; source becomes e."""
+    if not G.sl.leq(e, p[0][0]):
+        raise resgraph.RestrictionUndefinedError(f"{e} is not below the path source")
+    out = []
+    cur = e
+    for c in p:
+        nc = G.restrict(c, cur)
+        out.append(nc)
+        cur = nc[2]
+    return tuple(out)
+
+
+def reference_corestrict_path(G, p, f):
+    """Right-to-left fold of edge corestriction; target becomes f."""
+    if not G.sl.leq(f, p[-1][2]):
+        raise resgraph.RestrictionUndefinedError(f"{f} is not below the path target")
+    out = []
+    cur = f
+    for c in reversed(p):
+        nc = G.corestrict(c, cur)
+        out.append(nc)
+        cur = nc[0]
+    return tuple(reversed(out))
+
+
+def reference_check_axioms(G, max_chain=3):
+    """The edge axioms with R1-R5 and CR1-CR5 written out separately."""
+    checks = []
+    sl, mon = G.sl, G.mon
+    one = mon.one
+    restrict_path, corestrict_path = reference_restrict_path, reference_corestrict_path
+
+    checks.append(first_witness("identity_loops_present", (
+        (e,) for e in range(sl.n) if (e, one, e) not in G.edges)))
+
+    edges = G.sorted_edges()
+    checks.append(first_witness("restriction_total", (
+        (c, g) for c, row in zip(edges, G.restrict_table) for g in sl.below(c[0])
+        if row[g] < 0)))
+    checks.append(first_witness("corestriction_total", (
+        (c, h) for c, row in zip(edges, G.corestrict_table) for h in sl.below(c[2])
+        if row[h] < 0)))
+    if not all(c.ok for c in checks):
+        return Report(checks)
+
+    def chains():
+        return (p for p in reference_all_paths(G, max_chain) if len(p) >= 2)
+
+    def gen_r1():
+        for c in G.sorted_edges():
+            for g in sl.below(c[0]):
+                rc = G.restrict(c, g)
+                if rc[0] != g or rc[1] != c[1] or not sl.leq(rc[2], c[2]):
+                    yield (c, g, rc)
+
+    def gen_r2():
+        for c in G.sorted_edges():
+            if G.restrict(c, c[0]) != c:
+                yield (c,)
+
+    def gen_r3():
+        for c in G.sorted_edges():
+            for g in sl.below(c[0]):
+                rc = G.restrict(c, g)
+                for h in sl.below(g):
+                    if G.restrict(rc, h) != G.restrict(c, h):
+                        yield (c, g, h)
+
+    def gen_r5():
+        for e in range(sl.n):
+            for f in sl.below(e):
+                if G.restrict((e, one, e), f) != (f, one, f):
+                    yield (e, f)
+
+    def gen_cr1():
+        for c in G.sorted_edges():
+            for h in sl.below(c[2]):
+                cc = G.corestrict(c, h)
+                if cc[2] != h or cc[1] != c[1] or not sl.leq(cc[0], c[0]):
+                    yield (c, h, cc)
+
+    def gen_cr2():
+        for c in G.sorted_edges():
+            if G.corestrict(c, c[2]) != c:
+                yield (c,)
+
+    def gen_cr3():
+        for c in G.sorted_edges():
+            for g in sl.below(c[2]):
+                cc = G.corestrict(c, g)
+                for h in sl.below(g):
+                    if G.corestrict(cc, h) != G.corestrict(c, h):
+                        yield (c, g, h)
+
+    def gen_cr5():
+        for e in range(sl.n):
+            for f in sl.below(e):
+                if G.corestrict((e, one, e), f) != (f, one, f):
+                    yield (e, f)
+
+    def gen_r4():
+        for chain in chains():
+            comp = (chain[0][0], resgraph.path_label(G, chain), chain[-1][2])
+            if comp not in G.edges:
+                continue
+            for e0 in sl.below(comp[0]):
+                restricted = restrict_path(G, chain, e0)
+                expected = (e0, comp[1], restricted[-1][2])
+                if G.restrict(comp, e0) != expected:
+                    yield (chain, e0)
+
+    def gen_cr4():
+        for chain in chains():
+            comp = (chain[0][0], resgraph.path_label(G, chain), chain[-1][2])
+            if comp not in G.edges:
+                continue
+            for en in sl.below(comp[2]):
+                corestricted = corestrict_path(G, chain, en)
+                expected = (corestricted[0][0], comp[1], en)
+                if G.corestrict(comp, en) != expected:
+                    yield (chain, en)
+
+    def gen_c():
+        for c in G.sorted_edges():
+            for g in sl.below(c[0]):
+                rc = G.restrict(c, g)
+                for h in sl.below(c[2]):
+                    ch = G.corestrict(c, h)
+                    lhs = G.corestrict(rc, sl.meet[rc[2]][h])
+                    rhs = G.restrict(ch, sl.meet[ch[0]][g])
+                    target = (sl.meet[g][ch[0]], c[1], sl.meet[rc[2]][h])
+                    if lhs != rhs or lhs != target:
+                        yield (c, g, h)
+
+    checks += [first_witness("R1", gen_r1()), first_witness("R2", gen_r2()),
+               first_witness("R3", gen_r3()), first_witness("R4", gen_r4()),
+               first_witness("R5", gen_r5()), first_witness("CR1", gen_cr1()),
+               first_witness("CR2", gen_cr2()), first_witness("CR3", gen_cr3()),
+               first_witness("CR4", gen_cr4()), first_witness("CR5", gen_cr5()),
+               first_witness("C", gen_c())]
+
+    if not G.mon.is_free:
+        labels = set()
+        seen = set()
+        frontier = deque()
+        for c in G.sorted_edges():
+            state = (c[2], c[1])
+            labels.add(c[1])
+            if state not in seen:
+                seen.add(state)
+                frontier.append(state)
+        while frontier:
+            v, lab = frontier.popleft()
+            for c in G.edges_from(v):
+                state = (c[2], mon.mul(lab, c[1]))
+                labels.add(state[1])
+                if state not in seen:
+                    seen.add(state)
+                    frontier.append(state)
+        missing = [t for t in mon.elements() if t not in labels]
+        checks.append(Check("every_label_has_a_path", FAIL if missing else PASS,
+                            tuple(missing) or None))
+    return Report(checks)
+
+
+def reference_check_path_axioms(G, bound=3):
+    """The path laws with every pair of paths tried for R4a and CR4a."""
+    sl = G.sl
+    paths = reference_all_paths(G, bound)
+    restrict_path, corestrict_path = reference_restrict_path, reference_corestrict_path
+
+    def path_d(p):
+        return p[0][0]
+
+    def path_r(p):
+        return p[-1][2]
+
+    def gen_r3a():
+        for p in paths:
+            for e in sl.below(path_d(p)):
+                rp = restrict_path(G, p, e)
+                for g in sl.below(e):
+                    if restrict_path(G, rp, g) != restrict_path(G, p, g):
+                        yield (p, e, g)
+
+    def gen_cr3a():
+        for p in paths:
+            for f in sl.below(path_r(p)):
+                cp = corestrict_path(G, p, f)
+                for g in sl.below(f):
+                    if corestrict_path(G, cp, g) != corestrict_path(G, p, g):
+                        yield (p, f, g)
+
+    def gen_r4a():
+        for p in paths:
+            for q in paths:
+                if path_r(p) != path_d(q) or len(p) + len(q) > bound:
+                    continue
+                for e in sl.below(path_d(p)):
+                    rp = restrict_path(G, p, e)
+                    if restrict_path(G, p + q, e) != rp + restrict_path(G, q, path_r(rp)):
+                        yield (p, q, e)
+
+    def gen_cr4a():
+        for p in paths:
+            for q in paths:
+                if path_r(p) != path_d(q) or len(p) + len(q) > bound:
+                    continue
+                for g in sl.below(path_r(q)):
+                    cq = corestrict_path(G, q, g)
+                    if corestrict_path(G, p + q, g) != corestrict_path(G, p, path_d(cq)) + cq:
+                        yield (p, q, g)
+
+    def gen_ca():
+        for p in paths:
+            for e in sl.below(path_d(p)):
+                rp = restrict_path(G, p, e)
+                for f in sl.below(path_r(p)):
+                    cp = corestrict_path(G, p, f)
+                    lhs = corestrict_path(G, rp, sl.meet[path_r(rp)][f])
+                    rhs = restrict_path(G, cp, sl.meet[path_d(cp)][e])
+                    if lhs != rhs:
+                        yield (p, e, f)
+
+    return Report([
+        first_witness("R3a", gen_r3a()), first_witness("R4a", gen_r4a()),
+        first_witness("CR3a", gen_cr3a()), first_witness("CR4a", gen_cr4a()),
+        first_witness("Ca", gen_ca())])
+
+
+def reference_build_product(G):
+    """The product table with one corestriction and one restriction call
+    per pair of edges; a product that is not an edge raises KeyError."""
+    witness = resgraph.check_pm(G)
+    if witness is not None:
+        raise product.PMViolationError(witness)
+    one = G.mon.one
+    for e in range(G.sl.n):
+        if (e, one, e) not in G.edges:
+            raise ValueError(f"missing identity loop at vertex {e}")
+    edges = G.sorted_edges()
+    idx = {c: i for i, c in enumerate(edges)}
+    k = len(edges)
+    mult = [[0] * k for _ in range(k)]
+    for i, c in enumerate(edges):
+        for j, d in enumerate(edges):
+            m = G.sl.meet[c[2]][d[0]]
+            c2 = G.corestrict(c, m)
+            d2 = G.restrict(d, m)
+            comp = (c2[0], G.mon.mul(c2[1], d2[1]), d2[2])
+            mult[i][j] = idx[comp]
+    plus = [idx[(c[0], one, c[0])] for c in edges]
+    star = [idx[(c[2], one, c[2])] for c in edges]
+    names = [G.edge_str(c) for c in edges]
+    return core.OpTableSemigroup(k, mult, plus, star, names), edges
+
+
+def reference_edge_le_l(G, u, v):
+    return any(G.restrict(v, g) == u for g in G.sl.below(v[0]))
+
+
+def reference_edge_le_r(G, u, v):
+    return any(G.corestrict(v, h) == u for h in G.sl.below(v[2]))
+
+
+def reference_edge_le(G, u, v):
+    """u is a corestriction of a restriction of v."""
+    for g in G.sl.below(v[0]):
+        m = G.restrict(v, g)
+        for h in G.sl.below(m[2]):
+            if G.corestrict(m, h) == u:
+                return True
+    return False
+
+
+def reference_check_partial_action_laws(pa):
+    """The partial-action laws with the LD and RD halves written out."""
+    sides = []
+    if all(relmonoid.classify(r)["in_PT"] for r in pa.phi.values()):
+        sides.append("LD")
+    if all(relmonoid.classify(r)["in_PTc"] for r in pa.phi.values()):
+        sides.append("RD")
+    if not sides:
+        raise ValueError("laws need a deterministic premorphism (LD or RD)")
+    sl = pa.sl
+    checks = []
+    items = [(t, pa.phi[t]) for t in sorted(pa.phi)]
+    if "LD" in sides:
+        domains = {t: [x for x in range(sl.n) if rel.row(x)] for t, rel in items}
+        checks.append(first_witness("domains_are_order_ideals", (
+            (t, f, e) for t, domain in domains.items() for e in domain
+            for f in sl.below(e) if f not in domain)))
+        images = {t: dict(rel.pairs()) for t, rel in items}
+        checks.append(first_witness("maps_order_preserving", (
+            (t, f, e) for t, image in images.items() for e in image for f in image
+            if sl.leq(f, e) and not sl.leq(image[f], image[e]))))
+    if "RD" in sides:
+        ranges = {t: [y for y in range(sl.n) if any(rel.has(x, y) for x in range(sl.n))]
+                  for t, rel in items}
+        checks.append(first_witness("ranges_are_order_ideals", (
+            (t, f, e) for t, rng in ranges.items() for e in rng
+            for f in sl.below(e) if f not in rng)))
+        preimages = {t: {y: x for (x, y) in rel.pairs()} for t, rel in items}
+        checks.append(first_witness("inverse_maps_order_preserving", (
+            (t, f, e) for t, preimage in preimages.items() for e in preimage
+            for f in preimage
+            if sl.leq(f, e) and not sl.leq(preimage[f], preimage[e]))))
+    return Report(checks)

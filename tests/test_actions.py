@@ -1,3 +1,7 @@
+import collections
+import random
+import re
+
 import pytest
 
 from ehresmann import actions, core, corpus, product, relmonoid
@@ -8,7 +12,9 @@ from ehresmann.actions import (PartialAction, Premorphism, build_pair_form,
                                partial_action_graph, premorphism_to_graph,
                                validate_partial_action, validate_premorphism)
 from ehresmann.relmonoid import Rel
-from ehresmann.resgraph import chain_semilattice
+from ehresmann.resgraph import Semilattice, chain_semilattice
+
+from oracles import reference_check_partial_action_laws
 
 
 def test_premorphism_from_e2t2_graph():
@@ -248,3 +254,34 @@ def test_partial_map_application_rejects_two_valued_relations():
     assert actions._apply_inv(two_valued, 0) == 0
     with pytest.raises(core.InvariantError):
         actions._apply_inv(two_valued, 1)
+
+
+def test_partial_action_laws_match_side_by_side():
+    # random partial maps and converses of partial maps on small semilattices,
+    # against the laws with the LD and RD halves written out
+    rng = random.Random(3)
+    diamond = Semilattice(4, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]])
+    lattices = [chain_semilattice(2), chain_semilattice(3), diamond]
+    seen = collections.Counter()
+    for _ in range(400):
+        sl = rng.choice(lattices)
+        xs = rng.sample(range(sl.n), rng.randint(1, sl.n))
+        pairs = [(x, rng.randrange(sl.n)) for x in xs]
+        if rng.random() < .5:
+            pairs = [(y, x) for x, y in pairs]
+        if rng.random() < .2:  # often neither a partial map nor a converse one
+            pairs += [(rng.randrange(sl.n), rng.randrange(sl.n)) for _ in range(2)]
+        pa = PartialAction(sl, corpus.t2_monoid(),
+                           {0: relmonoid.identity(sl.n), 1: Rel.from_pairs(sl.n, pairs)})
+        try:
+            want = reference_check_partial_action_laws(pa).checks
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                check_partial_action_laws(pa)
+            seen["raised"] += 1
+            continue
+        assert check_partial_action_laws(pa).checks == want, pairs
+        seen.update(c.name for c in want if not c.ok)
+    assert min(seen[name] for name in (
+        "domains_are_order_ideals", "maps_order_preserving", "ranges_are_order_ideals",
+        "inverse_maps_order_preserving", "raised")) >= 5, seen

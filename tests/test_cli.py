@@ -376,3 +376,41 @@ def test_deterministic_output(e2t2_graph_file, capsys):
     cli.main(["product", "check", e2t2_graph_file])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_failed_laws_exit_1_not_2(tmp_path, capsys):
+    # restriction of the loop (f,1,f) to f gives (e,1,e): R1 fails, and
+    # the product of (f,1,f) with itself is (f,1,e), which is not an edge
+    G = corpus.e2t2_graph()
+    edges = G.sorted_edges()
+    doc = io.dump_resgraph(G)
+    for item in doc["restrict"]:
+        if (edges[item["edge"]], item["g"]) == ((0, 0, 0), 0):
+            item["to"] = edges.index((1, 0, 1))
+    graph = tmp_path / "e2t2_r1.json"
+    io.save(graph, doc)
+    for command in (["verify"], ["graph-check"]):
+        assert cli.main(command + [str(graph)]) == EXIT_FAIL
+        out = capsys.readouterr().out
+        assert "FAIL  R1  witness=((0, 0, 0), 0, (1, 0, 1))" in out, command
+        assert "FAIL  R3  witness=((0, 0, 0), 0, 0)" in out, command
+        assert "FAIL  R4  witness=(((0, 0, 0), (0, 0, 0)), 0)" in out, command
+    for action in ("build", "check"):
+        assert cli.main(["product", action, str(graph)]) == EXIT_FAIL
+        assert capsys.readouterr().out == (
+            "FAIL  edge product: product of (0, 0, 0) and (0, 0, 0) is (0, 0, 1), "
+            "which is not an edge\n")
+
+    # cover verify checks the Ehresmann axioms first
+    doc = io.dump_semigroup(dict(corpus.semigroups())["pt2"])
+    doc["mult"][3][8] = 2
+    table = tmp_path / "pt2_bad.json"
+    io.save(table, doc)
+    assert cli.main(["verify", str(table)]) == EXIT_FAIL
+    assert "FAIL  associativity  witness=(1, 3, 8)" in capsys.readouterr().out
+    assert cli.main(["cover", "verify", str(table), "--gens", "1,4,5"]) == EXIT_FAIL
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["not an Ehresmann semigroup:",
+                       "FAIL  associativity  witness=(1, 3, 8)"]
+    # a generator out of range is still an input error
+    assert cli.main(["cover", "verify", str(table), "--gens", "1,99"]) == EXIT_INPUT

@@ -1,16 +1,20 @@
+import collections
 import random
 
 import pytest
 
-from ehresmann import core, corpus, cover, product, resgraph
-from ehresmann.report import FAIL, INCONCLUSIVE, PASS, Report
+from ehresmann import actions, core, corpus, cover, product, resgraph
+from ehresmann.report import FAIL, INCONCLUSIVE, PASS, Check, Report
 from ehresmann.resgraph import (FiniteMonoid, FreeMonoid, ResGraph,
                                 RestrictionUndefinedError, Semilattice,
                                 all_paths, chain_semilattice, contract_step,
                                 corestrict_path, equivalent_paths, make_path,
                                 path_d, path_label, path_r, restrict_path)
-from oracles import (ReferenceResGraph, reference_cover_graph,
-                     reference_letter_edge_tables, reference_totality_checks)
+from oracles import (ReferenceResGraph, reference_build_product,
+                     reference_check_axioms, reference_check_path_axioms,
+                     reference_cover_graph, reference_edge_le, reference_edge_le_l,
+                     reference_edge_le_r, reference_letter_edge_tables,
+                     reference_totality_checks)
 
 
 def test_semilattice_validation():
@@ -365,3 +369,133 @@ def test_cover_graph_raises_where_the_reference_does():
                 assert got == want, name
             raised += got[1] is RestrictionUndefinedError
     assert raised > 10
+
+
+def _wrong_end(G, maps):
+    """Copies of the maps with one entry sent to an edge whose source
+    (restriction) or target (corestriction) is not the vertex asked for."""
+    edges, out = G.sorted_edges(), []
+    for side, end in ((0, 0), (1, 2)):
+        keys = sorted(maps[side])
+        for key in dict.fromkeys([keys[0], keys[len(keys) // 2], keys[-1]]):
+            wrong = next((d for d in edges if d[end] != key[1]), None)
+            if wrong is not None:
+                moved = [dict(m) for m in maps]
+                moved[side][key] = wrong
+                out.append(tuple(moved))
+    return out
+
+
+def _random_down_rectangle_graphs(seed, count):
+    """Graphs drawn as actions.search_sigma_label_violation draws them."""
+    rng = random.Random(seed)
+    diamond = Semilattice(4, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]])
+    lattices = [chain_semilattice(2), chain_semilattice(3), diamond]
+    monoids = [FiniteMonoid(2, [[0, 1], [1, 1]], 0),
+               FiniteMonoid(3, [[0, 1, 2], [1, 2, 2], [2, 2, 2]], 0)]
+    for _ in range(count):
+        sl, mon = rng.choice(lattices), rng.choice(monoids)
+        yield actions.down_rectangle_graph(rng, sl, mon)
+
+
+def _product_outcome(build, G):
+    try:
+        S, edges = build(G)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return ("raise", type(exc), str(exc))
+    return ("value", S.mult, S.plus, S.star, S.names, edges)
+
+
+def _compare_with_reference(G, what, seen):
+    """The kernel against the laws written side by side in oracles.py:
+    equal reports, witnesses and exceptions, except that a left side the
+    reference raises on in check_axioms is a FAIL, only where R1 or CR1
+    fails."""
+    for max_chain in (2, 3):
+        want = _outcome(reference_check_axioms, G, max_chain)
+        got = _outcome(resgraph.check_axioms, G, max_chain)
+        if want[0] == "raise":
+            seen["axioms raised"] += 1
+            assert want[1] is RestrictionUndefinedError, what
+            status = {name: st for name, st, _ in got[1]}
+            assert FAIL in (status["R1"], status["CR1"]), what
+        else:
+            seen["axioms " + Report([Check(*row) for row in want[1]]).status] += 1
+            assert got == want, what
+    want = _outcome(reference_check_path_axioms, G, 2)
+    seen["path axioms " + want[0]] += 1
+    assert _outcome(resgraph.check_path_axioms, G, 2) == want, what
+
+    want = _product_outcome(reference_build_product, G)
+    got = _product_outcome(product.build_product, G)
+    if want[:2] == ("raise", KeyError):
+        seen["product not an edge"] += 1
+        assert got[1] is product.MissingProductError, what
+        assert got[2].endswith(f" is {want[2]}, which is not an edge"), what
+    else:
+        seen["product " + want[0]] += 1
+        assert got == want, what
+
+    edges = G.sorted_edges()
+    for u in edges:
+        for v in edges:
+            assert (_outcome(product.edge_le, G, u, v)
+                    == _outcome(reference_edge_le, G, u, v)), what
+    references = (reference_edge_le_l, reference_edge_le_r, reference_edge_le)
+    pairs = [(rel, u, v) for rel in references for v in edges for u in edges]
+    raised = next((out for rel, u, v in pairs
+                   for out in [_outcome(rel, G, u, v)] if out[0] == "raise"), None)
+    got = _outcome(product.edge_orders, G)
+    if raised is not None:
+        assert got == raised, what
+    else:
+        ids = G.edge_id
+        assert [[{ids[u] for u in edges if rel(G, u, v)} for v in edges]
+                for rel in references] == list(got[1]), what
+
+
+def test_kernel_matches_side_by_side_laws():
+    seen = collections.Counter()
+    for name, G, _ in _kernel_graphs():
+        maps = _maps_of(G)
+        for restrict, corestrict in [maps] + _perturbed(G, maps) + _wrong_end(G, maps):
+            _compare_with_reference(ResGraph(G.sl, G.mon, G.edges, restrict, corestrict),
+                                    name, seen)
+    for i, G in enumerate(_random_down_rectangle_graphs(11, 30)):
+        _compare_with_reference(G, f"random graph {i}", seen)
+        for restrict, corestrict in _wrong_end(G, _maps_of(G))[:0 if i % 3 else 1]:
+            _compare_with_reference(ResGraph(G.sl, G.mon, G.edges, restrict, corestrict),
+                                    f"random graph {i}, wrong end", seen)
+    assert min(seen[k] for k in ("axioms raised", "axioms PASS", "axioms FAIL",
+                                 "product not an edge", "product value")) >= 5, seen
+
+
+def test_undefined_left_side_fails_its_law():
+    # on the two-chain f < e, move (e,1,e) to its own end e onto (f,1,f):
+    # moving that again to e is undefined, which the side-by-side laws
+    # raise on and the kernel reports at the law's witness
+    G = corpus.e2t2_graph()
+    loop_e, loop_f = (1, 0, 1), (0, 0, 0)
+    for side, law in ((0, "R3"), (1, "CR3")):
+        maps = [dict(m) for m in _maps_of(G)]
+        maps[side][(loop_e, 1)] = loop_f
+        H = ResGraph(G.sl, G.mon, G.edges, *maps)
+        with pytest.raises(RestrictionUndefinedError,
+                           match=r"restriction of \(f,1,f\) to non-lower vertex 1"):
+            reference_check_axioms(H)
+        assert resgraph.check_axioms(H)[law].witness == (loop_e, 1, 1), law
+
+
+def test_round_trip_names_the_first_mismatch():
+    # an underlying graph with one restriction or corestriction moved to a
+    # wrong edge: the maps recovered from its product differ from its own
+    semigroups = dict(corpus.semigroups())
+    found = []
+    for name in ("sub_b2_row", "eight_monoid"):
+        G = product.underlying_graph(semigroups[name]).graph
+        for maps in _wrong_end(G, _maps_of(G)):
+            rep = _outcome(product.round_trip_check, ResGraph(G.sl, G.mon, G.edges, *maps))
+            if rep[0] == "report" and rep[1][-1][:2] == ("restrictions_match", FAIL):
+                found.append((name, rep[1][-1][2]))
+    assert found == [("sub_b2_row", ((0, 0, 0), 0)), ("sub_b2_row", ((0, 0, 1), 1)),
+                     ("eight_monoid", ((0, 0, 0), 0))]
