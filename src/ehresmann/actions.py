@@ -272,11 +272,18 @@ def _apply(rel: Rel, x: int):
     return row.bit_length() - 1
 
 
-def _apply_inv(rel: Rel, y: int):
-    xs = [x for x in range(rel.n) if rel.has(x, y)]
-    if len(xs) != 1:
-        raise core.InvariantError(f"relation is not defined or not injective at {y}")
-    return xs[0]
+def _inverse(rel: Rel):
+    """The converse of rel as a map, read off its pairs once; it raises at
+    a point with no or several preimages."""
+    xs = [[] for _ in range(rel.n)]
+    for x, y in rel.pairs():
+        xs[y].append(x)
+
+    def apply(y: int):
+        if len(xs[y]) != 1:
+            raise core.InvariantError(f"relation is not defined or not injective at {y}")
+        return xs[y][0]
+    return apply
 
 
 def partial_action_graph(pa: PartialAction) -> ResGraph:
@@ -287,9 +294,10 @@ def partial_action_graph(pa: PartialAction) -> ResGraph:
         bad = report.failures()[0]
         raise ValueError(f"not a partial action: {bad.name} witness={bad.witness}")
     edges = _phi_edges(pa)
+    inverse = {t: _inverse(rel) for t, rel in _phi_items(pa)}
     restrict = {((x, t, y), g): (g, t, _apply(pa.phi[t], g))
                 for (x, t, y) in edges for g in pa.sl.below(x)}
-    corestrict = {((x, t, y), h): (_apply_inv(pa.phi[t], h), t, h)
+    corestrict = {((x, t, y), h): (inverse[t](h), t, h)
                   for (x, t, y) in edges for h in pa.sl.below(y)}
     return ResGraph(pa.sl, pa.mon, edges, restrict, corestrict)
 
@@ -307,14 +315,13 @@ def build_pair_form(pa: PartialAction):
              for e in range(sl.n) if pa.phi[s].row(e)]
     idx = {p: i for i, p in enumerate(pairs)}
     k = len(pairs)
+    inverse = {s: _inverse(pa.phi[s]) for s in mon.elements()}
     mult = [[0] * k for _ in range(k)]
     for i, (e, s) in enumerate(pairs):
-        es = _apply(pa.phi[s], e)
+        es, inv = _apply(pa.phi[s], e), inverse[s]
         for j, (f, t) in enumerate(pairs):
-            m = sl.meet[es][f]
             # ranges are order ideals, so the meet stays in ran(phi_s)
-            e2 = _apply_inv(pa.phi[s], m)
-            mult[i][j] = idx[(e2, mon.mul(s, t))]
+            mult[i][j] = idx[(inv(sl.meet[es][f]), mon.mul(s, t))]
     plus = [idx[(e, mon.one)] for (e, s) in pairs]
     star = [idx[(_apply(pa.phi[s], e), mon.one)] for (e, s) in pairs]
     names = [f"({sl.name(e)},{mon.label_str(s)})" for (e, s) in pairs]

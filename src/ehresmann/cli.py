@@ -109,6 +109,22 @@ def cmd_verify(args) -> int:
     return _exit(reports)
 
 
+class _NotEhresmannError(Exception):
+    """The semigroup a command works on fails the Ehresmann axioms."""
+
+    def __init__(self, report):
+        super().__init__("not an Ehresmann semigroup")
+        self.report = report
+
+
+def _require_ehresmann(S):
+    """Raise _NotEhresmannError when S fails the Ehresmann axioms; main then
+    prints the failing ones and exits 1."""
+    rep = core.verify_ehresmann(S)
+    if not rep.ok:
+        raise _NotEhresmannError(rep)
+
+
 def _not_ehresmann(args, rep) -> int:
     """Print the failing Ehresmann axioms of a semigroup that fails them."""
     _emit(args, _report_payload("ehresmann", rep),
@@ -118,9 +134,7 @@ def _not_ehresmann(args, rep) -> int:
 
 def cmd_analyze(args) -> int:
     S = _load(args.path, "semigroup", args.command)
-    rep = core.verify_ehresmann(S)
-    if not rep.ok:
-        return _not_ehresmann(args, rep)
+    _require_ehresmann(S)
     P = core.projections(S)
     orders = core.natural_orders(S)
     cong, quotient = core.sigma(S)
@@ -167,6 +181,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sigma(args) -> int:
     S = _load(args.path, "semigroup", args.command)
+    _require_ehresmann(S)
     cong, quotient = core.sigma(S)
     payload = {
         "classes": [[S.name(x) for x in cls] for cls in cong.classes],
@@ -265,10 +280,9 @@ def cmd_cover(args) -> int:
             lines.append(f"wrote {args.out}")
         _emit(args, doc, lines)
         return EXIT_OK
-    rep = core.verify_ehresmann(S)
-    if not rep.ok:
+    if not core.verify_ehresmann(S).ok:
         cover.build_cover_graph(S, gens)  # input errors come before failed axioms
-        return _not_ehresmann(args, rep)
+    _require_ehresmann(S)
     rep = cover.verify_cover(S, gens, len_bound=args.len_bound)
     _emit(args, _report_payload("cover", rep),
           [f"cover verification at length bound {args.len_bound}:"] + rep.lines())
@@ -278,6 +292,8 @@ def cmd_cover(args) -> int:
 def cmd_iso(args) -> int:
     S = _load(args.path, "semigroup", args.command)
     Y = _parse_gens(args.ideal) if args.ideal else None
+    core.ideal_members(S, Y)  # input errors come before failed axioms
+    _require_ehresmann(S)
     rep = product.structure_iso_check(S, Y)
     _emit(args, _report_payload("structure_iso", rep),
           ["structure isomorphism:"] + rep.lines())
@@ -304,6 +320,11 @@ def cmd_preimage(args) -> int:
 def cmd_proper_ideal(args) -> int:
     S = _load(args.path, "semigroup", args.command)
     Y = _parse_gens(args.ideal) if args.ideal else list(range(S.n))
+    # input errors come before failed axioms
+    core.ideal_members(S, Y)
+    if args.max_len < 1:
+        raise io.SchemaError("max_len must be at least 1")
+    _require_ehresmann(S)
     rep = core.check_proper_ideal(S, Y, max_len=args.max_len)
     payload = {"status": rep.status,
                "conditions": [{"name": c.name, "status": c.status,
@@ -461,6 +482,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
+    except _NotEhresmannError as exc:
+        return _not_ehresmann(args, exc.report)
     except io.SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

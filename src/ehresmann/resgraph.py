@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .core import associativity_witness, validate_table
+from .folds import Folds, Paths, fold_laws, path_compatibility
 from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
@@ -326,31 +327,21 @@ def corestrict_path(G: ResGraph, p, f: int) -> tuple:
     return Side(G, 2).path(p, f)
 
 
-def _id_paths(G: ResGraph, edges, max_len: int):
-    """all_paths as tuples of edge ids."""
-    ids = G.edge_id
-    after = [[ids[c] for c in G.edges_from(d[2])] for d in edges]
-    out, frontier = [], [(i,) for i in range(len(edges))]
-    for length in range(1, max_len + 1):
-        out.extend(frontier)
-        if length < max_len:
-            frontier = [p + (j,) for p in frontier for j in after[p[-1]]]
-    return out
-
-
 def all_paths(G: ResGraph, max_len: int):
     """All paths of length 1..max_len, in deterministic order."""
     edges = G.sorted_edges()
-    return [tuple(map(edges.__getitem__, p)) for p in _id_paths(G, edges, max_len)]
+    P = Paths(G, edges, max_len)
+    return [tuple(map(edges.__getitem__, P.path(k))) for k in range(len(P.last))]
 
 
 # ---------------------------------------------------------------------------
 # axiom checking
 
-def _edge_laws(s: Side, chains, one) -> list:
+def _edge_laws(s: Side, F: Folds, composite, one) -> list:
     """R1-R5 on the restriction side, CR1-CR5 on the corestriction side.
     With total maps a left side is undefined only where R1 (CR1) fails, by
-    moving an image to a vertex not below its end; that fails the law."""
+    moving an image to a vertex not below its end; that fails the law.
+    R4 (CR4) checks the chains k with an edge composite[k], -1 for none."""
     edges, table, end, far = s.edges, s.table, s.end, s.far
     below, meet = s.sl.below, s.sl.meet
 
@@ -368,16 +359,21 @@ def _edge_laws(s: Side, chains, one) -> list:
                 yield from ((c, g, h) for h in below(g) if twice[h] != row[h])
 
     def r4():
-        for chain, comp in chains:
-            lab, row = edges[comp][1], table[comp]
+        for k, comp in enumerate(composite):
+            if comp < 0:
+                continue
+            lab, row, folds = edges[comp][1], table[comp], F.row(k)
             for v in below(edges[comp][end]):
-                try:
-                    far_v = edges[s.fold(chain, v)[s.last]][far]
-                except RestrictionUndefinedError:
-                    far_v = None
+                if folds[v] >= 0:
+                    far_v = F.far[folds[v]]
+                else:
+                    try:
+                        far_v = edges[s.fold(F.P.path(k), v)[s.last]][far]
+                    except RestrictionUndefinedError:
+                        far_v = None
                 x = edges[row[v]]
                 if x[end] != v or x[1] != lab or x[far] != far_v:
-                    yield (s.triples(chain), v)
+                    yield (s.triples(F.P.path(k)), v)
 
     loop = [s.ids[(e, one, e)] for e in range(s.sl.n)]
     return [
@@ -429,15 +425,18 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> Report:
     if not all(c.ok for c in checks):
         return Report(checks)
 
-    # the chains of length 2..max_chain whose composite is an edge, with its id
-    chains = []
-    for p in _id_paths(G, edges, max_chain)[len(edges):]:
-        comp = G.edge_id.get((edges[p[0]][0], reduce(mon.mul, (edges[i][1] for i in p)),
-                              edges[p[-1]][2]))
-        if comp is not None:
-            chains.append((p, comp))
+    # the id of the composite edge of each chain of length 2..max_chain, -1
+    # where there is none; a chain's label is its prefix's label times its
+    # last edge's
+    P = Paths(G, edges, max_chain)
+    path_labels, composite = [c[1] for c in edges], [-1] * len(P.last)
+    for k in range(len(edges), len(P.last)):
+        lab = mon.mul(path_labels[P.parent[k]], edges[P.last[k]][1])
+        if k < P.top:
+            path_labels.append(lab)
+        composite[k] = G.edge_id.get((P.starts[k], lab, P.ends[k]), -1)
     for s in sides:
-        checks += _edge_laws(s, chains, one)
+        checks += _edge_laws(s, Folds(s, P), composite, one)
     checks.append(first_witness("C", _compatibility(*sides)))
 
     if not mon.is_free:
@@ -459,65 +458,21 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> Report:
     return Report(checks)
 
 
-def _fold_laws(s: Side, paths, bound: int) -> list:
-    """R3a and R4a on the restriction side, CR3a and CR4a on corestriction."""
-    edges, end, far, fold = s.edges, s.end, s.far, s.fold
-    below = s.sl.below
-
-    def r3a():
-        for p in paths:
-            for e in below(edges[p[s.first]][end]):
-                rp = fold(p, e)
-                for g in below(e):
-                    if fold(rp, g) != fold(p, g):
-                        yield (s.triples(p), e, g)
-
-    # the paths that can follow a vertex, in path order, so by length
-    starting = {}
-    for q in paths:
-        starting.setdefault(edges[q[0]][0], []).append(q)
-
-    def r4a():
-        for p in paths:
-            for q in starting.get(edges[p[-1]][2], ()):
-                if len(p) + len(q) > bound:
-                    break
-                first, second = (p, q) if end == 0 else (q, p)
-                for v in below(edges[first[s.first]][end]):
-                    m = fold(first, v)
-                    whole = fold(p + q, v)
-                    rest = fold(second, edges[m[s.last]][far])
-                    if whole != (m + rest if end == 0 else rest + m):
-                        yield (s.triples(p), s.triples(q), v)
-
-    return [first_witness(s.prefix + "3a", r3a()), first_witness(s.prefix + "4a", r4a())]
-
-
-def _path_compatibility(R: Side, C: Side, paths):
-    """Law Ca: law C for paths."""
-    edges, meet, below = R.edges, R.sl.meet, R.sl.below
-    for p in paths:
-        for e in below(edges[p[0]][0]):
-            rp = R.fold(p, e)
-            for f in below(edges[p[-1]][2]):
-                cp = C.fold(p, f)
-                if (C.fold(rp, meet[edges[rp[-1]][2]][f])
-                        != R.fold(cp, meet[edges[cp[0]][0]][e])):
-                    yield (R.triples(p), e, f)
-
-
 def check_path_axioms(G: ResGraph, bound: int = 3) -> Report:
     """Check the path-level laws over all paths up to the length bound.
 
     A path is moved by folding the edge map along it, so R4a, which compares
     the fold of p q with the fold of p followed by the fold of q from where
     that one ends, compares two evaluations of one fold: it can fail only by
-    raising, and CR4a likewise.
+    raising, and CR4a likewise.  The folds are read off one table per side
+    (folds.Folds), built along the paths by one table step per path and
+    vertex.
     """
     R, C = Side(G, 0), Side(G, 2)
-    paths = _id_paths(G, R.edges, bound)
-    return Report(_fold_laws(R, paths, bound) + _fold_laws(C, paths, bound)
-                  + [first_witness("Ca", _path_compatibility(R, C, paths))])
+    P = Paths(G, R.edges, bound)
+    RF, CF = Folds(R, P), Folds(C, P)
+    return Report(fold_laws(RF, bound) + fold_laws(CF, bound)
+                  + [first_witness("Ca", path_compatibility(RF, CF))])
 
 
 # ---------------------------------------------------------------------------

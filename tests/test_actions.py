@@ -251,9 +251,10 @@ def test_partial_map_application_rejects_two_valued_relations():
     assert actions._apply(two_valued, 1) == 1
     with pytest.raises(core.InvariantError):
         actions._apply(two_valued, 0)
-    assert actions._apply_inv(two_valued, 0) == 0
-    with pytest.raises(core.InvariantError):
-        actions._apply_inv(two_valued, 1)
+    inverse = actions._inverse(two_valued)
+    assert inverse(0) == 0
+    with pytest.raises(core.InvariantError, match="not defined or not injective at 1"):
+        inverse(1)
 
 
 def test_partial_action_laws_match_side_by_side():

@@ -414,3 +414,25 @@ def test_failed_laws_exit_1_not_2(tmp_path, capsys):
                        "FAIL  associativity  witness=(1, 3, 8)"]
     # a generator out of range is still an input error
     assert cli.main(["cover", "verify", str(table), "--gens", "1,99"]) == EXIT_INPUT
+
+
+def test_table_commands_check_the_axioms_first(tmp_path, capsys):
+    # corpus pt2 with one product changed is not associative; sigma, iso and
+    # proper-ideal print the failing axioms instead of their results
+    doc = io.dump_semigroup(dict(corpus.semigroups())["pt2"])
+    doc["mult"][3][8] = 2
+    table = str(tmp_path / "pt2_bad.json")
+    io.save(table, doc)
+    for command in (["sigma"], ["iso"], ["proper-ideal"], ["iso", "--ideal", "0,1,6,7"]):
+        assert cli.main([command[0], table] + command[1:]) == EXIT_FAIL, command
+        assert capsys.readouterr().out.splitlines() == [
+            "not an Ehresmann semigroup:",
+            "FAIL  associativity  witness=(1, 3, 8)",
+            "FAIL  (x y)^+ = (x y^+)^+  witness=(3, 8)"], command
+    assert cli.main(["sigma", table, "--json"]) == EXIT_FAIL
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["report"] == "ehresmann" and not payload["ok"]
+    # an ideal member out of range or no length bound is still an input error
+    for command in ("iso", "proper-ideal"):
+        assert cli.main([command, table, "--ideal", "0,99"]) == EXIT_INPUT, command
+    assert cli.main(["proper-ideal", table, "--max-len", "0"]) == EXIT_INPUT

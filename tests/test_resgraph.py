@@ -10,7 +10,7 @@ from ehresmann.resgraph import (FiniteMonoid, FreeMonoid, ResGraph,
                                 all_paths, chain_semilattice, contract_step,
                                 corestrict_path, equivalent_paths, make_path,
                                 path_d, path_label, path_r, restrict_path)
-from oracles import (ReferenceResGraph, reference_build_product,
+from oracles import (ReferenceResGraph, reference_all_paths, reference_build_product,
                      reference_check_axioms, reference_check_path_axioms,
                      reference_cover_graph, reference_edge_le, reference_edge_le_l,
                      reference_edge_le_r, reference_letter_edge_tables,
@@ -411,7 +411,7 @@ def _compare_with_reference(G, what, seen):
     equal reports, witnesses and exceptions, except that a left side the
     reference raises on in check_axioms is a FAIL, only where R1 or CR1
     fails."""
-    for max_chain in (2, 3):
+    for max_chain in (2, 3, 4):
         want = _outcome(reference_check_axioms, G, max_chain)
         got = _outcome(resgraph.check_axioms, G, max_chain)
         if want[0] == "raise":
@@ -422,9 +422,14 @@ def _compare_with_reference(G, what, seen):
         else:
             seen["axioms " + Report([Check(*row) for row in want[1]]).status] += 1
             assert got == want, what
-    want = _outcome(reference_check_path_axioms, G, 2)
-    seen["path axioms " + want[0]] += 1
-    assert _outcome(resgraph.check_path_axioms, G, 2) == want, what
+    # the reference tries every pair of paths for R4a, so bounds 3 and 4
+    # only where there are at most 150 paths up to the bound
+    for bound in (2, 3, 4):
+        if bound > 2 and len(reference_all_paths(G, bound)) > 150:
+            continue
+        want = _outcome(reference_check_path_axioms, G, bound)
+        seen["path axioms " + want[0]] += 1
+        assert _outcome(resgraph.check_path_axioms, G, bound) == want, (what, bound)
 
     want = _product_outcome(reference_build_product, G)
     got = _product_outcome(product.build_product, G)
@@ -484,6 +489,29 @@ def test_undefined_left_side_fails_its_law():
                            match=r"restriction of \(f,1,f\) to non-lower vertex 1"):
             reference_check_axioms(H)
         assert resgraph.check_axioms(H)[law].witness == (loop_e, 1, 1), law
+
+
+def test_chain_label_is_the_product_in_path_order():
+    # in the flip-flop monoid z0 z1 = z1 and z1 z0 = z0: the chain
+    # (1,z1,1)(1,z0,1) composes to (1,z0,1), whose restriction and
+    # corestriction to 0 are the loop (0,z0,0), while the chain restricts
+    # to a path ending at 1 and corestricts to one starting at 1
+    sl, mon = chain_semilattice(2), corpus.flip_flop_monoid()
+    l0, l1, a, b = (0, 0, 0), (1, 0, 1), (1, 1, 1), (1, 2, 1)
+    a0, b01, b10, b00 = (0, 1, 0), (0, 2, 1), (1, 2, 0), (0, 2, 0)
+    restrict = {(l0, 0): l0, (l1, 1): l1, (l1, 0): l0, (a, 1): a, (a, 0): a0, (b, 1): b,
+                (b, 0): b01, (a0, 0): a0, (b01, 0): b01, (b10, 1): b10, (b10, 0): b00,
+                (b00, 0): b00}
+    corestrict = {(l0, 0): l0, (l1, 1): l1, (l1, 0): l0, (a, 1): a, (a, 0): a0, (b, 1): b,
+                  (b, 0): b10, (a0, 0): a0, (b01, 1): b01, (b01, 0): b00, (b10, 0): b10,
+                  (b00, 0): b00}
+    G = ResGraph(sl, mon, {c for c, _ in restrict}, restrict, corestrict)
+    for max_chain in (2, 3):
+        rep = resgraph.check_axioms(G, max_chain)
+        assert [(c.name, c.witness) for c in rep.failures()] == [
+            ("R4", ((b, a), 0)), ("CR4", ((b, a), 0))]
+        assert (_outcome(resgraph.check_axioms, G, max_chain)
+                == _outcome(reference_check_axioms, G, max_chain))
 
 
 def test_round_trip_names_the_first_mismatch():
