@@ -201,6 +201,7 @@ def cmd_factorize(args) -> int:
     for s in seq:
         if not 0 <= s < S.n:
             raise io.SchemaError(f"element {s} out of range")
+    _require_ehresmann(S)
     matching = core.is_matching(S, seq)
     out = core.matchify(S, seq)
     prod = S.prod(seq)

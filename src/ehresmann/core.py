@@ -486,39 +486,51 @@ def _matching_products(S: OpTableSemigroup, Y):
     return minlen
 
 
-def _enumerate_matching_factorizations(S, Y, target, max_len, cap):
-    """All matching Y-sequences with the given product, up to max_len.
-
-    Returns (list of tuples, truncated flag).
-    """
-    m, p, st = S.mult, S.plus, S.star
+def _matching_factorizations(S, Y, max_len, cap):
+    """The matching Y-sequences of length at most max_len, grouped by
+    product: product -> the first cap + 1 of them in depth-first order.  A
+    product with more than cap sequences had its enumeration truncated."""
+    m = S.mult
     Y = sorted(Y)
-    found = []
-    truncated = False
+    successors = {y: [z for z in Y if S.plus[z] == S.star[y]] for y in Y}
+    found = {}
     stack = [((y,), y) for y in Y]
     while stack:
         seq, prod = stack.pop()
-        if prod == target:
-            found.append(seq)
-            if len(found) > cap:
-                truncated = True
-                break
+        group = found.setdefault(prod, [])
+        if len(group) <= cap:
+            group.append(seq)
         if len(seq) < max_len:
-            for y in Y:
-                if p[y] == st[seq[-1]]:
-                    stack.append((seq + (y,), m[prod][y]))
-    return found, truncated
+            for z in successors[seq[-1]]:
+                stack.append((seq + (z,), m[prod][z]))
+    return found
 
 
-def _block_expansions(S, Y, max_block, cap):
-    """For each y in Y, matching Y-sequences of length 2..max_block with product y."""
-    out = {}
-    truncated = False
-    for y in sorted(Y):
-        seqs, trunc = _enumerate_matching_factorizations(S, Y, y, max_block, cap)
-        out[y] = [s for s in seqs if len(s) >= 2]
-        truncated = truncated or trunc
-    return out, truncated
+def contract_expand_neighbours(seq, times, contracts_to, expand, max_len):
+    """The sequences one contract or expand move away from seq, in order.
+
+    First the contractions, by block start and then block end: a block of
+    two or more consecutive factors whose product, folded left to right by
+    times(prod, factor), lies in contracts_to becomes that one factor.  Then
+    the expansions, by position and in block order: a factor becomes each
+    block in expand(factor, cap) of length at most cap = max_len - k + 1,
+    k the length of seq, so that no result is longer than max_len.
+    """
+    k = len(seq)
+    out = []
+    for i in range(k - 1):
+        prod = seq[i]
+        for j in range(i + 1, k):
+            prod = times(prod, seq[j])
+            if prod in contracts_to:
+                out.append(seq[:i] + (prod,) + seq[j + 1:])
+    cap = max_len - k + 1
+    if cap >= 2:
+        for i in range(k):
+            for block in expand(seq[i], cap):
+                if len(block) <= cap:
+                    out.append(seq[:i] + block + seq[i + 1:])
+    return out
 
 
 def _first_unreached_factorization(S, Yset, start, goals, max_len, expansions,
@@ -538,20 +550,9 @@ def _first_unreached_factorization(S, Yset, start, goals, max_len, expansions,
     seen = {start}
     frontier = deque([start])
     while remaining and frontier:
-        fact = frontier.popleft()
-        k = len(fact)
-        neighbours = []
-        for i in range(k - 1):
-            prod = fact[i]
-            for j in range(i + 1, k):
-                prod = m[prod][fact[j]]
-                if prod in Yset:
-                    neighbours.append(fact[:i] + (prod,) + fact[j + 1:])
-        for i in range(k):
-            for block in expansions.get(fact[i], ()):
-                if k - 1 + len(block) <= max_len:
-                    neighbours.append(fact[:i] + block + fact[i + 1:])
-        for nb in neighbours:
+        for nb in contract_expand_neighbours(
+                frontier.popleft(), lambda a, b: m[a][b], Yset,
+                lambda y, cap: expansions.get(y, ()), max_len):
             remaining.discard(nb)
             if nb not in seen and len(seen) < budget:
                 seen.add(nb)
@@ -595,12 +596,16 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
     proper; (4) every element has a matching Y-factorization of length at
     most max_len; (5) factorizations of length at most max_len are pairwise
     equivalent under contract/expand moves, searched with intermediate
-    length cap max_len + 2.  Condition (5) runs one breadth-first search per
-    element, from its first factorization towards all the others, and
-    budget bounds the nodes that search keeps; the verdicts and witnesses
-    are those of a separate search per pair of factorizations.  Condition
-    (5) is a bounded search and may come back INCONCLUSIVE; factorization
-    length is unbounded in general, so no completeness is claimed.
+    length cap max_len + 2.  The matching Y-sequences are walked once per
+    length bound and grouped by product: up to max_len for the
+    factorizations compared, up to max_len + 1 for the blocks a member of Y
+    expands to.  Condition (5) runs one breadth-first search per element,
+    from its first factorization towards all the others, and budget bounds
+    the nodes that search keeps and the sequences kept per product (more
+    make it INCONCLUSIVE); the verdicts and witnesses are those of a
+    separate search per pair of factorizations.  Condition (5) is a bounded
+    search and may come back INCONCLUSIVE; factorization length is
+    unbounded in general, so no completeness is claimed.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -623,12 +628,14 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
                             ("skipped: earlier condition failed",)))
         return Report(checks)
 
-    expansions, trunc = _block_expansions(S, Yset, max_len + 1, budget)
+    blocks = _matching_factorizations(S, Yset, max_len + 1, budget)
+    expansions = {y: [b for b in blocks.get(y, ()) if len(b) > 1] for y in Yset}
+    factorizations = _matching_factorizations(S, Yset, max_len, budget)
+    trunc = any(len(blocks.get(y, ())) > budget for y in Yset) or any(
+        len(facts) > budget for facts in factorizations.values())
     status, witness = PASS, None
     for s in range(S.n):
-        facts, t2 = _enumerate_matching_factorizations(S, Yset, s, max_len, budget)
-        if t2:
-            trunc = True
+        facts = factorizations.get(s, ())
         if len(facts) < 2:
             continue
         other = _first_unreached_factorization(S, Yset, facts[0], facts[1:],

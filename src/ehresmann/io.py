@@ -261,7 +261,7 @@ def load_premorphism(doc):
         n = sl.n
     else:
         sl = None
-        n = _need(ground, "size", "premorphism ground")
+        n = _need_int(ground, "size", "premorphism ground")
     phi = {}
     for key, pairs in raw_phi.items():
         try:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
-from .core import associativity_witness, validate_table
+from .core import associativity_witness, contract_expand_neighbours, validate_table
 from .folds import Folds, Paths, fold_laws, path_compatibility
 from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
@@ -490,16 +490,6 @@ def contract_step(G: ResGraph, p, i: int, j: int):
     return p[:i - 1] + (comp,) + p[j:]
 
 
-def _contractions(G: ResGraph, p):
-    out = []
-    for i in range(1, len(p)):
-        for j in range(i + 1, len(p) + 1):
-            q = contract_step(G, p, i, j)
-            if q is not None:
-                out.append(q)
-    return out
-
-
 def _expansions_of_edge(G: ResGraph, c, max_block: int):
     """Composable edge chains of length 2..max_block with the same
     endpoints and label product as c."""
@@ -556,7 +546,9 @@ def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
     Endpoint or label disagreement is an immediate FAIL.  In the two
     normal-form regimes (partial multiaction; cover-shaped graph) the
     answer is exact; otherwise a bounded bidirectional search over
-    contract/expand moves returns PASS or INCONCLUSIVE.
+    contract/expand moves (core.contract_expand_neighbours) returns PASS or
+    INCONCLUSIVE.  The expansions of an edge under a length cap are
+    enumerated once per call.
     """
     p, q = make_path(G, p), make_path(G, q)
     if path_d(p) != path_d(q) or path_r(p) != path_r(q):
@@ -580,14 +572,12 @@ def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
     if max_len is None:
         max_len = max(len(p), len(q)) + 2
 
-    def neighbours(path):
-        out = _contractions(G, path)
-        for i, c in enumerate(path):
-            cap = max_len - len(path) + 1
-            if cap >= 2:
-                for block in _expansions_of_edge(G, c, cap):
-                    out.append(path[:i] + block + path[i + 1:])
-        return out
+    mul = G.mon.mul
+
+    def times(c, e):  # the composite of a block, then edge e
+        return (c[0], mul(c[1], e[1]), e[2])
+
+    expand = cache(lambda c, cap: _expansions_of_edge(G, c, cap))
 
     seen = {p: 0, q: 1}
     frontier = deque([p, q])
@@ -596,7 +586,7 @@ def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
             return EquivalenceResult(INCONCLUSIVE, "node budget exhausted")
         cur = frontier.popleft()
         side = seen[cur]
-        for nb in neighbours(cur):
+        for nb in contract_expand_neighbours(cur, times, G.edges, expand, max_len):
             if nb in seen:
                 if seen[nb] != side:
                     return EquivalenceResult(PASS, "search met")

@@ -3,7 +3,7 @@
 from collections import deque
 
 from ehresmann import core, cover, product, relmonoid, resgraph
-from ehresmann.report import Check, FAIL, PASS, Report, first_witness
+from ehresmann.report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
 def set_partitions(items):
@@ -139,6 +139,151 @@ def reference_equivalent_factorizations(S, Yset, start, goal, max_len,
                 seen.add(nb)
                 frontier.append(nb)
     return None if pruned else False
+
+
+def reference_matching_factorizations(S, Y, target, max_len, cap):
+    """Matching Y-sequences with product target of length at most max_len,
+    by one depth-first walk for this target that stops at the first cap + 1;
+    returns (sequences, truncated)."""
+    Y = sorted(Y)
+    found = []
+    stack = [((y,), y) for y in Y]
+    while stack:
+        seq, prod = stack.pop()
+        if prod == target:
+            found.append(seq)
+            if len(found) > cap:
+                return found, True
+        if len(seq) < max_len:
+            for y in Y:
+                if S.plus[y] == S.star[seq[-1]]:
+                    stack.append((seq + (y,), S.mult[prod][y]))
+    return found, False
+
+
+def _reference_first_unreached(S, Yset, facts, max_len, expansions, budget):
+    """The first of facts[1:] not met by one BFS from facts[0] over
+    contract/expand moves that keeps at most budget nodes."""
+    remaining = set(facts[1:])
+    remaining.discard(facts[0])
+    seen = {facts[0]}
+    frontier = deque([facts[0]])
+    while remaining and frontier:
+        fact = frontier.popleft()
+        k = len(fact)
+        neighbours = []
+        for i in range(k):
+            for j in range(i + 1, k):
+                prod = S.prod(fact[i:j + 1])
+                if prod in Yset:
+                    neighbours.append(fact[:i] + (prod,) + fact[j + 1:])
+        for i in range(k):
+            for block in expansions.get(fact[i], ()):
+                if k - 1 + len(block) <= max_len:
+                    neighbours.append(fact[:i] + block + fact[i + 1:])
+        for nb in neighbours:
+            remaining.discard(nb)
+            if nb not in seen and len(seen) < budget:
+                seen.add(nb)
+                frontier.append(nb)
+    return next((g for g in facts[1:] if g in remaining), None)
+
+
+def reference_check_proper_ideal(S, Y, max_len, budget=20000):
+    """check_proper_ideal with one walk per member of Y for its blocks and
+    one walk per element for its factorizations."""
+    Yset = core.ideal_members(S, Y)
+    checks = core.ideal_checks(S, Yset)
+    minlen = core._matching_products(S, Yset)
+    unreachable = [s for s in range(S.n) if s not in minlen]
+    too_long = [s for s in range(S.n) if minlen.get(s, 0) > max_len]
+    if unreachable:
+        checks.append(Check("factorization_exists", FAIL, (unreachable[0],)))
+    elif too_long:
+        checks.append(Check("factorization_exists", INCONCLUSIVE,
+                            (too_long[0], minlen[too_long[0]])))
+    else:
+        checks.append(Check("factorization_exists", PASS))
+    if any(c.status == FAIL for c in checks):
+        checks.append(Check("factorizations_equivalent", INCONCLUSIVE,
+                            ("skipped: earlier condition failed",)))
+        return Report(checks)
+
+    expansions, trunc = {}, False
+    for y in sorted(Yset):
+        seqs, t = reference_matching_factorizations(S, Yset, y, max_len + 1, budget)
+        expansions[y] = [s for s in seqs if len(s) >= 2]
+        trunc = trunc or t
+    status, witness = PASS, None
+    for s in range(S.n):
+        facts, t = reference_matching_factorizations(S, Yset, s, max_len, budget)
+        trunc = trunc or t
+        if len(facts) < 2:
+            continue
+        other = _reference_first_unreached(S, Yset, facts, max_len + 2,
+                                           expansions, budget)
+        if other is not None:
+            status, witness = INCONCLUSIVE, (s, facts[0], other)
+            break
+    if status == PASS and trunc:
+        status, witness = INCONCLUSIVE, ("enumeration truncated",)
+    checks.append(Check("factorizations_equivalent", status, witness))
+    return Report(checks)
+
+
+def _reference_contractions(G, p):
+    out = []
+    for i in range(1, len(p)):
+        for j in range(i + 1, len(p) + 1):
+            q = resgraph.contract_step(G, p, i, j)
+            if q is not None:
+                out.append(q)
+    return out
+
+
+def reference_equivalent_paths(G, p, q, max_nodes=20000, max_len=None):
+    """equivalent_paths with the neighbours of each node rebuilt from
+    contract_step and a fresh enumeration of the expansions of each edge."""
+    p, q = resgraph.make_path(G, p), resgraph.make_path(G, q)
+    label = resgraph.path_label
+    if resgraph.path_d(p) != resgraph.path_d(q) or resgraph.path_r(p) != resgraph.path_r(q):
+        return resgraph.EquivalenceResult(FAIL, "endpoints differ")
+    if label(G, p) != label(G, q):
+        return resgraph.EquivalenceResult(FAIL, "labels differ")
+    if p == q:
+        return resgraph.EquivalenceResult(PASS, "equal paths")
+    if resgraph.check_pm(G) is None:
+        return resgraph.EquivalenceResult(PASS, "partial multiaction normal form")
+    if resgraph.cover_shape_problem(G) is None:
+        status = PASS if [c for c in p if c[1]] == [c for c in q if c[1]] else FAIL
+        return resgraph.EquivalenceResult(status, "cover normal form")
+    if max_len is None:
+        max_len = max(len(p), len(q)) + 2
+
+    def neighbours(path):
+        out = _reference_contractions(G, path)
+        for i, c in enumerate(path):
+            cap = max_len - len(path) + 1
+            if cap >= 2:
+                for block in resgraph._expansions_of_edge(G, c, cap):
+                    out.append(path[:i] + block + path[i + 1:])
+        return out
+
+    seen = {p: 0, q: 1}
+    frontier = deque([p, q])
+    while frontier:
+        if len(seen) > max_nodes:
+            return resgraph.EquivalenceResult(INCONCLUSIVE, "node budget exhausted")
+        cur = frontier.popleft()
+        side = seen[cur]
+        for nb in neighbours(cur):
+            if nb in seen:
+                if seen[nb] != side:
+                    return resgraph.EquivalenceResult(PASS, "search met")
+                continue
+            seen[nb] = side
+            frontier.append(nb)
+    return resgraph.EquivalenceResult(INCONCLUSIVE, "search saturated within length cap")
 
 
 def reference_generate(n, generators, cap=None):

@@ -417,13 +417,15 @@ def test_failed_laws_exit_1_not_2(tmp_path, capsys):
 
 
 def test_table_commands_check_the_axioms_first(tmp_path, capsys):
-    # corpus pt2 with one product changed is not associative; sigma, iso and
-    # proper-ideal print the failing axioms instead of their results
+    # corpus pt2 with one product changed is not associative; sigma, iso,
+    # proper-ideal and factorize print the failing axioms instead of their
+    # results
     doc = io.dump_semigroup(dict(corpus.semigroups())["pt2"])
     doc["mult"][3][8] = 2
     table = str(tmp_path / "pt2_bad.json")
     io.save(table, doc)
-    for command in (["sigma"], ["iso"], ["proper-ideal"], ["iso", "--ideal", "0,1,6,7"]):
+    for command in (["sigma"], ["iso"], ["proper-ideal"], ["iso", "--ideal", "0,1,6,7"],
+                    ["factorize", "--seq", "0,1"]):
         assert cli.main([command[0], table] + command[1:]) == EXIT_FAIL, command
         assert capsys.readouterr().out.splitlines() == [
             "not an Ehresmann semigroup:",
@@ -432,7 +434,87 @@ def test_table_commands_check_the_axioms_first(tmp_path, capsys):
     assert cli.main(["sigma", table, "--json"]) == EXIT_FAIL
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"] == "ehresmann" and not payload["ok"]
-    # an ideal member out of range or no length bound is still an input error
+    # an ideal member or factor out of range, a bad sequence or no length
+    # bound is still an input error
     for command in ("iso", "proper-ideal"):
         assert cli.main([command, table, "--ideal", "0,99"]) == EXIT_INPUT, command
     assert cli.main(["proper-ideal", table, "--max-len", "0"]) == EXIT_INPUT
+    for seq in ("0,99", "0,x", ""):
+        assert cli.main(["factorize", table, "--seq", seq]) == EXIT_INPUT, seq
+
+
+# one value of each JSON type for the document fuzzer, with ints that are in
+# and out of range and containers that are empty or not
+_FUZZ_VALUES = [None, "x", "0", -1, 0, 1, 2, 7, 0.5, 1.0, True, False,
+                [], [0, 1], [[0, 1]], {}, {"0": [[0, 0]]}]
+
+
+def _fuzz_documents():
+    """(document, commands that read it, {} standing for its path) for every
+    document kind, each also wrapped as the one entry of a corpus file."""
+    from ehresmann import actions, relmonoid
+
+    ff = corpus.flip_flop()
+    pm = actions.graph_to_premorphism(corpus.e2t2_graph())
+    kinds = [
+        (io.dump_semigroup(ff),
+         ["verify {}", "verify {} --side both", "analyze {}", "sigma {}",
+          "factorize {} --seq 0,1,2", "cover build {} --gens 0,1,2",
+          "cover verify {} --gens 0,1,2 --len 2", "iso {}",
+          "preimage {} --gens 0,1,2 --element 1", "proper-ideal {} --max-len 2"]),
+        (io.dump_resgraph(corpus.e2t2_graph()),
+         ["verify {}", "graph-check {}", "product build {}", "product check {}"]),
+        (io.dump_resgraph(cover.build_cover_graph(corpus.chain(2), [0, 1]).graph),
+         ["verify {}", "graph-check {}", "product check {}"]),
+        (io.dump_relgen(2, [relmonoid.Rel.from_pairs(2, [(0, 1)]),
+                            relmonoid.Rel.from_pairs(2, [(0, 0), (1, 0)])]),
+         ["verify {}"]),
+        (io.dump_premorphism(pm), ["verify {}"]),
+        (io.dump_premorphism(actions.Premorphism(pm.mon, pm.ground, pm.phi)),
+         ["verify {}"]),
+    ]
+    wrapped = [([{"name": "fuzzed", "expect": {}, "payload": doc}], ["corpus-run {}"])
+               for doc, _ in kinds]
+    return kinds + wrapped
+
+
+def _slots(doc, path=()):
+    """The path of every value inside doc, nested list entries included."""
+    if path:
+        yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _slots(value, path + (key,))
+
+
+def test_document_fuzzer_never_raises(tmp_path, capsys):
+    """One field of a valid document set to another JSON type or deleted:
+    every command that reads the document exits 0, 1, 2 or 3."""
+    import copy
+    import random
+
+    rng = random.Random(7)
+    path = tmp_path / "fuzzed.json"
+    codes = set()
+    for doc, commands in _fuzz_documents():
+        slots = list(_slots(doc))
+        for _ in range(40):
+            fuzzed = copy.deepcopy(doc)
+            where = rng.choice(slots)
+            parent = fuzzed
+            for key in where[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and rng.random() < 0.2:
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+            path.write_text(json.dumps(fuzzed))
+            for command in commands:
+                argv = [str(path) if a == "{}" else a for a in command.split()]
+                code = cli.main(argv)
+                capsys.readouterr()
+                assert code in (EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE), (
+                    argv, where, fuzzed)
+                codes.add(code)
+    assert codes >= {EXIT_OK, EXIT_FAIL, EXIT_INPUT}, codes

@@ -232,10 +232,9 @@ def test_underlying_graph_of_strict_ideal():
 
     # matching Y-factorizations of the dropped element become equivalent
     # paths in the underlying graph
-    from ehresmann.core import _enumerate_matching_factorizations
-    facts, truncated = _enumerate_matching_factorizations(
-        S, frozenset(Y), u, 3, 1000)
-    assert not truncated and len(facts) >= 2
+    from ehresmann.core import _matching_factorizations
+    facts = _matching_factorizations(S, frozenset(Y), 3, 1000)[u]
+    assert 2 <= len(facts) <= 1000  # at most 1000: not truncated
     paths = [make_path(ug.graph, [ug.of_element[a] for a in fact])
              for fact in facts]
     base = paths[0]
