@@ -333,7 +333,6 @@ def pair_form_iso_check(pa: PartialAction) -> Report:
     induced graph."""
     S1, pairs = build_pair_form(pa)
     G = partial_action_graph(pa)
-    S2, edges = product.build_product(G)
-    idx2 = {c: i for i, c in enumerate(edges)}
-    psi = [idx2[(e, s, _apply(pa.phi[s], e))] for (e, s) in pairs]
+    S2, _ = product.build_product(G)
+    psi = [G.edge_id[(e, s, _apply(pa.phi[s], e))] for (e, s) in pairs]
     return Report(core.isomorphism_checks(S1, S2, psi, pairs.__getitem__))

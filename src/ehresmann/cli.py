@@ -485,10 +485,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _NotEhresmannError as exc:
         return _not_ehresmann(args, exc.report)
-    except io.SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (core.MalformedTableError, cover.GeneratorError, ValueError) as exc:
+    # io.SchemaError, core.MalformedTableError and cover.GeneratorError are
+    # ValueErrors
+    except (ValueError, relmonoid.ClosureOverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

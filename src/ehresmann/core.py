@@ -486,20 +486,24 @@ def _matching_products(S: OpTableSemigroup, Y):
     return minlen
 
 
-def _matching_factorizations(S, Y, max_len, cap):
+def _matching_factorizations(S, Y, max_len, cap, minlen):
     """The matching Y-sequences of length at most max_len, grouped by
     product: product -> the first cap + 1 of them in depth-first order.  A
-    product with more than cap sequences had its enumeration truncated."""
+    product with more than cap sequences had its enumeration truncated.
+    minlen is _matching_products(S, Y): the walk stops once every product
+    with a sequence of length at most max_len has its cap + 1."""
     m = S.mult
     Y = sorted(Y)
     successors = {y: [z for z in Y if S.plus[z] == S.star[y]] for y in Y}
+    open_groups = sum(1 for k in minlen.values() if k <= max_len)
     found = {}
     stack = [((y,), y) for y in Y]
-    while stack:
+    while stack and open_groups:
         seq, prod = stack.pop()
         group = found.setdefault(prod, [])
         if len(group) <= cap:
             group.append(seq)
+            open_groups -= len(group) > cap
         if len(seq) < max_len:
             for z in successors[seq[-1]]:
                 stack.append((seq + (z,), m[prod][z]))
@@ -628,9 +632,9 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
                             ("skipped: earlier condition failed",)))
         return Report(checks)
 
-    blocks = _matching_factorizations(S, Yset, max_len + 1, budget)
+    blocks = _matching_factorizations(S, Yset, max_len + 1, budget, minlen)
     expansions = {y: [b for b in blocks.get(y, ()) if len(b) > 1] for y in Yset}
-    factorizations = _matching_factorizations(S, Yset, max_len, budget)
+    factorizations = _matching_factorizations(S, Yset, max_len, budget, minlen)
     trunc = any(len(blocks.get(y, ())) > budget for y in Yset) or any(
         len(facts) > budget for facts in factorizations.values())
     status, witness = PASS, None

@@ -66,7 +66,7 @@ class CanonicalPath:
 
 class CoverGraph:
     def __init__(self, S, gens, letters, valuation, proj_list, proj_index,
-                 sl, graph, decomp, restrict_table, corestrict_table):
+                 sl, graph, decomp):
         self.S = S
         self.gens = gens
         self.letters = letters
@@ -75,12 +75,8 @@ class CoverGraph:
         self.proj_index = proj_index    # projection of S -> semilattice vertex
         self.sl = sl
         self.graph = graph
+        self.edges = graph.sorted_edges()   # edge id -> edge
         self.decomp = decomp            # element -> tuple of ('g', x) / ('p', e)
-        # letter edge (d, a, r) -> list over vertices: the target of its
-        # restriction to that source / the source of its corestriction to
-        # that target, -1 where undefined; read off graph's tables
-        self.restrict_table = restrict_table
-        self.corestrict_table = corestrict_table
 
 
 def _generating_closure(S: OpTableSemigroup, gens):
@@ -158,15 +154,7 @@ def build_cover_graph(S: OpTableSemigroup, gens) -> CoverGraph:
         # raises RestrictionUndefinedError, naming the value
         (graph.restrict if end == 0 else graph.corestrict)(c, v)
 
-    edge_list = graph.sorted_edges()
-
-    def vertex_rows(table, end):
-        return {(d, lab[0], r): [edge_list[i][end] if i >= 0 else -1 for i in row]
-                for (d, lab, r), row in zip(edge_list, table) if lab}
-
-    return CoverGraph(S, gens, letters, valuation, proj_list, proj_index, sl, graph,
-                      decomp, vertex_rows(graph.restrict_table, 2),
-                      vertex_rows(graph.corestrict_table, 0))
+    return CoverGraph(S, gens, letters, valuation, proj_list, proj_index, sl, graph, decomp)
 
 
 def canonicalize(cg: CoverGraph, path) -> CanonicalPath:
@@ -189,9 +177,9 @@ def to_path(cg: CoverGraph, u: CanonicalPath) -> tuple:
                  for i in range(0, len(ent) - 1, 2))
 
 
-def _undefined(ent, i, cur, row, kind) -> RestrictionUndefinedError:
+def _undefined(ent, i, cur, k, kind) -> RestrictionUndefinedError:
     edge = f"({ent[i]},{ent[i + 1]},{ent[i + 2]})"
-    if row is None:
+    if k is None:
         return RestrictionUndefinedError(f"{edge} is not a letter edge")
     return RestrictionUndefinedError(f"{kind} of {edge} to {cur} is undefined")
 
@@ -199,27 +187,30 @@ def _undefined(ent, i, cur, row, kind) -> RestrictionUndefinedError:
 def cover_mult(cg: CoverGraph, u: CanonicalPath, v: CanonicalPath) -> CanonicalPath:
     """Corestrict u and restrict v to the meet of u.r and v.d, then join them.
 
-    Folds over the entries with the letter-edge tables; identity loops never
-    appear in canonical forms, so the joined entries are already canonical.
+    Folds over the entries with the graph's edge-id tables: each letter edge
+    is moved to the current vertex and the next vertex is read off the edge
+    it becomes.  Identity loops never appear in canonical forms, so the
+    joined entries are already canonical.
     """
     ue, ve = u.entries, v.entries
     n = len(ue)
     out = list(ue)
     out.extend(ve[1:])
     meet = cur = out[n - 1] = cg.sl.meet[ue[-1]][ve[0]]
-    table = cg.corestrict_table
+    ids, edges = cg.graph.edge_id, cg.edges
+    table = cg.graph.corestrict_table
     for i in range(n - 3, -1, -2):
-        row = table.get(ue[i:i + 3])
-        if row is None or (cur := row[cur]) < 0:
-            raise _undefined(ue, i, out[i + 2], row, "corestriction")
-        out[i] = cur
+        k = ids.get((ue[i], (ue[i + 1],), ue[i + 2]))
+        if k is None or (j := table[k][cur]) < 0:
+            raise _undefined(ue, i, cur, k, "corestriction")
+        out[i] = cur = edges[j][0]
     cur = meet
-    table = cg.restrict_table
-    for i in range(n + 1, len(out), 2):
-        row = table.get(ve[i - n - 1:i - n + 2])
-        if row is None or (cur := row[cur]) < 0:
-            raise _undefined(ve, i - n - 1, out[i - 2], row, "restriction")
-        out[i] = cur
+    table = cg.graph.restrict_table
+    for i in range(1, len(ve), 2):
+        k = ids.get((ve[i - 1], (ve[i],), ve[i + 1]))
+        if k is None or (j := table[k][cur]) < 0:
+            raise _undefined(ve, i - 1, cur, k, "restriction")
+        out[n + i] = cur = edges[j][2]
     return CanonicalPath(tuple(out))
 
 
@@ -302,16 +293,19 @@ def canonical_preimage(cg: CoverGraph, s: int) -> CanonicalPath:
 
 
 def enumerate_canonical(cg: CoverGraph, max_len: int):
-    """All canonical paths of length up to max_len (loops have length 0)."""
-    out = [CanonicalPath.loop_at(e) for e in range(cg.sl.n)]
-    letter_edges = [c for c in cg.graph.sorted_edges() if c[1]]
-    by_source = {}
-    for c in letter_edges:
-        by_source.setdefault(c[0], []).append(c)
-    frontier = [(c,) for c in letter_edges]
+    """All canonical paths of length up to max_len (loops have length 0), by
+    length, then by prefix, then by last edge: each form of one length is
+    extended by every letter edge out of its end."""
+    steps = {}
+    for d, lab, r in cg.edges:
+        if lab:
+            steps.setdefault(d, []).append((lab[0], r))
+    level = [CanonicalPath.loop_at(e) for e in range(cg.sl.n)]
+    out = list(level)
     for _ in range(max_len):
-        out.extend(canonicalize(cg, p) for p in frontier)
-        frontier = [p + (c,) for p in frontier for c in by_source.get(p[-1][2], [])]
+        level = [CanonicalPath(u.entries + step)
+                 for u in level for step in steps.get(u.r, ())]
+        out += level
     return out
 
 
@@ -364,6 +358,21 @@ def _mult_failures(cg: CoverGraph, forms, phis):
     return ((str(forms[i]), str(forms[j]))
             for (fu, r, C), i in left.items() for (fv, d, R), j in right.items()
             if mult[C[meet[r][d]]][R[meet[r][d]]] != mult[fu][fv])
+
+
+def _unfactored_forms(cg: CoverGraph, forms):
+    """The forms, in order, that are not the product of their edges.
+
+    forms lists every prefix before its extensions, so the first form that
+    is not its prefix times its last edge is the first that is not the
+    product of its edges multiplied out left to right, and a product that
+    raises is met at the same form.
+    """
+    for u in forms:
+        ent = u.entries
+        if len(ent) > 3 and cover_mult(cg, CanonicalPath(ent[:-2]),
+                                       CanonicalPath(ent[-3:])) != u:
+            yield (str(u),)
 
 
 def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
@@ -425,16 +434,7 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     # sigma iff labels, constructively: each canonical form is the product
     # of its edges, and same-word forms are chained through the letter
     # maxima found above.
-    def product_of_edges(u):
-        pieces = [CanonicalPath((u.entries[i], u.entries[i + 1], u.entries[i + 2]))
-                  for i in range(0, len(u.entries) - 2, 2)]
-        acc = pieces[0]
-        for piece in pieces[1:]:
-            acc = cover_mult(cg, acc, piece)
-        return acc
-
-    checks.append(first_witness("forms_factor_through_edges", (
-        (str(u),) for u in forms if not u.is_loop and product_of_edges(u) != u)))
+    checks.append(first_witness("forms_factor_through_edges", _unfactored_forms(cg, forms)))
     return Report(checks)
 
 

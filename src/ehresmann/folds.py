@@ -14,12 +14,12 @@ from .report import first_witness
 
 
 class Paths:
-    """The paths of length 1..max_len, in all_paths order, as a trie over
-    edge ids: path k is path parent[k] (-1 for none) followed by edge
-    last[k], from vertex starts[k] to vertex ends[k].  The paths of each
-    length are consecutive, from levels[length - 1] on, and so are the
-    one-edge extensions of a path k shorter than max_len, in edge id order
-    from first_child[k] on: path f followed by edge j is
+    """The paths of length 1..max_len, by length, then by prefix, then by
+    last edge id, as a trie over edge ids: path k is path parent[k] (-1 for
+    none) followed by edge last[k], from vertex starts[k] to vertex ends[k].
+    The paths of each length are consecutive, from levels[length - 1] on,
+    and so are the one-edge extensions of a path k shorter than max_len, in
+    edge id order from first_child[k] on: path f followed by edge j is
     first_child[f] + j - out_start[source of j]."""
 
     def __init__(self, G, edges, max_len: int):

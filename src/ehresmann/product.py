@@ -245,9 +245,8 @@ def structure_iso_check(S: OpTableSemigroup, Y=None) -> Report:
         outside = next(a for a in range(S.n) if a not in Yset)
         return Report(checks + [Check("triple_map_defined_on_S", FAIL, (outside,))])
 
-    S2, edges2 = build_product(ug.graph)
-    idx2 = {c: i for i, c in enumerate(edges2)}
-    psi = [idx2[ug.of_element[a]] for a in range(S.n)]
+    S2, _ = build_product(ug.graph)
+    psi = [ug.graph.edge_id[ug.of_element[a]] for a in range(S.n)]
     return Report(checks + core.isomorphism_checks(S, S2, psi, lambda a: a))
 
 

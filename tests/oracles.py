@@ -161,6 +161,22 @@ def reference_matching_factorizations(S, Y, target, max_len, cap):
     return found, False
 
 
+def reference_matching_walk(S, Y, max_len):
+    """Every matching Y-sequence of length at most max_len, grouped by
+    product, each group in depth-first order."""
+    Y = sorted(Y)
+    found = {}
+    stack = [((y,), y) for y in Y]
+    while stack:
+        seq, prod = stack.pop()
+        found.setdefault(prod, []).append(seq)
+        if len(seq) < max_len:
+            for y in Y:
+                if S.plus[y] == S.star[seq[-1]]:
+                    stack.append((seq + (y,), S.mult[prod][y]))
+    return found
+
+
 def _reference_first_unreached(S, Yset, facts, max_len, expansions, budget):
     """The first of facts[1:] not met by one BFS from facts[0] over
     contract/expand moves that keeps at most budget nodes."""
@@ -486,23 +502,53 @@ def reference_cover_graph(S, gens):
 
 
 def reference_letter_edge_tables(graph):
-    """Restriction and corestriction of every letter edge as vertex rows,
-    (d, a, r) -> [target of the restriction to g / source of the
-    corestriction to h, or -1], read off graph.restrict and graph.corestrict."""
+    """Restriction and corestriction of every letter edge as rows of edge
+    ids, letter edge -> ([id of its restriction to g], [id of its
+    corestriction to h]) with -1 off the down-sets, read off graph.restrict
+    and graph.corestrict; ids number graph.sorted_edges()."""
+    edges = graph.sorted_edges()
     n = graph.sl.n
-    restr, corestr = {}, {}
-    for c in graph.sorted_edges():
-        d, lab, r = c
-        if not lab:
+    out = {}
+    for c in edges:
+        if not c[1]:
             continue
         rrow, crow = [-1] * n, [-1] * n
-        for g in graph.sl.below(d):
-            rrow[g] = graph.restrict(c, g)[2]
-        for h in graph.sl.below(r):
-            crow[h] = graph.corestrict(c, h)[0]
-        restr[(d, lab[0], r)] = rrow
-        corestr[(d, lab[0], r)] = crow
-    return restr, corestr
+        for g in graph.sl.below(c[0]):
+            rrow[g] = edges.index(graph.restrict(c, g))
+        for h in graph.sl.below(c[2]):
+            crow[h] = edges.index(graph.corestrict(c, h))
+        out[c] = (rrow, crow)
+    return out
+
+
+def reference_enumerate_canonical(cg, max_len):
+    """The canonical forms up to max_len as paths of letter edges, each path
+    extended by the letter edges out of its end, with the loops dropped."""
+    out = [cover.CanonicalPath.loop_at(e) for e in range(cg.sl.n)]
+    letter_edges = [c for c in cg.graph.sorted_edges() if c[1]]
+    frontier = [(c,) for c in letter_edges]
+    for _ in range(max_len):
+        for p in frontier:
+            entries = [p[0][0]]
+            for c in p:
+                entries += [c[1][0], c[2]]
+            out.append(cover.CanonicalPath(tuple(entries)))
+        frontier = [p + (c,) for p in frontier for c in letter_edges if c[0] == p[-1][2]]
+    return out
+
+
+def reference_unfactored_forms(cg, forms):
+    """The cover's forms_factor_through_edges witnesses: every form, in
+    order, that is not the product of its edges multiplied out left to
+    right."""
+    def product_of_edges(u):
+        ent = u.entries
+        acc = cover.CanonicalPath(ent[:3])
+        for i in range(2, len(ent) - 2, 2):
+            acc = cover.cover_mult(cg, acc, cover.CanonicalPath(ent[i:i + 3]))
+        return acc
+
+    return ((str(u),) for u in forms if not u.is_loop and product_of_edges(u) != u)
 
 
 def reference_mult_witnesses(cg, forms, phis):

@@ -12,7 +12,8 @@ from ehresmann.cover import (CanonicalPath, GeneratorError,
 from ehresmann.report import FAIL, PASS, first_witness
 from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
                                 restrict_path)
-from oracles import reference_mult_witnesses
+from oracles import (reference_all_paths, reference_enumerate_canonical,
+                     reference_mult_witnesses, reference_unfactored_forms)
 
 
 def e2_cover():
@@ -163,7 +164,7 @@ def test_phi_examples():
 
 def test_phi_of_canonicalize_agrees_on_raw_paths():
     cg = e2_cover()
-    for p in resgraph.all_paths(cg.graph, 3):
+    for p in reference_all_paths(cg.graph, 3):
         u = canonicalize(cg, p)
         raw = cg.proj_list[p[0][0]]
         for c in p:
@@ -328,17 +329,29 @@ def test_factored_mult_check_matches_pairwise_on_cover_cases():
             assert check.status == PASS, (name, length)
 
 
-def test_factored_mult_check_matches_pairwise_on_i3_and_pt3():
-    # a transposition, a 3-cycle and a rank-2 element: a partial bijection
-    # that is not a projection for I(3), a total map for PT(3)
+def _i3_pt3_covers():
+    """The covers of I(3) and PT(3) over a transposition, a 3-cycle and a
+    rank-2 element: a partial bijection that is not a projection for I(3),
+    a total map for PT(3)."""
     Rel = relmonoid.Rel
     perms = [Rel.from_pairs(3, enumerate(p)) for p in ((1, 0, 2), (1, 2, 0))]
     for alg, rank2 in ((relmonoid.full_I(3), [(0, 1), (1, 0)]),
                        (relmonoid.full_PT(3), [(0, 0), (1, 0), (2, 1)])):
         S = alg.to_semigroup()
-        cg = build_cover_graph(S, [alg.index[a] for a in perms + [Rel.from_pairs(3, rank2)]])
+        yield build_cover_graph(S, [alg.index[a] for a in perms + [Rel.from_pairs(3, rank2)]])
+
+
+def test_factored_mult_check_matches_pairwise_on_i3_and_pt3():
+    for cg in _i3_pt3_covers():
         check = _assert_mult_check_matches_pairwise(cg, enumerate_canonical(cg, 2))
         assert check.status == PASS
+
+
+def test_enumerate_canonical_matches_reference():
+    covers = [build_cover_graph(S, gens) for _, S, gens in corpus.cover_cases()]
+    for cg in covers + list(_i3_pt3_covers()):
+        for length in range(5):
+            assert enumerate_canonical(cg, length) == reference_enumerate_canonical(cg, length)
 
 
 def _perturbed(S, rng):
@@ -353,21 +366,20 @@ def _perturbed(S, rng):
 
 def _perturb_letter_edge_rows(cg, rng):
     """Change one or two entries of the letter edges' restriction and
-    corestriction rows to another vertex or to undefined (-1)."""
+    corestriction rows in cg.graph to another letter edge's id or to
+    undefined (-1)."""
+    G = cg.graph
+    letter_ids = [i for c, i in G.edge_id.items() if c[1]]
     for _ in range(rng.randint(1, 2)):
-        rows = rng.choice((cg.restrict_table, cg.corestrict_table))
-        row = rows[rng.choice(sorted(rows))]
-        row[rng.randrange(len(row))] = rng.randrange(-1, len(row))
+        row = rng.choice((G.restrict_table, G.corestrict_table))[rng.choice(letter_ids)]
+        row[rng.randrange(len(row))] = rng.choice(letter_ids + [-1])
 
 
-def test_factored_mult_check_matches_pairwise_on_perturbed_tables():
-    # perturbed plus, star or mult tables, perturbed letter-edge rows, or
-    # both: non-associative tables take the pairwise fallback, undefined
-    # rows make cover_mult raise, and changed rows give FAILs on the
-    # factored path whose first witness needs the least failing pair
-    rng = random.Random(20221)
-    statuses = {PASS: 0, FAIL: 0, "raised": 0}
-    fallbacks = 0
+def _perturbed_covers(seed):
+    """Covers of the corpus cases with perturbed plus, star or mult tables,
+    perturbed letter-edge rows, or both, each with its table and a length
+    bound."""
+    rng = random.Random(seed)
     for name, S, gens in corpus.cover_cases():
         length = 2 if name == "pt2" else 3
         for _ in range(150):
@@ -379,7 +391,35 @@ def test_factored_mult_check_matches_pairwise_on_perturbed_tables():
                 continue
             if kind != "table":
                 _perturb_letter_edge_rows(cg, rng)
-            check = _assert_mult_check_matches_pairwise(cg, enumerate_canonical(cg, length))
-            statuses["raised" if isinstance(check, tuple) else check.status] += 1
-            fallbacks += core.associativity_witness(T.mult) is not None
+            yield T, cg, length
+
+
+def test_factored_mult_check_matches_pairwise_on_perturbed_tables():
+    # non-associative tables take the pairwise fallback, undefined rows make
+    # cover_mult raise, and changed rows give FAILs on the factored path
+    # whose first witness needs the least failing pair
+    statuses = {PASS: 0, FAIL: 0, "raised": 0}
+    fallbacks = 0
+    for T, cg, length in _perturbed_covers(20221):
+        check = _assert_mult_check_matches_pairwise(cg, enumerate_canonical(cg, length))
+        statuses["raised" if isinstance(check, tuple) else check.status] += 1
+        fallbacks += core.associativity_witness(T.mult) is not None
     assert min(statuses.values()) > 0 and fallbacks > 0, (statuses, fallbacks)
+
+
+def test_factor_check_matches_product_of_edges_on_perturbed_tables():
+    # each form against its prefix times its last edge gives the witness or
+    # exception of multiplying every form out from its edges
+    def factor_check(witnesses, cg, forms):
+        try:
+            return first_witness("forms_factor_through_edges", witnesses(cg, forms))
+        except RestrictionUndefinedError as exc:
+            return type(exc), str(exc)
+
+    statuses = {PASS: 0, FAIL: 0, "raised": 0}
+    for _, cg, length in _perturbed_covers(20221):
+        forms = enumerate_canonical(cg, length)
+        check = factor_check(cover._unfactored_forms, cg, forms)
+        assert check == factor_check(reference_unfactored_forms, cg, forms)
+        statuses["raised" if isinstance(check, tuple) else check.status] += 1
+    assert min(statuses.values()) > 0, statuses

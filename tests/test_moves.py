@@ -6,7 +6,8 @@ from collections import Counter, defaultdict
 
 from ehresmann import core, corpus, cover, product, resgraph
 
-from oracles import reference_check_proper_ideal, reference_equivalent_paths
+from oracles import (reference_all_paths, reference_check_proper_ideal,
+                     reference_equivalent_paths, reference_matching_walk)
 
 
 def _all_order_ideals(S):
@@ -38,6 +39,19 @@ def test_contract_expand_neighbours_order():
 
 def _small_tables():
     return [S for _, S in corpus.semigroups() if S.n <= 16]
+
+
+def test_matching_factorizations_stop_at_full_groups():
+    """A walk that stops once every product has cap + 1 sequences keeps the
+    first cap + 1 of the whole walk per product."""
+    for _, S in corpus.semigroups():
+        Y = range(S.n)
+        minlen = core._matching_products(S, Y)
+        for max_len in (1, 3, 5):
+            whole = reference_matching_walk(S, Y, max_len)
+            for cap in (1, 2, 5, 20000):
+                assert core._matching_factorizations(S, Y, max_len, cap, minlen) == {
+                    p: seqs[:cap + 1] for p, seqs in whole.items()}, (S.names, max_len, cap)
 
 
 def test_check_proper_ideal_matches_walk_per_target():
@@ -74,7 +88,7 @@ def test_equivalent_paths_matches_neighbours_rebuilt_per_node():
     kinds = Counter()
     for G in _graphs():
         groups = defaultdict(list)
-        for p in resgraph.all_paths(G, 3):
+        for p in reference_all_paths(G, 3):
             groups[p[0][0], resgraph.path_label(G, p), p[-1][2]].append(p)
         keys = sorted(k for k, paths in groups.items() if len(paths) > 1)
         if not keys:

@@ -233,7 +233,8 @@ def test_underlying_graph_of_strict_ideal():
     # matching Y-factorizations of the dropped element become equivalent
     # paths in the underlying graph
     from ehresmann.core import _matching_factorizations
-    facts = _matching_factorizations(S, frozenset(Y), 3, 1000)[u]
+    facts = _matching_factorizations(S, frozenset(Y), 3, 1000,
+                                     core._matching_products(S, frozenset(Y)))[u]
     assert 2 <= len(facts) <= 1000  # at most 1000: not truncated
     paths = [make_path(ug.graph, [ug.of_element[a] for a in fact])
              for fact in facts]
