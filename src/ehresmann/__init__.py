@@ -12,8 +12,8 @@ from .product import (build_product, check_construction_claims,
                       check_properness_criterion, structure_iso_check,
                       underlying_graph)
 from .cover import (CanonicalPath, build_cover_graph, canonical_preimage,
-                    canonicalize, cover_mult, cover_plus_star,
-                    fes_witness_check, phi, verify_cover)
+                    cover_mult, cover_plus_star, fes_witness_check, phi,
+                    verify_cover)
 from .actions import (PartialAction, Premorphism, build_pair_form,
                       check_determinism, check_partial_action_laws,
                       check_sigma_iff_label, classify_restriction,

@@ -56,15 +56,14 @@ def right_cayley_graph(candidates, multiply):
     for every element reached (Froidure & Pin, "Algorithms for computing
     finite semigroups", 1997).
 
-    candidates is an iterable of element ids, scanned in order; it may
-    yield ids that multiply created.  A candidate not yet reached becomes
-    the next generator a_j, every element reached so far is multiplied on
-    the right by it, and what is new is multiplied by every generator.
-    multiply(y, g) is the id of y g.  Returns (gens, order, word, right):
-    order lists the reached elements in the order they were reached;
-    word[y] is (None, j) when y = a_j and (p, j) when y = p a_j with p
-    earlier in order; right[y][j] is the id of y a_j.  With n elements
-    reached this takes n * len(gens) products.
+    candidates, an iterable of element ids, is scanned in order and may
+    yield ids that multiply(y, g), the id of y g, created.  A candidate not
+    yet reached becomes the next generator a_j and right-multiplies every
+    element reached so far; what is new is multiplied by every generator.
+    Returns (gens, order, word, right): order lists the elements in the
+    order reached; word[y] is (None, j) when y = a_j and (p, j) when
+    y = p a_j, p earlier in order; right[y][j] is the id of y a_j.  With n
+    elements reached this takes n * len(gens) products.
     """
     gens, order, word, right = [], [], {}, {}
 
@@ -101,23 +100,24 @@ def _rows_differ(table, y):
     return lambda x: tuple(table[table[x][y]]) != through(table[x])
 
 
-def associativity_witness(table):
+def associativity_witness(table, gens=None):
     """First (x, y, z) in lexicographic order with (x y) z != x (y z), or
     None when the validated table is associative.
 
     Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
-    1.2) compares rows for y in a greedy generating set A only.  The set of
-    y with (x y) z = x (y z) for all x, z is closed under the product of the
-    table even when the table is not associative, and every element is
-    reached from A by right multiplication, so n^2 |A| lookups decide a
-    pass.  On a failure every row is compared, so the witness is the first
-    triple.
+    1.2) compares rows for y in a generating set A only: gens, or the
+    greedy one of right_cayley_graph over range(n).  The y with
+    (x y) z = x (y z) for all x, z are closed under the product even in a
+    non-associative table, and A reaches every element by right products,
+    so n^2 |A| lookups decide a pass.  On a failure every row is compared,
+    so the witness is the first triple.
     """
     n = len(table)
     if n < 2:
         return None     # [] and [[0]]
     rng = range(n)
-    gens = right_cayley_graph(rng, lambda y, g: table[y][g])[0]
+    if gens is None:
+        gens = right_cayley_graph(rng, lambda y, g: table[y][g])[0]
     if not any(any(map(_rows_differ(table, a), rng)) for a in gens):
         return None
     differs = [_rows_differ(table, y) for y in rng]
@@ -187,6 +187,15 @@ def _memoised(fn):
     return cached
 
 
+@_memoised
+def _light(S: OpTableSemigroup) -> tuple:
+    """A, the greedy generating set of S over range(n), and the
+    associativity_witness of Light's test on A."""
+    m = S.mult
+    gens = right_cayley_graph(range(S.n), lambda y, g: m[y][g])[0]
+    return gens, associativity_witness(m, gens)
+
+
 def _pairwise(name, rng, rows) -> Check:
     """Check an identity in x and y one x at a time: rows(x) gives both
     sides for every y as two lists.  The witness is the first (x, y) in
@@ -217,7 +226,7 @@ def verify_ehresmann(S: OpTableSemigroup) -> Report:
         return _pairwise(name, rng, lambda x: (list(map(m[u[x]].__getitem__, u)),
                                                list(map(cols[u[x]].__getitem__, u))))
 
-    assoc = associativity_witness(m)
+    assoc = _light(S)[1]
     return Report([
         Check("associativity", FAIL if assoc else PASS, assoc),
         each("x^+ x = x", lambda x: m[p[x]][x] == x),
@@ -296,36 +305,24 @@ def natural_orders(S: OpTableSemigroup) -> OrderRelations:
     """The natural left/right/two-sided partial orders as boolean tables.
 
     a <=_l b iff a = a^+ b;  a <=_r b iff a = b a^*;
-    a <= b iff a = a^+ b f for some projection f.
+    a <= b iff a = a^+ b f for some projection f (Lawson, J. Algebra 1991).
+    When verify_ehresmann passes, f = a^* is the only candidate: from
+    a = a^+ b f, a^* = (a^+ b)^* f as (x f)^* = x^* f, so
+    a^+ b a^* = a^+ b (a^+ b)^* f = a.  Otherwise every f in P is tried.
     """
     m, p, st = S.mult, S.plus, S.star
     P = projections(S).members
-    rng = range(S.n)
-    le_l = [[m[p[a]][b] == a for b in rng] for a in rng]
-    le_r = [[m[b][st[a]] == a for b in rng] for a in rng]
-    le = [[any(m[m[p[a]][b]][f] == a for f in P) for b in rng] for a in rng]
+    fast = verify_ehresmann(S).ok
+    col = {f: [row[f] for row in m] for f in P}
+    either = functools.partial(map, operator.or_)
+    le_l, le_r, le = [], [], []
+    for a in range(S.n):
+        pa = m[p[a]]
+        le_l.append(list(map(a.__eq__, pa)))
+        le_r.append(list(map(a.__eq__, col[st[a]])))
+        le.append(list(functools.reduce(either, [
+            map(a.__eq__, map(col[f].__getitem__, pa)) for f in ((st[a],) if fast else P)])))
     return OrderRelations(le_l, le_r, le)
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
 
 
 @dataclass
@@ -341,69 +338,61 @@ class Congruence:
         return len(self.classes)
 
 
-def _congruence_from_unionfind(uf, n) -> Congruence:
-    reps = {}
-    classes = []
-    class_of = [0] * n
-    for x in range(n):
-        r = uf.find(x)
-        if r not in reps:
-            reps[r] = len(classes)
-            classes.append([])
-        class_of[x] = reps[r]
-        classes[reps[r]].append(x)
-    return Congruence(n, class_of, [tuple(c) for c in classes])
-
-
 @_memoised
 def sigma(S: OpTableSemigroup):
     """Least congruence identifying all projections, plus the reduced quotient.
 
-    Union-find seeded with all projection pairs, closed under left and right
-    translation by every element until fixpoint.  Closure under the unary
-    operations is automatic: once the projections form a single class, x = y
-    forces x^+ = y^+ because both sides are projections.
+    Union-find seeded with the projection pairs; each merged pair is
+    translated on both sides by every z in Z until fixpoint.  Z is A, the
+    greedy generating set of right_cayley_graph over range(n), when Light's
+    test on A passes: a relation closed under translation by A is then
+    closed under translation by every product of A (East, Egri-Nagy,
+    Mitchell & Peresse, J. Symb. Comput. 2019).  Otherwise Z is range(n).
+    The unary operations need no closure: projections() checks that every
+    x^+ and x^* is in P, and the first |P| - 1 pairs merge P into one class.
     """
     P = projections(S).members
-    m = S.mult
-    uf = _UnionFind(S.n)
+    m, n = S.mult, S.n
+    gens, assoc = _light(S)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     work = deque((P[0], e) for e in P[1:])
     while work:
         a, b = work.popleft()
-        if not uf.union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
             continue
-        for z in range(S.n):
+        parent[rb] = ra
+        for z in range(n) if assoc else gens:
             za, zb = m[z][a], m[z][b]
-            if uf.find(za) != uf.find(zb):
+            if find(za) != find(zb):
                 work.append((za, zb))
             az, bz = m[a][z], m[b][z]
-            if uf.find(az) != uf.find(bz):
+            if find(az) != find(bz):
                 work.append((az, bz))
-    cong = _congruence_from_unionfind(uf, S.n)
-
-    co = cong.class_of
-    for x in range(S.n):
-        if co[S.plus[x]] != co[P[0]] or co[S.star[x]] != co[P[0]]:
-            raise InvariantError(
-                f"sigma does not collapse the projections {S.plus[x]} and "
-                f"{S.star[x]} of element {x} into the class of {P[0]}")
-
-    reps = [cls[0] for cls in cong.classes]
-    k = len(reps)
-    qmult = [[co[m[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    qplus = [co[S.plus[reps[i]]] for i in range(k)]
-    qstar = [co[S.star[reps[i]]] for i in range(k)]
-    qnames = ["[" + S.name(reps[i]) + "]" for i in range(k)]
-    quotient = OpTableSemigroup(k, qmult, qplus, qstar, qnames)
-    return cong, quotient
+    groups = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    index = {r: i for i, r in enumerate(groups)}
+    co = [index[find(x)] for x in range(n)]
+    reps = [c[0] for c in groups.values()]
+    quotient = OpTableSemigroup(
+        len(reps), [[co[m[r][t]] for t in reps] for r in reps],
+        [co[S.plus[r]] for r in reps], [co[S.star[r]] for r in reps],
+        ["[" + S.name(r) + "]" for r in reps])
+    return Congruence(n, co, [tuple(c) for c in groups.values()]), quotient
 
 
 @_memoised
 def fibers(S: OpTableSemigroup) -> tuple:
     """For each element s, the elements sharing its coordinates
     (s^+, s^*, sigma-class of s), in increasing order."""
-    class_of = sigma(S)[0].class_of
-    keys = [(S.plus[s], S.star[s], class_of[s]) for s in range(S.n)]
+    keys = list(zip(S.plus, S.star, sigma(S)[0].class_of))
     groups = {}
     for s, key in enumerate(keys):
         groups.setdefault(key, []).append(s)
@@ -542,11 +531,10 @@ def _first_unreached_factorization(S, Yset, start, goals, max_len, expansions,
     """First of goals (in order) not reached from start by contract/expand moves.
 
     One BFS from start serves every goal: the visiting order does not depend
-    on the goal, and a goal counts as reached as soon as it is generated as a
-    neighbour, before the budget is consulted, so each answer is the one a
-    separate search for that goal would give.  At most budget nodes are
-    kept; the search stops when every goal is reached or the frontier is
-    exhausted.  Returns None when all goals are reached.
+    on the goal, and a goal counts as reached once generated as a neighbour,
+    before the budget is consulted, so each answer is that of a search for
+    that goal alone.  At most budget nodes are kept; the search stops when
+    every goal is reached or the frontier is empty.  None when all are.
     """
     m = S.mult
     remaining = set(goals)
@@ -599,17 +587,15 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
     (1) projections lie in Y; (2) Y is an order ideal; (3) Y-elements are
     proper; (4) every element has a matching Y-factorization of length at
     most max_len; (5) factorizations of length at most max_len are pairwise
-    equivalent under contract/expand moves, searched with intermediate
-    length cap max_len + 2.  The matching Y-sequences are walked once per
-    length bound and grouped by product: up to max_len for the
-    factorizations compared, up to max_len + 1 for the blocks a member of Y
-    expands to.  Condition (5) runs one breadth-first search per element,
-    from its first factorization towards all the others, and budget bounds
-    the nodes that search keeps and the sequences kept per product (more
-    make it INCONCLUSIVE); the verdicts and witnesses are those of a
-    separate search per pair of factorizations.  Condition (5) is a bounded
-    search and may come back INCONCLUSIVE; factorization length is
-    unbounded in general, so no completeness is claimed.
+    equivalent under contract/expand moves with intermediate length cap
+    max_len + 2.  The matching Y-sequences are walked once per length
+    bound, grouped by product: up to max_len for the factorizations, up to
+    max_len + 1 for the blocks a member of Y expands to.  Condition (5) is
+    one breadth-first search per element, from its first factorization
+    towards the others, with the verdicts and witnesses of one search per
+    pair; budget bounds the nodes kept and the sequences kept per product
+    (more make it INCONCLUSIVE).  Factorization length is unbounded in
+    general, so this bounded search claims no completeness.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")

@@ -157,18 +157,6 @@ def build_cover_graph(S: OpTableSemigroup, gens) -> CoverGraph:
     return CoverGraph(S, gens, letters, valuation, proj_list, proj_index, sl, graph, decomp)
 
 
-def canonicalize(cg: CoverGraph, path) -> CanonicalPath:
-    """Delete the identity loops from a cover-graph path."""
-    letters = [c for c in path if c[1]]
-    if not letters:
-        return CanonicalPath.loop_at(path[0][0])
-    entries = [letters[0][0]]
-    for c in letters:
-        entries.append(c[1][0])
-        entries.append(c[2])
-    return CanonicalPath(tuple(entries))
-
-
 def to_path(cg: CoverGraph, u: CanonicalPath) -> tuple:
     if u.is_loop:
         return ((u.d, (), u.d),)

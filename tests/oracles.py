@@ -89,6 +89,16 @@ def brute_min_congruence(S):
     return class_of, classes
 
 
+def perturbed_table(S, rng):
+    """S with one entry of plus, star or mult changed."""
+    mult = [row[:] for row in S.mult]
+    plus, star = S.plus[:], S.star[:]
+    table = rng.choice((plus, star, mult, mult))
+    row = rng.choice(table) if table is mult else table
+    row[rng.randrange(S.n)] = rng.randrange(S.n)
+    return core.OpTableSemigroup(S.n, mult, plus, star)
+
+
 def reference_associativity_witness(table):
     """First (x, y, z) in lexicographic order with (x y) z != x (y z), by the
     plain triple loop over the table; None when the table is associative."""
@@ -99,6 +109,78 @@ def reference_associativity_witness(table):
                 if table[table[x][y]][z] != table[x][table[y][z]]:
                     return (x, y, z)
     return None
+
+
+def reference_natural_orders(S):
+    """The natural orders as tables, trying every projection f in
+    a = a^+ b f for each pair, whatever axioms the table satisfies."""
+    m, p, st = S.mult, S.plus, S.star
+    P = core.projections(S).members
+    rng = range(S.n)
+    le_l = [[m[p[a]][b] == a for b in rng] for a in rng]
+    le_r = [[m[b][st[a]] == a for b in rng] for a in rng]
+    le = [[any(m[m[p[a]][b]][f] == a for f in P) for b in rng] for a in rng]
+    return core.OrderRelations(le_l, le_r, le)
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
+def reference_sigma(S):
+    """sigma by union-find over the projection pairs, each merged pair
+    translated on both sides by every element, whatever axioms the table
+    satisfies; the quotient is built from the least member of each class."""
+    P = core.projections(S).members
+    m = S.mult
+    uf = _UnionFind(S.n)
+    work = deque((P[0], e) for e in P[1:])
+    while work:
+        a, b = work.popleft()
+        if not uf.union(a, b):
+            continue
+        for z in range(S.n):
+            za, zb = m[z][a], m[z][b]
+            if uf.find(za) != uf.find(zb):
+                work.append((za, zb))
+            az, bz = m[a][z], m[b][z]
+            if uf.find(az) != uf.find(bz):
+                work.append((az, bz))
+    reps, classes, class_of = {}, [], [0] * S.n
+    for x in range(S.n):
+        r = uf.find(x)
+        if r not in reps:
+            reps[r] = len(classes)
+            classes.append([])
+        class_of[x] = reps[r]
+        classes[reps[r]].append(x)
+    co = class_of
+    assert all(co[S.plus[x]] == co[S.star[x]] == co[P[0]] for x in range(S.n))
+    reps = [cls[0] for cls in classes]
+    k = len(reps)
+    qmult = [[co[m[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+    qplus = [co[S.plus[reps[i]]] for i in range(k)]
+    qstar = [co[S.star[reps[i]]] for i in range(k)]
+    qnames = ["[" + S.name(reps[i]) + "]" for i in range(k)]
+    quotient = core.OpTableSemigroup(k, qmult, qplus, qstar, qnames)
+    return core.Congruence(S.n, class_of, [tuple(c) for c in classes]), quotient
 
 
 def compose_pairs(pairs_a, pairs_b):
@@ -549,6 +631,19 @@ def reference_unfactored_forms(cg, forms):
         return acc
 
     return ((str(u),) for u in forms if not u.is_loop and product_of_edges(u) != u)
+
+
+def reference_canonicalize(cg, path):
+    """The canonical form of a cover-graph path: its identity loops
+    deleted."""
+    letters = [c for c in path if c[1]]
+    if not letters:
+        return cover.CanonicalPath.loop_at(path[0][0])
+    entries = [letters[0][0]]
+    for c in letters:
+        entries.append(c[1][0])
+        entries.append(c[2])
+    return cover.CanonicalPath(tuple(entries))
 
 
 def reference_mult_witnesses(cg, forms, phis):

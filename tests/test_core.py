@@ -2,12 +2,16 @@ import random
 
 import pytest
 
-from ehresmann import core, corpus, relmonoid
+from ehresmann import core, corpus, product, relmonoid
 from ehresmann.core import MalformedTableError, OpTableSemigroup
+from ehresmann.relmonoid import ClosureOverflowError, Rel
+from ehresmann.resgraph import ResGraph
 from ehresmann.report import FAIL, INCONCLUSIVE, PASS
 
-from oracles import (brute_min_congruence, reference_associativity_witness,
-                     reference_equivalent_factorizations)
+from oracles import (brute_min_congruence, perturbed_table,
+                     reference_associativity_witness,
+                     reference_equivalent_factorizations, reference_natural_orders,
+                     reference_sigma)
 
 
 def small_corpus():
@@ -474,3 +478,104 @@ def test_sigma_and_orders_are_computed_once_per_semigroup():
     assert "_memo" not in repr(S)
     from ehresmann import io
     assert io.dump_semigroup(fresh) == io.dump_semigroup(S)
+
+
+def _random_subalgebras(rng):
+    """Subalgebras of B(2), B(3) and PT(3) generated by one to three random
+    relations or partial maps, each under 130 elements."""
+    out = []
+    for family, n, tries in (("B2", 2, 10), ("B3", 3, 24), ("PT3", 3, 24)):
+        for _ in range(tries):
+            if family == "PT3":
+                images = [[rng.randrange(n + 1) for _ in range(n)]
+                          for _ in range(rng.randint(1, 3))]
+                gens = [Rel.from_pairs(n, [(x, y) for x, y in enumerate(im) if y < n])
+                        for im in images]
+            else:
+                gens = [Rel.from_pairs(n, [(i, j) for i in range(n) for j in range(n)
+                                           if rng.random() < 0.35])
+                        for _ in range(rng.randint(1, 3))]
+            try:
+                alg = relmonoid.generate(n, gens, cap=129)
+            except ClosureOverflowError:
+                continue
+            out.append((f"{family}_sub{len(out)}", alg.to_semigroup()))
+    return out
+
+
+def _perturbed_tables(rng, named):
+    """Each table with one entry of plus, star or mult changed, and the
+    products of the corpus graphs with one restriction or corestriction
+    entry sent to another edge."""
+    out = []
+    for name, S in named:
+        out += [(f"{name}_perturbed{k}", perturbed_table(S, rng)) for k in range(3)]
+    # one product changed, so that translation by the generating set of
+    # Light's test alone leaves apart a pair that translation by every
+    # element merges
+    tables = dict(corpus.semigroups())
+    for name, x, y, v in (("e2t2_product", 1, 1, 3), ("complete2_t2_product", 5, 5, 0)):
+        S = tables[name]
+        mult = [row[:] for row in S.mult]
+        mult[x][y] = v
+        out.append((f"{name}_mult{x}{y}", OpTableSemigroup(S.n, mult, S.plus, S.star)))
+    for name, G in corpus.pm_graphs():
+        edges = G.sorted_edges()
+        for side in (0, 1):
+            keys = sorted((G._restrict, G._corestrict)[side])
+            for key in (keys[0], keys[-1]):
+                maps = [dict(G._restrict), dict(G._corestrict)]
+                maps[side][key] = rng.choice(edges)
+                try:
+                    S, _ = product.build_product(ResGraph(G.sl, G.mon, G.edges, *maps))
+                except ValueError:
+                    continue
+                out.append((f"{name}_product{side}", S))
+    return out
+
+
+def _sigma_and_orders(sigma, orders, S):
+    """sigma's classes and quotient tables and the three order tables of S,
+    each replaced by the type and message of the ValueError it raises."""
+    def outcome(fn, read):
+        try:
+            return read(fn(S))
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return (outcome(sigma, lambda r: (r[0].n, r[0].class_of, r[0].classes, r[1].mult,
+                                      r[1].plus, r[1].star, r[1].names)),
+            outcome(orders, lambda o: (o.le_l, o.le_r, o.le)))
+
+
+def test_sigma_and_orders_match_reference_loops():
+    # sigma translates by the generating set of Light's test and <= tries
+    # the one candidate a^* only on tables that pass their gates; the
+    # reference translates by every element and tries every projection
+    rng = random.Random(104)
+    named = list(corpus.semigroups())
+    named += [(f"full_{name}", build(n).to_semigroup()) for name, build, n in (
+        ("B2", relmonoid.full_B, 2), ("PT3", relmonoid.full_PT, 3),
+        ("I3", relmonoid.full_I, 3))]
+    subalgebras = _random_subalgebras(rng)
+    assert len(subalgebras) >= 30 and max(S.n for _, S in subalgebras) < 130
+    named += subalgebras
+    named += _perturbed_tables(rng, [(name, S) for name, S in named if S.n <= 64])
+    paths = {"ehresmann": 0, "not associative": 0, "associative only": 0,
+             "raises": 0}
+    for name, S in named:
+        got = _sigma_and_orders(core.sigma, core.natural_orders, S)
+        T = OpTableSemigroup(S.n, S.mult, S.plus, S.star, S.names)
+        assert got == _sigma_and_orders(reference_sigma, reference_natural_orders, T), name
+        if isinstance(got[0][1], str):
+            paths["raises"] += 1
+            continue
+        report = core.verify_ehresmann(S)
+        assert report["associativity"].witness == core.associativity_witness(S.mult), name
+        if report.ok:
+            paths["ehresmann"] += 1
+        else:
+            paths["associative only" if report["associativity"].ok
+                  else "not associative"] += 1
+        if S.n <= 9:
+            assert got[0][1] == brute_min_congruence(S)[0], name
+    assert min(paths.values()) >= 5, paths

@@ -3,17 +3,18 @@ import random
 import pytest
 
 from ehresmann import core, corpus, cover, product, relmonoid, resgraph
-from ehresmann.core import InvariantError, OpTableSemigroup
+from ehresmann.core import InvariantError
 from ehresmann.cover import (CanonicalPath, GeneratorError,
                              build_cover_graph, canonical_preimage,
-                             canonicalize, cover_mult, cover_plus_star,
+                             cover_mult, cover_plus_star,
                              enumerate_canonical, fes_witness_check,
                              max_edge_for_letter, phi, to_path, verify_cover)
 from ehresmann.report import FAIL, PASS, first_witness
 from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
                                 restrict_path)
-from oracles import (reference_all_paths, reference_enumerate_canonical,
-                     reference_mult_witnesses, reference_unfactored_forms)
+from oracles import (perturbed_table, reference_all_paths, reference_canonicalize,
+                     reference_enumerate_canonical, reference_mult_witnesses,
+                     reference_unfactored_forms)
 
 
 def e2_cover():
@@ -61,16 +62,6 @@ def test_edges_below_letter_maximum():
             assert product.edge_le(cg.graph, c, top), name
 
 
-def test_canonicalize():
-    cg = e2_cover()
-    G = cg.graph
-    assert canonicalize(cg, ((1, (), 1),)) == CanonicalPath.loop_at(1)
-    p = ((1, (), 1), (1, ("x1",), 1), (1, (), 1))
-    assert canonicalize(cg, p) == CanonicalPath((1, "x1", 1))
-    u = canonicalize(cg, p)
-    assert canonicalize(cg, to_path(cg, u)) == u  # idempotent
-
-
 def test_cover_mult_loops():
     cg = e2_cover()
     assert cover_mult(cg, CanonicalPath.loop_at(1), CanonicalPath.loop_at(0)) \
@@ -94,7 +85,7 @@ def test_cover_mult_matches_path_restriction():
         for u in forms:
             for v in forms:
                 m = cg.sl.meet[u.r][v.d]
-                expected = canonicalize(
+                expected = reference_canonicalize(
                     cg, corestrict_path(cg.graph, to_path(cg, u), m)
                     + restrict_path(cg.graph, to_path(cg, v), m))
                 assert cover_mult(cg, u, v) == expected, (name, str(u), str(v))
@@ -165,7 +156,7 @@ def test_phi_examples():
 def test_phi_of_canonicalize_agrees_on_raw_paths():
     cg = e2_cover()
     for p in reference_all_paths(cg.graph, 3):
-        u = canonicalize(cg, p)
+        u = reference_canonicalize(cg, p)
         raw = cg.proj_list[p[0][0]]
         for c in p:
             if c[1]:
@@ -354,16 +345,6 @@ def test_enumerate_canonical_matches_reference():
             assert enumerate_canonical(cg, length) == reference_enumerate_canonical(cg, length)
 
 
-def _perturbed(S, rng):
-    """S with one entry of plus, star or mult changed."""
-    mult = [row[:] for row in S.mult]
-    plus, star = S.plus[:], S.star[:]
-    table = rng.choice((plus, star, mult, mult))
-    row = rng.choice(table) if table is mult else table
-    row[rng.randrange(S.n)] = rng.randrange(S.n)
-    return OpTableSemigroup(S.n, mult, plus, star)
-
-
 def _perturb_letter_edge_rows(cg, rng):
     """Change one or two entries of the letter edges' restriction and
     corestriction rows in cg.graph to another letter edge's id or to
@@ -384,7 +365,7 @@ def _perturbed_covers(seed):
         length = 2 if name == "pt2" else 3
         for _ in range(150):
             kind = rng.choice(("table", "rows", "both"))
-            T = S if kind == "rows" else _perturbed(S, rng)
+            T = S if kind == "rows" else perturbed_table(S, rng)
             try:
                 cg = build_cover_graph(T, gens)
             except ValueError:
