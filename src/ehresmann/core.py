@@ -56,14 +56,15 @@ def right_cayley_graph(candidates, multiply):
     for every element reached (Froidure & Pin, "Algorithms for computing
     finite semigroups", 1997).
 
-    candidates, an iterable of element ids, is scanned in order and may
-    yield ids that multiply(y, g), the id of y g, created.  A candidate not
-    yet reached becomes the next generator a_j and right-multiplies every
-    element reached so far; what is new is multiplied by every generator.
-    Returns (gens, order, word, right): order lists the elements in the
-    order reached; word[y] is (None, j) when y = a_j and (p, j) when
-    y = p a_j, p earlier in order; right[y][j] is the id of y a_j.  With n
-    elements reached this takes n * len(gens) products.
+    candidates is an iterable of element ids, scanned in order; it may
+    yield ids that multiply created.  A candidate not yet reached becomes
+    the next generator a_j, every element reached so far is multiplied on
+    the right by it, and what is new is multiplied by every generator.
+    multiply(y, g) is the id of y g.  Returns (gens, order, word, right):
+    order lists the reached elements in the order they were reached;
+    word[y] is (None, j) when y = a_j and (p, j) when y = p a_j with p
+    earlier in order; right[y][j] is the id of y a_j.  With n elements
+    reached this takes n * len(gens) products.
     """
     gens, order, word, right = [], [], {}, {}
 
@@ -306,22 +307,23 @@ def natural_orders(S: OpTableSemigroup) -> OrderRelations:
 
     a <=_l b iff a = a^+ b;  a <=_r b iff a = b a^*;
     a <= b iff a = a^+ b f for some projection f (Lawson, J. Algebra 1991).
-    When verify_ehresmann passes, f = a^* is the only candidate: from
-    a = a^+ b f, a^* = (a^+ b)^* f as (x f)^* = x^* f, so
-    a^+ b a^* = a^+ b (a^+ b)^* f = a.  Otherwise every f in P is tried.
+    When verify_ehresmann passes and P is closed under the product, f = a^*
+    is the only candidate: from a = a^+ b f, a^* = (a^+ b)^* f as
+    (x f)^* = (x^* f)^* = x^* f, so a^+ b a^* = a^+ b (a^+ b)^* f = a.
+    Otherwise every f in P is tried.
     """
     m, p, st = S.mult, S.plus, S.star
     P = projections(S).members
-    fast = verify_ehresmann(S).ok
+    fast = verify_ehresmann(S).ok and {m[e][f] for e in P for f in P} <= set(P)
     col = {f: [row[f] for row in m] for f in P}
-    either = functools.partial(map, operator.or_)
     le_l, le_r, le = [], [], []
     for a in range(S.n):
         pa = m[p[a]]
         le_l.append(list(map(a.__eq__, pa)))
         le_r.append(list(map(a.__eq__, col[st[a]])))
-        le.append(list(functools.reduce(either, [
-            map(a.__eq__, map(col[f].__getitem__, pa)) for f in ((st[a],) if fast else P)])))
+        # one row of a^+ b f == a per candidate f; a <= b if any holds
+        hits = [[col[f][y] == a for y in pa] for f in ((st[a],) if fast else P)]
+        le.append(list(map(any, zip(*hits))))
     return OrderRelations(le_l, le_r, le)
 
 
@@ -531,10 +533,11 @@ def _first_unreached_factorization(S, Yset, start, goals, max_len, expansions,
     """First of goals (in order) not reached from start by contract/expand moves.
 
     One BFS from start serves every goal: the visiting order does not depend
-    on the goal, and a goal counts as reached once generated as a neighbour,
-    before the budget is consulted, so each answer is that of a search for
-    that goal alone.  At most budget nodes are kept; the search stops when
-    every goal is reached or the frontier is empty.  None when all are.
+    on the goal, and a goal counts as reached as soon as it is generated as a
+    neighbour, before the budget is consulted, so each answer is the one a
+    separate search for that goal would give.  At most budget nodes are
+    kept; the search stops when every goal is reached or the frontier is
+    exhausted.  Returns None when all goals are reached.
     """
     m = S.mult
     remaining = set(goals)
@@ -587,15 +590,17 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
     (1) projections lie in Y; (2) Y is an order ideal; (3) Y-elements are
     proper; (4) every element has a matching Y-factorization of length at
     most max_len; (5) factorizations of length at most max_len are pairwise
-    equivalent under contract/expand moves with intermediate length cap
-    max_len + 2.  The matching Y-sequences are walked once per length
-    bound, grouped by product: up to max_len for the factorizations, up to
-    max_len + 1 for the blocks a member of Y expands to.  Condition (5) is
-    one breadth-first search per element, from its first factorization
-    towards the others, with the verdicts and witnesses of one search per
-    pair; budget bounds the nodes kept and the sequences kept per product
-    (more make it INCONCLUSIVE).  Factorization length is unbounded in
-    general, so this bounded search claims no completeness.
+    equivalent under contract/expand moves, searched with intermediate
+    length cap max_len + 2.  The matching Y-sequences are walked once per
+    length bound and grouped by product: up to max_len for the
+    factorizations compared, up to max_len + 1 for the blocks a member of Y
+    expands to.  Condition (5) runs one breadth-first search per element,
+    from its first factorization towards all the others, and budget bounds
+    the nodes that search keeps and the sequences kept per product (more
+    make it INCONCLUSIVE); the verdicts and witnesses are those of a
+    separate search per pair of factorizations.  Condition (5) is a bounded
+    search and may come back INCONCLUSIVE; factorization length is
+    unbounded in general, so no completeness is claimed.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")

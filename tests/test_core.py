@@ -560,8 +560,15 @@ def test_sigma_and_orders_match_reference_loops():
     assert len(subalgebras) >= 30 and max(S.n for _, S in subalgebras) < 130
     named += subalgebras
     named += _perturbed_tables(rng, [(name, S) for name, S in named if S.n <= 64])
+    # they pass verify_ehresmann, but a product of two of the projections
+    # 0..k-1 is k, whose x^+ = x^* is 0: <= must try every projection
+    for k in (2, 3):
+        mult = [[i if i == j < k else k for j in range(k + 1)] for i in range(k + 1)]
+        unary = list(range(k)) + [0]
+        named.append((f"projections{k}_not_closed",
+                      OpTableSemigroup(k + 1, mult, unary, unary)))
     paths = {"ehresmann": 0, "not associative": 0, "associative only": 0,
-             "raises": 0}
+             "raises": 0, "P not closed": 0}
     for name, S in named:
         got = _sigma_and_orders(core.sigma, core.natural_orders, S)
         T = OpTableSemigroup(S.n, S.mult, S.plus, S.star, S.names)
@@ -572,10 +579,13 @@ def test_sigma_and_orders_match_reference_loops():
         report = core.verify_ehresmann(S)
         assert report["associativity"].witness == core.associativity_witness(S.mult), name
         if report.ok:
-            paths["ehresmann"] += 1
+            P = core.projections(S).members
+            closed = {S.mult[e][f] for e in P for f in P} <= set(P)
+            paths["ehresmann" if closed else "P not closed"] += 1
         else:
             paths["associative only" if report["associativity"].ok
                   else "not associative"] += 1
         if S.n <= 9:
             assert got[0][1] == brute_min_congruence(S)[0], name
-    assert min(paths.values()) >= 5, paths
+    not_closed = paths.pop("P not closed")
+    assert not_closed >= 2 and min(paths.values()) >= 5, (not_closed, paths)
