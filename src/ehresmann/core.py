@@ -101,24 +101,34 @@ def _rows_differ(table, y):
     return lambda x: tuple(table[table[x][y]]) != through(table[x])
 
 
+def greedy_generators(table) -> list:
+    """A generating set of the table by right products: the greedy one of
+    right_cayley_graph over the elements in decreasing order of |xS|, the
+    number of distinct entries of row x, ties in index order.  An element
+    with a large row reaches many others by right products, so few are
+    needed (B(3): 5 of 512 elements, PT(4): 5 of 625)."""
+    rank = sorted(range(len(table)), key=lambda x: -len(set(table[x])))
+    return right_cayley_graph(rank, lambda y, g: table[y][g])[0]
+
+
 def associativity_witness(table, gens=None):
     """First (x, y, z) in lexicographic order with (x y) z != x (y z), or
     None when the validated table is associative.
 
     Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
-    1.2) compares rows for y in a generating set A only: gens, or the
-    greedy one of right_cayley_graph over range(n).  The y with
-    (x y) z = x (y z) for all x, z are closed under the product even in a
-    non-associative table, and A reaches every element by right products,
-    so n^2 |A| lookups decide a pass.  On a failure every row is compared,
-    so the witness is the first triple.
+    1.2) compares rows for y in a generating set A only: gens, or
+    greedy_generators(table).  The y with (x y) z = x (y z) for all x, z
+    are closed under the product even in a non-associative table, and A
+    reaches every element by right products, so n^2 |A| lookups decide a
+    pass.  On a failure every row is compared, so the witness is the first
+    triple whichever A was used.
     """
     n = len(table)
     if n < 2:
         return None     # [] and [[0]]
     rng = range(n)
     if gens is None:
-        gens = right_cayley_graph(rng, lambda y, g: table[y][g])[0]
+        gens = greedy_generators(table)
     if not any(any(map(_rows_differ(table, a), rng)) for a in gens):
         return None
     differs = [_rows_differ(table, y) for y in rng]
@@ -190,74 +200,125 @@ def _memoised(fn):
 
 @_memoised
 def _light(S: OpTableSemigroup) -> tuple:
-    """A, the greedy generating set of S over range(n), and the
-    associativity_witness of Light's test on A."""
-    m = S.mult
-    gens = right_cayley_graph(range(S.n), lambda y, g: m[y][g])[0]
-    return gens, associativity_witness(m, gens)
+    """A = greedy_generators(S.mult) and the associativity_witness of
+    Light's test on A."""
+    gens = greedy_generators(S.mult)
+    return gens, associativity_witness(S.mult, gens)
 
 
-def _pairwise(name, rng, rows) -> Check:
-    """Check an identity in x and y one x at a time: rows(x) gives both
-    sides for every y as two lists.  The witness is the first (x, y) in
-    lexicographic order where they differ."""
-    def witnesses():
-        for x in rng:
-            lhs, rhs = rows(x)
-            if lhs != rhs:
-                yield x, next(y for y in rng if lhs[y] != rhs[y])
-    return first_witness(name, witnesses())
+def _gather(idx):
+    """seq -> tuple(seq[i] for i in idx) in one C-level itemgetter call;
+    itemgetter returns a bare item for a single index, so that is wrapped."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda seq: (seq[i],)
+    return operator.itemgetter(*idx)
+
+
+def _each(name, lhs, rhs) -> Check:
+    """An identity in x, both sides given as sequences over x; the witness
+    is the first x where they differ."""
+    lhs, rhs = list(lhs), list(rhs)
+    if lhs == rhs:
+        return Check(name, PASS)
+    return Check(name, FAIL, (next(x for x, a in enumerate(lhs) if a != rhs[x]),))
+
+
+def _by_rows(name, rows) -> Check:
+    """An identity in x and y, rows yielding both sides of row x for every
+    y, as two sequences of the same type, x = 0, 1, ... in turn; the
+    witness is the first (x, y) in lexicographic order where they differ."""
+    for x, (lhs, rhs) in enumerate(rows):
+        if lhs != rhs:
+            return Check(name, FAIL, (x, next(y for y, a in enumerate(lhs) if a != rhs[y])))
+    return Check(name, PASS)
+
+
+def _commute(name, m, u) -> Check:
+    """u(x) u(y) = u(y) u(x).  Both sides depend on u(x) and u(y) only, so
+    the table restricted to the image of u is compared with its transpose,
+    and a witness is sought only at the first x whose value has a partner
+    it does not commute with."""
+    image = list(set(u))
+    at = _gather(image)
+    rows = [at(m[e]) for e in image]
+    cols = list(zip(*rows))
+    if rows == cols:
+        return Check(name, PASS)
+    bad = {e for e, row, col in zip(image, rows, cols) if row != col}
+    x = next(x for x, e in enumerate(u) if e in bad)
+    e = u[x]
+    return Check(name, FAIL, (x, next(y for y, f in enumerate(u) if m[e][f] != m[f][e])))
 
 
 @_memoised
 def verify_ehresmann(S: OpTableSemigroup) -> Report:
     """Check associativity and the eight defining unary identities.
 
-    Each check is reported PASS or FAIL with a witness tuple on FAIL.
+    Each check is reported PASS or FAIL with a witness tuple on FAIL, the
+    first in lexicographic order of its variables.  The identities in two
+    variables are compared by whole rows at C level, one x at a time.
     """
     m, p, st = S.mult, S.plus, S.star
     rng = range(S.n)
+    through_p = _gather(p)
 
-    def each(name, holds):
-        return first_witness(name, ((x,) for x in rng if not holds(x)))
+    def plus_rows():
+        # row x of (x y)^+ against the same row read at y^+
+        for row in m:
+            lhs = _gather(row)(p)
+            yield lhs, through_p(lhs)
 
-    def commute(name, u):
-        # u(x) u(y) = u(y) u(x): row u(x) against column u(x), both read at u
-        cols = {e: [row[e] for row in m] for e in set(u)}
-        return _pairwise(name, rng, lambda x: (list(map(m[u[x]].__getitem__, u)),
-                                               list(map(cols[u[x]].__getitem__, u))))
+    def star_rows():
+        # row x of (x y)^* against row x^* of it, one per value of x^*
+        at = {}
+        for row, e in zip(m, st):
+            if e not in at:
+                at[e] = _gather(m[e])(st)
+            yield _gather(row)(st), at[e]
 
     assoc = _light(S)[1]
     return Report([
         Check("associativity", FAIL if assoc else PASS, assoc),
-        each("x^+ x = x", lambda x: m[p[x]][x] == x),
-        commute("x^+ y^+ = y^+ x^+", p),
-        _pairwise("(x y)^+ = (x y^+)^+", rng, lambda x: (
-            list(map(p.__getitem__, m[x])),
-            [p[m[x][q]] for q in p])),
-        each("x x^* = x", lambda x: m[x][st[x]] == x),
-        commute("x^* y^* = y^* x^*", st),
-        _pairwise("(x y)^* = (x^* y)^*", rng, lambda x: (
-            list(map(st.__getitem__, m[x])),
-            list(map(st.__getitem__, m[st[x]])))),
-        each("(x^+)^* = x^+", lambda x: st[p[x]] == p[x]),
-        each("(x^*)^+ = x^*", lambda x: p[st[x]] == st[x]),
+        _each("x^+ x = x", map(operator.getitem, map(m.__getitem__, p), rng), rng),
+        _commute("x^+ y^+ = y^+ x^+", m, p),
+        _by_rows("(x y)^+ = (x y^+)^+", plus_rows()),
+        _each("x x^* = x", map(operator.getitem, m, st), rng),
+        _commute("x^* y^* = y^* x^*", m, st),
+        _by_rows("(x y)^* = (x^* y)^*", star_rows()),
+        _each("(x^+)^* = x^+", map(st.__getitem__, p), p),
+        _each("(x^*)^+ = x^*", map(p.__getitem__, st), st),
     ])
 
 
 def verify_restriction(S: OpTableSemigroup, side: str = "both") -> Report:
-    """Check the ample identity for the requested side(s)."""
+    """Check the ample identity for the requested side(s), by whole rows one
+    x at a time; the witness is the first failing (x, y) in lexicographic
+    order."""
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be left, right or both, not {side!r}")
     m, p, st = S.mult, S.plus, S.star
-    rng = range(S.n)
+
+    def left_rows():
+        # x y^+ against (x y)^+ x: column x at the image of plus, which
+        # holds n |P| entries on an Ehresmann table, read through plus and
+        # then through row x
+        image = sorted(set(p))
+        pos = {e: i for i, e in enumerate(image)}
+        through_p, through_pos = _gather(p), _gather([pos[e] for e in p])
+        for row, col in zip(m, zip(*[m[e] for e in image])):
+            yield through_p(row), _gather(row)(through_pos(col))
+
+    def right_rows():
+        # x^* y against y (x y)^*
+        for row, e in zip(m, st):
+            yield m[e], list(map(operator.getitem, m, _gather(row)(st)))
+
     checks = []
     if side in ("left", "both"):
-        checks.append(first_witness("x y^+ = (x y)^+ x", (
-            (x, y) for x in rng for y in rng if m[x][p[y]] != m[p[m[x][y]]][x])))
+        checks.append(_by_rows("x y^+ = (x y)^+ x", left_rows()))
     if side in ("right", "both"):
-        checks.append(first_witness("x^* y = y (x y)^*", (
-            (x, y) for x in rng for y in rng if m[st[x]][y] != m[y][st[m[x][y]]])))
+        checks.append(_by_rows("x^* y = y (x y)^*", right_rows()))
     return Report(checks)
 
 
@@ -345,11 +406,12 @@ def sigma(S: OpTableSemigroup):
     """Least congruence identifying all projections, plus the reduced quotient.
 
     Union-find seeded with the projection pairs; each merged pair is
-    translated on both sides by every z in Z until fixpoint.  Z is A, the
-    greedy generating set of right_cayley_graph over range(n), when Light's
-    test on A passes: a relation closed under translation by A is then
-    closed under translation by every product of A (East, Egri-Nagy,
-    Mitchell & Peresse, J. Symb. Comput. 2019).  Otherwise Z is range(n).
+    translated on both sides by every z in Z until fixpoint.  Z is A =
+    greedy_generators(S.mult) when Light's test on A passes: a relation
+    closed under translation by A is then closed under translation by every
+    product of A (East, Egri-Nagy, Mitchell & Peresse, J. Symb. Comput.
+    2019).  Otherwise Z is range(n).  The classes are numbered by least
+    member, so they do not depend on which A was chosen.
     The unary operations need no closure: projections() checks that every
     x^+ and x^* is in P, and the first |P| - 1 pairs merge P into one class.
     """

@@ -81,24 +81,34 @@ class CoverGraph:
 
 def _generating_closure(S: OpTableSemigroup, gens):
     """Closure of gens under the three operations, remembering one flat word
-    of generators and projections for every element reached."""
+    of generators and projections for every element reached.
+
+    Semi-naive: a round takes x^+ and x^* of the elements not taken yet,
+    then multiplies, in lexicographic order of the elements reached, only
+    the pairs with an element reached since the last round's products.  The
+    other pairs were multiplied in an earlier round and add nothing, so the
+    elements, their order and their words are those of multiplying every
+    pair in every round."""
     decomp = {g: (("g", g),) for g in gens}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(decomp):
+    unary_done = mult_done = 0
+    while True:
+        size = len(decomp)
+        for a in list(decomp)[unary_done:]:
             for v in (S.plus[a], S.star[a]):
                 if v not in decomp:
                     decomp[v] = (("p", v),)
-                    changed = True
+        unary_done = size
         current = list(decomp)
-        for a in current:
-            for b in current:
-                ab = S.mult[a][b]
+        new = current[mult_done:]
+        for i, a in enumerate(current):
+            row, word = S.mult[a], decomp[a]
+            for b in new if i < mult_done else current:
+                ab = row[b]
                 if ab not in decomp:
-                    decomp[ab] = decomp[a] + decomp[b]
-                    changed = True
-    return decomp
+                    decomp[ab] = word + decomp[b]
+        mult_done = len(current)
+        if len(decomp) == size:
+            return decomp
 
 
 def build_cover_graph(S: OpTableSemigroup, gens) -> CoverGraph:

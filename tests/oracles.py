@@ -111,6 +111,92 @@ def reference_associativity_witness(table):
     return None
 
 
+def _reference_pairwise(name, rng, rows):
+    """Check an identity in x and y one x at a time: rows(x) gives both
+    sides for every y as two lists.  The witness is the first (x, y) in
+    lexicographic order where they differ."""
+    def witnesses():
+        for x in rng:
+            lhs, rhs = rows(x)
+            if lhs != rhs:
+                yield x, next(y for y in rng if lhs[y] != rhs[y])
+    return first_witness(name, witnesses())
+
+
+def reference_verify_ehresmann(S):
+    """Associativity by Light's test on the greedy generating set taken in
+    index order, and the eight unary identities by pairwise scans, each in
+    lexicographic order of its variables."""
+    m, p, st = S.mult, S.plus, S.star
+    rng = range(S.n)
+
+    def each(name, holds):
+        return first_witness(name, ((x,) for x in rng if not holds(x)))
+
+    def commute(name, u):
+        # u(x) u(y) = u(y) u(x): row u(x) against column u(x), both read at u
+        cols = {e: [row[e] for row in m] for e in set(u)}
+        return _reference_pairwise(name, rng, lambda x: (
+            list(map(m[u[x]].__getitem__, u)), list(map(cols[u[x]].__getitem__, u))))
+
+    gens = core.right_cayley_graph(rng, lambda y, g: m[y][g])[0]
+    assoc = core.associativity_witness(m, gens)
+    return Report([
+        Check("associativity", FAIL if assoc else PASS, assoc),
+        each("x^+ x = x", lambda x: m[p[x]][x] == x),
+        commute("x^+ y^+ = y^+ x^+", p),
+        _reference_pairwise("(x y)^+ = (x y^+)^+", rng, lambda x: (
+            list(map(p.__getitem__, m[x])),
+            [p[m[x][q]] for q in p])),
+        each("x x^* = x", lambda x: m[x][st[x]] == x),
+        commute("x^* y^* = y^* x^*", st),
+        _reference_pairwise("(x y)^* = (x^* y)^*", rng, lambda x: (
+            list(map(st.__getitem__, m[x])),
+            list(map(st.__getitem__, m[st[x]])))),
+        each("(x^+)^* = x^+", lambda x: st[p[x]] == p[x]),
+        each("(x^*)^+ = x^*", lambda x: p[st[x]] == st[x]),
+    ])
+
+
+def reference_verify_restriction(S, side="both"):
+    """The ample identities for the requested side(s), pair by pair."""
+    if side not in ("left", "right", "both"):
+        raise ValueError(f"side must be left, right or both, not {side!r}")
+    m, p, st = S.mult, S.plus, S.star
+    rng = range(S.n)
+    checks = []
+    if side in ("left", "both"):
+        checks.append(first_witness("x y^+ = (x y)^+ x", (
+            (x, y) for x in rng for y in rng if m[x][p[y]] != m[p[m[x][y]]][x])))
+    if side in ("right", "both"):
+        checks.append(first_witness("x^* y = y (x y)^*", (
+            (x, y) for x in rng for y in rng if m[st[x]][y] != m[y][st[m[x][y]]])))
+    return Report(checks)
+
+
+def reference_generating_closure(S, gens):
+    """Closure of gens under the three operations, remembering one flat word
+    of generators and projections for every element reached: every round
+    multiplies every pair of the elements reached so far."""
+    decomp = {g: (("g", g),) for g in gens}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(decomp):
+            for v in (S.plus[a], S.star[a]):
+                if v not in decomp:
+                    decomp[v] = (("p", v),)
+                    changed = True
+        current = list(decomp)
+        for a in current:
+            for b in current:
+                ab = S.mult[a][b]
+                if ab not in decomp:
+                    decomp[ab] = decomp[a] + decomp[b]
+                    changed = True
+    return decomp
+
+
 def reference_natural_orders(S):
     """The natural orders as tables, trying every projection f in
     a = a^+ b f for each pair, whatever axioms the table satisfies."""

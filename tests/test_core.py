@@ -11,7 +11,8 @@ from ehresmann.report import FAIL, INCONCLUSIVE, PASS
 from oracles import (brute_min_congruence, perturbed_table,
                      reference_associativity_witness,
                      reference_equivalent_factorizations, reference_natural_orders,
-                     reference_sigma)
+                     reference_sigma, reference_verify_ehresmann,
+                     reference_verify_restriction)
 
 
 def small_corpus():
@@ -434,34 +435,54 @@ def _kernel_corpus_tables():
     return [t for t in tables if len(t) <= 64]
 
 
+def _right_closure(table, gens):
+    """The elements reached from gens by right products of gens."""
+    reached, frontier = set(gens), list(gens)
+    while frontier:
+        y = frontier.pop()
+        for g in gens:
+            z = table[y][g]
+            if z not in reached:
+                reached.add(z)
+                frontier.append(z)
+    return reached
+
+
 def test_associativity_kernel_matches_triple_loop_oracle():
     rng = random.Random(3)
     tables = _kernel_corpus_tables()
     assert len(tables) > 30 and max(len(t) for t in tables) == 64
     fails = 0
     for table in tables:
+        n = len(table)
+        assert _right_closure(table, core.greedy_generators(table)) == set(range(n))
         assert core.associativity_witness(table) is None
         assert reference_associativity_witness(table) is None
-        n = len(table)
         if n == 1:
             continue
         for _ in range(2):
             bad = [list(row) for row in table]
             x, y = rng.randrange(n), rng.randrange(n)
             bad[x][y] = (bad[x][y] + rng.randrange(1, n)) % n
+            assert _right_closure(bad, core.greedy_generators(bad)) == set(range(n))
             witness = core.associativity_witness(bad)
             assert witness == reference_associativity_witness(bad)
             fails += witness is not None
     assert fails > 50
-    # Z_12 is generated by 0 and 1 in index order, so Light's test compares
-    # two rows only; one changed entry breaks associativity
+    # every row of Z_12 has 12 entries, so the rank order is the index order
+    # and Z_12 is generated by 0 and 1: Light's test compares two rows only;
+    # one changed entry breaks associativity
     z12 = [[(x + y) % 12 for y in range(12)] for x in range(12)]
-    assert core.right_cayley_graph(range(12), lambda y, g: z12[y][g])[0] == [0, 1]
+    assert core.greedy_generators(z12) == [0, 1]
     assert core.associativity_witness(z12) is None
     z12[3][4] = 0
     witness = reference_associativity_witness(z12)
     assert witness is not None
     assert core.associativity_witness(z12) == witness
+    # in the rank order PT(3) needs 4 generators, in index order 20
+    pt3 = relmonoid.full_PT(3).to_semigroup().mult
+    index_order = core.right_cayley_graph(range(64), lambda y, g: pt3[y][g])[0]
+    assert (len(core.greedy_generators(pt3)), len(index_order)) == (4, 20)
 
 
 def test_sigma_and_orders_are_computed_once_per_semigroup():
@@ -589,3 +610,46 @@ def test_sigma_and_orders_match_reference_loops():
             assert got[0][1] == brute_min_congruence(S)[0], name
     not_closed = paths.pop("P not closed")
     assert not_closed >= 2 and min(paths.values()) >= 5, (not_closed, paths)
+
+
+def _verify_inputs(rng):
+    """Tables for the verify differential: the corpus, full B(1..2),
+    PT(1..3), I(1..3) and PTc(2..3), seeded random subalgebras, copies of
+    those with 1, 2 and 5 successive random edits, and every table with one
+    or two elements."""
+    named = list(corpus.semigroups())
+    for name, build, sizes in (("B", relmonoid.full_B, (1, 2)),
+                               ("PT", relmonoid.full_PT, (1, 2, 3)),
+                               ("I", relmonoid.full_I, (1, 2, 3)),
+                               ("PTc", relmonoid.full_PTc, (2, 3))):
+        named += [(f"full_{name}{k}", build(k).to_semigroup()) for k in sizes]
+    named += _random_subalgebras(rng)
+    for name, S in list(named):
+        T = S
+        for edits in range(1, 6):
+            T = perturbed_table(T, rng)
+            if edits in (1, 2, 5):
+                named.append((f"{name}_edits{edits}", T))
+    named.append(("one", OpTableSemigroup(1, [[0]], [0], [0])))
+    for code in range(1 << 8):
+        bits = [code >> i & 1 for i in range(8)]
+        named.append((f"two{code}", OpTableSemigroup(2, [bits[0:2], bits[2:4]],
+                                                     bits[4:6], bits[6:8])))
+    return named
+
+
+def test_verify_matches_reference_scans():
+    # whole-row checks against pair-by-pair scans: the same statuses and
+    # the same first witness on every failure
+    named = _verify_inputs(random.Random(104))
+    fails = {}
+    for name, S in named:
+        T = OpTableSemigroup(S.n, S.mult, S.plus, S.star)
+        got = core.verify_ehresmann(S)
+        assert got.checks == reference_verify_ehresmann(T).checks, name
+        for side in ("left", "right", "both"):
+            restriction = core.verify_restriction(S, side)
+            assert restriction.checks == reference_verify_restriction(T, side).checks, name
+        for check in got.checks + restriction.checks:
+            fails[check.name] = fails.get(check.name, 0) + (check.status == FAIL)
+    assert len(fails) == 11 and min(fails.values()) >= 5, fails

@@ -13,8 +13,8 @@ from ehresmann.report import FAIL, PASS, first_witness
 from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
                                 restrict_path)
 from oracles import (perturbed_table, reference_all_paths, reference_canonicalize,
-                     reference_enumerate_canonical, reference_mult_witnesses,
-                     reference_unfactored_forms)
+                     reference_enumerate_canonical, reference_generating_closure,
+                     reference_mult_witnesses, reference_unfactored_forms)
 
 
 def e2_cover():
@@ -404,3 +404,26 @@ def test_factor_check_matches_product_of_edges_on_perturbed_tables():
         assert check == factor_check(reference_unfactored_forms, cg, forms)
         statuses["raised" if isinstance(check, tuple) else check.status] += 1
     assert min(statuses.values()) > 0, statuses
+
+
+def test_generating_closure_matches_every_pair_rounds():
+    # each round multiplies only the pairs with an element new since the
+    # last one; the reference multiplies every pair in every round, and the
+    # elements, their order and their words must agree
+    rng = random.Random(11)
+    cases = [(name, S, gens) for name, S, gens in corpus.cover_cases()]
+    named = list(corpus.semigroups()) + [
+        (f"full_{name}", build(k).to_semigroup()) for name, build, k in (
+            ("B2", relmonoid.full_B, 2), ("PT3", relmonoid.full_PT, 3),
+            ("I3", relmonoid.full_I, 3))]
+    named += [(f"{name}_perturbed", perturbed_table(S, rng)) for name, S in named]
+    for name, S in named:
+        cases += [(name, S, sorted(rng.sample(range(S.n), min(k, S.n))))
+                  for k in range(5)]
+    generating = 0
+    for name, S, gens in cases:
+        got = cover._generating_closure(S, gens)
+        assert list(got.items()) == list(reference_generating_closure(S, gens).items()), (
+            name, gens)
+        generating += len(got) == S.n
+    assert 20 <= generating <= len(cases) - 20, (generating, len(cases))
