@@ -83,6 +83,14 @@ def validate_premorphism(pm) -> Report:
     return Report(checks)
 
 
+def _require(report: Report, what: str) -> None:
+    """Raise ValueError naming what and the first failed check of report,
+    with its witness, unless report passes."""
+    if not report.ok:
+        bad = report.failures()[0]
+        raise ValueError(f"{what}: {bad.name} witness={bad.witness}")
+
+
 @dataclass
 class PMGraph:
     """Labelled graph over a plain set, closed under composable label
@@ -106,21 +114,14 @@ def graph_to_premorphism(G) -> Premorphism:
             raise ValueError(f"label {t} has no edge; relation would be empty")
         phi[t] = Rel.from_pairs(n, pairs)
     pm = Premorphism(mon, n, phi)
-    report = validate_premorphism(pm)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise ValueError(f"graph is not a partial multiaction: "
-                         f"{bad.name} witness={bad.witness}")
+    _require(validate_premorphism(pm), "graph is not a partial multiaction")
     return pm
 
 
 def premorphism_to_graph(pm) -> PMGraph:
     """Edges (x, t, y) for the pairs of phi_t; (PM) holds by the lax
     compatibility law."""
-    report = validate_premorphism(pm)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise ValueError(f"not a premorphism: {bad.name} witness={bad.witness}")
+    _require(validate_premorphism(pm), "not a premorphism")
     n = pm.ground if isinstance(pm, Premorphism) else pm.sl.n
     return PMGraph(n, pm.mon, frozenset(_phi_edges(pm)))
 
@@ -289,10 +290,7 @@ def _inverse(rel: Rel):
 def partial_action_graph(pa: PartialAction) -> ResGraph:
     """The partial multiaction of a partial action, with the induced
     restriction (g, t, g phi_t) and corestriction (h phi_t^{-1}, t, h)."""
-    report = validate_partial_action(pa)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise ValueError(f"not a partial action: {bad.name} witness={bad.witness}")
+    _require(validate_partial_action(pa), "not a partial action")
     edges = _phi_edges(pa)
     inverse = {t: _inverse(rel) for t, rel in _phi_items(pa)}
     restrict = {((x, t, y), g): (g, t, _apply(pa.phi[t], g))
@@ -306,10 +304,7 @@ def build_pair_form(pa: PartialAction):
     """The pair semigroup of a partial action: elements (e, s) with e in
     dom(phi_s), product (e,s)(f,t) = ((e phi_s ^ f) phi_s^{-1}, s t),
     plus (e, 1), star (e phi_s, 1)."""
-    report = validate_partial_action(pa)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise ValueError(f"not a partial action: {bad.name} witness={bad.witness}")
+    _require(validate_partial_action(pa), "not a partial action")
     sl, mon = pa.sl, pa.mon
     pairs = [(e, s) for s in sorted(mon.elements())
              for e in range(sl.n) if pa.phi[s].row(e)]

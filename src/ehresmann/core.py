@@ -322,27 +322,10 @@ def verify_restriction(S: OpTableSemigroup, side: str = "both") -> Report:
     return Report(checks)
 
 
-@dataclass
-class ProjectionSet:
-    members: tuple
-
-    def __contains__(self, e):
-        return e in self.members
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
-def projections(S: OpTableSemigroup) -> ProjectionSet:
-    """The projections: the common image of the two unary operations."""
-    return ProjectionSet(_projection_members(S))
-
-
 @_memoised
-def _projection_members(S: OpTableSemigroup) -> tuple:
+def projections(S: OpTableSemigroup) -> tuple:
+    """The projections, in increasing order: the common image of the two
+    unary operations."""
     plus_img = sorted(set(S.plus))
     star_img = sorted(set(S.star))
     if plus_img != star_img:
@@ -374,7 +357,7 @@ def natural_orders(S: OpTableSemigroup) -> OrderRelations:
     Otherwise every f in P is tried.
     """
     m, p, st = S.mult, S.plus, S.star
-    P = projections(S).members
+    P = projections(S)
     fast = verify_ehresmann(S).ok and {m[e][f] for e in P for f in P} <= set(P)
     col = {f: [row[f] for row in m] for f in P}
     le_l, le_r, le = [], [], []
@@ -415,7 +398,7 @@ def sigma(S: OpTableSemigroup):
     The unary operations need no closure: projections() checks that every
     x^+ and x^* is in P, and the first |P| - 1 pairs merge P into one class.
     """
-    P = projections(S).members
+    P = projections(S)
     m, n = S.mult, S.n
     gens, assoc = _light(S)
     parent = list(range(n))

@@ -436,29 +436,13 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     return Report(checks)
 
 
-@dataclass
-class FesWitnessReport:
-    status: str
-    ground_size: int | None = None
-    x: relmonoid.Rel | None = None
-    y: relmonoid.Rel | None = None
-
-    def lines(self):
-        if self.status != PASS:
-            return [f"{self.status}  no witness found"]
-        return [
-            f"PASS  ground size {self.ground_size}",
-            f"      x = {self.x!r}",
-            f"      y = {self.y!r}",
-            "      (x y^+)^+ = ((x y)^+ x)^+  and  (x y^+)^* != ((x y)^+ x)^*",
-        ]
-
-
-def fes_witness_check(max_ground: int = 3) -> FesWitnessReport:
+def fes_witness_check(max_ground: int = 3) -> Check:
     """Search the relation monoids for an interpretation of two letters
     where the terms x y^+ and (x y)^+ x share their plus but differ in
     their star, certifying that the two terms are distinct as elements of
-    the free algebra while sigma-related."""
+    the free algebra while sigma-related.  PASS with the witness (n, x, y),
+    x and y relations on n points, or INCONCLUSIVE when no B(n) with
+    n <= max_ground holds one."""
     for n in range(2, max_ground + 1):
         for xb in range(1 << (n * n)):
             x = relmonoid.Rel(n, xb)
@@ -468,5 +452,5 @@ def fes_witness_check(max_ground: int = 3) -> FesWitnessReport:
                 right = relmonoid.compose(relmonoid.dom(relmonoid.compose(x, y)), x)
                 if (relmonoid.dom(left) == relmonoid.dom(right)
                         and relmonoid.ran(left) != relmonoid.ran(right)):
-                    return FesWitnessReport(PASS, n, x, y)
-    return FesWitnessReport(INCONCLUSIVE)
+                    return Check("fes_witness", PASS, (n, x, y))
+    return Check("fes_witness", INCONCLUSIVE)

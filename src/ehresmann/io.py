@@ -85,6 +85,8 @@ def load_path(path):
 
 
 def load_document(doc):
+    """(kind, object) for a document; SchemaError if it is malformed,
+    including the ValueErrors of the constructors that check its tables."""
     kind = _need(doc, "kind", "document")
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
@@ -97,7 +99,12 @@ def load_document(doc):
         "relgen": load_relgen,
         "premorphism": load_premorphism,
     }[kind]
-    return kind, loader(doc)
+    try:
+        return kind, loader(doc)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def load_semigroup(doc) -> OpTableSemigroup:
@@ -105,10 +112,7 @@ def load_semigroup(doc) -> OpTableSemigroup:
     mult = _need(doc, "mult", "semigroup")
     plus = _need(doc, "plus", "semigroup")
     star = _need(doc, "star", "semigroup")
-    try:
-        return OpTableSemigroup(len(elements), mult, plus, star, list(elements))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return OpTableSemigroup(len(elements), mult, plus, star, list(elements))
 
 
 def dump_semigroup(S: OpTableSemigroup) -> dict:
@@ -125,10 +129,7 @@ def dump_semigroup(S: OpTableSemigroup) -> dict:
 def _load_semilattice(doc) -> Semilattice:
     elements = _need_strings(doc, "elements", "semilattice")
     meet = _need(doc, "meet", "semilattice")
-    try:
-        return Semilattice(len(elements), meet, list(elements))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return Semilattice(len(elements), meet, list(elements))
 
 
 def _dump_semilattice(sl: Semilattice) -> dict:
@@ -144,15 +145,9 @@ def _load_monoid(doc):
         elements = _need_strings(doc, "elements", "monoid")
         mult = _need(doc, "mult", "monoid")
         ident = _need(doc, "identity", "monoid")
-        try:
-            return FiniteMonoid(len(elements), mult, ident, list(elements))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+        return FiniteMonoid(len(elements), mult, ident, list(elements))
     if kind == "free":
-        try:
-            return FreeMonoid(tuple(_need_strings(doc, "alphabet", "monoid")))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+        return FreeMonoid(tuple(_need_strings(doc, "alphabet", "monoid")))
     raise SchemaError(f"unknown monoid kind {kind!r}")
 
 
@@ -174,10 +169,7 @@ def _label_from_json(mon, raw):
         raw = tuple(raw)
     elif type(raw) is not int:
         raise SchemaError(f"finite label must be an int, not {raw!r}")
-    try:
-        mon.check_label(raw)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    mon.check_label(raw)
     return raw
 
 
@@ -203,10 +195,7 @@ def load_resgraph(doc) -> ResGraph:
         items = _need_list(doc, kind, "resgraph") if kind in doc else []
         maps.append({(edge_at(item, "edge", kind), _need_int(item, vertex, kind)):
                      edge_at(item, "to", kind) for item in items} or None)
-    try:
-        return ResGraph(sl, mon, edges, *maps)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return ResGraph(sl, mon, edges, *maps)
 
 
 def dump_resgraph(G: ResGraph) -> dict:
@@ -233,11 +222,7 @@ def load_relgen(doc):
         raise SchemaError(f"relgen ground_size must be an int >= 1, not {n!r}")
     gens = []
     for pairs in _need_list(doc, "generators", "relgen"):
-        pairs = _pair_list(pairs, "relgen generator")
-        try:
-            gens.append(Rel.from_pairs(n, pairs))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+        gens.append(Rel.from_pairs(n, _pair_list(pairs, "relgen generator")))
     return n, gens
 
 
@@ -268,11 +253,7 @@ def load_premorphism(doc):
             t = int(key)
         except ValueError as exc:
             raise SchemaError(f"phi key {key!r} is not a label index") from exc
-        pairs = _pair_list(pairs, f"phi entry {key!r}")
-        try:
-            phi[t] = Rel.from_pairs(n, pairs)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+        phi[t] = Rel.from_pairs(n, _pair_list(pairs, f"phi entry {key!r}"))
     if sl is not None:
         return PartialAction(sl, mon, phi)
     return Premorphism(mon, n, phi)

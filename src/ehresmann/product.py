@@ -45,7 +45,7 @@ class InapplicableError(ValueError):
 def projection_semilattice(S: OpTableSemigroup):
     """P(S) as a Semilattice, with maps between projection elements of S
     and semilattice indices."""
-    P = core.projections(S).members
+    P = core.projections(S)
     index = {e: i for i, e in enumerate(P)}
     outside = next(((e, f) for e in P for f in P if S.mult[e][f] not in index), None)
     if outside is not None:
@@ -132,7 +132,7 @@ def check_construction_claims(G: ResGraph, built=None) -> Report:
             if table[i][j] != (i in down[j]))))
 
     one = G.mon.one
-    P = core.projections(S).members
+    P = core.projections(S)
     expected = {(e, one, e) for e in range(G.sl.n)}
     actual = {edges[i] for i in P}
     if actual != expected:

@@ -526,39 +526,34 @@ def cover_shape_problem(G: ResGraph):
     return None
 
 
-@dataclass
-class EquivalenceResult:
-    status: str
-    reason: str = ""
-
-
 def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
-                     max_len: int | None = None) -> EquivalenceResult:
+                     max_len: int | None = None) -> Check:
     """Semi-decide whether two paths are identified by the congruence ~.
 
     Endpoint or label disagreement is an immediate FAIL.  In the two
     normal-form regimes (partial multiaction; cover-shaped graph) the
     answer is exact; otherwise a bounded bidirectional search over
     contract/expand moves (core.contract_expand_neighbours) returns PASS or
-    INCONCLUSIVE.  The expansions of an edge under a length cap are
-    enumerated once per call.
+    INCONCLUSIVE.  The witness is the one-tuple of the reason for the
+    verdict.  The expansions of an edge under a length cap are enumerated
+    once per call.
     """
     p, q = make_path(G, p), make_path(G, q)
     if path_d(p) != path_d(q) or path_r(p) != path_r(q):
-        return EquivalenceResult(FAIL, "endpoints differ")
+        return Check("equivalent_paths", FAIL, ("endpoints differ",))
     if path_label(G, p) != path_label(G, q):
-        return EquivalenceResult(FAIL, "labels differ")
+        return Check("equivalent_paths", FAIL, ("labels differ",))
     if p == q:
-        return EquivalenceResult(PASS, "equal paths")
+        return Check("equivalent_paths", PASS, ("equal paths",))
 
     if check_pm(G) is None:
         # the normal form (d, label, r) is what was just compared
-        return EquivalenceResult(PASS, "partial multiaction normal form")
+        return Check("equivalent_paths", PASS, ("partial multiaction normal form",))
     if cover_shape_problem(G) is None:
         nf_p = tuple(c for c in p if c[1])
         nf_q = tuple(c for c in q if c[1])
         status = PASS if nf_p == nf_q else FAIL
-        return EquivalenceResult(status, "cover normal form")
+        return Check("equivalent_paths", status, ("cover normal form",))
 
     if max_len is None:
         max_len = max(len(p), len(q)) + 2
@@ -574,14 +569,14 @@ def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
     frontier = deque([p, q])
     while frontier:
         if len(seen) > max_nodes:
-            return EquivalenceResult(INCONCLUSIVE, "node budget exhausted")
+            return Check("equivalent_paths", INCONCLUSIVE, ("node budget exhausted",))
         cur = frontier.popleft()
         side = seen[cur]
         for nb in contract_expand_neighbours(cur, times, G.edges, expand, max_len):
             if nb in seen:
                 if seen[nb] != side:
-                    return EquivalenceResult(PASS, "search met")
+                    return Check("equivalent_paths", PASS, ("search met",))
                 continue
             seen[nb] = side
             frontier.append(nb)
-    return EquivalenceResult(INCONCLUSIVE, "search saturated within length cap")
+    return Check("equivalent_paths", INCONCLUSIVE, ("search saturated within length cap",))

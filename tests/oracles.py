@@ -57,7 +57,7 @@ def brute_min_congruence(S):
     Independent of the union-find closure: the answer is read off the full
     congruence lattice above P x P.
     """
-    P = core.projections(S).members
+    P = core.projections(S)
     nonprojs = [x for x in range(S.n) if x not in P]
     items = ["P"] + nonprojs
     valid = []
@@ -201,7 +201,7 @@ def reference_natural_orders(S):
     """The natural orders as tables, trying every projection f in
     a = a^+ b f for each pair, whatever axioms the table satisfies."""
     m, p, st = S.mult, S.plus, S.star
-    P = core.projections(S).members
+    P = core.projections(S)
     rng = range(S.n)
     le_l = [[m[p[a]][b] == a for b in rng] for a in rng]
     le_r = [[m[b][st[a]] == a for b in rng] for a in rng]
@@ -234,7 +234,7 @@ def reference_sigma(S):
     """sigma by union-find over the projection pairs, each merged pair
     translated on both sides by every element, whatever axioms the table
     satisfies; the quotient is built from the least member of each class."""
-    P = core.projections(S).members
+    P = core.projections(S)
     m = S.mult
     uf = _UnionFind(S.n)
     work = deque((P[0], e) for e in P[1:])
@@ -431,16 +431,16 @@ def reference_equivalent_paths(G, p, q, max_nodes=20000, max_len=None):
     p, q = resgraph.make_path(G, p), resgraph.make_path(G, q)
     label = resgraph.path_label
     if resgraph.path_d(p) != resgraph.path_d(q) or resgraph.path_r(p) != resgraph.path_r(q):
-        return resgraph.EquivalenceResult(FAIL, "endpoints differ")
+        return Check("equivalent_paths", FAIL, ("endpoints differ",))
     if label(G, p) != label(G, q):
-        return resgraph.EquivalenceResult(FAIL, "labels differ")
+        return Check("equivalent_paths", FAIL, ("labels differ",))
     if p == q:
-        return resgraph.EquivalenceResult(PASS, "equal paths")
+        return Check("equivalent_paths", PASS, ("equal paths",))
     if resgraph.check_pm(G) is None:
-        return resgraph.EquivalenceResult(PASS, "partial multiaction normal form")
+        return Check("equivalent_paths", PASS, ("partial multiaction normal form",))
     if resgraph.cover_shape_problem(G) is None:
         status = PASS if [c for c in p if c[1]] == [c for c in q if c[1]] else FAIL
-        return resgraph.EquivalenceResult(status, "cover normal form")
+        return Check("equivalent_paths", status, ("cover normal form",))
     if max_len is None:
         max_len = max(len(p), len(q)) + 2
 
@@ -457,17 +457,17 @@ def reference_equivalent_paths(G, p, q, max_nodes=20000, max_len=None):
     frontier = deque([p, q])
     while frontier:
         if len(seen) > max_nodes:
-            return resgraph.EquivalenceResult(INCONCLUSIVE, "node budget exhausted")
+            return Check("equivalent_paths", INCONCLUSIVE, ("node budget exhausted",))
         cur = frontier.popleft()
         side = seen[cur]
         for nb in neighbours(cur):
             if nb in seen:
                 if seen[nb] != side:
-                    return resgraph.EquivalenceResult(PASS, "search met")
+                    return Check("equivalent_paths", PASS, ("search met",))
                 continue
             seen[nb] = side
             frontier.append(nb)
-    return resgraph.EquivalenceResult(INCONCLUSIVE, "search saturated within length cap")
+    return Check("equivalent_paths", INCONCLUSIVE, ("search saturated within length cap",))
 
 
 def reference_generate(n, generators, cap=None):

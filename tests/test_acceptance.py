@@ -160,10 +160,10 @@ def test_criterion_09_determinism_biconditionals():
 def test_criterion_10_fes_witness():
     rep = cover.fes_witness_check(max_ground=3)
     assert rep.status == PASS
-    assert rep.ground_size <= 3
-    x, y = rep.x, rep.y
+    n, x, y = rep.witness
+    assert n <= 3
     left = relmonoid.compose(x, relmonoid.dom(y))
     right = relmonoid.compose(relmonoid.dom(relmonoid.compose(x, y)), x)
     assert relmonoid.dom(left) == relmonoid.dom(right)
     assert relmonoid.ran(left) != relmonoid.ran(right)
-    _ok(10, f"witness in B({rep.ground_size}): x={x!r}, y={y!r}")
+    _ok(10, f"witness in B({n}): x={x!r}, y={y!r}")

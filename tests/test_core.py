@@ -77,7 +77,7 @@ def test_b2_ample_failure_matches_exhaustive_search():
 
 def test_projections_semilattice_cases():
     S = corpus.chain(3)
-    assert core.projections(S).members == (0, 1, 2)
+    assert core.projections(S) == (0, 1, 2)
 
     b2 = corpus.rel_b2()
     P = core.projections(b2)
@@ -100,7 +100,7 @@ def test_projection_image_mismatch_rejected():
 def test_natural_orders_reflexive_and_composed():
     for name, S in small_corpus():
         orders = core.natural_orders(S)
-        P = core.projections(S).members
+        P = core.projections(S)
         n = S.n
         for a in range(n):
             assert orders.le_l[a][a] and orders.le_r[a][a] and orders.le[a][a]
@@ -151,7 +151,7 @@ def test_le_implies_sigma():
 def test_projection_shift_identities():
     # (s e)^* = s^* e and (e s)^+ = e s^+ for projections e
     for name, S in small_corpus():
-        P = core.projections(S).members
+        P = core.projections(S)
         for s in range(S.n):
             for e in P:
                 assert S.star[S.mult[s][e]] == S.mult[S.star[s]][e], name
@@ -190,7 +190,7 @@ def test_sigma_on_restriction_semigroup_has_translation_witnesses():
     # iff se = te for a projection e
     S = corpus.rel_i2()
     cong, _ = core.sigma(S)
-    P = core.projections(S).members
+    P = core.projections(S)
     for s in range(S.n):
         for t in range(S.n):
             left = any(S.mult[e][s] == S.mult[e][t] for e in P)
@@ -217,7 +217,7 @@ def test_is_matching():
     S = corpus.rel_pt2()
     for s in range(S.n):
         assert core.is_matching(S, [s])
-    e = core.projections(S).members[0]
+    e = core.projections(S)[0]
     assert core.is_matching(S, [e, e])
     found_mismatch = False
     for s in range(S.n):
@@ -257,7 +257,7 @@ def test_corestriction_pass_law():
     rng = random.Random(23)
     for name, S in small_corpus():
         orders = core.natural_orders(S)
-        P = core.projections(S).members
+        P = core.projections(S)
         for _ in range(100):
             seq = core.matchify(
                 S, [rng.randrange(S.n) for _ in range(rng.randint(1, 3))])
@@ -374,7 +374,7 @@ def test_check_proper_ideal_inconclusive_at_tight_bound():
         Y = [x for x in range(S.n) if x != u]
         pairs = [(a, b) for a in Y for b in Y
                  if S.mult[a][b] == u and S.star[a] == S.plus[b]]
-        if pairs and frozenset(core.projections(S).members) <= frozenset(Y):
+        if pairs and frozenset(core.projections(S)) <= frozenset(Y):
             target = u
             break
     assert target is not None
@@ -389,7 +389,7 @@ def test_check_proper_ideal_inconclusive_at_tight_bound():
 def _order_ideals(S):
     """The whole set, the projections, and the projections together with the
     principal order ideal of each non-projection."""
-    P = frozenset(core.projections(S).members)
+    P = frozenset(core.projections(S))
     le = core.natural_orders(S).le
     ideals = {frozenset(range(S.n)), P}
     for s in range(S.n):
@@ -492,7 +492,7 @@ def test_sigma_and_orders_are_computed_once_per_semigroup():
     assert again[0] is cong and again[1] is quotient
     assert core.natural_orders(S) is core.natural_orders(S)
     assert core.fibers(S) is core.fibers(S)
-    assert core.projections(S).members is core.projections(S).members
+    assert core.projections(S) is core.projections(S)
     # the cache takes no part in equality, repr or the interchange format
     fresh = OpTableSemigroup(S.n, S.mult, S.plus, S.star, S.names)
     assert fresh == S and repr(fresh) == repr(S)
@@ -600,7 +600,7 @@ def test_sigma_and_orders_match_reference_loops():
         report = core.verify_ehresmann(S)
         assert report["associativity"].witness == core.associativity_witness(S.mult), name
         if report.ok:
-            P = core.projections(S).members
+            P = core.projections(S)
             closed = {S.mult[e][f] for e in P for f in P} <= set(P)
             paths["ehresmann" if closed else "P not closed"] += 1
         else:

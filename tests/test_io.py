@@ -78,6 +78,53 @@ def test_semigroup_schema_error_on_bad_entry():
         io.load_document(doc)
 
 
+def _constructor_errors():
+    """(document, message) for each constructor a loader calls, each
+    document holding an input that constructor rejects."""
+    from ehresmann import cover
+
+    def finite():
+        return io.dump_resgraph(corpus.e2t2_graph())
+
+    def free():
+        return io.dump_resgraph(cover.build_cover_graph(corpus.chain(2), [0, 1]).graph)
+
+    semigroup = io.dump_semigroup(corpus.chain(2))
+    semigroup["plus"] = [0, 99]
+    meet = finite()
+    meet["semilattice"]["meet"][0][1] = 1
+    identity = finite()
+    identity["monoid"]["identity"] = 1
+    letters = free()
+    letters["monoid"]["alphabet"] = ["x0", "x0"]
+    label = free()
+    label["edges"][-1]["l"] = ["zz"]
+    vertex = finite()
+    vertex["edges"][0]["d"] = 7
+    relgen = io.dump_relgen(2, [])
+    relgen["generators"] = [[[0, 2]]]
+    pm = actions.graph_to_premorphism(corpus.e2t2_graph())
+    premorphism = io.dump_premorphism(actions.Premorphism(pm.mon, pm.ground, pm.phi))
+    premorphism["phi"]["0"] = [[0, 5]]
+    return [
+        (semigroup, "plus[1] = 99 out of range"),
+        (meet, "meet not commutative at (0,1)"),
+        (identity, "identity element is not a two-sided identity"),
+        (letters, "alphabet letters must be distinct"),
+        (label, "label ('zz',) not a word over ('x0', 'x1')"),
+        (vertex, "edge (7,0,0) has a bad vertex"),
+        (relgen, "pair (0,2) outside ground set of size 2"),
+        (premorphism, "pair (0,5) outside ground set of size 2"),
+    ]
+
+
+def test_constructor_errors_are_schema_errors():
+    for doc, message in _constructor_errors():
+        with pytest.raises(io.SchemaError) as info:
+            io.load_document(doc)
+        assert str(info.value) == message
+
+
 def test_canonical_form_serialization():
     from ehresmann.cover import CanonicalPath
     loop = CanonicalPath.loop_at(2)

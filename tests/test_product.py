@@ -73,7 +73,7 @@ def test_pm_violation_reported_with_witness():
 def test_projections_of_product_are_loops():
     for name, G in corpus.pm_graphs():
         S, edges = build_product(G)
-        P = core.projections(S).members
+        P = core.projections(S)
         one = G.mon.one
         assert {edges[i] for i in P} == {(e, one, e) for e in range(G.sl.n)}, name
         # meets in the product match the vertex semilattice
@@ -241,7 +241,7 @@ def test_underlying_graph_of_strict_ideal():
     base = paths[0]
     for other in paths[1:]:
         res = equivalent_paths(ug.graph, base, other, max_len=5)
-        assert res.status == PASS, (facts, res.reason)
+        assert res.status == PASS, (facts, res.witness)
 
 
 def test_edge_order_compositions_commute():
