@@ -27,9 +27,6 @@ class Premorphism:
     ground: int
     phi: dict  # label index -> Rel
 
-    def rel(self, t: int) -> Rel:
-        return self.phi[t]
-
 
 @dataclass
 class PartialAction:
@@ -38,9 +35,6 @@ class PartialAction:
     sl: Semilattice
     mon: FiniteMonoid
     phi: dict
-
-    def premorphism(self) -> Premorphism:
-        return Premorphism(self.mon, self.sl.n, self.phi)
 
 
 def _phi_items(pm):

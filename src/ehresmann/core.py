@@ -481,21 +481,20 @@ def _corestrict_factorization(S: OpTableSemigroup, seq, e: int):
 def matchify(S: OpTableSemigroup, seq):
     """Shrink the factors of a product so they match, keeping the product.
 
-    Recursive: match the prefix, split off t^* s_n on the right, then run a
-    corestriction pass over the matched prefix.
+    Factor by factor: with t the product of the factors before s, split off
+    t^* s on the right and run a corestriction pass down to t^* s^+ over the
+    factors matched so far.
     """
     seq = list(seq)
     if not seq:
         raise ValueError("empty sequence")
-    if len(seq) == 1:
-        return seq
-    head = matchify(S, seq[:-1])
-    t = S.prod(seq[:-1])
-    sn = seq[-1]
-    last = S.mul(S.star[t], sn)
-    e = S.mul(S.star[t], S.plus[sn])
-    head = _corestrict_factorization(S, head, e)
-    return head + [last]
+    m, p, st = S.mult, S.plus, S.star
+    head, t = seq[:1], seq[0]
+    for s in seq[1:]:
+        head = _corestrict_factorization(S, head, m[st[t]][p[s]])
+        head.append(m[st[t]][s])
+        t = m[t][s]
+    return head
 
 
 def _matching_products(S: OpTableSemigroup, Y):

@@ -24,16 +24,20 @@ def chain(k: int) -> OpTableSemigroup:
     return OpTableSemigroup(k, mult, ident, ident, [f"e{i}" for i in range(k)])
 
 
-def diamond() -> OpTableSemigroup:
-    """0 < a, b < 1 with a ^ b = 0."""
-    meet = [
+def _diamond_meet() -> list:
+    """Meet table of 0 < a, b < 1 with a ^ b = 0."""
+    return [
         [0, 0, 0, 0],
         [0, 1, 0, 1],
         [0, 0, 2, 2],
         [0, 1, 2, 3],
     ]
+
+
+def diamond() -> OpTableSemigroup:
+    """0 < a, b < 1 with a ^ b = 0."""
     ident = [0, 1, 2, 3]
-    return OpTableSemigroup(4, meet, ident, ident, ["0", "a", "b", "1"])
+    return OpTableSemigroup(4, _diamond_meet(), ident, ident, ["0", "a", "b", "1"])
 
 
 def fan() -> OpTableSemigroup:
@@ -119,11 +123,14 @@ def sub_b2_row() -> OpTableSemigroup:
     return relmonoid.generate(2, [s]).to_semigroup()
 
 
+def _eight_generators() -> list:
+    """The generators {(0,0),(0,1)} and {(1,0)} of eight_monoid."""
+    return [Rel.from_pairs(2, [(0, 0), (0, 1)]), Rel.from_pairs(2, [(1, 0)])]
+
+
 def eight_monoid() -> OpTableSemigroup:
     """Eight-element Ehresmann monoid inside B(2); not left restriction."""
-    s = Rel.from_pairs(2, [(0, 0), (0, 1)])
-    t = Rel.from_pairs(2, [(1, 0)])
-    return relmonoid.generate(2, [s, t]).to_semigroup()
+    return relmonoid.generate(2, _eight_generators()).to_semigroup()
 
 
 def sub_pt2_swap() -> OpTableSemigroup:
@@ -136,52 +143,21 @@ def sub_pt2_swap() -> OpTableSemigroup:
 
 def e2t2_graph() -> ResGraph:
     """Two-chain f < e acted on by {1, t}: edges (e,t,f) and (f,t,f)."""
-    sl = chain_semilattice(2, ["f", "e"])  # 0 = f, 1 = e
-    mon = t2_monoid()
     f, e = 0, 1
-    edges = {(e, 0, e), (f, 0, f), (e, 1, f), (f, 1, f)}
-    restrict = {
-        ((e, 0, e), e): (e, 0, e), ((e, 0, e), f): (f, 0, f),
-        ((f, 0, f), f): (f, 0, f),
-        ((e, 1, f), e): (e, 1, f), ((e, 1, f), f): (f, 1, f),
-        ((f, 1, f), f): (f, 1, f),
-    }
-    corestrict = {
-        ((e, 0, e), e): (e, 0, e), ((e, 0, e), f): (f, 0, f),
-        ((f, 0, f), f): (f, 0, f),
-        ((e, 1, f), f): (e, 1, f),
-        ((f, 1, f), f): (f, 1, f),
-    }
-    return ResGraph(sl, mon, edges, restrict, corestrict)
+    return rectangle_graph(chain_semilattice(2, ["f", "e"]), t2_monoid(),
+                           {(e, 0, e), (f, 0, f), (e, 1, f), (f, 1, f)})
 
 
 def e2t2_reverse_graph() -> ResGraph:
     """Mirror image of e2t2: right deterministic, not left."""
-    sl = chain_semilattice(2, ["f", "e"])
-    mon = t2_monoid()
     f, e = 0, 1
-    edges = {(e, 0, e), (f, 0, f), (f, 1, e), (f, 1, f)}
-    restrict = {
-        ((e, 0, e), e): (e, 0, e), ((e, 0, e), f): (f, 0, f),
-        ((f, 0, f), f): (f, 0, f),
-        ((f, 1, e), f): (f, 1, e),
-        ((f, 1, f), f): (f, 1, f),
-    }
-    corestrict = {
-        ((e, 0, e), e): (e, 0, e), ((e, 0, e), f): (f, 0, f),
-        ((f, 0, f), f): (f, 0, f),
-        ((f, 1, e), e): (f, 1, e), ((f, 1, e), f): (f, 1, f),
-        ((f, 1, f), f): (f, 1, f),
-    }
-    return ResGraph(sl, mon, edges, restrict, corestrict)
+    return rectangle_graph(chain_semilattice(2, ["f", "e"]), t2_monoid(),
+                           {(e, 0, e), (f, 0, f), (f, 1, e), (f, 1, f)})
 
 
 def singleton_graph(mon: FiniteMonoid) -> ResGraph:
     """One vertex, one edge per label; the product is the label monoid."""
-    sl = Semilattice(1, [[0]])
-    edges = {(0, t, 0) for t in mon.elements()}
-    table = {((0, t, 0), 0): (0, t, 0) for t in mon.elements()}
-    return ResGraph(sl, mon, edges, dict(table), dict(table))
+    return rectangle_graph(Semilattice(1, [[0]]), mon, {(0, t, 0) for t in mon.elements()})
 
 
 def identity_action_graph(k: int, mon: FiniteMonoid) -> ResGraph:
@@ -221,12 +197,7 @@ def pa_chain3() -> PartialAction:
 
 def pa_diamond() -> PartialAction:
     """t moves atom a to atom b over the diamond; t t fixes the bottom."""
-    sl = Semilattice(4, [
-        [0, 0, 0, 0],
-        [0, 1, 0, 1],
-        [0, 0, 2, 2],
-        [0, 1, 2, 3],
-    ], ["0", "a", "b", "1"])
+    sl = Semilattice(4, _diamond_meet(), ["0", "a", "b", "1"])
     mon = t2_monoid()
     phi = {0: relmonoid.identity(4), 1: Rel.from_pairs(4, [(1, 2), (0, 0)])}
     return PartialAction(sl, mon, phi)
@@ -309,20 +280,15 @@ def partial_actions():
 
 def cover_cases():
     """(name, semigroup, generating set) triples for cover verification."""
-    e2 = chain(2)
-    pt2 = rel_pt2()
     pt2_alg = relmonoid.full_PT(2)
-    tau = Rel.from_pairs(2, [(0, 1), (1, 0)])
-    eps = Rel.from_pairs(2, [(0, 0)])
-    const = Rel.from_pairs(2, [(0, 0), (1, 0)])
-    pt2_gens = [pt2_alg.index[tau], pt2_alg.index[eps], pt2_alg.index[const]]
-    eight = eight_monoid()
-    eight_alg = relmonoid.generate(
-        2, [Rel.from_pairs(2, [(0, 0), (0, 1)]), Rel.from_pairs(2, [(1, 0)])])
-    eight_gens = [eight_alg.index[Rel.from_pairs(2, [(0, 0), (0, 1)])],
-                  eight_alg.index[Rel.from_pairs(2, [(1, 0)])]]
+    # the swap, the partial identity on 0 and the constant map to 0
+    pt2_gens = [pt2_alg.index[Rel.from_pairs(2, pairs)]
+                for pairs in ([(0, 1), (1, 0)], [(0, 0)], [(0, 0), (1, 0)])]
+    eight_gens = _eight_generators()
+    eight_alg = relmonoid.generate(2, eight_gens)
     return [
-        ("e2", e2, [0, 1]),
-        ("pt2", pt2, pt2_gens),
-        ("eight_monoid", eight, eight_gens),
+        ("e2", chain(2), [0, 1]),
+        ("pt2", pt2_alg.to_semigroup(), pt2_gens),
+        ("eight_monoid", eight_alg.to_semigroup(),
+         [eight_alg.index[g] for g in eight_gens]),
     ]

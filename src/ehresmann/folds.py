@@ -20,9 +20,11 @@ class Paths:
     The paths of each length are consecutive, from levels[length - 1] on,
     and so are the one-edge extensions of a path k shorter than max_len, in
     edge id order from first_child[k] on: path f followed by edge j is
-    first_child[f] + j - out_start[source of j]."""
+    first_child[f] + j - out_start[source of j].  Edge ids index
+    G.sorted_edges()."""
 
-    def __init__(self, G, edges, max_len: int):
+    def __init__(self, G, max_len: int):
+        edges = G.sorted_edges()
         n = len(edges) if max_len > 0 else 0
         self.src = [c[0] for c in edges]
         self.out_start = [0] * G.sl.n
@@ -103,11 +105,13 @@ class Folds:
         return out
 
 
-def fold_laws(F: Folds, bound: int) -> list:
-    """R3a and R4a on the restriction side, CR3a and CR4a on corestriction.
-    Folds are compared as path indices; where a fold index is -1 the law's
-    statements run on Side.fold."""
+def fold_laws(F: Folds) -> list:
+    """R3a and R4a on the restriction side, CR3a and CR4a on corestriction,
+    for the paths up to the trie's length bound.  Folds are compared as path
+    indices; where a fold index is -1 the law's statements run on
+    Side.fold."""
     s, P, near, far = F.s, F.P, F.near, F.far
+    bound = len(P.levels) - 1
     fold, below = s.fold, s.sl.below
 
     def differ(k, e, g):

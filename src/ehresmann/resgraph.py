@@ -421,7 +421,7 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> Report:
     # the id of the composite edge of each chain of length 2..max_chain, -1
     # where there is none; a chain's label is its prefix's label times its
     # last edge's
-    P = Paths(G, edges, max_chain)
+    P = Paths(G, max_chain)
     path_labels, composite = [c[1] for c in edges], [-1] * len(P.last)
     for k in range(len(edges), len(P.last)):
         lab = mon.mul(path_labels[P.parent[k]], edges[P.last[k]][1])
@@ -462,9 +462,9 @@ def check_path_axioms(G: ResGraph, bound: int = 3) -> Report:
     vertex.
     """
     R, C = Side(G, 0), Side(G, 2)
-    P = Paths(G, R.edges, bound)
+    P = Paths(G, bound)
     RF, CF = Folds(R, P), Folds(C, P)
-    return Report(fold_laws(RF, bound) + fold_laws(CF, bound)
+    return Report(fold_laws(RF) + fold_laws(CF)
                   + [first_witness("Ca", path_compatibility(RF, CF))])
 
 

@@ -329,6 +329,23 @@ def reference_matching_factorizations(S, Y, target, max_len, cap):
     return found, False
 
 
+def reference_matchify(S, seq):
+    """matchify by recursion on the prefix: match it, split off t^* s_n on
+    the right, where t is the prefix's product, and corestrict the matched
+    prefix factor by factor from the right down to t^* (s_n)^+."""
+    seq = list(seq)
+    if not seq:
+        raise ValueError("empty sequence")
+    if len(seq) == 1:
+        return seq
+    head = reference_matchify(S, seq[:-1])
+    t, sn = S.prod(seq[:-1]), seq[-1]
+    head[-1] = S.mult[head[-1]][S.mult[S.star[t]][S.plus[sn]]]
+    for i in range(len(head) - 2, -1, -1):
+        head[i] = S.mult[head[i]][S.plus[head[i + 1]]]
+    return head + [S.mult[S.star[t]][sn]]
+
+
 def reference_matching_walk(S, Y, max_len):
     """Every matching Y-sequence of length at most max_len, grouped by
     product, each group in depth-first order."""
@@ -425,6 +442,26 @@ def _reference_contractions(G, p):
     return out
 
 
+def _reference_expansions_of_edge(G, c, max_block):
+    """Composable edge chains of length 2..max_block with the same
+    endpoints and label product as c."""
+    target = c[1]
+    out = []
+    stack = [((e,), e[1]) for e in G.edges_from(c[0])]
+    while stack:
+        chain, lab = stack.pop()
+        if len(chain) >= 2 and chain[-1][2] == c[2] and lab == target:
+            out.append(chain)
+        if len(chain) >= max_block:
+            continue
+        if G.mon.is_free and not (len(lab) <= len(target)
+                                  and tuple(target[:len(lab)]) == tuple(lab)):
+            continue
+        for e in G.edges_from(chain[-1][2]):
+            stack.append((chain + (e,), G.mon.mul(lab, e[1])))
+    return out
+
+
 def reference_equivalent_paths(G, p, q, max_nodes=20000, max_len=None):
     """equivalent_paths with the neighbours of each node rebuilt from
     contract_step and a fresh enumeration of the expansions of each edge."""
@@ -449,7 +486,7 @@ def reference_equivalent_paths(G, p, q, max_nodes=20000, max_len=None):
         for i, c in enumerate(path):
             cap = max_len - len(path) + 1
             if cap >= 2:
-                for block in resgraph._expansions_of_edge(G, c, cap):
+                for block in _reference_expansions_of_edge(G, c, cap):
                     out.append(path[:i] + block + path[i + 1:])
         return out
 
@@ -922,7 +959,8 @@ def reference_check_axioms(G, max_chain=3):
 
 
 def reference_check_path_axioms(G, bound=3):
-    """The path laws with every pair of paths tried for R4a and CR4a."""
+    """The path laws with every composable pair of paths tried for R4a and
+    CR4a."""
     sl = G.sl
     paths = reference_all_paths(G, bound)
     restrict_path, corestrict_path = reference_restrict_path, reference_corestrict_path
@@ -949,10 +987,15 @@ def reference_check_path_axioms(G, bound=3):
                     if corestrict_path(G, cp, g) != corestrict_path(G, p, g):
                         yield (p, f, g)
 
+    # the paths from each vertex, in paths order
+    starting = {}
+    for q in paths:
+        starting.setdefault(path_d(q), []).append(q)
+
     def gen_r4a():
         for p in paths:
-            for q in paths:
-                if path_r(p) != path_d(q) or len(p) + len(q) > bound:
+            for q in starting.get(path_r(p), ()):
+                if len(p) + len(q) > bound:
                     continue
                 for e in sl.below(path_d(p)):
                     rp = restrict_path(G, p, e)
@@ -961,8 +1004,8 @@ def reference_check_path_axioms(G, bound=3):
 
     def gen_cr4a():
         for p in paths:
-            for q in paths:
-                if path_r(p) != path_d(q) or len(p) + len(q) > bound:
+            for q in starting.get(path_r(p), ()):
+                if len(p) + len(q) > bound:
                     continue
                 for g in sl.below(path_r(q)):
                     cq = corestrict_path(G, q, g)

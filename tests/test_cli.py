@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ehresmann import cli, corpus, cover, io
+from ehresmann import cli, core, corpus, cover, io
 from ehresmann.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK
 
 
@@ -350,6 +350,19 @@ def test_sigma_quotient_output(pt2_file, tmp_path):
     assert cli.main(["sigma", pt2_file, "-o", str(out)]) == EXIT_OK
     kind, Q = io.load_path(out)
     assert kind == "semigroup" and Q.n == 1  # the empty map collapses sigma
+
+
+def test_factorize_long_sequence(tmp_path, capsys):
+    # matchify runs one pass per factor, not one stack frame
+    path = tmp_path / "s3.json"
+    S = corpus.symmetric_group_3()
+    io.save(path, io.dump_semigroup(S))
+    seq = [1, 2, 3, 4, 5, 0] * 250
+    assert cli.main(["factorize", str(path), "--seq", ",".join(map(str, seq)),
+                     "--json"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)["matchified"]
+    assert len(out) == 1500
+    assert core.is_matching(S, out) and S.prod(out) == S.prod(seq)
 
 
 def test_factorize_element_out_of_range(pt2_file):

@@ -10,7 +10,8 @@ from ehresmann.report import FAIL, INCONCLUSIVE, PASS
 
 from oracles import (brute_min_congruence, perturbed_table,
                      reference_associativity_witness,
-                     reference_equivalent_factorizations, reference_natural_orders,
+                     reference_equivalent_factorizations, reference_matchify,
+                     reference_natural_orders,
                      reference_sigma, reference_verify_ehresmann,
                      reference_verify_restriction)
 
@@ -281,22 +282,30 @@ def test_matchify_projection_pair():
 
 
 def test_matchify_laws_random():
+    # criterion 4's laws, and agreement with the recursion on the prefix,
+    # on short sequences over the small corpus and on longer ones over the
+    # whole corpus, full B(2), PT(3) and I(3) and seeded random subalgebras
     rng = random.Random(7)
-    orders_cache = {}
-    for name, S in small_corpus():
-        orders_cache[name] = core.natural_orders(S)
-        for _ in range(200):
-            k = rng.randint(1, 4)
+    cases = [(name, S, [rng.randint(1, 4) for _ in range(200)])
+             for name, S in small_corpus()]
+    named = list(corpus.semigroups()) + _random_subalgebras(random.Random(481))
+    named += [(f"full_{build.__name__}", build(n).to_semigroup()) for build, n in (
+        (relmonoid.full_B, 2), (relmonoid.full_PT, 3), (relmonoid.full_I, 3))]
+    cases += [(name, S, [rng.randint(1, 6) for _ in range(40)] + [60])
+              for name, S in named]
+    for name, S, lengths in cases:
+        assert core.verify_ehresmann(S).ok, name
+        le = core.natural_orders(S).le
+        for k in lengths:
             seq = [rng.randrange(S.n) for _ in range(k)]
             out = core.matchify(S, seq)
-            assert core.is_matching(S, out), name
-            assert S.prod(out) == S.prod(seq), name
-            le = orders_cache[name].le
-            for a, b in zip(out, seq):
-                assert le[a][b], name
+            assert out == reference_matchify(S, seq), (name, seq)
             prod = S.prod(seq)
-            assert S.plus[out[0]] == S.plus[prod], name
-            assert S.star[out[-1]] == S.star[prod], name
+            assert core.is_matching(S, out), (name, seq)
+            assert S.prod(out) == prod, (name, seq)
+            assert all(le[a][b] for a, b in zip(out, seq)), (name, seq)
+            assert S.plus[out[0]] == S.plus[prod], (name, seq)
+            assert S.star[out[-1]] == S.star[prod], (name, seq)
 
 
 def test_matchify_idempotent_on_matching_input():
