@@ -10,15 +10,13 @@ partial bijections, which is the classical partial-action setting.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import core, product, relmonoid
 from .core import OpTableSemigroup
 from .relmonoid import Rel
 from .report import Check, FAIL, PASS, Report, first_witness
-from .resgraph import (FiniteMonoid, ResGraph, Semilattice, chain_semilattice, check_axioms,
-                       rectangle_graph)
+from .resgraph import FiniteMonoid, ResGraph, Semilattice
 
 
 @dataclass
@@ -165,59 +163,6 @@ def classify_restriction(G: ResGraph) -> RestrictionClass:
     left = report["x y^+ = (x y)^+ x"].ok and report["left_proper"].ok
     right = report["x^* y = y (x y)^*"].ok and report["right_proper"].ok
     return RestrictionClass(left, right, report)
-
-
-def down_rectangle_graph(rng, sl: Semilattice, mon: FiniteMonoid) -> ResGraph:
-    """Identity loops and, per other label, one to three down-rectangles of
-    edges, closed under composable products, as a rectangle_graph."""
-    edges = {(e, mon.one, e) for e in range(sl.n)}
-    for t in mon.elements():
-        if t == mon.one:
-            continue
-        for _seed in range(rng.randint(1, 3)):
-            e = rng.randrange(sl.n)
-            f = rng.randrange(sl.n)
-            edges |= {(g, t, h) for g in sl.below(e) for h in sl.below(f)}
-    # close under composable label products (down-rectangles compose
-    # into down-rectangles, so this terminates quickly)
-    changed = True
-    while changed:
-        changed = False
-        for (d1, l1, r1) in list(edges):
-            for (d2, l2, r2) in list(edges):
-                if r1 == d2:
-                    comp = (d1, mon.mul(l1, l2), r2)
-                    if comp[1] != mon.one and comp not in edges:
-                        edges.add(comp)
-                        changed = True
-    return rectangle_graph(sl, mon, edges)
-
-
-def search_sigma_label_violation(seed: int, tries: int = 200):
-    """Random search for a compatible graph whose product separates two
-    same-label edges under sigma.
-
-    Samples down-rectangle graphs over small semilattices and monoids.
-    Returns (witness graph, edge pair) or None.  Finding none at this
-    scale reports absence only; it is no nonexistence claim.
-    """
-    rng = random.Random(seed)
-    diamond = Semilattice(4, [[0, 0, 0, 0], [0, 1, 0, 1],
-                              [0, 0, 2, 2], [0, 1, 2, 3]])
-    lattices = [chain_semilattice(2), chain_semilattice(3), diamond]
-    t2 = FiniteMonoid(2, [[0, 1], [1, 1]], 0)
-    t3 = FiniteMonoid(3, [[0, 1, 2], [1, 2, 2], [2, 2, 2]], 0)
-    monoids = [t2, t3]
-    for _ in range(tries):
-        sl = rng.choice(lattices)
-        mon = rng.choice(monoids)
-        G = down_rectangle_graph(rng, sl, mon)
-        if not check_axioms(G, max_chain=2).ok:
-            continue
-        ok, witness = check_sigma_iff_label(G)
-        if not ok:
-            return G, witness
-    return None
 
 
 def check_partial_action_laws(pa: PartialAction) -> Report:

@@ -308,14 +308,14 @@ def cmd_preimage(args) -> int:
     s = args.element
     if not 0 <= s < S.n:
         raise io.SchemaError(f"element {s} out of range")
+    # raises InvariantError, an input error, unless phi maps u back to s
     u = cover.canonical_preimage(cg, s)
-    back = cover.phi(cg, u)
     payload = {"element": s, "canonical": io.dump_canonical(u),
-               "phi_round_trip": back}
+               "phi_round_trip": s}
     lines = [f"canonical preimage of {S.name(s)}: {u}",
-             f"phi(preimage) = {S.name(back)}"]
+             f"phi(preimage) = {S.name(s)}"]
     _emit(args, payload, lines)
-    return EXIT_OK if back == s else EXIT_FAIL
+    return EXIT_OK
 
 
 def cmd_proper_ideal(args) -> int:

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the main algorithms."""
 
+import random
 from collections import deque
 
-from ehresmann import core, cover, product, relmonoid, resgraph
+from ehresmann import actions, core, corpus, cover, product, relmonoid, resgraph
 from ehresmann.report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
@@ -769,6 +770,76 @@ def reference_canonicalize(cg, path):
     return cover.CanonicalPath(tuple(entries))
 
 
+def to_path(cg, u):
+    """The cover-graph path of a canonical form: its letter edges, or the
+    identity loop of a loop form."""
+    if u.is_loop:
+        return ((u.d, (), u.d),)
+    ent = u.entries
+    return tuple((ent[i], (ent[i + 1],), ent[i + 2])
+                 for i in range(0, len(ent) - 1, 2))
+
+
+def reference_canonical_preimage(cg, s):
+    """A canonical path mapping to s under phi, built in S: the stored word
+    for s is padded with projections so that every generator occurrence
+    sits between explicit projections, the resulting bricks are made
+    matching, and the brick endpoints become the path vertices."""
+    S = cg.S
+    if s in cg.proj_index:
+        return cover.CanonicalPath.loop_at(cg.proj_index[s])
+    word = cg.decomp[s]
+    letter_of = {g: a for a, g in cg.valuation.items()}
+
+    gens_seq = []
+    projs = [None]          # projs[i] sits between generator i and i+1
+    for tag, v in word:
+        if tag == "p":
+            projs[-1] = v if projs[-1] is None else S.mult[projs[-1]][v]
+        else:
+            gens_seq.append(v)
+            projs.append(None)
+    if not gens_seq:
+        raise core.InvariantError(
+            f"stored word for {s} has no generator, but {s} is not a projection")
+
+    m = len(gens_seq)
+    fences = []
+    for i in range(m + 1):
+        parts = []
+        if i > 0:
+            parts.append(S.star[gens_seq[i - 1]])
+        if projs[i] is not None:
+            parts.append(projs[i])
+        if i < m:
+            parts.append(S.plus[gens_seq[i]])
+        fences.append(S.prod(parts))
+    bricks = [S.prod([fences[i], gens_seq[i], fences[i + 1]]) for i in range(m)]
+    if S.prod(bricks) != s:
+        raise core.InvariantError(
+            f"bricks {bricks} of the stored word multiply to {S.prod(bricks)}, not {s}")
+
+    matched = core.matchify(S, bricks)
+    if S.prod(matched) != s:
+        raise core.InvariantError(
+            f"matching factors {matched} multiply to {S.prod(matched)}, not {s}")
+
+    entries = [cg.proj_index[S.plus[matched[0]]]]
+    for i, b in enumerate(matched):
+        e_prev = cg.proj_list[entries[-1]]
+        e_next = S.star[b]
+        if S.prod([e_prev, gens_seq[i], e_next]) != b:
+            raise core.InvariantError(
+                f"factor {b} of {s} is not {e_prev} {gens_seq[i]} {e_next}")
+        entries.append(letter_of[gens_seq[i]])
+        entries.append(cg.proj_index[e_next])
+    u = cover.CanonicalPath(tuple(entries))
+    for c in to_path(cg, u):
+        if c not in cg.graph.edges:
+            raise core.InvariantError(f"preimage {u} of {s} uses {c}, which is not an edge")
+    return u
+
+
 def reference_mult_witnesses(cg, forms, phis):
     """The cover's phi_preserves_multiplication check pair by pair: every
     (u, v) over the forms in enumeration order, u first, with
@@ -776,6 +847,55 @@ def reference_mult_witnesses(cg, forms, phis):
     mult = cg.S.mult
     return ((str(u), str(v)) for u, fu in zip(forms, phis) for v, fv in zip(forms, phis)
             if cover.phi(cg, cover.cover_mult(cg, u, v)) != mult[fu][fv])
+
+
+# ---------------------------------------------------------------------------
+# random down-rectangle graphs
+
+def random_down_rectangle_graphs(rng, count):
+    """count graphs over the two- and three-element chains and the diamond,
+    labelled in the monoids T2 and T3 with zero: identity loops and, per
+    other label, one to three down-rectangles of edges, closed under
+    composable products, as rectangle_graphs."""
+    lattices = [resgraph.chain_semilattice(2), resgraph.chain_semilattice(3),
+                resgraph.Semilattice(4, corpus._diamond_meet())]
+    monoids = [corpus.t2_monoid(), corpus.t3_zero_monoid()]
+    for _ in range(count):
+        sl, mon = rng.choice(lattices), rng.choice(monoids)
+        edges = {(e, mon.one, e) for e in range(sl.n)}
+        for t in mon.elements():
+            if t == mon.one:
+                continue
+            for _seed in range(rng.randint(1, 3)):
+                e = rng.randrange(sl.n)
+                f = rng.randrange(sl.n)
+                edges |= {(g, t, h) for g in sl.below(e) for h in sl.below(f)}
+        # close under composable label products (down-rectangles compose
+        # into down-rectangles, so this terminates quickly)
+        changed = True
+        while changed:
+            changed = False
+            for (d1, l1, r1) in list(edges):
+                for (d2, l2, r2) in list(edges):
+                    if r1 == d2:
+                        comp = (d1, mon.mul(l1, l2), r2)
+                        if comp[1] != mon.one and comp not in edges:
+                            edges.add(comp)
+                            changed = True
+        yield resgraph.rectangle_graph(sl, mon, edges)
+
+
+def search_sigma_label_violation(seed, tries=200):
+    """Random search for a compatible graph whose product separates two
+    same-label edges under sigma: (witness graph, edge pair), or None.
+    Finding none at this scale reports absence only; it is no
+    nonexistence claim."""
+    for G in random_down_rectangle_graphs(random.Random(seed), tries):
+        if resgraph.check_axioms(G, max_chain=2).ok:
+            ok, witness = actions.check_sigma_iff_label(G)
+            if not ok:
+                return G, witness
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -960,10 +1080,21 @@ def reference_check_axioms(G, max_chain=3):
 
 def reference_check_path_axioms(G, bound=3):
     """The path laws with every composable pair of paths tried for R4a and
-    CR4a."""
+    CR4a.  Each path is folded to each vertex once per call: a pair p q is
+    itself a path, so its fold is met again for every partner."""
     sl = G.sl
     paths = reference_all_paths(G, bound)
-    restrict_path, corestrict_path = reference_restrict_path, reference_corestrict_path
+    restricted, corestricted = {}, {}
+
+    def restrict_path(G, p, e):
+        if (p, e) not in restricted:
+            restricted[p, e] = reference_restrict_path(G, p, e)
+        return restricted[p, e]
+
+    def corestrict_path(G, p, f):
+        if (p, f) not in corestricted:
+            corestricted[p, f] = reference_corestrict_path(G, p, f)
+        return corestricted[p, f]
 
     def path_d(p):
         return p[0][0]

@@ -8,13 +8,14 @@ from ehresmann.cover import (CanonicalPath, GeneratorError,
                              build_cover_graph, canonical_preimage,
                              cover_mult, cover_plus_star,
                              enumerate_canonical, fes_witness_check,
-                             max_edge_for_letter, phi, to_path, verify_cover)
+                             max_edge_for_letter, phi, verify_cover)
 from ehresmann.report import FAIL, PASS, first_witness
 from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
                                 restrict_path)
-from oracles import (perturbed_table, reference_all_paths, reference_canonicalize,
-                     reference_enumerate_canonical, reference_generating_closure,
-                     reference_mult_witnesses, reference_unfactored_forms)
+from oracles import (perturbed_table, reference_all_paths, reference_canonical_preimage,
+                     reference_canonicalize, reference_enumerate_canonical,
+                     reference_generating_closure, reference_mult_witnesses,
+                     reference_unfactored_forms, to_path)
 
 
 def e2_cover():
@@ -165,12 +166,63 @@ def test_phi_of_canonicalize_agrees_on_raw_paths():
         assert phi(cg, u) == raw
 
 
+def _random_generating_set(S, rng):
+    """The elements of S in random order, each kept when the ones kept
+    before it do not generate it."""
+    gens, reached = [], {}
+    for x in rng.sample(range(S.n), S.n):
+        if x not in reached:
+            gens.append(x)
+            reached = cover._generating_closure(S, gens)
+    return gens
+
+
+def _preimage_covers():
+    """The corpus cover cases, covers of I(3), PT(3) and B(2) over ten
+    random generating sets each, and I(4) over one."""
+    rng = random.Random(16)
+    for _, S, gens in corpus.cover_cases():
+        yield build_cover_graph(S, gens)
+    for build, k, count in ((relmonoid.full_I, 3, 10), (relmonoid.full_PT, 3, 10),
+                            (relmonoid.full_B, 2, 10), (relmonoid.full_I, 4, 1)):
+        S = build(k).to_semigroup()
+        for _ in range(count):
+            yield build_cover_graph(S, _random_generating_set(S, rng))
+
+
 def test_preimage_round_trip_all_cases():
-    for name, S, gens in corpus.cover_cases():
-        cg = build_cover_graph(S, gens)
-        for s in range(S.n):
+    # the cover product of the stored word is the path that
+    # reference_canonical_preimage builds in S from fences, bricks and
+    # matchify
+    for cg in _preimage_covers():
+        for s in range(cg.S.n):
             u = canonical_preimage(cg, s)
-            assert phi(cg, u) == s, (name, s)
+            assert phi(cg, u) == s, (cg.gens, s)
+            assert u == reference_canonical_preimage(cg, s), (cg.gens, s)
+
+
+def test_preimage_maps_back_or_raises_on_perturbed_tables():
+    # on a table that fails the axioms the cover product may miss s: that
+    # must raise an input error, never return a path with another image
+    # (reference_canonical_preimage returns three such paths on these tables)
+    rng = random.Random(20221)
+    outcomes = {"returned": 0, "raised": 0}
+    for _, S, gens in corpus.cover_cases():
+        for _ in range(150):
+            T = perturbed_table(S, rng)
+            try:
+                cg = build_cover_graph(T, gens)
+            except ValueError:
+                continue
+            for s in range(T.n):
+                try:
+                    u = canonical_preimage(cg, s)
+                except ValueError:
+                    outcomes["raised"] += 1
+                    continue
+                assert phi(cg, u) == s, (T.mult, T.plus, T.star, s, str(u))
+                outcomes["returned"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_preimage_rejects_corrupted_word():

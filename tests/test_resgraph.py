@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ehresmann import actions, core, corpus, cover, product, resgraph
+from ehresmann import core, corpus, cover, product, resgraph
 from ehresmann.report import FAIL, INCONCLUSIVE, PASS, Check, Report
 from ehresmann.resgraph import (FiniteMonoid, FreeMonoid, ResGraph,
                                 RestrictionUndefinedError, Semilattice,
@@ -14,7 +14,7 @@ from oracles import (ReferenceResGraph, reference_all_paths, reference_build_pro
                      reference_check_axioms, reference_check_path_axioms,
                      reference_cover_graph, reference_edge_le, reference_edge_le_l,
                      reference_edge_le_r, reference_letter_edge_tables,
-                     reference_totality_checks)
+                     reference_totality_checks, random_down_rectangle_graphs)
 
 
 def test_semilattice_validation():
@@ -387,18 +387,6 @@ def _wrong_end(G, maps):
     return out
 
 
-def _random_down_rectangle_graphs(seed, count):
-    """Graphs drawn as actions.search_sigma_label_violation draws them."""
-    rng = random.Random(seed)
-    diamond = Semilattice(4, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]])
-    lattices = [chain_semilattice(2), chain_semilattice(3), diamond]
-    monoids = [FiniteMonoid(2, [[0, 1], [1, 1]], 0),
-               FiniteMonoid(3, [[0, 1, 2], [1, 2, 2], [2, 2, 2]], 0)]
-    for _ in range(count):
-        sl, mon = rng.choice(lattices), rng.choice(monoids)
-        yield actions.down_rectangle_graph(rng, sl, mon)
-
-
 def _product_outcome(build, G):
     try:
         S, edges = build(G)
@@ -467,7 +455,7 @@ def test_kernel_matches_side_by_side_laws():
         for restrict, corestrict in [maps] + _perturbed(G, maps) + _wrong_end(G, maps):
             _compare_with_reference(ResGraph(G.sl, G.mon, G.edges, restrict, corestrict),
                                     name, seen)
-    for i, G in enumerate(_random_down_rectangle_graphs(11, 30)):
+    for i, G in enumerate(random_down_rectangle_graphs(random.Random(11), 30)):
         _compare_with_reference(G, f"random graph {i}", seen)
         for restrict, corestrict in _wrong_end(G, _maps_of(G))[:0 if i % 3 else 1]:
             _compare_with_reference(ResGraph(G.sl, G.mon, G.edges, restrict, corestrict),
