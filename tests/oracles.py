@@ -939,11 +939,36 @@ def reference_corestrict_path(G, p, f):
 
 
 def reference_check_axioms(G, max_chain=3):
-    """The edge axioms with R1-R5 and CR1-CR5 written out separately."""
+    """The edge axioms with R1-R5 and CR1-CR5 written out separately, R4
+    and CR4 over every chain up to max_chain.  Each chain is folded to each
+    vertex once per call, from the fold of the chain one edge shorter: its
+    prefix when restricting, its suffix when corestricting."""
     checks = []
     sl, mon = G.sl, G.mon
     one = mon.one
-    restrict_path, corestrict_path = reference_restrict_path, reference_corestrict_path
+    rfolds, cfolds = {}, {}
+
+    def restrict_path(G, p, e):
+        out = rfolds.get((p, e))
+        if out is None:
+            if len(p) == 1:
+                out = reference_restrict_path(G, p, e)
+            else:
+                head = restrict_path(G, p[:-1], e)
+                out = head + (G.restrict(p[-1], head[-1][2]),)
+            rfolds[p, e] = out
+        return out
+
+    def corestrict_path(G, p, f):
+        out = cfolds.get((p, f))
+        if out is None:
+            if len(p) == 1:
+                out = reference_corestrict_path(G, p, f)
+            else:
+                tail = corestrict_path(G, p[1:], f)
+                out = (G.corestrict(p[0], tail[0][0]),) + tail
+            cfolds[p, f] = out
+        return out
 
     checks.append(first_witness("identity_loops_present", (
         (e,) for e in range(sl.n) if (e, one, e) not in G.edges)))
@@ -958,8 +983,11 @@ def reference_check_axioms(G, max_chain=3):
     if not all(c.ok for c in checks):
         return Report(checks)
 
-    def chains():
-        return (p for p in reference_all_paths(G, max_chain) if len(p) >= 2)
+    # the chains with a composite edge, in path order
+    composites = [(chain, comp) for chain in reference_all_paths(G, max_chain)
+                  if len(chain) >= 2
+                  for comp in [(chain[0][0], resgraph.path_label(G, chain), chain[-1][2])]
+                  if comp in G.edges]
 
     def gen_r1():
         for c in G.sorted_edges():
@@ -1014,10 +1042,7 @@ def reference_check_axioms(G, max_chain=3):
                     yield (e, f)
 
     def gen_r4():
-        for chain in chains():
-            comp = (chain[0][0], resgraph.path_label(G, chain), chain[-1][2])
-            if comp not in G.edges:
-                continue
+        for chain, comp in composites:
             for e0 in sl.below(comp[0]):
                 restricted = restrict_path(G, chain, e0)
                 expected = (e0, comp[1], restricted[-1][2])
@@ -1025,10 +1050,7 @@ def reference_check_axioms(G, max_chain=3):
                     yield (chain, e0)
 
     def gen_cr4():
-        for chain in chains():
-            comp = (chain[0][0], resgraph.path_label(G, chain), chain[-1][2])
-            if comp not in G.edges:
-                continue
+        for chain, comp in composites:
             for en in sl.below(comp[2]):
                 corestricted = corestrict_path(G, chain, en)
                 expected = (corestricted[0][0], comp[1], en)

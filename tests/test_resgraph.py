@@ -503,6 +503,110 @@ def test_chain_label_is_the_product_in_path_order():
                 == _outcome(reference_check_axioms, G, max_chain))
 
 
+ABC = (1, ("a", "b", "c"), 1)
+
+
+def _abc_graph():
+    """The rectangle graph on the two-chain 0 < 1 with the edges (1,a,0),
+    (0,b,0), (0,c,1) and (1,abc,1), each with the edges below it, and the
+    identity loops.  No edge is labelled ab or bc, so no proper part of the
+    chain (1,a,0)(0,b,0)(0,c,1) has a composite edge."""
+    sl = chain_semilattice(2)
+    tops = [(1, ("a",), 0), (0, ("b",), 0), (0, ("c",), 1), ABC]
+    edges = {(d, lab, r) for d0, lab, r0 in tops for d in sl.below(d0) for r in sl.below(r0)}
+    return resgraph.rectangle_graph(sl, FreeMonoid(("a", "b", "c")),
+                                    edges | {(0, (), 0), (1, (), 1)})
+
+
+def _abc_far_end_moved(G, maps):
+    """Copies of the maps with one entry of an edge labelled abc sent to the
+    edge with the same near end and label but the other far end."""
+    out = []
+    for side, end in ((0, 0), (1, 2)):
+        for key, image in sorted(maps[side].items()):
+            if key[0][1] != ABC[1]:
+                continue
+            for other in G.sorted_edges():
+                if other[end] == image[end] and other[1] == ABC[1] and other != image:
+                    moved = [dict(m) for m in maps]
+                    moved[side][key] = other
+                    out.append(tuple(moved))
+    return out
+
+
+def test_chain_without_composite_prefix_is_checked():
+    # restricting (1,abc,1) to 0 should keep its target 1; sent to (0,abc,0)
+    # it breaks R4 only for chains a b c, which no chain of length 2 decides
+    # (the corestriction side likewise, keeping the source)
+    G = _abc_graph()
+    chain = ((1, ("a",), 0), (0, ("b",), 0), (0, ("c",), 1))
+    assert resgraph.check_axioms(G, 4).ok
+    for side, law in ((0, "R4"), (1, "CR4")):
+        maps = [dict(m) for m in _maps_of(G)]
+        maps[side][(ABC, 0)] = (0, ABC[1], 0)
+        H = ResGraph(G.sl, G.mon, G.edges, *maps)
+        assert resgraph.check_axioms(H, 2).ok
+        for max_chain in (3, 4):
+            rep = resgraph.check_axioms(H, max_chain)
+            assert [(c.name, c.witness) for c in rep.failures()] == [(law, (chain, 0))]
+            assert (_outcome(resgraph.check_axioms, H, max_chain)
+                    == _outcome(reference_check_axioms, H, max_chain))
+
+
+def _composite_chains(G, max_chain):
+    """The chains of length >= 2 with a composite edge, from the reference
+    paths: (the set of implied ones, the others in path order).  A chain is
+    implied when a proper prefix of it, of length >= 2, has a composite
+    edge."""
+    def composite(p):
+        return (p[0][0], path_label(G, p), p[-1][2]) in G.edges
+
+    chains = [p for p in reference_all_paths(G, max_chain) if len(p) >= 2 and composite(p)]
+    implied = {p for p in chains if any(composite(p[:i]) for i in range(2, len(p)))}
+    return implied, [p for p in chains if p not in implied]
+
+
+def _kernel_checked(G, max_chain):
+    """The chains resgraph._chains gives a composite edge."""
+    return [path for _, _, comp, path in resgraph._chains(G, max_chain) if comp >= 0]
+
+
+def test_pruned_chain_laws_match_reference():
+    # the kernel checks R4 and CR4 on the chains that are not implied; the
+    # reference checks every chain, and the reports are the same
+    seen = collections.Counter()
+    graphs = list(corpus.pm_graphs()) + [("abc", _abc_graph())] + [
+        (f"random graph {i}", G)
+        for i, G in enumerate(random_down_rectangle_graphs(random.Random(7), 8))]
+    for name, G in graphs:
+        maps = _maps_of(G)
+        variants = [maps] + _perturbed(G, maps) + _wrong_end(G, maps)
+        if name == "abc":
+            variants += _abc_far_end_moved(G, maps)
+        for max_chain in (3, 4):
+            implied, checked = _composite_chains(G, max_chain)
+            assert _kernel_checked(G, max_chain) == checked, name
+            seen["implied"] += len(implied)
+            seen["checked at length >= 3"] += sum(len(p) >= 3 for p in checked)
+            for restrict, corestrict in variants:
+                H = ResGraph(G.sl, G.mon, G.edges, restrict, corestrict)
+                want = _outcome(reference_check_axioms, H, max_chain)
+                got = _outcome(resgraph.check_axioms, H, max_chain)
+                seen["cases"] += 1
+                if want[0] == "raise":
+                    # the reference raises on an undefined fold, where the
+                    # kernel fails R1 or CR1
+                    statuses = {law: st for law, st, _ in got[1]}
+                    assert FAIL in (statuses["R1"], statuses["CR1"]), name
+                    continue
+                assert got == want, (name, max_chain)
+                for law, status, witness in want[1]:
+                    if law in ("R4", "CR4") and status == FAIL:
+                        seen[f"witness of length {len(witness[0])}"] += 1
+    assert seen["implied"] and seen["checked at length >= 3"], seen
+    assert seen["witness of length 2"] and seen["witness of length 3"], seen
+
+
 def test_round_trip_names_the_first_mismatch():
     # an underlying graph with one restriction or corestriction moved to a
     # wrong edge: the maps recovered from its product differ from its own
