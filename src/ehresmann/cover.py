@@ -269,38 +269,128 @@ def _pairwise_mult_failures(cg: CoverGraph, forms, phis):
             if phi(cg, cover_mult(cg, u, v)) != mult[fu][fv])
 
 
-def _mult_failures(cg: CoverGraph, forms, phis):
-    """Failing pairs led by the first pair of _pairwise_mult_failures, or
-    the same exception, from N |P| cover products (see verify_cover for the
-    identity).
+def _form_index(forms):
+    """Index of every form by its entries, so that a form's prefix
+    (entries[:-2]) and suffix (entries[2:]) are found in one lookup: both
+    are forms one letter shorter, listed before it."""
+    return {u.entries: i for i, u in enumerate(forms)}
 
-    The check on (u, v) reads only the signatures (phi u, u.r, C[u]) and
-    (phi v, v.d, R[v]), so each pair of signatures is checked once, at the
-    first index of each.  When S is not associative, or some u loop(m) or
-    loop(m) v is undefined, every pair is checked in order: (u, loop(m)) is
-    itself a pair, so the exception comes from the same first pair.
+
+def _phis(cg: CoverGraph, forms):
+    """phi of every form, each from its prefix: phi is a left fold, so
+    phi(u) = phi(prefix) val[a] proj[e] for u = prefix (a, e), exactly, on
+    any table."""
+    m, proj, val = cg.S.mult, cg.proj_list, cg.valuation
+    index = _form_index(forms)
+    out = []
+    for u in forms:
+        ent = u.entries
+        out.append(proj[ent[0]] if len(ent) == 1
+                   else m[m[out[index[ent[:-2]]]][val[ent[-2]]]][proj[ent[-1]]])
+    return out
+
+
+def _signature_rows(cg: CoverGraph, forms, index, end):
+    """The rows C[u] (end -1) or R[u] (end 0) of every form, as tuples with
+    -1 off the down-set of u's range (domain); see _signatures.
+
+    Each row is one table step from the row of a form one letter shorter
+    (forms are paths of the graph's letter edges, as enumerate_canonical
+    lists them).  A step is undefined when its table entry is -1 or the
+    vertex it moves to has -1 in the shorter row; that entry is then phi of
+    the cover product itself, which raises RestrictionUndefinedError
+    exactly where the product does.
+    """
+    mult, proj, val = cg.S.mult, cg.proj_list, cg.valuation
+    below, ids, edges = cg.sl.below, cg.graph.edge_id, cg.edges
+    loops = [CanonicalPath.loop_at(m) for m in range(cg.sl.n)]
+    # C moves the last edge by corestriction and reads its new source, R
+    # the first edge by restriction and reads its new target
+    table, near = (cg.graph.corestrict_table, 0) if end else (cg.graph.restrict_table, 2)
+    rows = []
+    for u in forms:
+        ent = u.entries
+        row = [-1] * cg.sl.n
+        if len(ent) == 1:
+            for m in below(ent[0]):
+                row[m] = proj[m]
+        else:
+            d, a, r = ent[-3:] if end else ent[:3]
+            moved, va = table[ids[(d, (a,), r)]], val[a]
+            shorter = rows[index[ent[:-2] if end else ent[2:]]]
+            for m in below(ent[end]):
+                j = moved[m]
+                x = -1 if j < 0 else shorter[edges[j][near]]
+                if x < 0:
+                    row[m] = phi(cg, cover_mult(cg, u, loops[m]) if end
+                                 else cover_mult(cg, loops[m], u))
+                elif end:
+                    row[m] = mult[mult[x][va]][proj[m]]
+                else:
+                    row[m] = mult[mult[proj[m]][va]][x]
+        rows.append(tuple(row))
+    return rows
+
+
+def _signatures(cg: CoverGraph, forms, phis):
+    """(left, right): the signatures (phi u, u.r, C[u]) and (phi v, v.d,
+    R[v]) of the forms, each mapped to its first index in forms, or None
+    where _mult_failures checks every pair.
+
+    C[u][m] = phi(u loop(m)) for m <= u.r and R[v][m] = phi(loop(m) v) for
+    m <= v.d (see verify_cover).  The rows are built from the forms one
+    letter shorter (_signature_rows):
+
+    - C[loop e][m] = R[loop e][m] = proj[m];
+    - C[u][m] = C[prefix][m'] val[a] proj[m], where u ends with the edge
+      (e, a, u.r) and m' is the source of its corestriction to m: u loop(m)
+      corestricts that edge to m and then the prefix to m', which is
+      prefix loop(m').  phi is a left fold, so this holds on any table;
+    - R[v][m] = proj[m] val[a] R[suffix][r'], where v starts with the edge
+      (v.d, a, e) and r' is the target of its restriction to m, by the
+      mirror argument and associativity.
+
+    Where a step is undefined the entry is phi of the product itself, so
+    every entry is phi(u loop(m)) or phi(loop(m) v), and the rows raise
+    exactly where one of those products does.  None when S is not
+    associative or a row raises: then every pair is checked in order, and
+    (u, loop(m)) is itself a pair, so the exception comes from the same
+    first pair.
     """
     if not core.verify_ehresmann(cg.S)["associativity"].ok:
-        return _pairwise_mult_failures(cg, forms, phis)
-    below = cg.sl.below
-    loops = [CanonicalPath.loop_at(m) for m in range(cg.sl.n)]
+        return None
+    index = _form_index(forms)
 
-    def first_of_signature(end, times_loop):
+    def first_of_signature(end):
         first = {}
-        for i, (u, fu) in enumerate(zip(forms, phis)):
-            row = [-1] * cg.sl.n
-            for m in below(u.entries[end]):
-                row[m] = phi(cg, times_loop(u, loops[m]))
-            first.setdefault((fu, u.entries[end], tuple(row)), i)
+        for i, (u, fu, row) in enumerate(zip(forms, phis,
+                                              _signature_rows(cg, forms, index, end))):
+            first.setdefault((fu, u.entries[end], row), i)
         return first
 
     try:
-        left = first_of_signature(-1, lambda u, loop: cover_mult(cg, u, loop))
-        right = first_of_signature(0, lambda v, loop: cover_mult(cg, loop, v))
+        return first_of_signature(-1), first_of_signature(0)
     except RestrictionUndefinedError:
+        return None
+
+
+def _mult_failures(cg: CoverGraph, forms, phis):
+    """Failing pairs led by the first pair of _pairwise_mult_failures, or
+    the same exception, from one table step per form and projection.
+
+    The check on (u, v) reads only the signatures of u and v (_signatures),
+    so each pair of signatures is checked once, at the first index of each.
+    Every row entry equals phi(u loop(m)) or phi(loop(m) v), and every pair
+    is checked exactly when S is not associative or one of those products
+    is undefined, so the verdict, the witness and any exception are those
+    of making each of those products with cover_mult.
+    """
+    signatures = _signatures(cg, forms, phis)
+    if signatures is None:
         return _pairwise_mult_failures(cg, forms, phis)
     # both dicts list their signatures by first index, so the first failing
     # pair met here is the least (u index, v index)
+    left, right = signatures
     meet, mult = cg.sl.meet, cg.S.mult
     return ((str(forms[i]), str(forms[j]))
             for (fu, r, C), i in left.items() for (fv, d, R), j in right.items()
@@ -308,18 +398,41 @@ def _mult_failures(cg: CoverGraph, forms, phis):
 
 
 def _unfactored_forms(cg: CoverGraph, forms):
-    """The forms, in order, that are not the product of their edges.
+    """The first form, in order, that is not the product of its edges (a
+    generator of at most one witness), or the exception of that product.
 
-    forms lists every prefix before its extensions, so the first form that
-    is not its prefix times its last edge is the first that is not the
-    product of its edges multiplied out left to right, and a product that
-    raises is met at the same form.
+    forms, as enumerate_canonical lists them, are paths of letter edges with
+    every prefix before its extensions, so the first form that is not its
+    prefix times its last edge is the first that is not the product of its
+    edges multiplied out left to right, and a product that raises is met at
+    the same form.
+
+    For u = prefix c, with x the source of c, that product corestricts the
+    prefix to x and restricts c to x.  The check stops at its first witness,
+    so every earlier form factors, the prefix included: corestricting the
+    prefix's own prefix to its range gives it back.  So corestricting the
+    prefix to x is the identity as soon as its last edge, corestricted to
+    x, is that edge again, and then u factors exactly when c restricted to
+    x ends at u.r: two table steps.  Where the first step gives another
+    edge or is undefined, or the second is undefined, the product is made
+    with cover_mult, which gives the same answer or raises the same error.
     """
+    ids, edges = cg.graph.edge_id, cg.edges
+    restrict, corestrict = cg.graph.restrict_table, cg.graph.corestrict_table
     for u in forms:
         ent = u.entries
-        if len(ent) > 3 and cover_mult(cg, CanonicalPath(ent[:-2]),
-                                       CanonicalPath(ent[-3:])) != u:
+        if len(ent) <= 3:
+            continue
+        k = ids[(ent[-5], (ent[-4],), ent[-3])]
+        c = ids[(ent[-3], (ent[-2],), ent[-1])]
+        x = ent[-3]
+        if corestrict[k][x] == k and restrict[c][x] >= 0:
+            factors = edges[restrict[c][x]][2] == ent[-1]
+        else:
+            factors = cover_mult(cg, CanonicalPath(ent[:-2]), CanonicalPath(ent[-3:])) == u
+        if not factors:
             yield (str(u),)
+            return
 
 
 def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
@@ -335,11 +448,23 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     at m; phi alternates vertex projections, which are idempotent, and
     generator values.  So when S is associative
     phi(u v) = C[u][m] R[v][m], with C[u][m] = phi(u loop(m)) for m <= u.r
-    and R[v][m] = phi(loop(m) v) for m <= v.d, and multiplication is checked
-    with N |P| cover products for N forms and |P| projections.  When S is
-    not associative, or a product with a loop is undefined, it falls back to
-    all N^2 pairs; the verdict, witness and any exception are the same
-    either way.
+    and R[v][m] = phi(loop(m) v) for m <= v.d.  When S is not associative,
+    or a product with a loop is undefined, it falls back to all N^2 pairs;
+    the verdict, witness and any exception are the same either way.
+
+    Every per-form quantity is one table step from a form one letter
+    shorter, found by its entries; u = prefix (a, u.r) = (u.d, a, e) suffix:
+    - phi(u) = phi(prefix) val[a] proj[u.r] (_phis);
+    - C[u][m] = C[prefix][m'] val[a] proj[m], m' the source of u's last
+      edge corestricted to m, and R[u][m] = proj[m] val[a] R[suffix][r'],
+      r' the target of u's first edge restricted to m (_signatures);
+    - u is its prefix times its last edge c when the prefix's last edge
+      corestricted to c's source is that edge and c restricted to its own
+      source ends at u.r (_unfactored_forms);
+    - u^+ and u^* are the loops at u.d and u.r, with images proj[u.d] and
+      proj[u.r].
+    Where a step is undefined, the product is made with cover_mult, so
+    every witness and exception is that of the products themselves.
     """
     cg = build_cover_graph(S, gens)
     checks = []
@@ -349,20 +474,17 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
                         tuple(c.name for c in graph_report.failures()) or None))
 
     forms = enumerate_canonical(cg, len_bound)
-    phis = [phi(cg, u) for u in forms]
-
-    def unary_preserved(u, fu):
-        up, us = cover_plus_star(cg, u)
-        return phi(cg, up) == S.plus[fu] and phi(cg, us) == S.star[fu]
+    phis = _phis(cg, forms)
+    proj = cg.proj_list
 
     checks.append(first_witness("phi_preserves_unary_operations", (
-        (str(u),) for u, fu in zip(forms, phis) if not unary_preserved(u, fu))))
+        (str(u),) for u, fu in zip(forms, phis)
+        if proj[u.d] != S.plus[fu] or proj[u.r] != S.star[fu])))
     checks.append(first_witness("phi_preserves_multiplication",
                                 _mult_failures(cg, forms, phis)))
     checks.append(first_witness("phi_projection_separating", (
         (e,) for e in range(cg.sl.n)
-        if phi(cg, CanonicalPath.loop_at(e)) != cg.proj_list[e]
-        or cg.proj_list[e] in cg.proj_list[:e])))
+        if phi(cg, CanonicalPath.loop_at(e)) != proj[e] or proj[e] in proj[:e])))
     for s in range(S.n):
         canonical_preimage(cg, s)   # raises InvariantError unless phi maps it to s
     checks.append(Check("phi_surjective_via_preimages", PASS))

@@ -849,6 +849,85 @@ def reference_mult_witnesses(cg, forms, phis):
             if cover.phi(cg, cover.cover_mult(cg, u, v)) != mult[fu][fv])
 
 
+def reference_signatures(cg, forms, phis):
+    """The cover's multiplication signatures from one cover product per
+    form and projection: (left, right), with (phi u, u.r, C[u]) and
+    (phi v, v.d, R[v]) mapped to their first index in forms, where
+    C[u][m] = phi(u loop(m)) and R[v][m] = phi(loop(m) v) for m below u.r
+    (v.d) and -1 elsewhere; None when S is not associative or one of those
+    products is undefined."""
+    if reference_associativity_witness(cg.S.mult) is not None:
+        return None
+    loops = [cover.CanonicalPath.loop_at(m) for m in range(cg.sl.n)]
+
+    def first_of_signature(end, times_loop):
+        first = {}
+        for i, (u, fu) in enumerate(zip(forms, phis)):
+            row = [-1] * cg.sl.n
+            for m in cg.sl.below(u.entries[end]):
+                row[m] = cover.phi(cg, times_loop(u, loops[m]))
+            first.setdefault((fu, u.entries[end], tuple(row)), i)
+        return first
+
+    try:
+        return (first_of_signature(-1, lambda u, loop: cover.cover_mult(cg, u, loop)),
+                first_of_signature(0, lambda v, loop: cover.cover_mult(cg, loop, v)))
+    except resgraph.RestrictionUndefinedError:
+        return None
+
+
+def reference_verify_cover(S, gens, len_bound=3):
+    """The cover verification product by product: phi of every form from
+    its entries, u^+ and u^* through cover_plus_star, the multiplication
+    check from reference_signatures (every pair when that is None), and
+    one cover product per form in the factor check."""
+    cg = cover.build_cover_graph(S, gens)
+    checks = []
+    graph_report = resgraph.check_axioms(cg.graph, max_chain=2)
+    checks.append(Check("cover_graph_axioms", graph_report.status,
+                        tuple(c.name for c in graph_report.failures()) or None))
+    forms = cover.enumerate_canonical(cg, len_bound)
+    phis = [cover.phi(cg, u) for u in forms]
+
+    def unary_preserved(u, fu):
+        up, us = cover.cover_plus_star(cg, u)
+        return cover.phi(cg, up) == S.plus[fu] and cover.phi(cg, us) == S.star[fu]
+
+    checks.append(first_witness("phi_preserves_unary_operations", (
+        (str(u),) for u, fu in zip(forms, phis) if not unary_preserved(u, fu))))
+    signatures = reference_signatures(cg, forms, phis)
+    if signatures is None:
+        witnesses = reference_mult_witnesses(cg, forms, phis)
+    else:
+        left, right = signatures
+        meet, mult = cg.sl.meet, S.mult
+        witnesses = ((str(forms[i]), str(forms[j]))
+                     for (fu, r, C), i in left.items() for (fv, d, R), j in right.items()
+                     if mult[C[meet[r][d]]][R[meet[r][d]]] != mult[fu][fv])
+    checks.append(first_witness("phi_preserves_multiplication", witnesses))
+    checks.append(first_witness("phi_projection_separating", (
+        (e,) for e in range(cg.sl.n)
+        if cover.phi(cg, cover.CanonicalPath.loop_at(e)) != cg.proj_list[e]
+        or cg.proj_list[e] in cg.proj_list[:e])))
+    for s in range(S.n):
+        cover.canonical_preimage(cg, s)
+    checks.append(Check("phi_surjective_via_preimages", PASS))
+
+    def below_letter_maximum(c):
+        top = cover.max_edge_for_letter(cg, c[1][0])
+        return top in cg.graph.edges and product.edge_le(cg.graph, c, top)
+
+    checks.append(first_witness("edges_below_letter_maximum", (
+        (c,) for c in cg.graph.sorted_edges() if c[1] and not below_letter_maximum(c))))
+    ok = product.check_properness_criterion(cg.graph)
+    checks.append(Check("properness_criterion", PASS if ok else FAIL))
+    checks.append(first_witness("forms_factor_through_edges", (
+        (str(u),) for u in forms if len(u.entries) > 3
+        and cover.cover_mult(cg, cover.CanonicalPath(u.entries[:-2]),
+                             cover.CanonicalPath(u.entries[-3:])) != u)))
+    return Report(checks)
+
+
 # ---------------------------------------------------------------------------
 # random down-rectangle graphs
 

@@ -15,7 +15,8 @@ from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
 from oracles import (perturbed_table, reference_all_paths, reference_canonical_preimage,
                      reference_canonicalize, reference_enumerate_canonical,
                      reference_generating_closure, reference_mult_witnesses,
-                     reference_unfactored_forms, to_path)
+                     reference_signatures, reference_unfactored_forms,
+                     reference_verify_cover, to_path)
 
 
 def e2_cover():
@@ -440,22 +441,134 @@ def test_factored_mult_check_matches_pairwise_on_perturbed_tables():
     assert min(statuses.values()) > 0 and fallbacks > 0, (statuses, fallbacks)
 
 
-def test_factor_check_matches_product_of_edges_on_perturbed_tables():
+def _count_calls(monkeypatch, name):
+    """A one-element list counting the calls of cover.<name>, which the
+    cover module makes through its global name."""
+    calls = [0]
+    original = getattr(cover, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cover, name, counted)
+    return calls
+
+
+def test_factor_check_matches_product_of_edges_on_perturbed_tables(monkeypatch):
     # each form against its prefix times its last edge gives the witness or
-    # exception of multiplying every form out from its edges
+    # exception of multiplying every form out from its edges; the check
+    # takes two table steps where the prefix's last edge is unchanged and
+    # makes the product with cover_mult where it is not
     def factor_check(witnesses, cg, forms):
         try:
             return first_witness("forms_factor_through_edges", witnesses(cg, forms))
         except RestrictionUndefinedError as exc:
             return type(exc), str(exc)
 
+    products = _count_calls(monkeypatch, "cover_mult")
     statuses = {PASS: 0, FAIL: 0, "raised": 0}
+    branches = {"table steps": 0, "cover_mult": 0}
     for _, cg, length in _perturbed_covers(20221):
         forms = enumerate_canonical(cg, length)
+        before = products[0]
         check = factor_check(cover._unfactored_forms, cg, forms)
+        made = products[0] - before
         assert check == factor_check(reference_unfactored_forms, cg, forms)
-        statuses["raised" if isinstance(check, tuple) else check.status] += 1
+        status = "raised" if isinstance(check, tuple) else check.status
+        statuses[status] += 1
+        branches["cover_mult"] += made
+        if status == PASS:
+            # every form of length 2 or more was decided by one branch
+            branches["table steps"] += sum(u.length >= 2 for u in forms) - made
     assert min(statuses.values()) > 0, statuses
+    assert min(branches.values()) > 0, branches
+
+
+def _unperturbed_covers():
+    """The corpus cover cases at lengths 0 to 5 and the I(3) and PT(3)
+    covers at 2 and 3, each with its length bound."""
+    for _, S, gens in corpus.cover_cases():
+        cg = build_cover_graph(S, gens)
+        for length in range(6):
+            yield cg, length
+    for cg in _i3_pt3_covers():
+        for length in (2, 3):
+            yield cg, length
+
+
+def _assert_signatures_match(cg, forms, products):
+    """cover._signatures against reference_signatures, which makes one cover
+    product per form and projection: the same keys with the same first
+    indices in the same order, or None from both.  Returns the signatures
+    and the number of cover products the one-step rows made."""
+    phis = [phi(cg, u) for u in forms]
+    before = products[0]
+    got = cover._signatures(cg, forms, phis)
+    made = products[0] - before
+
+    def listed(signatures):
+        return signatures and [list(first.items()) for first in signatures]
+
+    assert listed(got) == listed(reference_signatures(cg, forms, phis))
+    return got, made
+
+
+def test_signature_rows_match_cover_products(monkeypatch):
+    # an Ehresmann cover takes one table step per row entry: no pairwise
+    # fallback and no cover product, so a silent fallback cannot hide a
+    # lost speed-up
+    products = _count_calls(monkeypatch, "cover_mult")
+    for cg, length in _unperturbed_covers():
+        signatures, made = _assert_signatures_match(cg, enumerate_canonical(cg, length),
+                                                    products)
+        assert signatures is not None and made == 0, (cg.gens, length)
+    # on perturbed covers some rows meet an undefined step, make that
+    # product with cover_mult, and fall back to every pair when it raises
+    outcomes = {"signatures": 0, "fallback": 0, "products made": 0}
+    for _, cg, length in _perturbed_covers(20221):
+        signatures, made = _assert_signatures_match(cg, enumerate_canonical(cg, length),
+                                                    products)
+        outcomes["fallback" if signatures is None else "signatures"] += 1
+        outcomes["products made"] += made
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _verify_outcome(verify, S, gens, length):
+    """The checks of a cover verification, or the type and message of the
+    exception it raised."""
+    try:
+        return verify(S, gens, length).checks
+    except Exception as exc:     # compared, not hidden
+        return type(exc), str(exc)
+
+
+def test_verify_cover_matches_product_by_product_reference(monkeypatch):
+    # every check's name, status and witness, or the exception, against the
+    # verification that makes one cover product per form and projection
+    outcomes = {"PASS": 0, "FAIL": 0, "raised": 0}
+
+    def compare(S, gens, length):
+        got = _verify_outcome(verify_cover, S, gens, length)
+        assert got == _verify_outcome(reference_verify_cover, S, gens, length), (
+            S.mult, S.plus, S.star, gens, length)
+        if isinstance(got, tuple):
+            outcomes["raised"] += 1
+        else:
+            outcomes["PASS" if all(c.ok for c in got) else "FAIL"] += 1
+
+    for cg, length in _unperturbed_covers():
+        compare(cg.S, cg.gens, length)
+    rng = random.Random(18)
+    for name, S, gens in corpus.cover_cases():
+        for _ in range(110):
+            compare(perturbed_table(S, rng), gens, 2 if name == "pt2" else 3)
+    # perturbed letter-edge rows reach verify_cover through its graph build
+    for T, cg, length in _perturbed_covers(20221):
+        with monkeypatch.context() as patch:
+            patch.setattr(cover, "build_cover_graph", lambda S, gens, cg=cg: cg)
+            compare(T, cg.gens, length)
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_generating_closure_matches_every_pair_rounds():
