@@ -627,6 +627,30 @@ def ideal_checks(S: OpTableSemigroup, Y) -> list:
                   improper_witness)]
 
 
+def _one_component(S: OpTableSemigroup, Yset, facts) -> bool:
+    """True when the contractions of facts join them all: one union-find
+    pass (Tarjan 1975) joins each factorization to every sequence one
+    contraction away (contract_expand_neighbours with no expansions).
+    Contraction and expansion are inverse moves, so facts in one component
+    are pairwise joined by moves through sequences no longer than the
+    longest of them."""
+    m = S.mult
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for f in facts:
+        for c in contract_expand_neighbours(f, lambda a, b: m[a][b], Yset,
+                                            lambda y, cap: (), len(f)):
+            parent[find(c)] = find(f)
+    root = find(facts[0])
+    return all(find(f) == root for f in facts[1:])
+
+
 def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
                        budget: int = 20000) -> Report:
     """Check the defining conditions of a proper generating ideal Y.
@@ -635,16 +659,25 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
     proper; (4) every element has a matching Y-factorization of length at
     most max_len; (5) factorizations of length at most max_len are pairwise
     equivalent under contract/expand moves, searched with intermediate
-    length cap max_len + 2.  The matching Y-sequences are walked once per
-    length bound and grouped by product: up to max_len for the
-    factorizations compared, up to max_len + 1 for the blocks a member of Y
-    expands to.  Condition (5) runs one breadth-first search per element,
-    from its first factorization towards all the others, and budget bounds
-    the nodes that search keeps and the sequences kept per product (more
-    make it INCONCLUSIVE); the verdicts and witnesses are those of a
-    separate search per pair of factorizations.  Condition (5) is a bounded
-    search and may come back INCONCLUSIVE; factorization length is
-    unbounded in general, so no completeness is claimed.
+    length cap max_len + 2.
+
+    The matching Y-sequences of length at most max_len are walked once and
+    grouped by product, at most budget + 1 per product (more make condition
+    (5) INCONCLUSIVE).  Condition (5) then settles an element s without a
+    search in two ways:
+    - s in Y: each factorization of length two or more is one block whose
+      product s lies in Y, so it contracts to (s,) in one move, and (s,)
+      expands back to each of them;
+    - s outside Y: one union-find pass over the contractions of its listed
+      factorizations (_one_component) puts them all in one component.
+    Only the elements left open walk the sequences of length max_len + 1
+    (the blocks a member of Y expands to) and run one breadth-first search
+    each, in element order, from the first factorization towards all the
+    others; budget bounds the nodes that search keeps and the blocks kept
+    per member of Y.  Its verdicts and witnesses are those of a separate
+    search per pair of factorizations.  Condition (5) is a bounded search
+    and may come back INCONCLUSIVE; factorization length is unbounded in
+    general, so no completeness is claimed.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -667,16 +700,18 @@ def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,
                             ("skipped: earlier condition failed",)))
         return Report(checks)
 
-    blocks = _matching_factorizations(S, Yset, max_len + 1, budget, minlen)
-    expansions = {y: [b for b in blocks.get(y, ()) if len(b) > 1] for y in Yset}
     factorizations = _matching_factorizations(S, Yset, max_len, budget, minlen)
-    trunc = any(len(blocks.get(y, ())) > budget for y in Yset) or any(
-        len(facts) > budget for facts in factorizations.values())
+    trunc = any(len(facts) > budget for facts in factorizations.values())
+    unsettled = [s for s, facts in sorted(factorizations.items())
+                 if len(facts) > 1 and s not in Yset
+                 and not _one_component(S, Yset, facts)]
     status, witness = PASS, None
-    for s in range(S.n):
-        facts = factorizations.get(s, ())
-        if len(facts) < 2:
-            continue
+    if unsettled:
+        blocks = _matching_factorizations(S, Yset, max_len + 1, budget, minlen)
+        expansions = {y: [b for b in blocks.get(y, ()) if len(b) > 1] for y in Yset}
+        trunc = trunc or any(len(blocks.get(y, ())) > budget for y in Yset)
+    for s in unsettled:
+        facts = factorizations[s]
         other = _first_unreached_factorization(S, Yset, facts[0], facts[1:],
                                                max_len + 2, expansions, budget)
         if other is not None:

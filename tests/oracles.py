@@ -363,6 +363,39 @@ def reference_matching_walk(S, Y, max_len):
     return found
 
 
+def reference_contraction_components(S, Y, max_len):
+    """Every matching Y-sequence of length at most max_len, mapped to the
+    first sequence of its component, in reference_matching_walk order.  Two
+    sequences are adjacent when one replaces a block of two or more
+    consecutive factors of the other by their product, which lies in Y;
+    each component is walked depth first over adjacency taken both ways."""
+    Yset = set(Y)
+    seqs = [seq for group in reference_matching_walk(S, Y, max_len).values()
+            for seq in group]
+    adjacent = {seq: [] for seq in seqs}
+    for seq in seqs:
+        for i in range(len(seq)):
+            prod = seq[i]
+            for j in range(i + 1, len(seq)):
+                prod = S.mult[prod][seq[j]]
+                if prod in Yset:
+                    shorter = seq[:i] + (prod,) + seq[j + 1:]
+                    adjacent[seq].append(shorter)
+                    adjacent.setdefault(shorter, []).append(seq)
+    first = {}
+    for seq in seqs:
+        if seq in first:
+            continue
+        first[seq] = seq
+        stack = [seq]
+        while stack:
+            for nb in adjacent[stack.pop()]:
+                if nb not in first:
+                    first[nb] = seq
+                    stack.append(nb)
+    return first
+
+
 def _reference_first_unreached(S, Yset, facts, max_len, expansions, budget):
     """The first of facts[1:] not met by one BFS from facts[0] over
     contract/expand moves that keeps at most budget nodes."""
@@ -392,8 +425,9 @@ def _reference_first_unreached(S, Yset, facts, max_len, expansions, budget):
 
 
 def reference_check_proper_ideal(S, Y, max_len, budget=20000):
-    """check_proper_ideal with one walk per member of Y for its blocks and
-    one walk per element for its factorizations."""
+    """check_proper_ideal before condition (5) was settled by components:
+    one walk per member of Y for its blocks, one walk per element for its
+    factorizations, and a search for every element with two or more."""
     Yset = core.ideal_members(S, Y)
     checks = core.ideal_checks(S, Yset)
     minlen = core._matching_products(S, Yset)

@@ -155,6 +155,17 @@ def test_phi_examples():
     assert phi(cg, cover_mult(cg, u, v)) == S.mult[phi(cg, u)][phi(cg, v)]
 
 
+def test_phi_injective_on_loops():
+    """phi_projection_separating holds by construction: phi sends the loop
+    at each vertex to its own projection, and distinct vertices to distinct
+    projections."""
+    for name, S, gens in corpus.cover_cases():
+        cg = build_cover_graph(S, gens)
+        images = [phi(cg, CanonicalPath.loop_at(e)) for e in range(cg.sl.n)]
+        assert images == cg.proj_list == list(core.projections(S)), name
+        assert len(set(images)) == cg.sl.n, name
+
+
 def test_phi_of_canonicalize_agrees_on_raw_paths():
     cg = e2_cover()
     for p in reference_all_paths(cg.graph, 3):
@@ -360,7 +371,8 @@ def _mult_check(witnesses, cg, forms):
 
 
 def _assert_mult_check_matches_pairwise(cg, forms):
-    got = _mult_check(cover._mult_failures, cg, forms)
+    got = _mult_check(lambda cg, forms, phis: cover._mult_failures(
+        cg, forms, phis, cover._form_index(forms)), cg, forms)
     assert got == _mult_check(reference_mult_witnesses, cg, forms)
     return got
 
@@ -504,7 +516,7 @@ def _assert_signatures_match(cg, forms, products):
     and the number of cover products the one-step rows made."""
     phis = [phi(cg, u) for u in forms]
     before = products[0]
-    got = cover._signatures(cg, forms, phis)
+    got = cover._signatures(cg, forms, phis, cover._form_index(forms))
     made = products[0] - before
 
     def listed(signatures):

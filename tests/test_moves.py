@@ -5,9 +5,11 @@ import random
 from collections import Counter, defaultdict
 
 from ehresmann import core, corpus, cover, product, resgraph
+from ehresmann.report import FAIL, INCONCLUSIVE, PASS
 
 from oracles import (reference_all_paths, reference_check_proper_ideal,
-                     reference_equivalent_paths, reference_matching_walk)
+                     reference_contraction_components, reference_equivalent_paths,
+                     reference_matching_walk)
 
 
 def _all_order_ideals(S):
@@ -54,21 +56,130 @@ def test_matching_factorizations_stop_at_full_groups():
                     p: seqs[:cap + 1] for p, seqs in whole.items()}, (S.names, max_len, cap)
 
 
-def test_check_proper_ideal_matches_walk_per_target():
-    """Grouped walks give the reports of one walk per member of Y and per
-    element, on every order ideal of the small corpus tables."""
-    kinds = Counter()
+def _record_settling(monkeypatch):
+    """Record, per check_proper_ideal call, the factorizations condition (5)
+    settles without a search: those of members of Y, and those that
+    _one_component joins."""
+    settled, walks = [], []
+    one_component, walk = core._one_component, core._matching_factorizations
+
+    def recording_component(S, Yset, facts):
+        joined = one_component(S, Yset, facts)
+        if joined:
+            settled.append(facts)
+        return joined
+
+    def recording_walk(S, Yset, max_len, cap, minlen):
+        found = walk(S, Yset, max_len, cap, minlen)
+        if not walks:
+            walks.append(found)
+            settled.extend(facts for s, facts in found.items()
+                           if s in Yset and len(facts) > 1)
+        return found
+
+    monkeypatch.setattr(core, "_one_component", recording_component)
+    monkeypatch.setattr(core, "_matching_factorizations", recording_walk)
+    return settled, walks
+
+
+def test_check_proper_ideal_matches_walk_per_target(monkeypatch):
+    """Against the search of every element (reference_check_proper_ideal),
+    on every order ideal of the small corpus tables: the same report
+    wherever the reference's condition (5) is PASS or skipped.  Elsewhere
+    the reference is INCONCLUSIVE, and settling elements without a search
+    may make it PASS, 'enumeration truncated' (the walk of blocks no longer
+    runs), or the witness of a later element.  Every settled element has
+    its factorizations in one component of the contraction graph of all
+    matching sequences (reference_contraction_components)."""
+    settled, walks = _record_settling(monkeypatch)
+    kinds, changes = Counter(), Counter()
     for S in _small_tables():
         for Y in _all_order_ideals(S):
             for max_len in (1, 2, 3, 4):
+                components = None
                 for budget in (2, 50, 20000):
-                    got = core.check_proper_ideal(S, Y, max_len, budget).lines()
-                    assert got == reference_check_proper_ideal(
-                        S, Y, max_len, budget).lines(), (S.names, Y, max_len, budget)
-                    last = got[-1]
+                    settled.clear()
+                    walks.clear()
+                    got = core.check_proper_ideal(S, Y, max_len, budget)
+                    want = reference_check_proper_ideal(S, Y, max_len, budget)
+                    case = (S.names, Y, max_len, budget)
+                    last, ref = got.checks[-1], want.checks[-1]
+                    assert got.lines()[:-1] == want.lines()[:-1], case
+                    if ref.status == PASS or "skipped" in str(ref.witness):
+                        assert got.lines() == want.lines(), case
+                    elif got.lines() != want.lines():
+                        assert ref.status == INCONCLUSIVE and last.status != FAIL, case
+                        if last.status == PASS:
+                            changes["PASS"] += 1
+                        elif last.witness == ("enumeration truncated",):
+                            changes["truncated"] += 1
+                        else:
+                            assert last.witness[0] > ref.witness[0], case
+                            changes["later witness"] += 1
+                    if settled and components is None:
+                        components = reference_contraction_components(S, Y, max_len)
+                    for facts in settled:
+                        assert len({components[f] for f in facts}) == 1, (case, facts)
                     kinds[next((k for k in ("skipped", "truncated", "INCONCLUSIVE")
-                                if k in last), last.split()[0])] += 1
+                                if k in got.lines()[-1]), last.status)] += 1
     assert set(kinds) == {"PASS", "INCONCLUSIVE", "skipped", "truncated"}, kinds
+    assert changes == {"PASS": 91, "truncated": 132, "later witness": 60}, changes
+
+
+def _generating_ideals(S):
+    """The order ideals of S that pass conditions (1)-(4) at any length."""
+    return [Y for Y in _all_order_ideals(S)
+            if all(c.ok for c in core.ideal_checks(S, Y))
+            and len(core._matching_products(S, Y)) == S.n]
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    fn = getattr(core, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(core, name, counted)
+    return calls
+
+
+def test_condition_5_settled_without_search(monkeypatch):
+    """S3 and Z4 with Y = S, and the generating ideals of the eight-element
+    monoid: every element is in Y or one component of contractions, so
+    condition (5) passes with one walk of the factorizations, no walk of
+    blocks and no search."""
+    def no_search(*args):
+        raise AssertionError("condition (5) searched")
+
+    monkeypatch.setattr(core, "_first_unreached_factorization", no_search)
+    walks = _count_calls(monkeypatch, "_matching_factorizations")
+    named = dict(corpus.semigroups())
+    cases = [(named[name], range(named[name].n), max_len)
+             for name in ("s3", "z4") for max_len in (3, 4, 5, 6)]
+    eight = named["eight_monoid"]
+    ideals = _generating_ideals(eight)
+    assert len(ideals) > 1
+    cases += [(eight, Y, max_len) for Y in ideals for max_len in (3, 4)]
+    for S, Y, max_len in cases:
+        walks[0] = 0
+        assert core.check_proper_ideal(S, Y, max_len).status == PASS, (S.names, Y, max_len)
+        assert walks[0] == 1, (S.names, Y, max_len)
+
+
+def test_condition_5_searches_an_open_element(monkeypatch):
+    """In Z4 = {0, 1, 2, 3} with Y = {0, 1, 2}, 3 = 1 + 2 = 2 + 1 has no
+    contraction at length 2, so its factorizations stay apart; the search
+    joins them through an expansion: (1, 2) -> (1, 1, 1) -> (2, 1)."""
+    S = dict(corpus.semigroups())["z4"]
+    Y = [0, 1, 2]
+    assert core._matching_factorizations(S, Y, 2, 20000, core._matching_products(S, Y))[3] \
+        == [(2, 1), (1, 2)]
+    assert not core._one_component(S, frozenset(Y), [(2, 1), (1, 2)])
+    searches = _count_calls(monkeypatch, "_first_unreached_factorization")
+    assert core.check_proper_ideal(S, Y, 2).status == PASS
+    assert searches[0] == 1
 
 
 def _graphs():
