@@ -18,7 +18,7 @@ from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 # restrict_path and corestrict_path stay importable from here: they are the
 # path-level definition that cover_mult computes on tables
 from .resgraph import (FreeMonoid, ResGraph, RestrictionUndefinedError,  # noqa: F401
-                       check_axioms, corestrict_path, restrict_path)
+                       check_axioms, corestrict_path, not_an_edge, restrict_path)
 
 
 class GeneratorError(ValueError):
@@ -110,7 +110,21 @@ def _generating_closure(S: OpTableSemigroup, gens):
 
 
 def build_cover_graph(S: OpTableSemigroup, gens) -> CoverGraph:
-    """Cover graph of S over the generating set gens (element indices)."""
+    """Cover graph of S over the generating set gens (element indices).
+
+    The edge-id tables are filled straight from S.  With P the projections
+    and g the value of a letter a, the vertices st[v] = (P[v] g)^* and
+    pl[v] = (g P[v])^+ are |P| lookups per letter; restricting (d, a, r)
+    to v <= d gives (v, a, meet[st[v]][r]), corestricting it to v <= r
+    gives (meet[d][pl[v]], a, v), and loops go to loops.  These are
+    (v, a, (P[v] g)^* P[r]) and (P[d] (g P[v])^+, a, v) computed in S:
+    core.projections makes every x^+ and x^* a projection, and
+    projection_semilattice defines meet[i][j] as the vertex of P[i] P[j].
+
+    Edges are scanned in sorted order, each its restriction row before its
+    corestriction row, vertices in below order; the first value that is not
+    an edge raises RestrictionUndefinedError.
+    """
     gens = sorted(set(gens))
     for g in gens:
         if not 0 <= g < S.n:
@@ -120,44 +134,55 @@ def build_cover_graph(S: OpTableSemigroup, gens) -> CoverGraph:
         missing = sorted(set(range(S.n)) - set(decomp))
         raise GeneratorError(f"{gens} does not generate: missing {missing}")
     sl, proj_list, proj_index = product.projection_semilattice(S)
+    mult, plus, star = S.mult, S.plus, S.star
+    n, meet, below = sl.n, sl.meet, sl.below
 
     letters = [f"x{g}" for g in gens]
     valuation = dict(zip(letters, gens))
     mon = FreeMonoid(tuple(letters))
 
-    edges = set()
-    for i in range(sl.n):
-        edges.add((i, (), i))
-    for letter, g in valuation.items():
-        for i, e in enumerate(proj_list):
-            for j, f in enumerate(proj_list):
-                w = S.mult[S.mult[e][g]][f]
-                if S.plus[w] == e and S.star[w] == f:
-                    edges.add((i, (letter,), j))
+    # (d, a, r) is an edge when d and r absorb P[d] g P[r].  Edges are
+    # listed in sorted order: at each source its loop, then the letters by
+    # name.  loop_id[v] is the id of the loop at v, ids[k][d][r] that of
+    # (d, letters[k], r) or -1, and letter_of[id] is k, or None for a loop.
+    by_name = sorted(range(len(gens)), key=letters.__getitem__)
+    ids = [[[-1] * n for _ in range(n)] for _ in gens]
+    edges, letter_of, loop_id = [], [], []
+    for d, e in enumerate(proj_list):
+        loop_id.append(len(edges))
+        edges.append((d, (), d))
+        letter_of.append(None)
+        for k in by_name:
+            row = mult[mult[e][gens[k]]]
+            for r, f in enumerate(proj_list):
+                if plus[row[f]] == e and star[row[f]] == f:
+                    ids[k][d][r] = len(edges)
+                    edges.append((d, (letters[k],), r))
+                    letter_of.append(k)
+    st = [[proj_index[star[mult[e][g]]] for e in proj_list] for g in gens]
+    pl = [[proj_index[plus[mult[g][e]]] for e in proj_list] for g in gens]
 
-    def rule(c, v, end):
-        # restriction (end 0) moves the source down to v, corestriction
-        # (end 2) the target
-        d0, lab, r0 = c
-        if not lab:
-            return (v, (), v)
-        a, e = valuation[lab[0]], proj_list[v]
-        if end == 0:
-            return (v, lab, proj_index[S.mult[S.star[S.mult[e][a]]][proj_list[r0]]])
-        return (proj_index[S.mult[proj_list[d0]][S.plus[S.mult[a][e]]]], lab, v)
-
-    # edge by edge, the restrictions then the corestrictions, up to the first
-    # value that is not an edge
-    maps = {}, {}
-    keys = [(c, end, v) for c in sorted(edges) for end in (0, 2) for v in sl.below(c[end])]
-    for c, end, v in keys:
-        maps[end // 2][(c, v)] = out = rule(c, v, end)
-        if out not in edges:
-            break
-    graph = ResGraph(sl, mon, edges, *maps)
-    if out not in edges:
-        # raises RestrictionUndefinedError, naming the value
-        (graph.restrict if end == 0 else graph.corestrict)(c, v)
+    restrict, corestrict = [], []
+    for (d, lab, r), k in zip(edges, letter_of):
+        rrow, crow = [-1] * n, [-1] * n
+        if k is None:
+            for v in below(d):
+                rrow[v] = crow[v] = loop_id[v]
+        else:
+            ids_k, st_k, pl_k, meet_d = ids[k], st[k], pl[k], meet[d]
+            for v in below(d):
+                rrow[v] = j = ids_k[v][meet[st_k[v]][r]]
+                if j < 0:
+                    raise not_an_edge(sl, mon, "restriction", (d, lab, r), v,
+                                      (v, lab, meet[st_k[v]][r]))
+            for v in below(r):
+                crow[v] = j = ids_k[meet_d[pl_k[v]]][v]
+                if j < 0:
+                    raise not_an_edge(sl, mon, "corestriction", (d, lab, r), v,
+                                      (meet_d[pl_k[v]], lab, v))
+        restrict.append(rrow)
+        corestrict.append(crow)
+    graph = ResGraph.from_tables(sl, mon, edges, restrict, corestrict)
 
     return CoverGraph(S, gens, letters, valuation, proj_list, proj_index, sl, graph, decomp)
 

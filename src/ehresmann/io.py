@@ -289,6 +289,10 @@ def load_canonical(doc) -> CanonicalPath:
 
 
 def save(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write doc to the file at path; SchemaError if it cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 from .core import associativity_witness, contract_expand_neighbours, validate_table
 from .folds import Folds, Paths, fold_laws, path_compatibility
@@ -139,25 +139,42 @@ class ResGraph:
     stores each map once as an integer table, restrict_table[edge id][g]
     and corestrict_table[edge id][h], holding the id of the resulting edge,
     or -1 where the map is undefined, gives a non-edge, or the vertex is not
-    below the edge's source (target).
+    below the edge's source (target).  from_tables takes such tables
+    directly.
     """
 
     def __init__(self, sl: Semilattice, mon, edges, restrict=None, corestrict=None):
-        self.sl = sl
-        self.mon = mon
-        for (d, lab, r) in edges:
-            if not all(type(v) is int and 0 <= v < sl.n for v in (d, r)):
-                raise ValueError(f"edge ({d},{lab!r},{r}) has a bad vertex")
-            mon.check_label(lab)
-        self.edges = frozenset(edges)
-        self._edge_list = sorted(self.edges)
-        self.edge_id = {c: i for i, c in enumerate(self._edge_list)}
+        self._number(sl, mon, edges)
         self._restrict = restrict
         self._corestrict = corestrict
         self.restrict_table = self._table(restrict, 0)
         self.corestrict_table = self._table(corestrict, 2)
+
+    @classmethod
+    def from_tables(cls, sl: Semilattice, mon, edges, restrict_table, corestrict_table):
+        """The graph on edges, a sorted list without repeats, with the given
+        tables: rows numbered as edges, entries as in the constructor.  Its
+        maps are read back from the tables."""
+        G = cls.__new__(cls)
+        G._number(sl, mon, edges, edges)
+        G.restrict_table, G.corestrict_table = restrict_table, corestrict_table
+        return G
+
+    def _number(self, sl, mon, edges, edge_list=None):
+        """Check the edges in the order given, then number edge_list, by
+        default the sorted edges."""
+        n = sl.n
+        for (d, lab, r) in edges:
+            if not (type(d) is int and type(r) is int and 0 <= d < n and 0 <= r < n):
+                raise ValueError(f"edge ({d},{lab!r},{r}) has a bad vertex")
+            mon.check_label(lab)
+        self.sl = sl
+        self.mon = mon
+        self.edges = frozenset(edges)
+        self._edge_list = edge_list = sorted(self.edges) if edge_list is None else edge_list
+        self.edge_id = {c: i for i, c in enumerate(edge_list)}
         self._out = {}
-        for c in self._edge_list:
+        for c in edge_list:
             self._out.setdefault(c[0], []).append(c)
 
     def _table(self, given, end):
@@ -170,6 +187,21 @@ class ResGraph:
                     row[v] = ids.get(given.get((c, v)), -1)
             table.append(row)
         return table
+
+    # the maps of a graph built from tables, read back when first asked
+    # for; the constructor sets both attributes itself
+    @cached_property
+    def _restrict(self):
+        return self._read_back(self.restrict_table, 0)
+
+    @cached_property
+    def _corestrict(self):
+        return self._read_back(self.corestrict_table, 2)
+
+    def _read_back(self, table, end):
+        below, edges = self.sl.below, self._edge_list
+        return {(c, v): edges[row[v]] for c, row in zip(edges, table)
+                for v in below(c[end]) if row[v] >= 0}
 
     @property
     def has_restrictions(self) -> bool:
@@ -213,9 +245,16 @@ class ResGraph:
         if out is None:
             raise RestrictionUndefinedError(
                 f"{kind} of {self.edge_str(c)} to {self.sl.name(v)} is undefined")
-        raise RestrictionUndefinedError(
-            f"{kind} of {self.edge_str(c)} to {self.sl.name(v)} "
-            f"gives {out!r}, which is not an edge")
+        raise not_an_edge(self.sl, self.mon, kind, c, v, out)
+
+
+def not_an_edge(sl: Semilattice, mon, kind: str, c, v: int, out) -> RestrictionUndefinedError:
+    """The error for a restriction or corestriction (kind) of the edge c to
+    the vertex v that gives out, which is not an edge."""
+    d, lab, r = c
+    return RestrictionUndefinedError(
+        f"{kind} of ({sl.name(d)},{mon.label_str(lab)},{sl.name(r)}) to {sl.name(v)} "
+        f"gives {out!r}, which is not an edge")
 
 
 class Side:

@@ -741,17 +741,15 @@ def reference_cover_graph(S, gens):
     return graph
 
 
-def reference_letter_edge_tables(graph):
-    """Restriction and corestriction of every letter edge as rows of edge
-    ids, letter edge -> ([id of its restriction to g], [id of its
-    corestriction to h]) with -1 off the down-sets, read off graph.restrict
-    and graph.corestrict; ids number graph.sorted_edges()."""
+def reference_edge_tables(graph):
+    """Restriction and corestriction of every edge as rows of edge ids,
+    edge -> ([id of its restriction to g], [id of its corestriction to h])
+    with -1 off the down-sets, read off graph.restrict and graph.corestrict;
+    ids number graph.sorted_edges()."""
     edges = graph.sorted_edges()
     n = graph.sl.n
     out = {}
     for c in edges:
-        if not c[1]:
-            continue
         rrow, crow = [-1] * n, [-1] * n
         for g in graph.sl.below(c[0]):
             rrow[g] = edges.index(graph.restrict(c, g))
@@ -759,6 +757,17 @@ def reference_letter_edge_tables(graph):
             crow[h] = edges.index(graph.corestrict(c, h))
         out[c] = (rrow, crow)
     return out
+
+
+def random_generating_set(S, rng):
+    """The elements of S in random order, each kept when the ones kept
+    before it do not generate it."""
+    gens, reached = [], {}
+    for x in rng.sample(range(S.n), S.n):
+        if x not in reached:
+            gens.append(x)
+            reached = cover._generating_closure(S, gens)
+    return gens
 
 
 def reference_enumerate_canonical(cg, max_len):

@@ -136,6 +136,22 @@ def test_verify_unreadable_file():
     assert cli.main(["corpus-run", "/nonexistent/file.json"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--full-B", "1"],
+    ["sigma", "PT2"],
+    ["product", "build", "E2T2"],
+    ["cover", "build", "PT2", "--gens", "1,4,5"],
+])
+def test_unwritable_output_is_input_error(command, pt2_file, e2t2_graph_file, tmp_path,
+                                          capsys):
+    # a file that cannot be written is an input error, not a traceback
+    out = tmp_path / "missing" / "x.json"
+    argv = [{"PT2": pt2_file, "E2T2": e2t2_graph_file}.get(a, a) for a in command]
+    assert cli.main(argv + ["-o", str(out)]) == EXIT_INPUT
+    assert f"input error: cannot write {out}:" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_verify_restriction_side(pt2_file, capsys):
     assert cli.main(["verify", pt2_file, "--side", "left"]) == EXIT_OK
     assert cli.main(["verify", pt2_file, "--side", "right"]) == EXIT_FAIL

@@ -12,11 +12,11 @@ from ehresmann.cover import (CanonicalPath, GeneratorError,
 from ehresmann.report import FAIL, PASS, first_witness
 from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
                                 restrict_path)
-from oracles import (perturbed_table, reference_all_paths, reference_canonical_preimage,
-                     reference_canonicalize, reference_enumerate_canonical,
-                     reference_generating_closure, reference_mult_witnesses,
-                     reference_signatures, reference_unfactored_forms,
-                     reference_verify_cover, to_path)
+from oracles import (perturbed_table, random_generating_set, reference_all_paths,
+                     reference_canonical_preimage, reference_canonicalize,
+                     reference_enumerate_canonical, reference_generating_closure,
+                     reference_mult_witnesses, reference_signatures,
+                     reference_unfactored_forms, reference_verify_cover, to_path)
 
 
 def e2_cover():
@@ -178,17 +178,6 @@ def test_phi_of_canonicalize_agrees_on_raw_paths():
         assert phi(cg, u) == raw
 
 
-def _random_generating_set(S, rng):
-    """The elements of S in random order, each kept when the ones kept
-    before it do not generate it."""
-    gens, reached = [], {}
-    for x in rng.sample(range(S.n), S.n):
-        if x not in reached:
-            gens.append(x)
-            reached = cover._generating_closure(S, gens)
-    return gens
-
-
 def _preimage_covers():
     """The corpus cover cases, covers of I(3), PT(3) and B(2) over ten
     random generating sets each, and I(4) over one."""
@@ -199,7 +188,7 @@ def _preimage_covers():
                             (relmonoid.full_B, 2, 10), (relmonoid.full_I, 4, 1)):
         S = build(k).to_semigroup()
         for _ in range(count):
-            yield build_cover_graph(S, _random_generating_set(S, rng))
+            yield build_cover_graph(S, random_generating_set(S, rng))
 
 
 def test_preimage_round_trip_all_cases():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ehresmann import core, corpus, cover, product, resgraph
+from ehresmann import core, corpus, cover, io, product, relmonoid, resgraph
 from ehresmann.report import FAIL, INCONCLUSIVE, PASS, Check, Report
 from ehresmann.resgraph import (FiniteMonoid, FreeMonoid, ResGraph,
                                 RestrictionUndefinedError, Semilattice,
@@ -13,8 +13,9 @@ from ehresmann.resgraph import (FiniteMonoid, FreeMonoid, ResGraph,
 from oracles import (ReferenceResGraph, reference_all_paths, reference_build_product,
                      reference_check_axioms, reference_check_path_axioms,
                      reference_cover_graph, reference_edge_le, reference_edge_le_l,
-                     reference_edge_le_r, reference_letter_edge_tables,
-                     reference_totality_checks, random_down_rectangle_graphs)
+                     reference_edge_le_r, reference_edge_tables,
+                     reference_totality_checks, perturbed_table,
+                     random_down_rectangle_graphs, random_generating_set)
 
 
 def test_semilattice_validation():
@@ -342,34 +343,74 @@ def test_kernel_matches_reference_maps():
                 ReferenceResGraph(G.sl, G.mon, G.edges, restrict, corestrict), name)
 
 
+def _cover_cases():
+    """(name, S, gens): the corpus cover cases and I(3), PT(3) and B(2) over
+    random generating sets."""
+    rng = random.Random(20)
+    cases = list(corpus.cover_cases())
+    for build, k, count in ((relmonoid.full_I, 3, 3), (relmonoid.full_PT, 3, 3),
+                            (relmonoid.full_B, 2, 3)):
+        S = build(k).to_semigroup()
+        for i in range(count):
+            cases.append((f"{build.__name__}({k})_{i}", S, random_generating_set(S, rng)))
+    return cases
+
+
 def test_cover_rows_match_reference_tables():
-    for name, S, gens in corpus.cover_cases():
+    for name, S, gens in _cover_cases():
         G = cover.build_cover_graph(S, gens).graph
-        rows = {c: (G.restrict_table[i], G.corestrict_table[i])
-                for c, i in G.edge_id.items() if c[1]}
-        assert rows == reference_letter_edge_tables(reference_cover_graph(S, gens)), name
+        ref = reference_cover_graph(S, gens)
+        assert G.sorted_edges() == ref.sorted_edges(), name
+        assert G.edge_id == ref.edge_id, name
+        rows = {c: (G.restrict_table[i], G.corestrict_table[i]) for c, i in G.edge_id.items()}
+        assert rows == reference_edge_tables(ref), name
 
 
 def test_cover_graph_raises_where_the_reference_does():
-    # unary tables that are not Ehresmann send some restrictions off the
-    # edge set; the first such value raises, with the same message
+    # unary tables that are not Ehresmann and tables with one entry of
+    # plus, star or mult changed send some restrictions and corestrictions
+    # off the edge set, over all of S and over a smaller generating set;
+    # the first such value raises, with the same message
     rng = random.Random(5)
-    raised = 0
+    raised = collections.Counter()
     for name, S in corpus.semigroups()[:18]:
+        tables = [perturbed_table(S, rng) for _ in range(20)]
         for _ in range(40):
             plus, star = list(S.plus), list(S.star)
             for _ in range(rng.randint(1, 2)):
                 (plus if rng.random() < .5 else star)[rng.randrange(S.n)] = \
                     rng.randrange(S.n)
-            T = core.OpTableSemigroup(S.n, S.mult, plus, star)
-            got = _outcome(cover.build_cover_graph, T, range(S.n))
-            if got[:2] == ("raise", cover.GeneratorError):
-                continue
-            want = _outcome(reference_cover_graph, T, range(S.n))
-            if "raise" in (got[0], want[0]):
-                assert got == want, name
-            raised += got[1] is RestrictionUndefinedError
-    assert raised > 10
+            tables.append(core.OpTableSemigroup(S.n, S.mult, plus, star))
+        for T in tables:
+            for gens in (range(S.n), random_generating_set(S, rng)):
+                got = _outcome(cover.build_cover_graph, T, gens)
+                if got[:2] == ("raise", cover.GeneratorError):
+                    continue
+                want = _outcome(reference_cover_graph, T, gens)
+                if "raise" in (got[0], want[0]):
+                    assert got == want, name
+                if got[:2] == ("raise", RestrictionUndefinedError):
+                    raised[got[2].split(" of ")[0]] += 1
+    assert raised["restriction"] > 10 and raised["corestriction"] > 10, raised
+
+
+def test_table_built_cover_graph_round_trips_through_a_document():
+    # the graph loaded from the dump is built from dicts by the constructor
+    rng = random.Random(7)
+    cases = list(corpus.cover_cases())
+    for build in (relmonoid.full_I, relmonoid.full_PT):
+        S = build(3).to_semigroup()
+        cases.append((build.__name__, S, random_generating_set(S, rng)))
+    for name, S, gens in cases:
+        G = cover.build_cover_graph(S, gens).graph
+        kind, H = io.load_document(io.dump_resgraph(G))
+        assert kind == "resgraph", name
+        assert H.edge_id == G.edge_id, name
+        assert H.restrict_table == G.restrict_table, name
+        assert H.corestrict_table == G.corestrict_table, name
+        assert H.has_restrictions and G.has_restrictions, name
+        assert _maps_of(G) == _maps_of(H), name
+        _assert_same_structure(H, G, name)
 
 
 def _wrong_end(G, maps):
