@@ -217,9 +217,21 @@ def test_factorize_command(pt2_file, capsys):
 
 
 def test_graph_check(e2t2_graph_file, capsys):
-    assert cli.main(["graph-check", e2t2_graph_file, "--path-bound", "3"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "R4" in out and "Ca" in out
+    # the path laws follow from the edge laws at every length, so each bound
+    # gives the same lines under its own header
+    laws = ["R3a", "R4a", "CR3a", "CR4a", "Ca"]
+    for bound in ("0", "1", "3", "6"):
+        assert cli.main(["graph-check", e2t2_graph_file, "--path-bound", bound]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "PASS  R4" in out
+        header = out.index(f"path axioms up to length {bound}:")
+        assert out[header + 1:] == [f"PASS  {law}" for law in laws]
+        assert cli.main(["graph-check", e2t2_graph_file, "--path-bound", bound,
+                         "--json"]) == EXIT_OK
+        edge, path = json.loads(capsys.readouterr().out)["reports"]
+        assert edge["ok"] and path["ok"]
+        assert path["checks"] == [{"name": law, "ok": True, "witness": None}
+                                  for law in laws]
 
 
 def test_product_build_and_check(e2t2_graph_file, tmp_path, capsys):
