@@ -86,7 +86,15 @@ def _generating_closure(S: OpTableSemigroup, gens):
     the pairs with an element reached since the last round's products.  The
     other pairs were multiplied in an earlier round and add nothing, so the
     elements, their order and their words are those of multiplying every
-    pair in every round."""
+    pair in every round.
+
+    It returns as soon as every element of S has a word.  The keys are
+    elements of S (the generators are range-checked by the caller, and
+    mult, plus and star of a validated table stay in range), and entries
+    are only ever added, never replaced, so a dict with S.n keys is already
+    the final one: the same elements, in the same order, with the same
+    words.  A set that does not generate never gets there and runs to the
+    end."""
     decomp = {g: (("g", g),) for g in gens}
     unary_done = mult_done = 0
     while True:
@@ -95,6 +103,8 @@ def _generating_closure(S: OpTableSemigroup, gens):
             for v in (S.plus[a], S.star[a]):
                 if v not in decomp:
                     decomp[v] = (("p", v),)
+        if len(decomp) == S.n:
+            return decomp
         unary_done = size
         current = list(decomp)
         new = current[mult_done:]
@@ -104,6 +114,8 @@ def _generating_closure(S: OpTableSemigroup, gens):
                 ab = row[b]
                 if ab not in decomp:
                     decomp[ab] = word + decomp[b]
+                    if len(decomp) == S.n:
+                        return decomp
         mult_done = len(current)
         if len(decomp) == size:
             return decomp

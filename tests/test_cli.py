@@ -300,6 +300,17 @@ def test_preimage_command(pt2_file, capsys):
     assert "phi(preimage)" in out
 
 
+@pytest.mark.parametrize("command, extra", [(["cover", "build"], []),
+                                            (["preimage"], ["--element", "0"])])
+def test_non_generating_set_is_input_error(command, extra, pt2_file, capsys):
+    # the closure of 1 and 4 never reaches every element, so it runs to the
+    # end and names all six it misses
+    assert cli.main(command + [pt2_file, "--gens", "1,4"] + extra) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "input error: [1, 4] does not generate: missing [0, 2, 3, 5, 6, 8]\n"
+    assert captured.out == ""
+
+
 def test_proper_ideal_command(e2_file, tmp_path, capsys):
     assert cli.main(["proper-ideal", e2_file]) == EXIT_OK
     path = tmp_path / "i2.json"

@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 
@@ -178,11 +179,33 @@ def test_phi_of_canonicalize_agrees_on_raw_paths():
         assert phi(cg, u) == raw
 
 
+def _transposition_cycle_rank2_sets():
+    """(name, S, gens) for every generating set of I(3) and PT(3) made of a
+    transposition, a 3-cycle and a rank-2 element: a partial bijection that
+    is not a projection for I(3), a total map for PT(3)."""
+    Rel = relmonoid.Rel
+    transpositions = [Rel.from_pairs(3, enumerate(p))
+                      for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0))]
+    cycles = [Rel.from_pairs(3, enumerate(p)) for p in ((1, 2, 0), (2, 0, 1))]
+    for name, alg, size in (("I3", relmonoid.full_I(3), 2), ("PT3", relmonoid.full_PT(3), 3)):
+        S = alg.to_semigroup()
+        rank2 = [a for a in alg.elements
+                 if len(a.pairs()) == size and len({y for _, y in a.pairs()}) == 2
+                 and a != relmonoid.diagonal(3, {x for x, _ in a.pairs()})]
+        for t in transpositions:
+            for c in cycles:
+                for a in rank2:
+                    yield name, S, sorted(alg.index[r] for r in (t, c, a))
+
+
 def _preimage_covers():
-    """The corpus cover cases, covers of I(3), PT(3) and B(2) over ten
-    random generating sets each, and I(4) over one."""
+    """The corpus cover cases, covers of I(3) and PT(3) over every set of a
+    transposition, a 3-cycle and a rank-2 element, covers of I(3), PT(3)
+    and B(2) over ten random generating sets each, and I(4) over one."""
     rng = random.Random(16)
     for _, S, gens in corpus.cover_cases():
+        yield build_cover_graph(S, gens)
+    for _, S, gens in _transposition_cycle_rank2_sets():
         yield build_cover_graph(S, gens)
     for build, k, count in ((relmonoid.full_I, 3, 10), (relmonoid.full_PT, 3, 10),
                             (relmonoid.full_B, 2, 10), (relmonoid.full_I, 4, 1)):
@@ -574,10 +597,12 @@ def test_verify_cover_matches_product_by_product_reference(monkeypatch):
 
 def test_generating_closure_matches_every_pair_rounds():
     # each round multiplies only the pairs with an element new since the
-    # last one; the reference multiplies every pair in every round, and the
-    # elements, their order and their words must agree
+    # last one, and the closure stops once every element has a word; the
+    # reference multiplies every pair in every round, and the elements,
+    # their order and their words must agree
     rng = random.Random(11)
     cases = [(name, S, gens) for name, S, gens in corpus.cover_cases()]
+    cases += _transposition_cycle_rank2_sets()
     named = list(corpus.semigroups()) + [
         (f"full_{name}", build(k).to_semigroup()) for name, build, k in (
             ("B2", relmonoid.full_B, 2), ("PT3", relmonoid.full_PT, 3),
@@ -586,6 +611,16 @@ def test_generating_closure_matches_every_pair_rounds():
     for name, S in named:
         cases += [(name, S, sorted(rng.sample(range(S.n), min(k, S.n))))
                   for k in range(5)]
+    # sets whose generators with their x^+ and x^* are all of S: S itself,
+    # and the elements that are not x^+ or x^* of another one when they are
+    unary = [(name, S, list(range(S.n))) for name, S in named]
+    for name, S in named:
+        others = {v for a in range(S.n) for v in (S.plus[a], S.star[a]) if v != a}
+        gens = [x for x in range(S.n) if x not in others]
+        if len(gens) < S.n and {v for g in gens for v in (g, S.plus[g], S.star[g])} == set(
+                range(S.n)):
+            unary.append((name, S, gens))
+    assert len(unary) >= len(named) + 10, len(unary) - len(named)
     generating = 0
     for name, S, gens in cases:
         got = cover._generating_closure(S, gens)
@@ -593,3 +628,12 @@ def test_generating_closure_matches_every_pair_rounds():
             name, gens)
         generating += len(got) == S.n
     assert 20 <= generating <= len(cases) - 20, (generating, len(cases))
+    # the transposition, cycle and rank-2 sets generate: the closure stops
+    # part way through the products
+    assert all(len(cover._generating_closure(S, gens)) == S.n
+               for _, S, gens in _transposition_cycle_rank2_sets())
+    # the unary sets return before any product: the table given has no mult
+    for name, S, gens in unary:
+        no_mult = types.SimpleNamespace(n=S.n, plus=S.plus, star=S.star, mult=None)
+        assert list(cover._generating_closure(no_mult, gens).items()) == list(
+            reference_generating_closure(S, gens).items()), (name, gens)
