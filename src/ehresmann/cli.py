@@ -7,7 +7,6 @@ Exit codes: 0 all checks pass, 1 a check failed (witness printed),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import actions, core, corpus, cover, io, product, relmonoid, resgraph
@@ -21,7 +20,7 @@ EXIT_INCONCLUSIVE = 3
 
 def _emit(args, payload: dict, text_lines):
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        print(io.dumps(payload, default=str))
     else:
         for line in text_lines:
             print(line)
@@ -226,7 +225,7 @@ def cmd_graph_check(args) -> int:
     reports = [rep]
     lines = ["edge axioms:"] + rep.lines()
     if rep.ok:
-        prep = resgraph.check_path_axioms(G, bound=args.path_bound)
+        prep = resgraph.path_laws(rep)
         reports.append(prep)
         lines += [f"path axioms up to length {args.path_bound}:"] + prep.lines()
     _emit(args, {"reports": [_report_payload(args.path, r) for r in reports]}, lines)

@@ -9,6 +9,7 @@ labels are lists of letter strings, the empty list being the identity.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .actions import PartialAction, Premorphism
 from .core import OpTableSemigroup
@@ -288,11 +289,58 @@ def load_canonical(doc) -> CanonicalPath:
     raise SchemaError("canonical form needs 'loop' or 'seq'")
 
 
+def dumps(doc, default=None) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True, default=default), byte for
+    byte, at the speed of the C pieces it is joined from.
+
+    The library writes indented JSON with its pure-Python encoder.  Here
+    strings and str keys go through the C string encoder, exact ints
+    through int.__repr__ (a list of them, such as a table row, in one
+    join), and True, False and None as their literals; dicts with only str
+    keys are written in sorted key order.  Every other value (empty
+    containers, floats, subclasses of int, str, list or dict, non-str
+    keys, objects that need default) is encoded by the library on its own,
+    with its newlines moved to the current depth.  That gives the same
+    bytes, since the library's indentation depends only on depth and a
+    JSON string never holds a raw newline.  The one difference: a cyclic list or dict raises
+    RecursionError, not ValueError.
+    """
+    def enc(o, pad):
+        t = type(o)
+        if t is str:
+            return _quote(o)
+        if t is int:
+            return int.__repr__(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if (t is list or t is tuple) and o:
+            inner = pad + "  "
+            if {int}.issuperset(map(type, o)):
+                items = map(int.__repr__, o)
+            else:
+                items = [enc(x, inner) for x in o]
+            return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+        if t is dict and o and {str}.issuperset(map(type, o)):
+            inner = pad + "  "
+            items = [_quote(k) + ": " + enc(o[k], inner) for k in sorted(o)]
+            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+        text = json.dumps(o, indent=2, sort_keys=True, default=default)
+        return text.replace("\n", "\n" + pad) if pad else text
+
+    return enc(doc, "")
+
+
 def save(path, doc):
-    """Write doc to the file at path; SchemaError if it cannot be written."""
+    """Write doc to the file at path; SchemaError if it cannot be written.
+    The document is encoded before the file is opened, so one the encoder
+    rejects leaves the file as it was."""
+    text = dumps(doc) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc

@@ -522,21 +522,22 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> Report:
     return Report(checks)
 
 
-# the edge laws the proof in check_path_axioms reads, with the structural
+# the edge laws the proof in path_laws reads, with the structural
 # checks that check_axioms passes before it runs any law
 _PATH_PREMISES = ("identity_loops_present", "restriction_total", "corestriction_total",
                   "R1", "R3", "CR1", "CR3", "C")
 
 
-def check_path_axioms(G: ResGraph, bound: int = 3) -> Report:
-    """The path laws R3a, R4a, CR3a, CR4a and Ca, read off the edge laws.
+def path_laws(edge_report: Report) -> Report:
+    """The path laws R3a, R4a, CR3a, CR4a and Ca, read off check_axioms'
+    report on a graph.
 
     The laws hold for every path, of any length, when the edge laws named
-    next hold, so bound only names the length the caller asked about.  The
-    edge laws are check_axioms' rows at max_chain 2: the totality checks,
+    next hold.  The edge laws are check_axioms' rows: the totality checks,
     R1, R3, CR1, CR3 and C (check_axioms runs the laws once identity loops
-    are present and the maps are total).  Where all of them pass, the five path
-    laws PASS; otherwise each is INCONCLUSIVE, with the witness
+    are present and the maps are total).  None of them reads the chains, so
+    they are the same at every max_chain.  Where all of them pass, the five
+    path laws PASS; otherwise each is INCONCLUSIVE, with the witness
     ("edge laws fail", <the names of the failing checks>).  Write p|e for
     the path p = c_1 ... c_n restricted to e (folded left to right: c_1 to
     x_0 = e, then c_i to x_{i-1}, the target of the edge before), and p°f
@@ -568,10 +569,16 @@ def check_path_axioms(G: ResGraph, bound: int = 3) -> Report:
     the right it starts at s ∧ e = u_0 and restricts c_1°z_1 to u_0, which
     C puts at target u_1.  Both sides are the path through u_0, ..., u_n.
     """
-    rep = check_axioms(G, max_chain=2)
-    failing = tuple(c.name for c in rep.checks if c.name in _PATH_PREMISES and not c.ok)
+    failing = tuple(c.name for c in edge_report.checks
+                    if c.name in _PATH_PREMISES and not c.ok)
     status, witness = (INCONCLUSIVE, ("edge laws fail",) + failing) if failing else (PASS, None)
     return Report([Check(name, status, witness) for name in ("R3a", "R4a", "CR3a", "CR4a", "Ca")])
+
+
+def check_path_axioms(G: ResGraph, bound: int = 3) -> Report:
+    """The path laws of G (see path_laws); they hold for paths of every
+    length, so bound only names the length the caller asked about."""
+    return path_laws(check_axioms(G, max_chain=2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,48 @@
+import contextlib
 import json
+import sys
+from io import StringIO
 
 import pytest
 
 from ehresmann import cli, core, corpus, cover, io
 from ehresmann.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK
+
+
+def _first_difference(text):
+    """The first line where text differs from the indent=2, sort_keys=True
+    encoding of its own content, or None where they are equal."""
+    want = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if text == want:
+        return None
+    return next((i, a, b) for i, (a, b) in enumerate(zip(text.split("\n") + [None],
+                                                          want.split("\n") + [None]))
+                if a != b)
+
+
+@pytest.fixture(autouse=True)
+def canonical_json(monkeypatch):
+    """Every cli.main call in this module: the stdout of a --json command
+    that does not end in an input error, and every file written with -o,
+    equal the indent=2, sort_keys=True encoding of their own content."""
+    main = cli.main
+
+    def checked(argv):
+        out = StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+        finally:
+            sys.stdout.write(out.getvalue())
+        if code != EXIT_INPUT:
+            if "--json" in argv:
+                assert _first_difference(out.getvalue()) is None, argv
+            if "-o" in argv:
+                with open(argv[argv.index("-o") + 1]) as fh:
+                    assert _first_difference(fh.read()) is None, argv
+        return code
+
+    monkeypatch.setattr(cli, "main", checked)
 
 
 @pytest.fixture

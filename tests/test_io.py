@@ -1,6 +1,11 @@
+import enum
+import json
+import math
+import random
+
 import pytest
 
-from ehresmann import actions, core, corpus, io
+from ehresmann import actions, core, corpus, cover, io
 
 
 def test_semigroup_round_trip(tmp_path):
@@ -135,3 +140,105 @@ def test_canonical_form_serialization():
     assert io.load_canonical(io.dump_canonical(u)) == u
     with pytest.raises(io.SchemaError):
         io.load_canonical({"neither": 1})
+
+
+def _library(value, default=None):
+    return json.dumps(value, indent=2, sort_keys=True, default=default)
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
+_ODD = object()    # only default=str encodes it
+
+
+def _value(rng, depth=0):
+    """A random value for the JSON encoders: containers nest up to depth 4."""
+    pick = rng.randrange(12 if depth < 4 else 6)
+    if pick == 0:
+        return rng.choice([0, -1, 7, -(10 ** 25), 3 ** 80, True, False, None])
+    if pick == 1:
+        return rng.choice([math.nan, math.inf, -math.inf, -0.0, 0.25, 1e300])
+    if pick == 2:
+        alphabet = "az\"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600"
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(4)))
+    if pick == 3:
+        return rng.choice([_Level.LOW, _Level.HIGH, _ODD])
+    if pick in (4, 5):
+        # a table row, now and then holding a bool or an IntEnum member
+        row = [rng.randrange(-5, 300) for _ in range(rng.randrange(5))]
+        if row and rng.random() < 0.3:
+            row[rng.randrange(len(row))] = rng.choice([True, False, _Level.HIGH])
+        return row if pick == 4 else tuple(row)
+    if pick in (6, 7):
+        return [_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if pick == 8:
+        return tuple(_value(rng, depth + 1) for _ in range(rng.randrange(3)))
+    if pick in (9, 10):
+        keys = ["".join(rng.choice("ba\u00e9\n") for _ in range(rng.randrange(3)))
+                for _ in range(rng.randrange(5))]
+        return {k: _value(rng, depth + 1) for k in keys}
+    keys = rng.choice([[2, -1], [True, None], [1.5, -0.0], [_Level.HIGH, 0]])
+    return {k: _value(rng, depth + 1) for k in keys}
+
+
+def _outcome(encode, value, default):
+    try:
+        return encode(value, default)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def test_dumps_matches_the_library_on_generated_values():
+    rng = random.Random(20221)
+    for _ in range(1500):
+        value = _value(rng)
+        for default in (None, str):
+            assert (_outcome(io.dumps, value, default)
+                    == _outcome(_library, value, default)), repr(value)
+
+
+def test_dumps_matches_the_library_on_edge_cases():
+    values = [[], {}, (), [[]], {"a": {}}, [True, 1], [1, False], (1, 2), [1, _Level.LOW],
+              {"b": 1, "a": [2, {"d": None, "c": -0.0}]}, [{1: [2, 3]}, {"x": [1.5, [2]]}],
+              {"k": {None: {"n": [1]}}}, 3 ** 200, "\u00e9\n\x00", math.nan]
+    for value in values:
+        assert io.dumps(value) == _library(value), repr(value)
+    assert io.dumps([[_ODD]], default=str) == _library([[_ODD]], default=str)
+    with pytest.raises(TypeError):
+        io.dumps({"a": [_ODD]})
+
+
+def _documents():
+    yield from (io.dump_semigroup(S) for _, S in corpus.semigroups())
+    yield from (io.dump_resgraph(G) for _, G in corpus.pm_graphs())
+    yield from (io.dump_premorphism(pa) for _, pa in corpus.partial_actions())
+    pm = actions.graph_to_premorphism(corpus.e2t2_graph())
+    yield io.dump_premorphism(actions.Premorphism(pm.mon, pm.ground, pm.phi))
+    yield io.dump_relgen(2, [corpus.Rel.from_pairs(2, [(0, 1)]),
+                             corpus.Rel.from_pairs(2, [(1, 0), (1, 1)])])
+    for _, S, gens in corpus.cover_cases():
+        cg = cover.build_cover_graph(S, gens)
+        yield io.dump_resgraph(cg.graph)
+        yield [io.dump_canonical(u) for u in cover.enumerate_canonical(cg, 2)]
+
+
+def test_dumps_matches_the_library_on_corpus_documents(tmp_path):
+    path = tmp_path / "doc.json"
+    for doc in _documents():
+        assert io.dumps(doc) == _library(doc)
+        io.save(path, doc)
+        assert path.read_text() == _library(doc) + "\n"
+
+
+def test_save_rejected_document_leaves_file_unchanged(tmp_path):
+    path = tmp_path / "pt2.json"
+    io.save(path, io.dump_semigroup(corpus.rel_pt2()))
+    before = path.read_bytes()
+    doc = io.dump_semigroup(corpus.chain(2))
+    doc["mult"][1].append(object())
+    with pytest.raises(TypeError):
+        io.save(path, doc)
+    assert path.read_bytes() == before

@@ -613,6 +613,10 @@ def test_path_laws_need_each_edge_law():
             assert reference_check_path_axioms(G, 2)[path_law].status == FAIL, law
         for bound in (0, 2, 6):
             assert _outcome(resgraph.check_path_axioms, G, bound) == _without_premises((law,))
+        # the premises read no chain, so any max_chain's report gives the same
+        for max_chain in range(6):
+            rep = resgraph.path_laws(resgraph.check_axioms(G, max_chain))
+            assert rep.checks == resgraph.check_path_axioms(G).checks, (law, max_chain)
 
 
 def test_chain_label_is_the_product_in_path_order():
