@@ -306,132 +306,6 @@ def _pairwise_mult_failures(cg: CoverGraph, forms, phis):
             if phi(cg, cover_mult(cg, u, v)) != mult[fu][fv])
 
 
-def _form_index(forms):
-    """Index of every form by its entries, so that a form's prefix
-    (entries[:-2]) and suffix (entries[2:]) are found in one lookup: both
-    are forms one letter shorter, listed before it."""
-    return {u.entries: i for i, u in enumerate(forms)}
-
-
-def _phis(cg: CoverGraph, forms, index):
-    """phi of every form, each from its prefix: phi is a left fold, so
-    phi(u) = phi(prefix) val[a] proj[e] for u = prefix (a, e), exactly, on
-    any table.  index is _form_index(forms)."""
-    m, proj, val = cg.S.mult, cg.proj_list, cg.valuation
-    out = []
-    for u in forms:
-        ent = u.entries
-        out.append(proj[ent[0]] if len(ent) == 1
-                   else m[m[out[index[ent[:-2]]]][val[ent[-2]]]][proj[ent[-1]]])
-    return out
-
-
-def _signature_rows(cg: CoverGraph, forms, index, end):
-    """The rows C[u] (end -1) or R[u] (end 0) of every form, as tuples with
-    -1 off the down-set of u's range (domain); see _signatures.
-
-    Each row is one table step from the row of a form one letter shorter
-    (forms are paths of the graph's letter edges, as enumerate_canonical
-    lists them).  A step is undefined when its table entry is -1 or the
-    vertex it moves to has -1 in the shorter row; that entry is then phi of
-    the cover product itself, which raises RestrictionUndefinedError
-    exactly where the product does.
-    """
-    mult, proj, val = cg.S.mult, cg.proj_list, cg.valuation
-    below, ids, edges = cg.sl.below, cg.graph.edge_id, cg.edges
-    loops = [CanonicalPath.loop_at(m) for m in range(cg.sl.n)]
-    # C moves the last edge by corestriction and reads its new source, R
-    # the first edge by restriction and reads its new target
-    table, near = (cg.graph.corestrict_table, 0) if end else (cg.graph.restrict_table, 2)
-    rows = []
-    for u in forms:
-        ent = u.entries
-        row = [-1] * cg.sl.n
-        if len(ent) == 1:
-            for m in below(ent[0]):
-                row[m] = proj[m]
-        else:
-            d, a, r = ent[-3:] if end else ent[:3]
-            moved, va = table[ids[(d, (a,), r)]], val[a]
-            shorter = rows[index[ent[:-2] if end else ent[2:]]]
-            for m in below(ent[end]):
-                j = moved[m]
-                x = -1 if j < 0 else shorter[edges[j][near]]
-                if x < 0:
-                    row[m] = phi(cg, cover_mult(cg, u, loops[m]) if end
-                                 else cover_mult(cg, loops[m], u))
-                elif end:
-                    row[m] = mult[mult[x][va]][proj[m]]
-                else:
-                    row[m] = mult[mult[proj[m]][va]][x]
-        rows.append(tuple(row))
-    return rows
-
-
-def _signatures(cg: CoverGraph, forms, phis, index):
-    """(left, right): the signatures (phi u, u.r, C[u]) and (phi v, v.d,
-    R[v]) of the forms, each mapped to its first index in forms, or None
-    where _mult_failures checks every pair.  index is _form_index(forms).
-
-    C[u][m] = phi(u loop(m)) for m <= u.r and R[v][m] = phi(loop(m) v) for
-    m <= v.d (see verify_cover).  The rows are built from the forms one
-    letter shorter (_signature_rows):
-
-    - C[loop e][m] = R[loop e][m] = proj[m];
-    - C[u][m] = C[prefix][m'] val[a] proj[m], where u ends with the edge
-      (e, a, u.r) and m' is the source of its corestriction to m: u loop(m)
-      corestricts that edge to m and then the prefix to m', which is
-      prefix loop(m').  phi is a left fold, so this holds on any table;
-    - R[v][m] = proj[m] val[a] R[suffix][r'], where v starts with the edge
-      (v.d, a, e) and r' is the target of its restriction to m, by the
-      mirror argument and associativity.
-
-    Where a step is undefined the entry is phi of the product itself, so
-    every entry is phi(u loop(m)) or phi(loop(m) v), and the rows raise
-    exactly where one of those products does.  None when S is not
-    associative or a row raises: then every pair is checked in order, and
-    (u, loop(m)) is itself a pair, so the exception comes from the same
-    first pair.
-    """
-    if not core.verify_ehresmann(cg.S)["associativity"].ok:
-        return None
-
-    def first_of_signature(end):
-        first = {}
-        for i, (u, fu, row) in enumerate(zip(forms, phis,
-                                              _signature_rows(cg, forms, index, end))):
-            first.setdefault((fu, u.entries[end], row), i)
-        return first
-
-    try:
-        return first_of_signature(-1), first_of_signature(0)
-    except RestrictionUndefinedError:
-        return None
-
-
-def _mult_failures(cg: CoverGraph, forms, phis, index):
-    """Failing pairs led by the first pair of _pairwise_mult_failures, or
-    the same exception, from one table step per form and projection.
-
-    The check on (u, v) reads only the signatures of u and v (_signatures),
-    so each pair of signatures is checked once, at the first index of each.
-    Every row entry equals phi(u loop(m)) or phi(loop(m) v), and every pair
-    is checked exactly when S is not associative or one of those products
-    is undefined, so the verdict, the witness and any exception are those
-    of making each of those products with cover_mult.
-    """
-    signatures = _signatures(cg, forms, phis, index)
-    if signatures is None:
-        return _pairwise_mult_failures(cg, forms, phis)
-    # both dicts list their signatures by first index, so the first failing
-    # pair met here is the least (u index, v index)
-    left, right = signatures
-    meet, mult = cg.sl.meet, cg.S.mult
-    return ((str(forms[i]), str(forms[j]))
-            for (fu, r, C), i in left.items() for (fv, d, R), j in right.items()
-            if mult[C[meet[r][d]]][R[meet[r][d]]] != mult[fu][fv])
-
-
 def _unfactored_forms(cg: CoverGraph, forms):
     """The first form, in order, that is not the product of its edges (a
     generator of at most one witness), or the exception of that product.
@@ -441,33 +315,73 @@ def _unfactored_forms(cg: CoverGraph, forms):
     prefix times its last edge is the first that is not the product of its
     edges multiplied out left to right, and a product that raises is met at
     the same form.
-
-    For u = prefix c, with x the source of c, that product corestricts the
-    prefix to x and restricts c to x.  The check stops at its first witness,
-    so every earlier form factors, the prefix included: corestricting the
-    prefix's own prefix to its range gives it back.  So corestricting the
-    prefix to x is the identity as soon as its last edge, corestricted to
-    x, is that edge again, and then u factors exactly when c restricted to
-    x ends at u.r: two table steps.  Where the first step gives another
-    edge or is undefined, or the second is undefined, the product is made
-    with cover_mult, which gives the same answer or raises the same error.
     """
-    ids, edges = cg.graph.edge_id, cg.edges
-    restrict, corestrict = cg.graph.restrict_table, cg.graph.corestrict_table
     for u in forms:
         ent = u.entries
-        if len(ent) <= 3:
-            continue
-        k = ids[(ent[-5], (ent[-4],), ent[-3])]
-        c = ids[(ent[-3], (ent[-2],), ent[-1])]
-        x = ent[-3]
-        if corestrict[k][x] == k and restrict[c][x] >= 0:
-            factors = edges[restrict[c][x]][2] == ent[-1]
-        else:
-            factors = cover_mult(cg, CanonicalPath(ent[:-2]), CanonicalPath(ent[-3:])) == u
-        if not factors:
+        if len(ent) > 3 and cover_mult(cg, CanonicalPath(ent[:-2]),
+                                       CanonicalPath(ent[-3:])) != u:
             yield (str(u),)
             return
+
+
+def _closure(start, steps, len_bound: int) -> set:
+    """The states reached from start in at most len_bound steps,
+    breadth-first: each level keeps only the states not seen before, and the
+    search stops at the first level that adds none."""
+    seen = level = set(start)
+    for _ in range(len_bound):
+        level = {t for s in level for t in steps(s)} - seen
+        if not level:
+            break
+        seen |= level
+    return seen
+
+
+def _saturated_pass(cg: CoverGraph, len_bound: int) -> bool:
+    """Whether phi preserves u^+, u^* and every product u v of canonical
+    forms up to len_bound, read off the forms' signature states; see
+    verify_cover, which calls it only when S is associative and the cover
+    graph axioms pass."""
+    mult, plus, star = cg.S.mult, cg.S.plus, cg.S.star
+    proj, val, edges = cg.proj_list, cg.valuation, cg.edges
+    n, below, meet = cg.sl.n, cg.sl.below, cg.sl.meet
+    rt, ct = cg.graph.restrict_table, cg.graph.corestrict_table
+    # a letter edge (d, a, e) extends a form ending at d to the right and one
+    # starting at e to the left; each move lists, for every vertex m below
+    # the new end, where the edge moved to m meets the old form
+    extend, prepend = [[] for _ in range(n)], [[] for _ in range(n)]
+    for j, (d, lab, e) in enumerate(edges):
+        if lab:
+            va = val[lab[0]]
+            extend[d].append((e, va, [(m, edges[ct[j][m]][0]) for m in below(e)]))
+            prepend[e].append((d, va, [(m, edges[rt[j][m]][2]) for m in below(d)]))
+
+    def row(entries):
+        out = [-1] * n
+        for m, x in entries:
+            out[m] = x
+        return tuple(out)
+
+    def left_steps(state):
+        d, f, r, C = state
+        for e, va, moved in extend[r]:
+            yield (d, mult[mult[f][va]][proj[e]], e,
+                   row((m, mult[mult[C[s]][va]][proj[m]]) for m, s in moved))
+
+    def right_steps(state):
+        f, d, R = state
+        for e, va, moved in prepend[d]:
+            yield (mult[mult[proj[e]][va]][f], e,
+                   row((m, mult[mult[proj[m]][va]][R[t]]) for m, t in moved))
+
+    loops = [row((m, proj[m]) for m in below(e)) for e in range(n)]
+    left = _closure([(e, proj[e], e, loops[e]) for e in range(n)], left_steps, len_bound)
+    if any(proj[d] != plus[f] or proj[r] != star[f] for d, f, r, _ in left):
+        return False
+    right = _closure([(proj[e], e, loops[e]) for e in range(n)], right_steps, len_bound)
+    return all(mult[C[m]][R[m]] == mult[fu][fv]
+               for fu, r, C in {state[1:] for state in left} for fv, d, R in right
+               for m in (meet[r][d],))
 
 
 def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
@@ -476,30 +390,59 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     Checks, on all canonical forms up to len_bound: that phi is a
     (2,1,1)-morphism, projection-separating and surjective (by round trips
     through canonical_preimage); that every letter edge is bounded by the
-    letter's maximal edge; and that the common-upper-bound properness
-    criterion holds, which makes sigma classes the label fibers.
+    letter's maximal edge; that the common-upper-bound properness criterion
+    holds, which makes sigma classes the label fibers; and that every form
+    is the product of its edges.
 
+    When S is associative and the cover graph axioms pass, the unary, the
+    multiplication and the factor checks are read off signature states
+    (_saturated_pass) and PASS when every state does.  Otherwise, or when a
+    state fails, the forms are listed (enumerate_canonical) and checked one
+    by one and pair by pair, one cover product per pair and per form, so
+    every witness and exception is that of the products themselves.  The
+    states give the listing's verdict at every len_bound:
+
+    States.  The left state of a form u is (u.d, phi u, u.r, C[u]) and the
+    right state of v is (phi v, v.d, R[v]), where C[u][m] = phi(u loop(m))
+    for m <= u.r and R[v][m] = phi(loop(m) v) for m <= v.d.  u^+ and u^*
+    are the loops at u.d and u.r, so the unary check reads the left state.
     u v corestricts u and restricts v to m = meet(u.r, v.d) and joins them
-    at m; phi alternates vertex projections, which are idempotent, and
-    generator values.  So when S is associative
-    phi(u v) = C[u][m] R[v][m], with C[u][m] = phi(u loop(m)) for m <= u.r
-    and R[v][m] = phi(loop(m) v) for m <= v.d.  When S is not associative,
-    or a product with a loop is undefined, it falls back to all N^2 pairs;
-    the verdict, witness and any exception are the same either way.
+    at m, and phi alternates vertex projections, which are idempotent, and
+    generator values; so when S is associative phi(u v) = C[u][m] R[v][m],
+    and the multiplication check reads the two states.
 
-    Every per-form quantity is one table step from a form one letter
-    shorter, found by its entries; u = prefix (a, u.r) = (u.d, a, e) suffix:
-    - phi(u) = phi(prefix) val[a] proj[u.r] (_phis);
-    - C[u][m] = C[prefix][m'] val[a] proj[m], m' the source of u's last
-      edge corestricted to m, and R[u][m] = proj[m] val[a] R[suffix][r'],
-      r' the target of u's first edge restricted to m (_signatures);
-    - u is its prefix times its last edge c when the prefix's last edge
-      corestricted to c's source is that edge and c restricted to its own
-      source ends at u.r (_unfactored_forms);
-    - u^+ and u^* are the loops at u.d and u.r, with images proj[u.d] and
-      proj[u.r].
-    Where a step is undefined, the product is made with cover_mult, so
-    every witness and exception is that of the products themselves.
+    Steps.  A form of length k + 1 is u j, a form u of length k followed by
+    a letter edge j = (u.r, a, e), and also j' v, a letter edge
+    j' = (d, a', v.d) followed by a form v of length k.  Its state is one
+    step from u's (v's), read off that state alone:
+    - phi(u j) = phi(u) val[a] proj[e], since phi is a left fold, and
+      C[u j][m] = C[u][s] val[a] proj[m], where (s, a, m) is j corestricted
+      to m: u j loop(m) corestricts j to m and then u to s;
+    - phi(j' v) = proj[d] val[a'] phi(v) and R[j' v][m] =
+      proj[m] val[a'] R[v][t], where (m, a', t) is j' restricted to m, by
+      the mirror argument and associativity.
+    The gate keeps every step defined: corestriction_total gives (s, a, m)
+    for every m <= e, and CR1 puts s below u.r, where C[u] is defined;
+    restriction_total and R1 do the same for t <= v.d.  So no product the
+    three checks read is undefined, and none of them raises
+    RestrictionUndefinedError.
+
+    Closure.  The states of the forms of length k + 1 are the steps of the
+    states of the forms of length k.  So a breadth-first search from the
+    loops that keeps only new states reaches, at level k, exactly the states
+    of the forms up to length k.  When a level adds no state, the next one
+    would step only from states already stepped, so no later level adds one
+    either, and stopping there gives the states of the forms up to every
+    len_bound from that level on.  The states are finitely many, so the
+    search ends after at most as many levels as there are states, whatever
+    len_bound is.
+
+    Factors.  u = p c, with c the last edge, is p times c when p
+    corestricted to x = p.r is p and c restricted to x = c.d is c.  CR2
+    and R2 say that an edge corestricted to its own target, or restricted
+    to its own source, is itself; so p corestricted to x is p, edge by edge
+    from its last, and c restricted to x is c.  Under the gate every form
+    factors, and the factor check passes at every len_bound.
     """
     cg = build_cover_graph(S, gens)
     checks = []
@@ -508,16 +451,20 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     checks.append(Check("cover_graph_axioms", graph_report.status,
                         tuple(c.name for c in graph_report.failures()) or None))
 
-    forms = enumerate_canonical(cg, len_bound)
-    index = _form_index(forms)
-    phis = _phis(cg, forms, index)
-    proj = cg.proj_list
-
-    checks.append(first_witness("phi_preserves_unary_operations", (
-        (str(u),) for u, fu in zip(forms, phis)
-        if proj[u.d] != S.plus[fu] or proj[u.r] != S.star[fu])))
-    checks.append(first_witness("phi_preserves_multiplication",
-                                _mult_failures(cg, forms, phis, index)))
+    if (graph_report.ok and core.verify_ehresmann(S)["associativity"].ok
+            and _saturated_pass(cg, len_bound)):
+        forms = None
+        checks += [Check("phi_preserves_unary_operations", PASS),
+                   Check("phi_preserves_multiplication", PASS)]
+    else:
+        forms = enumerate_canonical(cg, len_bound)
+        phis = [phi(cg, u) for u in forms]
+        proj = cg.proj_list
+        checks.append(first_witness("phi_preserves_unary_operations", (
+            (str(u),) for u, fu in zip(forms, phis)
+            if proj[u.d] != S.plus[fu] or proj[u.r] != S.star[fu])))
+        checks.append(first_witness("phi_preserves_multiplication",
+                                    _pairwise_mult_failures(cg, forms, phis)))
     # phi(loop e) = proj[e], and proj lists the distinct projections of S
     checks.append(Check("phi_projection_separating", PASS))
     for s in range(S.n):
@@ -538,7 +485,8 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     # sigma iff labels, constructively: each canonical form is the product
     # of its edges, and same-word forms are chained through the letter
     # maxima found above.
-    checks.append(first_witness("forms_factor_through_edges", _unfactored_forms(cg, forms)))
+    checks.append(Check("forms_factor_through_edges", PASS) if forms is None else
+                  first_witness("forms_factor_through_edges", _unfactored_forms(cg, forms)))
     return Report(checks)
 
 

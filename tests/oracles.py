@@ -972,6 +972,162 @@ def reference_verify_cover(S, gens, len_bound=3):
 
 
 # ---------------------------------------------------------------------------
+# the bounded parent of cover.verify_cover: every canonical form up to the
+# length bound listed, phi, the signature rows and the factor check of each
+# form one table step from a form one letter shorter
+
+
+def _parent_form_index(forms):
+    """Index of every form by its entries, so that a form's prefix
+    (entries[:-2]) and suffix (entries[2:]) are found in one lookup: both
+    are forms one letter shorter, listed before it."""
+    return {u.entries: i for i, u in enumerate(forms)}
+
+
+def _parent_phis(cg, forms, index):
+    """phi of every form, each from its prefix: phi is a left fold, so
+    phi(u) = phi(prefix) val[a] proj[e] for u = prefix (a, e), exactly, on
+    any table."""
+    m, proj, val = cg.S.mult, cg.proj_list, cg.valuation
+    out = []
+    for u in forms:
+        ent = u.entries
+        out.append(proj[ent[0]] if len(ent) == 1
+                   else m[m[out[index[ent[:-2]]]][val[ent[-2]]]][proj[ent[-1]]])
+    return out
+
+
+def _parent_signature_rows(cg, forms, index, end):
+    """The rows C[u] (end -1) or R[u] (end 0) of every form, as tuples with
+    -1 off the down-set of u's range (domain), each one table step from the
+    row of a form one letter shorter.  A step is undefined when its table
+    entry is -1 or the vertex it moves to has -1 in the shorter row; that
+    entry is then phi of the cover product itself, which raises
+    RestrictionUndefinedError exactly where the product does."""
+    mult, proj, val = cg.S.mult, cg.proj_list, cg.valuation
+    below, ids, edges = cg.sl.below, cg.graph.edge_id, cg.edges
+    loops = [cover.CanonicalPath.loop_at(m) for m in range(cg.sl.n)]
+    table, near = (cg.graph.corestrict_table, 0) if end else (cg.graph.restrict_table, 2)
+    rows = []
+    for u in forms:
+        ent = u.entries
+        row = [-1] * cg.sl.n
+        if len(ent) == 1:
+            for m in below(ent[0]):
+                row[m] = proj[m]
+        else:
+            d, a, r = ent[-3:] if end else ent[:3]
+            moved, va = table[ids[(d, (a,), r)]], val[a]
+            shorter = rows[index[ent[:-2] if end else ent[2:]]]
+            for m in below(ent[end]):
+                j = moved[m]
+                x = -1 if j < 0 else shorter[edges[j][near]]
+                if x < 0:
+                    row[m] = cover.phi(cg, cover.cover_mult(cg, u, loops[m]) if end
+                                       else cover.cover_mult(cg, loops[m], u))
+                elif end:
+                    row[m] = mult[mult[x][va]][proj[m]]
+                else:
+                    row[m] = mult[mult[proj[m]][va]][x]
+        rows.append(tuple(row))
+    return rows
+
+
+def _parent_signatures(cg, forms, phis, index):
+    """(left, right): the signatures (phi u, u.r, C[u]) and (phi v, v.d,
+    R[v]) of the forms, each mapped to its first index in forms, or None
+    when S is not associative or a row raises."""
+    if not core.verify_ehresmann(cg.S)["associativity"].ok:
+        return None
+
+    def first_of_signature(end):
+        first = {}
+        for i, (u, fu, row) in enumerate(zip(forms, phis,
+                                              _parent_signature_rows(cg, forms, index, end))):
+            first.setdefault((fu, u.entries[end], row), i)
+        return first
+
+    try:
+        return first_of_signature(-1), first_of_signature(0)
+    except resgraph.RestrictionUndefinedError:
+        return None
+
+
+def _parent_mult_failures(cg, forms, phis, index):
+    """Failing pairs led by the first pair of the pairwise check, each pair
+    of signatures checked once at the first index of each; every pair when
+    _parent_signatures is None."""
+    signatures = _parent_signatures(cg, forms, phis, index)
+    if signatures is None:
+        return reference_mult_witnesses(cg, forms, phis)
+    left, right = signatures
+    meet, mult = cg.sl.meet, cg.S.mult
+    return ((str(forms[i]), str(forms[j]))
+            for (fu, r, C), i in left.items() for (fv, d, R), j in right.items()
+            if mult[C[meet[r][d]]][R[meet[r][d]]] != mult[fu][fv])
+
+
+def _parent_unfactored_forms(cg, forms):
+    """The first form, in order, that is not its prefix times its last edge,
+    or the exception of that product: two table steps when the prefix's
+    last edge corestricted to the last edge's source is itself and the last
+    edge restricted to that source is defined, a cover product otherwise."""
+    ids, edges = cg.graph.edge_id, cg.edges
+    restrict, corestrict = cg.graph.restrict_table, cg.graph.corestrict_table
+    for u in forms:
+        ent = u.entries
+        if len(ent) <= 3:
+            continue
+        k = ids[(ent[-5], (ent[-4],), ent[-3])]
+        c = ids[(ent[-3], (ent[-2],), ent[-1])]
+        x = ent[-3]
+        if corestrict[k][x] == k and restrict[c][x] >= 0:
+            factors = edges[restrict[c][x]][2] == ent[-1]
+        else:
+            factors = cover.cover_mult(cg, cover.CanonicalPath(ent[:-2]),
+                                       cover.CanonicalPath(ent[-3:])) == u
+        if not factors:
+            yield (str(u),)
+            return
+
+
+def parent_verify_cover(S, gens, len_bound=3):
+    """The cover verification over every canonical form up to len_bound,
+    with phi, the signature rows and the factor check of each form one
+    table step from a form one letter shorter."""
+    cg = cover.build_cover_graph(S, gens)
+    checks = []
+    graph_report = resgraph.check_axioms(cg.graph, max_chain=2)
+    checks.append(Check("cover_graph_axioms", graph_report.status,
+                        tuple(c.name for c in graph_report.failures()) or None))
+    forms = cover.enumerate_canonical(cg, len_bound)
+    index = _parent_form_index(forms)
+    phis = _parent_phis(cg, forms, index)
+    proj = cg.proj_list
+    checks.append(first_witness("phi_preserves_unary_operations", (
+        (str(u),) for u, fu in zip(forms, phis)
+        if proj[u.d] != S.plus[fu] or proj[u.r] != S.star[fu])))
+    checks.append(first_witness("phi_preserves_multiplication",
+                                _parent_mult_failures(cg, forms, phis, index)))
+    checks.append(Check("phi_projection_separating", PASS))
+    for s in range(S.n):
+        cover.canonical_preimage(cg, s)
+    checks.append(Check("phi_surjective_via_preimages", PASS))
+
+    def below_letter_maximum(c):
+        top = cover.max_edge_for_letter(cg, c[1][0])
+        return top in cg.graph.edges and product.edge_le(cg.graph, c, top)
+
+    checks.append(first_witness("edges_below_letter_maximum", (
+        (c,) for c in cg.graph.sorted_edges() if c[1] and not below_letter_maximum(c))))
+    ok = product.check_properness_criterion(cg.graph)
+    checks.append(Check("properness_criterion", PASS if ok else FAIL))
+    checks.append(first_witness("forms_factor_through_edges",
+                                _parent_unfactored_forms(cg, forms)))
+    return Report(checks)
+
+
+# ---------------------------------------------------------------------------
 # random down-rectangle graphs
 
 def random_down_rectangle_graphs(rng, count):

@@ -1,3 +1,4 @@
+import collections
 import random
 import types
 
@@ -13,10 +14,10 @@ from ehresmann.cover import (CanonicalPath, GeneratorError,
 from ehresmann.report import FAIL, PASS, first_witness
 from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
                                 restrict_path)
-from oracles import (perturbed_table, random_generating_set, reference_all_paths,
-                     reference_canonical_preimage, reference_canonicalize,
-                     reference_enumerate_canonical, reference_generating_closure,
-                     reference_mult_witnesses, reference_signatures,
+from oracles import (parent_verify_cover, perturbed_table, random_generating_set,
+                     reference_all_paths, reference_canonical_preimage,
+                     reference_canonicalize, reference_enumerate_canonical,
+                     reference_generating_closure, reference_mult_witnesses,
                      reference_unfactored_forms, reference_verify_cover, to_path)
 
 
@@ -372,29 +373,84 @@ def test_fes_terms_sigma_related_in_b2():
     assert cong.same(alg.index[left], alg.index[right])
 
 
-def _mult_check(witnesses, cg, forms):
-    """phi_preserves_multiplication over forms, or the undefined product
-    it raised."""
-    phis = [phi(cg, u) for u in forms]
+def _verify_outcome(verify, S, gens, length):
+    """The checks of a cover verification, or the type and message of the
+    exception it raised."""
     try:
-        return first_witness("phi_preserves_multiplication", witnesses(cg, forms, phis))
-    except RestrictionUndefinedError as exc:
+        return verify(S, gens, length).checks
+    except Exception as exc:     # compared, not hidden
         return type(exc), str(exc)
 
 
-def _assert_mult_check_matches_pairwise(cg, forms):
-    got = _mult_check(lambda cg, forms, phis: cover._mult_failures(
-        cg, forms, phis, cover._form_index(forms)), cg, forms)
-    assert got == _mult_check(reference_mult_witnesses, cg, forms)
-    return got
+def _count_calls(monkeypatch, name):
+    """A one-element list counting the calls of cover.<name>, which the
+    cover module makes through its global name."""
+    calls = [0]
+    original = getattr(cover, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cover, name, counted)
+    return calls
 
 
-def test_factored_mult_check_matches_pairwise_on_cover_cases():
+def _differential(monkeypatch):
+    """compare(S, gens, length), which asserts that verify_cover gives the
+    outcome of its bounded parent and of the product-by-product reference
+    (every check's name, status and witness, or the same exception) and
+    returns (outcome, path): the outcome is PASS, FAIL or raised, and the
+    path says how verify_cover decided, by the saturated states ("states"),
+    or by listing the forms after a state failed ("states failed") or
+    without trying the states ("listed"); "states and listed" when the
+    states passed and the forms were listed all the same, and None when
+    verify_cover raised before either."""
+    listings = _count_calls(monkeypatch, "enumerate_canonical")
+    passes = []
+    saturated = cover._saturated_pass
+
+    def recorded(cg, length):
+        passes.append(saturated(cg, length))
+        return passes[-1]
+
+    monkeypatch.setattr(cover, "_saturated_pass", recorded)
+
+    def compare(S, gens, length):
+        before = listings[0]
+        passes.clear()
+        got = _verify_outcome(verify_cover, S, gens, length)
+        listed = listings[0] - before
+        assert got == _verify_outcome(parent_verify_cover, S, gens, length) == _verify_outcome(
+            reference_verify_cover, S, gens, length), (S.mult, S.plus, S.star, gens, length)
+        outcome = ("raised" if isinstance(got, tuple)
+                   else "PASS" if all(c.ok for c in got) else "FAIL")
+        if passes == [True]:
+            return outcome, "states" if not listed else "states and listed"
+        return outcome, "states failed" if passes else "listed" if listed else None
+
+    return compare
+
+
+def _pairwise_mult_check(cg, length):
+    """phi_preserves_multiplication over every pair of forms up to length."""
+    forms = enumerate_canonical(cg, length)
+    return first_witness("phi_preserves_multiplication",
+                         reference_mult_witnesses(cg, forms, [phi(cg, u) for u in forms]))
+
+
+def test_factored_mult_check_matches_pairwise_on_cover_cases(monkeypatch):
+    # the saturated states at every length bound up to 8, against the parent
+    # that lists every form and the reference that makes every product; the
+    # multiplication check also against every pair of forms up to length 4
+    compare = _differential(monkeypatch)
     for name, S, gens in corpus.cover_cases():
         cg = build_cover_graph(S, gens)
-        for length in (1, 2, 3, 4):
-            check = _assert_mult_check_matches_pairwise(cg, enumerate_canonical(cg, length))
-            assert check.status == PASS, (name, length)
+        for length in range(9):
+            assert compare(S, gens, length) == ("PASS", "states"), (name, length)
+            if length <= 4:
+                assert verify_cover(S, gens, length).checks[2] == _pairwise_mult_check(
+                    cg, length), (name, length)
 
 
 def _i3_pt3_covers():
@@ -409,10 +465,23 @@ def _i3_pt3_covers():
         yield build_cover_graph(S, [alg.index[a] for a in perms + [Rel.from_pairs(3, rank2)]])
 
 
-def test_factored_mult_check_matches_pairwise_on_i3_and_pt3():
+def test_factored_mult_check_matches_pairwise_on_i3_and_pt3(monkeypatch):
+    compare = _differential(monkeypatch)
     for cg in _i3_pt3_covers():
-        check = _assert_mult_check_matches_pairwise(cg, enumerate_canonical(cg, 2))
-        assert check.status == PASS
+        for length in range(5):
+            assert compare(cg.S, cg.gens, length) == ("PASS", "states"), (cg.gens, length)
+        assert verify_cover(cg.S, cg.gens, 2).checks[2] == _pairwise_mult_check(cg, 2)
+
+
+def test_verify_cover_matches_parent_on_random_generating_sets(monkeypatch):
+    compare = _differential(monkeypatch)
+    rng = random.Random(24)
+    for build, k in ((relmonoid.full_B, 2), (relmonoid.full_I, 3), (relmonoid.full_PT, 3)):
+        S = build(k).to_semigroup()
+        for _ in range(3):
+            gens = random_generating_set(S, rng)
+            for length in range(4):
+                assert compare(S, gens, length) == ("PASS", "states"), (gens, length)
 
 
 def test_enumerate_canonical_matches_reference():
@@ -452,38 +521,34 @@ def _perturbed_covers(seed):
             yield T, cg, length
 
 
-def test_factored_mult_check_matches_pairwise_on_perturbed_tables():
-    # non-associative tables take the pairwise fallback, undefined rows make
-    # cover_mult raise, and changed rows give FAILs on the factored path
-    # whose first witness needs the least failing pair
-    statuses = {PASS: 0, FAIL: 0, "raised": 0}
-    fallbacks = 0
+def test_factored_mult_check_matches_pairwise_on_perturbed_tables(monkeypatch):
+    # every length bound up to the given one, on perturbed tables and on
+    # covers with perturbed letter-edge rows, which reach verify_cover
+    # through its graph build: non-associative tables and failing graph
+    # axioms list the forms, undefined rows make cover_mult raise, and a
+    # failing state lists the forms for the parent's first witness
+    compare = _differential(monkeypatch)
+    seen = collections.Counter()
+    rng = random.Random(24)
+    for name, S, gens in corpus.cover_cases():
+        for _ in range(60):
+            T = perturbed_table(S, rng)
+            for length in range(3 if name == "pt2" else 4):
+                seen.update(compare(T, gens, length))
     for T, cg, length in _perturbed_covers(20221):
-        check = _assert_mult_check_matches_pairwise(cg, enumerate_canonical(cg, length))
-        statuses["raised" if isinstance(check, tuple) else check.status] += 1
-        fallbacks += core.associativity_witness(T.mult) is not None
-    assert min(statuses.values()) > 0 and fallbacks > 0, (statuses, fallbacks)
-
-
-def _count_calls(monkeypatch, name):
-    """A one-element list counting the calls of cover.<name>, which the
-    cover module makes through its global name."""
-    calls = [0]
-    original = getattr(cover, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(cover, name, counted)
-    return calls
+        with monkeypatch.context() as patch:
+            patch.setattr(cover, "build_cover_graph", lambda S, gens, cg=cg: cg)
+            for bound in range(length + 1):
+                seen.update(compare(T, cg.gens, bound))
+    assert seen["states and listed"] == 0, seen
+    assert all(seen[k] for k in ("PASS", "FAIL", "raised", "states", "states failed",
+                                 "listed")), seen
 
 
 def test_factor_check_matches_product_of_edges_on_perturbed_tables(monkeypatch):
-    # each form against its prefix times its last edge gives the witness or
-    # exception of multiplying every form out from its edges; the check
-    # takes two table steps where the prefix's last edge is unchanged and
-    # makes the product with cover_mult where it is not
+    # each form against its prefix times its last edge, one cover product per
+    # form of length 2 or more up to the first witness, gives the witness or
+    # exception of multiplying every form out from its edges
     def factor_check(witnesses, cg, forms):
         try:
             return first_witness("forms_factor_through_edges", witnesses(cg, forms))
@@ -492,7 +557,6 @@ def test_factor_check_matches_product_of_edges_on_perturbed_tables(monkeypatch):
 
     products = _count_calls(monkeypatch, "cover_mult")
     statuses = {PASS: 0, FAIL: 0, "raised": 0}
-    branches = {"table steps": 0, "cover_mult": 0}
     for _, cg, length in _perturbed_covers(20221):
         forms = enumerate_canonical(cg, length)
         before = products[0]
@@ -501,12 +565,9 @@ def test_factor_check_matches_product_of_edges_on_perturbed_tables(monkeypatch):
         assert check == factor_check(reference_unfactored_forms, cg, forms)
         status = "raised" if isinstance(check, tuple) else check.status
         statuses[status] += 1
-        branches["cover_mult"] += made
         if status == PASS:
-            # every form of length 2 or more was decided by one branch
-            branches["table steps"] += sum(u.length >= 2 for u in forms) - made
+            assert made == sum(u.length >= 2 for u in forms)
     assert min(statuses.values()) > 0, statuses
-    assert min(branches.values()) > 0, branches
 
 
 def _unperturbed_covers():
@@ -521,50 +582,28 @@ def _unperturbed_covers():
             yield cg, length
 
 
-def _assert_signatures_match(cg, forms, products):
-    """cover._signatures against reference_signatures, which makes one cover
-    product per form and projection: the same keys with the same first
-    indices in the same order, or None from both.  Returns the signatures
-    and the number of cover products the one-step rows made."""
-    phis = [phi(cg, u) for u in forms]
-    before = products[0]
-    got = cover._signatures(cg, forms, phis, cover._form_index(forms))
-    made = products[0] - before
-
-    def listed(signatures):
-        return signatures and [list(first.items()) for first in signatures]
-
-    assert listed(got) == listed(reference_signatures(cg, forms, phis))
-    return got, made
-
-
-def test_signature_rows_match_cover_products(monkeypatch):
-    # an Ehresmann cover takes one table step per row entry: no pairwise
-    # fallback and no cover product, so a silent fallback cannot hide a
-    # lost speed-up
+def test_saturated_states_list_no_forms_and_make_no_products(monkeypatch):
+    # an Ehresmann cover passes on its states alone: no form is listed and
+    # the checks make no cover product (canonical_preimage still makes its
+    # own), so a silent fallback to the listing cannot hide, not even at a
+    # length bound whose listing would never end
+    listings = _count_calls(monkeypatch, "enumerate_canonical")
     products = _count_calls(monkeypatch, "cover_mult")
-    for cg, length in _unperturbed_covers():
-        signatures, made = _assert_signatures_match(cg, enumerate_canonical(cg, length),
-                                                    products)
-        assert signatures is not None and made == 0, (cg.gens, length)
-    # on perturbed covers some rows meet an undefined step, make that
-    # product with cover_mult, and fall back to every pair when it raises
-    outcomes = {"signatures": 0, "fallback": 0, "products made": 0}
-    for _, cg, length in _perturbed_covers(20221):
-        signatures, made = _assert_signatures_match(cg, enumerate_canonical(cg, length),
-                                                    products)
-        outcomes["fallback" if signatures is None else "signatures"] += 1
-        outcomes["products made"] += made
-    assert min(outcomes.values()) > 0, outcomes
+    preimage = cover.canonical_preimage
 
+    def preimage_uncounted(cg, s):
+        before = products[0]
+        try:
+            return preimage(cg, s)
+        finally:
+            products[0] = before
 
-def _verify_outcome(verify, S, gens, length):
-    """The checks of a cover verification, or the type and message of the
-    exception it raised."""
-    try:
-        return verify(S, gens, length).checks
-    except Exception as exc:     # compared, not hidden
-        return type(exc), str(exc)
+    monkeypatch.setattr(cover, "canonical_preimage", preimage_uncounted)
+    _, pt2, pt2_gens = corpus.cover_cases()[1]
+    cases = [(cg.S, cg.gens, length) for cg, length in _unperturbed_covers()]
+    for S, gens, length in cases + [(pt2, pt2_gens, 40)]:
+        rep = verify_cover(S, gens, length)
+        assert rep.ok and listings == [0] and products == [0], (gens, length, listings, products)
 
 
 def test_verify_cover_matches_product_by_product_reference(monkeypatch):
