@@ -93,6 +93,27 @@ def right_cayley_graph(candidates, multiply):
     return gens, order, word, right
 
 
+def saturate(start, steps, bound=None) -> dict:
+    """Breadth-first from start, new states only: state -> level first
+    reached, in insertion order, up to the first level that adds none or
+    to bound levels."""
+    seen = dict.fromkeys(start, 0)
+    level, k = list(seen), 0
+    while level and (bound is None or k < bound):
+        k += 1
+        level = dict.fromkeys(t for s in level for t in steps(s) if t not in seen)
+        seen.update(dict.fromkeys(level, k))
+    return seen
+
+
+def _find(parent, x):
+    """Root of x in a union-find forest (Tarjan 1975), halving the path;
+    parent is a list or a dict of every node."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def _rows_differ(table, y):
     """The test x -> (x y) z != x (y z) for some z, by whole rows: row x y
     of the table against row y read through row x.  Needs len(table) >= 2,
@@ -388,26 +409,20 @@ class Congruence:
 def sigma(S: OpTableSemigroup):
     """Least congruence identifying all projections, plus the reduced quotient.
 
-    Union-find seeded with the projection pairs; each merged pair is
-    translated on both sides by every z in Z until fixpoint.  Z is A =
+    Union-find from the projection pairs, each merged pair translated on
+    both sides by every z in Z until fixpoint.  Z is A =
     greedy_generators(S.mult) when Light's test on A passes: a relation
     closed under translation by A is then closed under translation by every
     product of A (East, Egri-Nagy, Mitchell & Peresse, J. Symb. Comput.
     2019).  Otherwise Z is range(n).  The classes are numbered by least
-    member, so they do not depend on which A was chosen.
-    The unary operations need no closure: projections() checks that every
-    x^+ and x^* is in P, and the first |P| - 1 pairs merge P into one class.
-    """
+    member, so they do not depend on which A was chosen.  The unary
+    operations need no closure: projections() checks that every x^+ and x^*
+    is in P, and the first |P| - 1 pairs merge P into one class."""
     P = projections(S)
     m, n = S.mult, S.n
     gens, assoc = _light(S)
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
+    find = functools.partial(_find, parent)
     work = deque((P[0], e) for e in P[1:])
     while work:
         a, b = work.popleft()
@@ -416,12 +431,9 @@ def sigma(S: OpTableSemigroup):
             continue
         parent[rb] = ra
         for z in range(n) if assoc else gens:
-            za, zb = m[z][a], m[z][b]
-            if find(za) != find(zb):
-                work.append((za, zb))
-            az, bz = m[a][z], m[b][z]
-            if find(az) != find(bz):
-                work.append((az, bz))
+            for x, y in ((m[z][a], m[z][b]), (m[a][z], m[b][z])):
+                if find(x) != find(y):
+                    work.append((x, y))
     groups = {}
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
@@ -443,8 +455,7 @@ def fibers(S: OpTableSemigroup) -> tuple:
     groups = {}
     for s, key in enumerate(keys):
         groups.setdefault(key, []).append(s)
-    groups = {key: tuple(group) for key, group in groups.items()}
-    return tuple(groups[key] for key in keys)
+    return tuple(tuple(groups[key]) for key in keys)
 
 
 def proper_elements(S: OpTableSemigroup) -> frozenset:
@@ -498,27 +509,10 @@ def matchify(S: OpTableSemigroup, seq):
 
 
 def _matching_products(S: OpTableSemigroup, Y):
-    """Map element -> least length of a matching factorization over Y.
-
-    Saturates the product automaton, so an element is absent iff it has no
-    matching Y-factorization of any length.
-    """
+    """Element -> least length of a matching Y-factorization, if any."""
     m, p, st = S.mult, S.plus, S.star
-    minlen = {y: 1 for y in Y}
-    frontier = set(Y)
-    length = 1
-    while frontier:
-        length += 1
-        new = set()
-        for prod in frontier:
-            for y in Y:
-                if p[y] == st[prod]:
-                    q = m[prod][y]
-                    if q not in minlen:
-                        minlen[q] = length
-                        new.add(q)
-        frontier = new
-    return minlen
+    return {q: k + 1 for q, k in saturate(
+        Y, lambda x: [m[x][y] for y in Y if p[y] == st[x]]).items()}
 
 
 def _matching_factorizations(S, Y, max_len, cap, minlen):
@@ -629,26 +623,18 @@ def ideal_checks(S: OpTableSemigroup, Y) -> list:
 
 def _one_component(S: OpTableSemigroup, Yset, facts) -> bool:
     """True when the contractions of facts join them all: one union-find
-    pass (Tarjan 1975) joins each factorization to every sequence one
-    contraction away (contract_expand_neighbours with no expansions).
-    Contraction and expansion are inverse moves, so facts in one component
-    are pairwise joined by moves through sequences no longer than the
-    longest of them."""
+    pass joins each factorization to every sequence one contraction away
+    (contract_expand_neighbours with no expansions).  Contraction and
+    expansion are inverse moves, so facts in one component are pairwise
+    joined by moves through sequences no longer than the longest of them."""
     m = S.mult
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
+    parent = dict(zip(facts, facts))
     for f in facts:
         for c in contract_expand_neighbours(f, lambda a, b: m[a][b], Yset,
                                             lambda y, cap: (), len(f)):
-            parent[find(c)] = find(f)
-    root = find(facts[0])
-    return all(find(f) == root for f in facts[1:])
+            parent.setdefault(c, c)
+            parent[_find(parent, c)] = _find(parent, f)
+    return len({_find(parent, f) for f in facts}) == 1
 
 
 def check_proper_ideal(S: OpTableSemigroup, Y, max_len: int,

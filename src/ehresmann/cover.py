@@ -279,18 +279,14 @@ def canonical_preimage(cg: CoverGraph, s: int) -> CanonicalPath:
 def enumerate_canonical(cg: CoverGraph, max_len: int):
     """All canonical paths of length up to max_len (loops have length 0), by
     length, then by prefix, then by last edge: each form of one length is
-    extended by every letter edge out of its end."""
+    extended by every letter edge out of its end, and no two are equal."""
     steps = {}
     for d, lab, r in cg.edges:
         if lab:
             steps.setdefault(d, []).append((lab[0], r))
-    level = [CanonicalPath.loop_at(e) for e in range(cg.sl.n)]
-    out = list(level)
-    for _ in range(max_len):
-        level = [CanonicalPath(u.entries + step)
-                 for u in level for step in steps.get(u.r, ())]
-        out += level
-    return out
+    forms = core.saturate([(e,) for e in range(cg.sl.n)],
+                          lambda u: [u + step for step in steps.get(u[-1], ())], max_len)
+    return list(map(CanonicalPath, forms))
 
 
 def max_edge_for_letter(cg: CoverGraph, letter: str):
@@ -322,19 +318,6 @@ def _unfactored_forms(cg: CoverGraph, forms):
                                        CanonicalPath(ent[-3:])) != u:
             yield (str(u),)
             return
-
-
-def _closure(start, steps, len_bound: int) -> set:
-    """The states reached from start in at most len_bound steps,
-    breadth-first: each level keeps only the states not seen before, and the
-    search stops at the first level that adds none."""
-    seen = level = set(start)
-    for _ in range(len_bound):
-        level = {t for s in level for t in steps(s)} - seen
-        if not level:
-            break
-        seen |= level
-    return seen
 
 
 def _saturated_pass(cg: CoverGraph, len_bound: int) -> bool:
@@ -375,10 +358,10 @@ def _saturated_pass(cg: CoverGraph, len_bound: int) -> bool:
                    row((m, mult[mult[proj[m]][va]][R[t]]) for m, t in moved))
 
     loops = [row((m, proj[m]) for m in below(e)) for e in range(n)]
-    left = _closure([(e, proj[e], e, loops[e]) for e in range(n)], left_steps, len_bound)
+    left = core.saturate([(e, proj[e], e, loops[e]) for e in range(n)], left_steps, len_bound)
     if any(proj[d] != plus[f] or proj[r] != star[f] for d, f, r, _ in left):
         return False
-    right = _closure([(proj[e], e, loops[e]) for e in range(n)], right_steps, len_bound)
+    right = core.saturate([(proj[e], e, loops[e]) for e in range(n)], right_steps, len_bound)
     return all(mult[C[m]][R[m]] == mult[fu][fv]
                for fu, r, C in {state[1:] for state in left} for fv, d, R in right
                for m in (meet[r][d],))

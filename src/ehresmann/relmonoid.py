@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product as iproduct
 
 from . import core
@@ -136,9 +136,13 @@ def ran(a: Rel) -> Rel:
 
 
 def classify(a: Rel) -> dict:
-    """Row/column uniqueness flags: PT = partial maps, PT^c = their converses."""
-    in_pt = all(bin(a.row(x)).count("1") <= 1 for x in range(a.n))
-    in_ptc = all(sum(a.has(x, y) for x in range(a.n)) <= 1 for y in range(a.n))
+    """Row/column uniqueness flags: PT = partial maps, PT^c = their converses.
+    No two rows share a column exactly when their sizes sum to the size of
+    their union."""
+    rows = [a.row(x) for x in range(a.n)]
+    sizes = [bin(r).count("1") for r in rows]
+    in_pt = all(k <= 1 for k in sizes)
+    in_ptc = sum(sizes) == bin(functools.reduce(operator.or_, rows, 0)).count("1")
     return {"in_PT": in_pt, "in_PTc": in_ptc, "in_I": in_pt and in_ptc}
 
 
@@ -225,7 +229,10 @@ def _plus_star(n: int, bits: list, id_of):
 class RelationAlgebra:
     n: int
     elements: list  # Rel values, closed under compose/dom/ran
-    index: dict
+    index: dict = field(init=False)     # Rel value -> its position in elements
+
+    def __post_init__(self):
+        self.index = {r: i for i, r in enumerate(self.elements)}
 
     def to_semigroup(self) -> OpTableSemigroup:
         bits = [a.bits for a in self.elements]
@@ -307,24 +314,20 @@ def generate(n: int, generators, cap: int | None = None) -> RelationAlgebra:
             f"the round-by-round closure met {len(order)} of the "
             f"{len(bits)} relations of the Froidure-Pin closure")
     elements = [Rel(n, bits[i]) for i in order]
-    return RelationAlgebra(n, elements, {r: i for i, r in enumerate(elements)})
+    return RelationAlgebra(n, elements)
 
 
 def full_B(n: int) -> RelationAlgebra:
-    els = all_relations(n)
-    return RelationAlgebra(n, els, {r: i for i, r in enumerate(els)})
+    return RelationAlgebra(n, all_relations(n))
 
 
 def full_PT(n: int) -> RelationAlgebra:
-    els = sorted(all_partial_maps(n), key=lambda r: r.bits)
-    return RelationAlgebra(n, els, {r: i for i, r in enumerate(els)})
+    return RelationAlgebra(n, sorted(all_partial_maps(n), key=lambda r: r.bits))
 
 
 def full_PTc(n: int) -> RelationAlgebra:
-    els = sorted(all_partial_comaps(n), key=lambda r: r.bits)
-    return RelationAlgebra(n, els, {r: i for i, r in enumerate(els)})
+    return RelationAlgebra(n, sorted(all_partial_comaps(n), key=lambda r: r.bits))
 
 
 def full_I(n: int) -> RelationAlgebra:
-    els = sorted(all_partial_bijections(n), key=lambda r: r.bits)
-    return RelationAlgebra(n, els, {r: i for i, r in enumerate(els)})
+    return RelationAlgebra(n, sorted(all_partial_bijections(n), key=lambda r: r.bits))

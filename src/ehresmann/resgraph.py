@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
-from .core import associativity_witness, contract_expand_neighbours, validate_table
+from .core import associativity_witness, contract_expand_neighbours, saturate, validate_table
 from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
@@ -505,15 +505,8 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> Report:
 
     if not mon.is_free:
         # the (target, label) states of all paths
-        states = {(c[2], c[1]) for c in edges}
-        frontier = list(states)
-        while frontier:
-            v, lab = frontier.pop()
-            for c in G.edges_from(v):
-                state = (c[2], mon.mul(lab, c[1]))
-                if state not in states:
-                    states.add(state)
-                    frontier.append(state)
+        states = saturate(((c[2], c[1]) for c in edges), lambda state: (
+            (c[2], mon.mul(state[1], c[1])) for c in G.edges_from(state[0])))
         labels = {lab for _, lab in states}
         missing = tuple(t for t in mon.elements() if t not in labels)
         checks.append(Check("every_label_has_a_path", FAIL if missing else PASS,

@@ -330,6 +330,23 @@ def reference_matching_factorizations(S, Y, target, max_len, cap):
     return found, False
 
 
+def reference_matching_lengths(S, Y):
+    """Element -> least length of a matching Y-sequence with that product,
+    by listing every matching sequence of length 1, 2, ... (each factor's
+    star the next factor's plus) until a length adds no new product."""
+    Y = sorted(Y)
+    minlen, length = {}, 1
+    sequences = [((y,), y) for y in Y]
+    while True:
+        new = {prod for _, prod in sequences if prod not in minlen}
+        if not new:
+            return minlen
+        minlen.update(dict.fromkeys(new, length))
+        length += 1
+        sequences = [(seq + (y,), S.mult[prod][y]) for seq, prod in sequences
+                     for y in Y if S.plus[y] == S.star[seq[-1]]]
+
+
 def reference_matchify(S, seq):
     """matchify by recursion on the prefix: match it, split off t^* s_n on
     the right, where t is the prefix's product, and corestrict the matched
@@ -581,7 +598,7 @@ def reference_generate(n, generators, cap=None):
                     if add(c):
                         new.append(c)
         frontier = new
-    return relmonoid.RelationAlgebra(n, elements, index)
+    return relmonoid.RelationAlgebra(n, elements)
 
 
 def reference_table(alg):

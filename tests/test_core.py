@@ -20,6 +20,41 @@ def small_corpus():
     return [(name, S) for name, S in corpus.semigroups() if S.n <= 9]
 
 
+def test_saturate_levels_and_bounds():
+    """Breadth-first from the starts: each state at the level where it was
+    first reached, in that order; every state is stepped once and the search
+    stops at the first level that adds nothing, or after bound levels."""
+    edges = {0: [1, 2], 1: [2], 2: [3], 3: [0]}
+    stepped = []
+
+    def steps(x):
+        stepped.append(x)
+        return edges[x]
+
+    assert list(core.saturate([0], steps).items()) == [(0, 0), (1, 1), (2, 1), (3, 2)]
+    assert stepped == [0, 1, 2, 3]
+    # a duplicate start is kept once, at level 0, where it first appears
+    assert list(core.saturate([2, 0, 2], steps).items()) == [(2, 0), (0, 0), (3, 1), (1, 1)]
+    # bound counts levels like range: 0 and -1 take no step
+    for bound, reached in ((None, {0: 0, 1: 1, 2: 1, 3: 2}), (5, {0: 0, 1: 1, 2: 1, 3: 2}),
+                           (1, {0: 0, 1: 1, 2: 1}), (0, {0: 0}), (-1, {0: 0})):
+        stepped.clear()
+        assert core.saturate([0, 0], steps, bound) == reached, bound
+        assert len(stepped) == len([k for k in reached.values() if bound is None or k < bound])
+    # an infinite space ends at the bound
+    assert core.saturate([0], lambda x: [x + 1, x + 2], 3) == {
+        0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3}
+    assert core.saturate([], steps) == {}
+
+
+def test_find_halves_paths_over_lists_and_dicts():
+    parent = [1, 2, 3, 3]
+    assert core._find(parent, 0) == 3
+    assert parent == [2, 2, 3, 3]
+    parent = {"a": "b", "b": "c", "c": "c"}
+    assert core._find(parent, "a") == "c" and core._find(parent, "c") == "c"
+
+
 def test_semilattice_is_ehresmann():
     S = corpus.chain(2)
     rep = core.verify_ehresmann(S)

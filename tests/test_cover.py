@@ -491,6 +491,17 @@ def test_enumerate_canonical_matches_reference():
             assert enumerate_canonical(cg, length) == reference_enumerate_canonical(cg, length)
 
 
+def test_negative_length_bound_lists_the_loops_only(monkeypatch):
+    """len_bound -1 (the CLI's --len -1) takes no step, as range(-1) does in
+    the parent: the forms are the loops, and the states those of the loops."""
+    compare = _differential(monkeypatch)
+    for name, S, gens in corpus.cover_cases():
+        cg = build_cover_graph(S, gens)
+        loops = [CanonicalPath.loop_at(e) for e in range(cg.sl.n)]
+        assert enumerate_canonical(cg, -1) == reference_enumerate_canonical(cg, -1) == loops
+        assert compare(S, gens, -1) == ("PASS", "states"), name
+
+
 def _perturb_letter_edge_rows(cg, rng):
     """Change one or two entries of the letter edges' restriction and
     corestriction rows in cg.graph to another letter edge's id or to

@@ -7,9 +7,9 @@ from collections import Counter, defaultdict
 from ehresmann import core, corpus, cover, product, resgraph
 from ehresmann.report import FAIL, INCONCLUSIVE, PASS
 
-from oracles import (reference_all_paths, reference_check_proper_ideal,
+from oracles import (perturbed_table, reference_all_paths, reference_check_proper_ideal,
                      reference_contraction_components, reference_equivalent_paths,
-                     reference_matching_walk)
+                     reference_matching_lengths, reference_matching_walk)
 
 
 def _all_order_ideals(S):
@@ -54,6 +54,42 @@ def test_matching_factorizations_stop_at_full_groups():
             for cap in (1, 2, 5, 20000):
                 assert core._matching_factorizations(S, Y, max_len, cap, minlen) == {
                     p: seqs[:cap + 1] for p, seqs in whole.items()}, (S.names, max_len, cap)
+
+
+def _matching_star_law(S):
+    """x^* = y^+ implies (x y)^* = y^*: then the product of a matching
+    sequence has the star of its last factor.  Every Ehresmann semigroup
+    satisfies it, (x y)^* = (x^* y)^* = (y^+ y)^* = y^*."""
+    m, p, st = S.mult, S.plus, S.star
+    return all(st[m[x][y]] == st[y] for x in range(S.n) for y in range(S.n)
+               if st[x] == p[y])
+
+
+def test_matching_products_match_least_length_oracle():
+    """Condition (4)'s least lengths against listing the matching sequences
+    length by length: on every corpus semigroup with every order ideal that
+    holds the projections, and on perturbed tables with Y = S and random Y.
+    The product automaton reads a sequence's star off its product, so the
+    two agree on every table with the matching star law; on the others they
+    may differ, and the cases are counted."""
+    cases = []
+    for _, S in corpus.semigroups():
+        P = set(core.projections(S))
+        cases += [(S, Y) for Y in _all_order_ideals(S) if P <= set(Y)]
+    assert len(cases) > 100
+    rng = random.Random(25)
+    for _, S in corpus.semigroups():
+        for _ in range(20):
+            T = perturbed_table(S, rng)
+            cases += [(T, range(T.n)),
+                      (T, sorted(rng.sample(range(T.n), rng.randint(1, T.n))))]
+    outcomes = Counter()
+    for S, Y in cases:
+        law = _matching_star_law(S)
+        same = core._matching_products(S, frozenset(Y)) == reference_matching_lengths(S, Y)
+        assert same or not law, (S.mult, S.plus, S.star, Y)
+        outcomes[law, same] += 1
+    assert outcomes[True, True] > outcomes[False, True] > 0, outcomes
 
 
 def _record_settling(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -67,6 +68,35 @@ def test_classify():
         "in_PT": False, "in_PTc": True, "in_I": False}
     assert relmonoid.classify(rel(3, (0, 2), (1, 2))) == {
         "in_PT": True, "in_PTc": False, "in_I": False}
+
+
+def _classify_pairwise(a):
+    """classify by definition: at most one pair per row and per column."""
+    rng = range(a.n)
+    in_pt = all(sum(a.has(x, y) for y in rng) <= 1 for x in rng)
+    in_ptc = all(sum(a.has(x, y) for x in rng) <= 1 for y in rng)
+    return {"in_PT": in_pt, "in_PTc": in_ptc, "in_I": in_pt and in_ptc}
+
+
+def test_classify_matches_pairwise_definition():
+    """Every relation on at most 3 points, and random relations on 4 and 5
+    points: uniform ones, sparse ones, and converses of partial maps."""
+    rng = random.Random(25)
+    rels = [a for n in range(4) for a in relmonoid.all_relations(n)]
+    for n in (4, 5):
+        pairs = [(x, y) for x in range(n) for y in range(n)]
+        for _ in range(300):
+            rels.append(Rel(n, rng.getrandbits(n * n)))
+            rels.append(Rel.from_pairs(n, rng.sample(pairs, rng.randint(0, n + 1))))
+            rels.append(Rel.from_pairs(n, [(rng.randrange(n), x) for x in range(n)
+                                           if rng.random() < 0.8]))
+    flags = Counter()
+    for a in rels:
+        got = relmonoid.classify(a)
+        assert got == _classify_pairwise(a), a
+        flags.update(k for k, v in got.items() if v)
+        flags.update(k + "=False" for k, v in got.items() if not v)
+    assert len(flags) == 6, flags
 
 
 def test_classify_closed_under_operations():
