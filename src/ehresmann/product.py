@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 
 from . import core
 from .core import OpTableSemigroup
@@ -63,35 +64,64 @@ def build_product(G: ResGraph):
     Requires the graph to satisfy (PM) and to carry total restriction and
     corestriction maps; full axiom conformance is the caller's business
     (see resgraph.check_axioms).
+
+    The composite of each composable pair is read once into comp[x][y], by
+    edge id, in check_pm's order, so the first missing one is check_pm's
+    witness.  Row i is gathered as comp[x_j][y_j] for x_j, y_j edge i
+    corestricted and edge j restricted to their meet; index -1 reads the
+    sentinel -1 ending each list.  A row holding -1 (an undefined move, a
+    composite that is not an edge, or a pair that inconsistent tables make
+    non-composable) is recomputed pair by pair by the definition, so the
+    first error in row order, with its type and message, is the
+    definition's.
     """
-    witness = check_pm(G)
-    if witness is not None:
-        raise PMViolationError(witness)
-    one = G.mon.one
-    for e in range(G.sl.n):
-        if (e, one, e) not in G.edges:
-            raise ValueError(f"missing identity loop at vertex {e}")
-    R, C = Side(G, 0), Side(G, 2)
-    edges, ids, meet, mul = R.edges, R.ids, G.sl.meet, G.mon.mul
-    mult = []
-    for i, c in enumerate(edges):
-        row, crow, at = [], C.table[i], meet[c[2]]
-        for j, d in enumerate(edges):
-            m = at[d[0]]
-            x, y = crow[m], R.table[j][m]
-            if x < 0 or y < 0:
-                x, y = C.id(i, m), R.id(j, m)
-            x, y = edges[x], edges[y]
-            comp = (x[0], mul(x[1], y[1]), y[2])
-            z = ids.get(comp)
+    edges, ids, mul = G.sorted_edges(), G.edge_id, G.mon.mul
+    blank = [-1] * (len(edges) + 1)
+    comp = []
+    for c in edges:
+        row, x, lab = blank[:], c[0], c[1]
+        for d in G.edges_from(c[2]):
+            z = ids.get((x, mul(lab, d[1]), d[2]))
             if z is None:
-                raise MissingProductError(c, d, comp)
-            row.append(z)
+                raise PMViolationError((c, d))
+            row[ids[d]] = z
+        comp.append(row)
+    comp.append(blank)
+    one = G.mon.one
+    loops = [ids.get((e, one, e)) for e in range(G.sl.n)]
+    if None in loops:
+        raise ValueError(f"missing identity loop at vertex {loops.index(None)}")
+    meet, rtab, ctab = G.sl.meet, G.restrict_table, G.corestrict_table
+    sources = [d[0] for d in edges]
+    # per target of a left factor: the meet with each source, and each
+    # right factor restricted to it
+    at_target = {}
+    mult = []
+    for c, crow in zip(edges, ctab):
+        gather = at_target.get(c[2])
+        if gather is None:
+            ms = list(map(meet[c[2]].__getitem__, sources))
+            gather = at_target[c[2]] = ms, list(map(getitem, rtab, ms))
+        ms, ys = gather
+        row = list(map(getitem, map(comp.__getitem__, map(crow.__getitem__, ms)), ys))
+        if -1 in row:
+            row = [_edge_product(G, c, d) for d in edges]
         mult.append(row)
-    plus = [ids[(c[0], one, c[0])] for c in edges]
-    star = [ids[(c[2], one, c[2])] for c in edges]
+    plus = list(map(loops.__getitem__, sources))
+    star = [loops[c[2]] for c in edges]
     names = [G.edge_str(c) for c in edges]
     return OpTableSemigroup(len(edges), mult, plus, star, names), edges
+
+
+def _edge_product(G: ResGraph, c, d) -> int:
+    """The id of c . d by the definition: an undefined move raises the
+    map's error, and a composite that is not an edge MissingProductError."""
+    m = G.sl.meet[c[2]][d[0]]
+    x, y = G.corestrict(c, m), G.restrict(d, m)
+    composite = (x[0], G.mon.mul(x[1], y[1]), y[2])
+    if composite not in G.edge_id:
+        raise MissingProductError(c, d, composite)
+    return G.edge_id[composite]
 
 
 def edge_orders(G: ResGraph):

@@ -1744,3 +1744,107 @@ def reference_check_partial_action_laws(pa):
             for f in preimage
             if sl.leq(f, e) and not sl.leq(preimage[f], preimage[e]))))
     return Report(checks)
+
+
+def product_outcome(build, G):
+    """What build(G) gives: the product's tables, names and edges, or the
+    type and message of the exception it raises."""
+    try:
+        S, edges = build(G)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return ("raise", type(exc), str(exc))
+    return ("value", S.mult, S.plus, S.star, S.names, edges)
+
+
+def parent_build_product(G):
+    """The product table with check_pm's scan first, then one corestriction,
+    restriction and composite per pair of edges read off resgraph.Side,
+    where a table entry of -1 calls the graph's map for its error."""
+    witness = next(((c, d) for c in G.sorted_edges() for d in G.edges_from(c[2])
+                    if (c[0], G.mon.mul(c[1], d[1]), d[2]) not in G.edges), None)
+    if witness is not None:
+        raise product.PMViolationError(witness)
+    one = G.mon.one
+    for e in range(G.sl.n):
+        if (e, one, e) not in G.edges:
+            raise ValueError(f"missing identity loop at vertex {e}")
+    R, C = resgraph.Side(G, 0), resgraph.Side(G, 2)
+    edges, ids, meet, mul = R.edges, R.ids, G.sl.meet, G.mon.mul
+    mult = []
+    for i, c in enumerate(edges):
+        row, crow, at = [], C.table[i], meet[c[2]]
+        for j, d in enumerate(edges):
+            m = at[d[0]]
+            x, y = crow[m], R.table[j][m]
+            if x < 0 or y < 0:
+                x, y = C.id(i, m), R.id(j, m)
+            x, y = edges[x], edges[y]
+            comp = (x[0], mul(x[1], y[1]), y[2])
+            z = ids.get(comp)
+            if z is None:
+                raise product.MissingProductError(c, d, comp)
+            row.append(z)
+        mult.append(row)
+    plus = [ids[(c[0], one, c[0])] for c in edges]
+    star = [ids[(c[2], one, c[2])] for c in edges]
+    names = [G.edge_str(c) for c in edges]
+    return core.OpTableSemigroup(len(edges), mult, plus, star, names), edges
+
+
+def parent_validate_premorphism(pm):
+    """The premorphism laws with one relmonoid.compose per pair of labels."""
+    n = pm.ground if isinstance(pm, actions.Premorphism) else pm.sl.n
+
+    def problem(t):
+        if t not in pm.phi:
+            return "missing"
+        if pm.phi[t].n != n:
+            return "ground size mismatch"
+        if pm.phi[t].bits == 0:
+            return "empty relation"
+        return None
+
+    checks = [first_witness("relations_nonempty", (
+        (t, why) for t in pm.mon.elements() for why in [problem(t)] if why))]
+    if not checks[0].ok:
+        return Report(checks)
+
+    ident = relmonoid.identity(n)
+    ok = ident.issubset(pm.phi[pm.mon.one])
+    checks.append(Check("identity_in_phi_1", PASS if ok else FAIL,
+                        None if ok else (pm.mon.one,)))
+
+    labels = pm.mon.elements()
+    checks.append(first_witness("phi_s_phi_t_in_phi_st", (
+        (s, t) for s in labels for t in labels
+        if not relmonoid.compose(pm.phi[s], pm.phi[t]).issubset(
+            pm.phi[pm.mon.mul(s, t)]))))
+    return Report(checks)
+
+
+def random_partial_action(rng, k):
+    """The cyclic group of a random permutation of k coordinates acting
+    partially on a random order ideal D of the Boolean lattice 2^k (subsets
+    as bit masks): phi_g is g restricted to the points of D that g keeps
+    inside D.  Monoid products read left to right, as relation composition
+    does."""
+    perm = list(range(k))
+    rng.shuffle(perm)
+    group, p = [tuple(range(k))], tuple(perm)
+    while p != group[0]:
+        group.append(p)
+        p = tuple(perm[i] for i in p)
+    index = {g: i for i, g in enumerate(group)}
+    mult = [[index[tuple(t[s[i]] for i in range(k))] for t in group] for s in group]
+    tops = [rng.randrange(1 << k) for _ in range(rng.randint(1, 2))]
+    points = [x for x in range(1 << k) if any(x & t == x for t in tops)]
+    at = {x: i for i, x in enumerate(points)}
+    sl = resgraph.Semilattice(len(points), [[at[a & b] for b in points] for a in points])
+
+    def act(g, x):
+        return sum(1 << g[i] for i in range(k) if x >> i & 1)
+
+    phi = {s: relmonoid.Rel.from_pairs(sl.n, [(at[x], at[act(g, x)]) for x in points
+                                              if act(g, x) in at])
+           for s, g in enumerate(group)}
+    return actions.PartialAction(sl, resgraph.FiniteMonoid(len(group), mult, 0), phi)

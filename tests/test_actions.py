@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import random
 import re
 
@@ -14,7 +15,8 @@ from ehresmann.actions import (PartialAction, Premorphism, build_pair_form,
 from ehresmann.relmonoid import Rel
 from ehresmann.resgraph import Semilattice, chain_semilattice
 
-from oracles import reference_check_partial_action_laws, search_sigma_label_violation
+from oracles import (parent_validate_premorphism, random_partial_action,
+                     reference_check_partial_action_laws, search_sigma_label_violation)
 
 
 def test_premorphism_from_e2t2_graph():
@@ -286,3 +288,70 @@ def test_partial_action_laws_match_side_by_side():
     assert min(seen[name] for name in (
         "domains_are_order_ideals", "maps_order_preserving", "ranges_are_order_ideals",
         "inverse_maps_order_preserving", "raised")) >= 5, seen
+
+
+def _flipped(pm, rng, count):
+    """Copies of pm with one bit of one relation flipped."""
+    out = []
+    for _ in range(count):
+        t = rng.choice(sorted(pm.phi))
+        n = pm.phi[t].n
+        phi = dict(pm.phi)
+        phi[t] = Rel(n, phi[t].bits ^ 1 << rng.randrange(n * n))
+        out.append(dataclasses.replace(pm, phi=phi))
+    return out
+
+
+def test_premorphism_laws_match_parent_on_flipped_relations(monkeypatch):
+    # one right multiplier per label against one relmonoid.compose per pair
+    # of labels: the same names, statuses and first witnesses, for the
+    # premorphism laws and for the partial-action checks built on them
+    rng = random.Random(7)
+    originals = [graph_to_premorphism(G) for _, G in corpus.pm_graphs()]
+    originals += [pa for _, pa in corpus.partial_actions()]
+    originals += [random_partial_action(rng, 3 + i % 2) for i in range(12)]
+    for mon in (corpus.t2_monoid(), corpus.flip_flop_monoid(), corpus.z2_monoid()):
+        for n in (2, 3):
+            phi = {t: Rel(n, rng.randrange(1, 1 << n * n)) for t in mon.elements()}
+            phi[mon.one] = Rel(n, phi[mon.one].bits | relmonoid.identity(n).bits)
+            originals.append(Premorphism(mon, n, phi))
+    seen = collections.Counter()
+    for pm in originals:
+        for variant in [pm] + _flipped(pm, rng, 12):
+            checks = parent_validate_premorphism(variant).checks
+            assert validate_premorphism(variant).checks == checks
+            seen.update(f"{c.name} {c.status}" for c in checks)
+            if isinstance(variant, PartialAction):
+                with monkeypatch.context() as m:
+                    m.setattr(actions, "validate_premorphism", parent_validate_premorphism)
+                    want = validate_partial_action(variant).checks
+                assert validate_partial_action(variant).checks == want
+                seen.update(f"partial action {c.status}" for c in want[len(checks):])
+    assert min(seen[key] for key in (
+        "relations_nonempty FAIL", "identity_in_phi_1 FAIL", "phi_s_phi_t_in_phi_st PASS",
+        "phi_s_phi_t_in_phi_st FAIL", "partial action PASS",
+        "partial action FAIL")) >= 5, seen
+
+
+def test_pair_form_iso_check_validates_once(monkeypatch):
+    calls = []
+    validate = actions.validate_partial_action
+    monkeypatch.setattr(actions, "validate_partial_action",
+                        lambda pa: calls.append(pa) or validate(pa))
+    for name, pa in corpus.partial_actions():
+        calls.clear()
+        assert pair_form_iso_check(pa).ok, name
+        assert calls == [pa], name
+
+
+def test_pair_form_iso_check_rejects_what_build_pair_form_rejects():
+    # the relation of t is not injective; the message is the one that
+    # build_pair_form and partial_action_graph raise
+    sl = chain_semilattice(2)
+    pa = PartialAction(sl, corpus.t2_monoid(),
+                       {0: relmonoid.identity(2), 1: Rel.from_pairs(2, [(1, 0), (0, 0)])})
+    message = "not a partial action: relations_are_partial_bijections witness=(1,)"
+    for build in (pair_form_iso_check, build_pair_form, partial_action_graph):
+        with pytest.raises(ValueError) as raised:
+            build(pa)
+        assert str(raised.value) == message, build

@@ -1,12 +1,17 @@
+import collections
+import random
+
 import pytest
 
-from ehresmann import core, corpus, cover, resgraph
+from ehresmann import actions, core, corpus, cover, resgraph
 from ehresmann.product import (InapplicableError, PMViolationError,
                                build_product, check_construction_claims,
                                check_pm, check_properness_criterion, edge_le,
                                round_trip_check, structure_iso_check,
                                underlying_graph)
 from ehresmann.resgraph import FreeMonoid, ResGraph, Semilattice
+
+from oracles import parent_build_product, product_outcome, random_partial_action
 
 
 def test_singleton_product_is_label_monoid():
@@ -257,3 +262,53 @@ def test_edge_order_compositions_commute():
                     for m in [G.corestrict(v, h)]
                     for g in G.sl.below(m[0]))
                 assert lr == rl, (name, u, v)
+
+
+def _broken_copies(G, rng):
+    """Copies of G with a restriction or corestriction entry dropped or
+    sent to a random edge, one to three composite edges deleted, and an
+    identity loop deleted."""
+    maps, edges, one = (G._restrict, G._corestrict), G.sorted_edges(), G.mon.one
+    out = []
+    for side in (0, 1):
+        for key in rng.sample(sorted(maps[side]), 2):
+            for to in (None, rng.choice(edges), rng.choice(edges)):
+                moved = [dict(m) for m in maps]
+                if to is None:
+                    del moved[side][key]
+                else:
+                    moved[side][key] = to
+                out.append(ResGraph(G.sl, G.mon, G.edges, *moved))
+    composites = sorted({(c[0], G.mon.mul(c[1], d[1]), d[2])
+                         for c in edges for d in G.edges_from(c[2])})
+    loops = [(e, one, e) for e in range(G.sl.n)]
+    for k in (1, 1, 2, 3):
+        gone = rng.sample(composites, min(k, len(composites)))
+        out.append(ResGraph(G.sl, G.mon, G.edges.difference(gone), *maps))
+    out.append(ResGraph(G.sl, G.mon, G.edges - {rng.choice(loops)}, *maps))
+    return out
+
+
+def test_build_product_matches_parent_on_broken_graphs():
+    # the composite table, its gathered rows and the scalar recomputation
+    # of a row that holds -1 against check_pm's scan and the pair-by-pair
+    # double loop: the same table, names, plus and star, or the same first
+    # error with its type and message
+    rng = random.Random(5)
+    graphs = [G for _, G in corpus.pm_graphs()]
+    graphs += [actions.partial_action_graph(random_partial_action(rng, 3 + i % 2))
+               for i in range(24)]
+    seen = collections.Counter()
+    for G in graphs:
+        for H in [G] + _broken_copies(G, rng):
+            want = product_outcome(parent_build_product, H)
+            assert product_outcome(build_product, H) == want, sorted(H.edges)
+            if want[0] == "value":
+                seen["value"] += 1
+            elif want[2].startswith("missing identity loop"):
+                seen["missing loop"] += 1
+            else:
+                seen[want[1].__name__] += 1
+    assert min(seen[kind] for kind in (
+        "value", "PMViolationError", "MissingProductError",
+        "RestrictionUndefinedError", "missing loop")) >= 5, seen

@@ -15,7 +15,7 @@ from oracles import (ReferenceResGraph, parent_check_path_axioms, reference_all_
                      reference_check_path_axioms,
                      reference_cover_graph, reference_edge_le, reference_edge_le_l,
                      reference_edge_le_r, reference_edge_tables,
-                     reference_totality_checks, perturbed_table,
+                     reference_totality_checks, perturbed_table, product_outcome,
                      random_down_rectangle_graphs, random_generating_set)
 
 
@@ -429,14 +429,6 @@ def _wrong_end(G, maps):
     return out
 
 
-def _product_outcome(build, G):
-    try:
-        S, edges = build(G)
-    except Exception as exc:  # the exception itself is the outcome compared
-        return ("raise", type(exc), str(exc))
-    return ("value", S.mult, S.plus, S.star, S.names, edges)
-
-
 # the edge checks check_path_axioms reads the path laws off, and those laws
 _PATH_PREMISES = ("identity_loops_present", "restriction_total", "corestriction_total",
                   "R1", "R3", "CR1", "CR3", "C")
@@ -504,8 +496,8 @@ def _compare_with_reference(G, what, seen):
         seen["path axioms " + want[0]] += 1
         assert got == want, (what, bound)
 
-    want = _product_outcome(reference_build_product, G)
-    got = _product_outcome(product.build_product, G)
+    want = product_outcome(reference_build_product, G)
+    got = product_outcome(product.build_product, G)
     if want[:2] == ("raise", KeyError):
         seen["product not an edge"] += 1
         assert got[1] is product.MissingProductError, what
