@@ -205,16 +205,17 @@ class OpTableSemigroup:
 
 
 def _memoised(fn):
-    """Cache fn(S) on S; valid because S's tables never change.  Every
-    caller gets the same result object and must not mutate it.  A cached
-    value must not refer back to S, or S would sit in a reference cycle."""
+    """Cache fn(X) on X, a table or graph; valid because X's tables never
+    change after construction.  Every caller gets the same result object and
+    must not mutate it.  A cached value must not refer back to X, or X would
+    sit in a reference cycle."""
     key = fn.__name__
 
     @functools.wraps(fn)
-    def cached(S):
-        memo = S._memo
+    def cached(X):
+        memo = X._memo
         if key not in memo:
-            memo[key] = fn(S)
+            memo[key] = fn(X)
         return memo[key]
     return cached
 

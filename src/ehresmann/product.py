@@ -124,10 +124,12 @@ def _edge_product(G: ResGraph, c, d) -> int:
     return G.edge_id[composite]
 
 
+@core._memoised
 def edge_orders(G: ResGraph):
     """The edge orders <=_l, <=_r and <= as down-sets of edge ids: u <=_l v
     when u is a restriction of v, u <=_r v when u is a corestriction of v,
-    and u <= v when u is a corestriction of a restriction of v."""
+    and u <= v when u is a corestriction of a restriction of v.  Computed
+    once per graph; callers only read the sets."""
     R, C = Side(G, 0), Side(G, 2)
     down_l, down_r = ([set(s.moves(i)) for i in range(len(s.edges))] for s in (R, C))
     return down_l, down_r, [set().union(*(down_r[m] for m in ms)) for ms in down_l]

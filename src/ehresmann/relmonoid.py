@@ -45,8 +45,15 @@ class Rel:
         return cls(n, bits)
 
     def pairs(self):
-        return tuple((x, y) for x in range(self.n) for y in range(self.n)
-                     if self.bits >> (x * self.n + y) & 1)
+        """The pairs (x, y) in lexicographic order: the set bits of the
+        n^2 bits, lowest first, bit x n + y standing for (x, y)."""
+        n, out = self.n, []
+        bits = self.bits & ((1 << n * n) - 1)
+        while bits:
+            low = bits & -bits
+            out.append(divmod(low.bit_length() - 1, n))
+            bits ^= low
+        return tuple(out)
 
     def has(self, x: int, y: int) -> bool:
         return bool(self.bits >> (x * self.n + y) & 1)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 
-from .core import associativity_witness, contract_expand_neighbours, saturate, validate_table
+from .core import (_memoised, associativity_witness, contract_expand_neighbours, saturate,
+                   validate_table)
 from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
@@ -140,6 +141,11 @@ class ResGraph:
     or -1 where the map is undefined, gives a non-edge, or the vertex is not
     below the edge's source (target).  from_tables takes such tables
     directly.
+
+    Edges, out-lists, monoid and tables never change after construction, so
+    the analyses that depend only on them (the normal-form regime, the edge
+    orders, the expansions of each edge) are computed once per graph and
+    cached in the private _memo, as on core.OpTableSemigroup.
     """
 
     def __init__(self, sl: Semilattice, mon, edges, restrict=None, corestrict=None):
@@ -175,6 +181,7 @@ class ResGraph:
         self._out = {}
         for c in edge_list:
             self._out.setdefault(c[0], []).append(c)
+        self._memo = {}
 
     def _table(self, given, end):
         ids, below = self.edge_id, self.sl.below
@@ -262,10 +269,11 @@ class Side:
     left to right; end 2 moves the target and folds right to left.  Every
     law is written once over a Side: edges are handled by id and turned back
     into triples only for witnesses.  Where the table holds -1 the graph's
-    own map is called, so the error raised is the map's."""
+    own map is called, so the error raised is the map's.  The edge list is
+    the graph's own, shared and only read."""
 
     def __init__(self, G, end: int):
-        self.sl, self.ids, self.edges = G.sl, G.edge_id, G.sorted_edges()
+        self.sl, self.ids, self.edges = G.sl, G.edge_id, G._edge_list
         self.end, self.far = end, 2 - end
         # the position in a path of the edge moved first
         self.first = 0 if end == 0 else -1
@@ -632,6 +640,20 @@ def cover_shape_problem(G: ResGraph):
     return None
 
 
+_PM_FORM, _COVER_FORM = "partial multiaction normal form", "cover normal form"
+
+
+@_memoised
+def _normal_form(G: ResGraph):
+    """The normal-form regime that decides ~ on G, as its reason string, or
+    None outside both.  Decided once per graph."""
+    if check_pm(G) is None:
+        return _PM_FORM
+    if cover_shape_problem(G) is None:
+        return _COVER_FORM
+    return None
+
+
 def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
                      max_len: int | None = None) -> Check:
     """Semi-decide whether two paths are identified by the congruence ~.
@@ -641,8 +663,11 @@ def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
     answer is exact; otherwise a bounded bidirectional search over
     contract/expand moves (core.contract_expand_neighbours) returns PASS or
     INCONCLUSIVE.  The witness is the one-tuple of the reason for the
-    verdict.  The expansions of an edge under a length cap are enumerated
-    once per call.
+    verdict.  The regime is decided once per graph, and the expansions of
+    an edge under a length cap are enumerated once per graph, in a table of
+    G's memo keyed by (edge, cap): they depend only on G's edges, out-lists
+    and monoid, so every call sees the lists, in the order, that a fresh
+    enumeration gives.
     """
     p, q = make_path(G, p), make_path(G, q)
     if path_d(p) != path_d(q) or path_r(p) != path_r(q):
@@ -652,14 +677,15 @@ def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
     if p == q:
         return Check("equivalent_paths", PASS, ("equal paths",))
 
-    if check_pm(G) is None:
+    regime = _normal_form(G)
+    if regime == _PM_FORM:
         # the normal form (d, label, r) is what was just compared
-        return Check("equivalent_paths", PASS, ("partial multiaction normal form",))
-    if cover_shape_problem(G) is None:
+        return Check("equivalent_paths", PASS, (regime,))
+    if regime == _COVER_FORM:
         nf_p = tuple(c for c in p if c[1])
         nf_q = tuple(c for c in q if c[1])
         status = PASS if nf_p == nf_q else FAIL
-        return Check("equivalent_paths", status, ("cover normal form",))
+        return Check("equivalent_paths", status, (regime,))
 
     if max_len is None:
         max_len = max(len(p), len(q)) + 2
@@ -669,7 +695,13 @@ def equivalent_paths(G: ResGraph, p, q, max_nodes: int = 20000,
     def times(c, e):  # the composite of a block, then edge e
         return (c[0], mul(c[1], e[1]), e[2])
 
-    expand = cache(lambda c, cap: _expansions_of_edge(G, c, cap))
+    expansions = G._memo.setdefault("expansions", {})
+
+    def expand(c, cap):
+        out = expansions.get((c, cap))
+        if out is None:
+            out = expansions[c, cap] = _expansions_of_edge(G, c, cap)
+        return out
 
     seen = {p: 0, q: 1}
     frontier = deque([p, q])

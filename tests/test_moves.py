@@ -1,7 +1,9 @@
 """The two bounded searches over contract/expand moves against their
 oracles: condition (5) of a proper generating ideal, and path equivalence."""
 
+import gc
 import random
+import weakref
 from collections import Counter, defaultdict
 
 from ehresmann import core, corpus, cover, product, resgraph
@@ -218,14 +220,19 @@ def test_condition_5_searches_an_open_element(monkeypatch):
     assert searches[0] == 1
 
 
+def _underlying_graphs(tables):
+    return [product.underlying_graph(S, Y).graph
+            for S in tables for Y in _all_order_ideals(S)
+            if all(c.ok for c in core.ideal_checks(S, Y))]
+
+
+def _cover_graphs():
+    return [cover.build_cover_graph(S, gens).graph for _, S, gens in corpus.cover_cases()]
+
+
 def _graphs():
-    graphs = [G for _, G in corpus.pm_graphs()]
-    graphs += [product.underlying_graph(S, Y).graph
-               for S in _small_tables() for Y in _all_order_ideals(S)
-               if all(c.ok for c in core.ideal_checks(S, Y))]
-    graphs += [cover.build_cover_graph(S, gens).graph
-               for _, S, gens in corpus.cover_cases()]
-    return graphs
+    return ([G for _, G in corpus.pm_graphs()] + _underlying_graphs(_small_tables())
+            + _cover_graphs())
 
 
 def test_equivalent_paths_matches_neighbours_rebuilt_per_node():
@@ -251,3 +258,96 @@ def test_equivalent_paths_matches_neighbours_rebuilt_per_node():
     assert set(kinds) >= {"equal paths", "partial multiaction normal form",
                           "cover normal form", "search met", "node budget exhausted",
                           "search saturated within length cap"}, kinds
+
+
+def _differential_graphs():
+    """The underlying graphs of the small corpus tables outside both
+    normal-form regimes, every underlying graph of the eight-element monoid
+    (some of them partial multiactions), and the corpus cover graphs."""
+    return ([G for G in _underlying_graphs(_small_tables())
+             if resgraph._normal_form(G) is None]
+            + _underlying_graphs([dict(corpus.semigroups())["eight_monoid"]])
+            + _cover_graphs())
+
+
+def _queries(G, rng, count):
+    """count seeded (p, q, max_nodes, max_len) on G: mostly two paths of
+    length at most 4 sharing endpoints and label, else any two, with
+    max_len (2-6, or the default) and max_nodes interleaved."""
+    paths = reference_all_paths(G, 4)
+    groups = defaultdict(list)
+    for p in paths:
+        groups[p[0][0], resgraph.path_label(G, p), p[-1][2]].append(p)
+    keys = sorted(k for k, group in groups.items() if len(group) > 1)
+    out = []
+    for _ in range(count):
+        group = groups[rng.choice(keys)] if keys and rng.random() < 0.8 else paths
+        p, q = rng.choice(group), rng.choice(group)
+        out.append((p, q, rng.choice((1, 5, 30, 300)), rng.choice((2, 3, 4, 5, 6, None))))
+    return out
+
+
+def test_equivalent_paths_per_graph_memo_matches_reference():
+    """One graph object answers interleaved length caps and node budgets
+    with the reference's verdicts, its expansions and regime taken from the
+    graph's memo after the first query that needs them."""
+    rng = random.Random(27)
+    kinds = Counter()
+    for G in _differential_graphs():
+        for p, q, max_nodes, max_len in _queries(G, rng, 12):
+            got = resgraph.equivalent_paths(G, p, q, max_nodes, max_len)
+            assert got == reference_equivalent_paths(G, p, q, max_nodes, max_len), \
+                (p, q, max_nodes, max_len)
+            kinds[got.witness[0]] += 1
+    assert set(kinds) == {"endpoints differ", "labels differ", "equal paths",
+                          "partial multiaction normal form", "cover normal form",
+                          "search met", "node budget exhausted",
+                          "search saturated within length cap"}, kinds
+
+
+def test_equivalent_paths_second_batch_enumerates_no_expansion(monkeypatch):
+    """The expansions live on the graph: a second identical batch of
+    queries on the same graph object enumerates none and answers the same."""
+    calls = [0]
+    enumerate_expansions = resgraph._expansions_of_edge
+
+    def counted(*args):
+        calls[0] += 1
+        return enumerate_expansions(*args)
+
+    monkeypatch.setattr(resgraph, "_expansions_of_edge", counted)
+    rng = random.Random(5)
+    enumerated = 0
+    for G in _differential_graphs():
+        if resgraph._normal_form(G) is not None:
+            continue
+        batch = _queries(G, rng, 10)
+        calls[0] = 0
+        first = [resgraph.equivalent_paths(G, *query) for query in batch]
+        assert len(G._memo.get("expansions", ())) == calls[0]
+        enumerated += calls[0]
+        calls[0] = 0
+        assert [resgraph.equivalent_paths(G, *query) for query in batch] == first
+        assert calls[0] == 0
+    assert enumerated > 0
+
+
+def test_graph_memo_holds_no_reference_to_the_graph():
+    """With the cycle collector off, a graph whose memo holds expansions,
+    its regime and its edge orders is freed when its last name goes."""
+    S = dict(corpus.semigroups())["eight_monoid"]
+    G = product.underlying_graph(S, [0, 1, 2, 3, 4, 6, 7]).graph
+    gc.disable()
+    try:
+        paths = [(a, b) for a in G.sorted_edges() for b in G.edges_from(a[2])]
+        for x in paths:
+            for y in paths:
+                resgraph.equivalent_paths(G, x, y, 300, 4)
+        product.edge_orders(G)
+        assert {"expansions", "_normal_form", "edge_orders"} <= set(G._memo)
+        assert G._memo["expansions"]
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()

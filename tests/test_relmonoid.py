@@ -241,3 +241,26 @@ def test_generate_matches_reference_on_random_generators(n, density):
             continue
         _assert_same_algebra(relmonoid.generate(n, gens, cap=cap), ref)
     assert overflows < 40
+
+
+def _scanned_pairs(r):
+    """The pairs of r by a scan of all n^2 bits."""
+    return tuple((x, y) for x in range(r.n) for y in range(r.n)
+                 if r.bits >> (x * r.n + y) & 1)
+
+
+def test_pairs_match_the_full_scan():
+    """Walking the set bits gives the n^2 scan's pairs, in its
+    lexicographic order: every relation on at most 3 points and seeded
+    relations of every density on 4 to 16 points."""
+    for n in range(1, 4):
+        for bits in range(1 << (n * n)):
+            r = Rel(n, bits)
+            assert r.pairs() == _scanned_pairs(r), r
+    rng = random.Random(26)
+    for n in range(4, 17):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            bits = sum(1 << k for k in range(n * n) if rng.random() < density)
+            r = Rel(n, bits)
+            assert r.pairs() == _scanned_pairs(r), r
+            assert Rel.from_pairs(n, r.pairs()) == r
