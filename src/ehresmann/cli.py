@@ -427,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph-check", help="edge and path axiom checks")
     p.add_argument("path")
     p.add_argument("--max-chain", type=int, default=3, dest="max_chain")
-    p.add_argument("--path-bound", type=int, default=3, dest="path_bound")
+    p.add_argument("--path-bound", type=int, default=3, dest="path_bound",
+                   help="kept for compatibility; only names the header, since the "
+                        "path laws are read off the edge laws at every length")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_graph_check)
 

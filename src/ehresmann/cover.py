@@ -279,7 +279,9 @@ def canonical_preimage(cg: CoverGraph, s: int) -> CanonicalPath:
 def enumerate_canonical(cg: CoverGraph, max_len: int):
     """All canonical paths of length up to max_len (loops have length 0), by
     length, then by prefix, then by last edge: each form of one length is
-    extended by every letter edge out of its end, and no two are equal."""
+    extended by every letter edge out of its end, and no two are equal.
+    verify_cover lists no form: its search reaches the forms' states in
+    this order instead."""
     steps = {}
     for d, lab, r in cg.edges:
         if lab:
@@ -294,77 +296,68 @@ def max_edge_for_letter(cg: CoverGraph, letter: str):
     return (cg.proj_index[cg.S.plus[g]], (letter,), cg.proj_index[cg.S.star[g]])
 
 
-def _pairwise_mult_failures(cg: CoverGraph, forms, phis):
-    """(u, v) with phi(u v) != phi(u) phi(v), over all pairs of forms in
-    enumeration order (u first)."""
-    mult = cg.S.mult
-    return ((str(u), str(v)) for u, fu in zip(forms, phis) for v, fv in zip(forms, phis)
-            if phi(cg, cover_mult(cg, u, v)) != mult[fu][fv])
-
-
-def _unfactored_forms(cg: CoverGraph, forms):
-    """The first form, in order, that is not the product of its edges (a
-    generator of at most one witness), or the exception of that product.
-
-    forms, as enumerate_canonical lists them, are paths of letter edges with
-    every prefix before its extensions, so the first form that is not its
-    prefix times its last edge is the first that is not the product of its
-    edges multiplied out left to right, and a product that raises is met at
-    the same form.
-    """
-    for u in forms:
-        ent = u.entries
-        if len(ent) > 3 and cover_mult(cg, CanonicalPath(ent[:-2]),
-                                       CanonicalPath(ent[-3:])) != u:
-            yield (str(u),)
-            return
-
-
-def _saturated_pass(cg: CoverGraph, len_bound: int) -> bool:
-    """Whether phi preserves u^+, u^* and every product u v of canonical
-    forms up to len_bound, read off the forms' signature states; see
-    verify_cover, which calls it only when S is associative and the cover
-    graph axioms pass."""
-    mult, plus, star = cg.S.mult, cg.S.plus, cg.S.star
-    proj, val, edges = cg.proj_list, cg.valuation, cg.edges
+def _state_checks(cg: CoverGraph, len_bound: int):
+    """The unary and the multiplication checks off the states of the forms
+    up to len_bound, with representatives of failing states as witnesses
+    (see verify_cover, which calls it under its gate).  A letter edge
+    (d, a, e) corestricted to m <= e starts below d (CR1), and restricted to
+    x <= d ends below e (R1); InvariantError says that one does not."""
+    mult, plus, star, proj, edges = cg.S.mult, cg.S.plus, cg.S.star, cg.proj_list, cg.edges
     n, below, meet = cg.sl.n, cg.sl.below, cg.sl.meet
     rt, ct = cg.graph.restrict_table, cg.graph.corestrict_table
-    # a letter edge (d, a, e) extends a form ending at d to the right and one
-    # starting at e to the left; each move lists, for every vertex m below
-    # the new end, where the edge moved to m meets the old form
-    extend, prepend = [[] for _ in range(n)], [[] for _ in range(n)]
+
+    def moved(table, j, x, end, bound):
+        i = table[j][x]
+        if i < 0 or meet[edges[i][end]][bound] != edges[i][end]:
+            raise InvariantError(f"{edges[j]} moved to {x} is not an edge below {bound}")
+        return edges[i][end]
+
+    out = [[] for _ in range(n)]
     for j, (d, lab, e) in enumerate(edges):
         if lab:
-            va = val[lab[0]]
-            extend[d].append((e, va, [(m, edges[ct[j][m]][0]) for m in below(e)]))
-            prepend[e].append((d, va, [(m, edges[rt[j][m]][2]) for m in below(d)]))
+            forth = [-1] * n
+            for x in below(d):
+                forth[x] = moved(rt, j, x, 2, e)
+            out[d].append((lab[0], e, cg.valuation[lab[0]],
+                           [(m, moved(ct, j, m, 0, d)) for m in below(e)], forth))
 
-    def row(entries):
-        out = [-1] * n
-        for m, x in entries:
-            out[m] = x
-        return tuple(out)
+    def moves(state):
+        d, f, r, C, R, E = state
+        for a, e, va, back, forth in out[r]:
+            C2, R2, E2 = [-1] * n, list(R), list(E)
+            for m, s in back:
+                C2[m] = mult[mult[C[s]][va]][proj[m]]
+            for m in below(d):
+                E2[m] = t = forth[E[m]]
+                R2[m] = mult[mult[R[m]][va]][proj[t]]
+            yield a, e, (d, mult[mult[f][va]][proj[e]], e, tuple(C2), tuple(R2), tuple(E2))
 
-    def left_steps(state):
-        d, f, r, C = state
-        for e, va, moved in extend[r]:
-            yield (d, mult[mult[f][va]][proj[e]], e,
-                   row((m, mult[mult[C[s]][va]][proj[m]]) for m, s in moved))
+    def down(e, row):
+        return tuple(row[m] if meet[m][e] == m else -1 for m in range(n))
 
-    def right_steps(state):
-        f, d, R = state
-        for e, va, moved in prepend[d]:
-            yield (mult[mult[proj[e]][va]][f], e,
-                   row((m, mult[mult[proj[m]][va]][R[t]]) for m, t in moved))
+    starts = [(e, proj[e], e, down(e, proj), down(e, proj), down(e, range(n))) for e in range(n)]
+    states = core.saturate(starts, lambda s: [t for _, _, t in moves(s)], len_bound)
+    unary = [s for s in states if proj[s[0]] != plus[s[1]] or proj[s[2]] != star[s[1]]][:1]
+    left, right = {}, {}
+    for s in states:
+        left.setdefault(s[1:4], s)
+        right.setdefault((s[1], s[0], s[4]), s)
+    pair = next(([u, v] for (fu, r, C), u in left.items() for (fv, d, R), v in right.items()
+                 for m in (meet[r][d],) if mult[C[m]][R[m]] != mult[fu][fv]), [])
+    if unary or pair:
+        rep = {s: (s[0],) for s, k in states.items() if k == 0}
+        for s, k in states.items():
+            for a, e, t in moves(s):
+                if t not in rep and states.get(t) == k + 1:
+                    rep[t] = rep[s] + (a, e)
 
-    loops = [row((m, proj[m]) for m in below(e)) for e in range(n)]
-    left = core.saturate([(e, proj[e], e, loops[e]) for e in range(n)], left_steps, len_bound)
-    if any(proj[d] != plus[f] or proj[r] != star[f] for d, f, r, _ in left):
-        return False
-    right = core.saturate([(proj[e], e, loops[e]) for e in range(n)], right_steps, len_bound)
-    return all(mult[C[m]][R[m]] == mult[fu][fv]
-               for fu, r, C in {state[1:] for state in left} for fv, d, R in right
-               for m in (meet[r][d],))
+    def check(name, failing):
+        if not failing:
+            return Check(name, PASS)
+        return Check(name, FAIL, tuple(str(CanonicalPath(rep[s])) for s in failing))
+
+    return [check("phi_preserves_unary_operations", unary),
+            check("phi_preserves_multiplication", pair)]
 
 
 def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
@@ -377,48 +370,63 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     holds, which makes sigma classes the label fibers; and that every form
     is the product of its edges.
 
-    When S is associative and the cover graph axioms pass, the unary, the
-    multiplication and the factor checks are read off signature states
-    (_saturated_pass) and PASS when every state does.  Otherwise, or when a
-    state fails, the forms are listed (enumerate_canonical) and checked one
-    by one and pair by pair, one cover product per pair and per form, so
-    every witness and exception is that of the products themselves.  The
-    states give the listing's verdict at every len_bound:
+    Gate.  The unary, the multiplication and the factor checks are decided
+    when the cover graph axioms pass and S is associative.  Otherwise each
+    is INCONCLUSIVE, with the witness ("cover graph axioms fail", <the
+    names of the failing checks>) or ("S is not associative",), as
+    resgraph.path_laws answers.  Under the gate they read one state per
+    form (_state_checks); no form is listed and no cover product made.
 
-    States.  The left state of a form u is (u.d, phi u, u.r, C[u]) and the
-    right state of v is (phi v, v.d, R[v]), where C[u][m] = phi(u loop(m))
-    for m <= u.r and R[v][m] = phi(loop(m) v) for m <= v.d.  u^+ and u^*
-    are the loops at u.d and u.r, so the unary check reads the left state.
-    u v corestricts u and restricts v to m = meet(u.r, v.d) and joins them
-    at m, and phi alternates vertex projections, which are idempotent, and
-    generator values; so when S is associative phi(u v) = C[u][m] R[v][m],
-    and the multiplication check reads the two states.
+    State.  The state of a form u is (u.d, phi u, u.r, C[u], R[u], E[u]),
+    rows with -1 off the vertices m they are defined at: C[u][m] =
+    phi(u loop(m)) for m <= u.r, and R[u][m] = phi(loop(m) u) and E[u][m]
+    = (u restricted to m).r for m <= u.d.  u^+ and u^* are the loops at u.d
+    and u.r, so the unary check reads (u.d, phi u, u.r).  u v corestricts u
+    and restricts v to m = meet(u.r, v.d) and joins them at m, and phi
+    alternates vertex projections, which are idempotent, and generator
+    values; so when S is associative phi(u v) = C[u][m] R[v][m], and the
+    multiplication check reads the left signature (phi u, u.r, C[u]) of u
+    and the right signature (phi v, v.d, R[v]) of v.
 
-    Steps.  A form of length k + 1 is u j, a form u of length k followed by
-    a letter edge j = (u.r, a, e), and also j' v, a letter edge
-    j' = (d, a', v.d) followed by a form v of length k.  Its state is one
-    step from u's (v's), read off that state alone:
-    - phi(u j) = phi(u) val[a] proj[e], since phi is a left fold, and
-      C[u j][m] = C[u][s] val[a] proj[m], where (s, a, m) is j corestricted
-      to m: u j loop(m) corestricts j to m and then u to s;
-    - phi(j' v) = proj[d] val[a'] phi(v) and R[j' v][m] =
-      proj[m] val[a'] R[v][t], where (m, a', t) is j' restricted to m, by
-      the mirror argument and associativity.
+    Step.  A form of length k + 1 is u j, a form u of length k followed by
+    a letter edge j = (u.r, a, e), and its state is one step from u's.
+    Each part is a left fold, like phi(u j) = phi(u) val[a] proj[e]:
+    - C[u j][m] = C[u][s] val[a] proj[m], where (s, a, m) is j
+      corestricted to m: u j loop(m) corestricts j to m and then u to s;
+    - u j restricted to m is u restricted to m, which ends at t = E[u][m],
+      followed by j restricted to t, say (t, a, t'); so E[u j][m] = t' and
+      R[u j][m] = R[u][m] val[a] proj[t'].
     The gate keeps every step defined: corestriction_total gives (s, a, m)
     for every m <= e, and CR1 puts s below u.r, where C[u] is defined;
-    restriction_total and R1 do the same for t <= v.d.  So no product the
-    three checks read is undefined, and none of them raises
-    RestrictionUndefinedError.
+    restriction_total gives (t, a, t') as R1 keeps t below u.r, and R1 puts
+    t' below e.
 
     Closure.  The states of the forms of length k + 1 are the steps of the
-    states of the forms of length k.  So a breadth-first search from the
-    loops that keeps only new states reaches, at level k, exactly the states
-    of the forms up to length k.  When a level adds no state, the next one
-    would step only from states already stepped, so no later level adds one
-    either, and stopping there gives the states of the forms up to every
-    len_bound from that level on.  The states are finitely many, so the
-    search ends after at most as many levels as there are states, whatever
-    len_bound is.
+    states of the forms of length k.  So core.saturate, a breadth-first
+    search from the loops that keeps only new states, reaches at level k
+    exactly the states of the forms up to length k.  When a level adds no
+    state, the next one would step only from states already stepped, so no
+    later level adds one either, and stopping there gives the states of
+    the forms up to every len_bound from that level on.  The states are
+    finitely many, so the search ends after at most as many levels as
+    there are states, whatever len_bound is.
+
+    Witnesses.  The representative of a state is the first form with it in
+    enumerate_canonical's order, by length, then prefix, then last edge.
+    A form whose state is new at level k + 1 extends one whose state is new
+    at level k (an older state would have stepped there sooner), and the
+    search steps the states of a level in order, each by its letter edges
+    in that order.  So, by induction on the level, the representatives
+    come in the order of the states, and that of a state t new at level
+    k + 1 is rep[s] j for the first s of level k, and its first edge j,
+    that step to t.  The unary witness is the representative of the first
+    failing state.  The first form with a signature is the representative
+    of the first state with it, so the first failing pair of forms, u
+    first, is (rep of the first left signature that fails with some right
+    signature, rep of the first right signature it fails with).  The
+    representatives are rebuilt only when a check fails, by one pass over
+    the states in order: rep[t] = rep[s] j the first time a step of s
+    reaches t with level[t] = level[s] + 1.
 
     Factors.  u = p c, with c the last edge, is p times c when p
     corestricted to x = p.r is p and c restricted to x = c.d is c.  CR2
@@ -428,26 +436,15 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     factors, and the factor check passes at every len_bound.
     """
     cg = build_cover_graph(S, gens)
-    checks = []
-
     graph_report = check_axioms(cg.graph, max_chain=2)
-    checks.append(Check("cover_graph_axioms", graph_report.status,
-                        tuple(c.name for c in graph_report.failures()) or None))
-
-    if (graph_report.ok and core.verify_ehresmann(S)["associativity"].ok
-            and _saturated_pass(cg, len_bound)):
-        forms = None
-        checks += [Check("phi_preserves_unary_operations", PASS),
-                   Check("phi_preserves_multiplication", PASS)]
-    else:
-        forms = enumerate_canonical(cg, len_bound)
-        phis = [phi(cg, u) for u in forms]
-        proj = cg.proj_list
-        checks.append(first_witness("phi_preserves_unary_operations", (
-            (str(u),) for u, fu in zip(forms, phis)
-            if proj[u.d] != S.plus[fu] or proj[u.r] != S.star[fu])))
-        checks.append(first_witness("phi_preserves_multiplication",
-                                    _pairwise_mult_failures(cg, forms, phis)))
+    failing = tuple(c.name for c in graph_report.failures())
+    checks = [Check("cover_graph_axioms", graph_report.status, failing or None)]
+    off_gate = (("cover graph axioms fail",) + failing if failing
+                else None if core.verify_ehresmann(S)["associativity"].ok
+                else ("S is not associative",))
+    checks += _state_checks(cg, len_bound) if off_gate is None else [
+        Check(name, INCONCLUSIVE, off_gate)
+        for name in ("phi_preserves_unary_operations", "phi_preserves_multiplication")]
     # phi(loop e) = proj[e], and proj lists the distinct projections of S
     checks.append(Check("phi_projection_separating", PASS))
     for s in range(S.n):
@@ -471,8 +468,8 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     # sigma iff labels, constructively: each canonical form is the product
     # of its edges, and same-word forms are chained through the letter
     # maxima found above.
-    checks.append(Check("forms_factor_through_edges", PASS) if forms is None else
-                  first_witness("forms_factor_through_edges", _unfactored_forms(cg, forms)))
+    checks.append(Check("forms_factor_through_edges", INCONCLUSIVE if off_gate else PASS,
+                        off_gate))
     return Report(checks)
 
 

@@ -1,5 +1,6 @@
 """Independent brute-force oracles used to cross-check the main algorithms."""
 
+import functools
 import random
 from collections import deque
 
@@ -102,7 +103,13 @@ def perturbed_table(S, rng):
 
 def reference_associativity_witness(table):
     """First (x, y, z) in lexicographic order with (x y) z != x (y z), by the
-    plain triple loop over the table; None when the table is associative."""
+    plain triple loop over the table; None when the table is associative.
+    The answer is kept for the last 256 tables by content."""
+    return _associativity_witness(tuple(map(tuple, table)))
+
+
+@functools.lru_cache(maxsize=256)
+def _associativity_witness(table):
     rng = range(len(table))
     for x in rng:
         for y in rng:
@@ -1108,6 +1115,21 @@ def _parent_unfactored_forms(cg, forms):
             return
 
 
+def parent_state_checks(cg, len_bound, forms=None):
+    """The unary and the multiplication checks of the bounded parent, over
+    the canonical forms up to len_bound (or the given list of them)."""
+    if forms is None:
+        forms = cover.enumerate_canonical(cg, len_bound)
+    index = _parent_form_index(forms)
+    phis = _parent_phis(cg, forms, index)
+    proj, S = cg.proj_list, cg.S
+    return [first_witness("phi_preserves_unary_operations", (
+                (str(u),) for u, fu in zip(forms, phis)
+                if proj[u.d] != S.plus[fu] or proj[u.r] != S.star[fu])),
+            first_witness("phi_preserves_multiplication",
+                          _parent_mult_failures(cg, forms, phis, index))]
+
+
 def parent_verify_cover(S, gens, len_bound=3):
     """The cover verification over every canonical form up to len_bound,
     with phi, the signature rows and the factor check of each form one
@@ -1118,14 +1140,7 @@ def parent_verify_cover(S, gens, len_bound=3):
     checks.append(Check("cover_graph_axioms", graph_report.status,
                         tuple(c.name for c in graph_report.failures()) or None))
     forms = cover.enumerate_canonical(cg, len_bound)
-    index = _parent_form_index(forms)
-    phis = _parent_phis(cg, forms, index)
-    proj = cg.proj_list
-    checks.append(first_witness("phi_preserves_unary_operations", (
-        (str(u),) for u, fu in zip(forms, phis)
-        if proj[u.d] != S.plus[fu] or proj[u.r] != S.star[fu])))
-    checks.append(first_witness("phi_preserves_multiplication",
-                                _parent_mult_failures(cg, forms, phis, index)))
+    checks += parent_state_checks(cg, len_bound, forms)
     checks.append(Check("phi_projection_separating", PASS))
     for s in range(S.n):
         cover.canonical_preimage(cg, s)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 import types
 
@@ -11,14 +12,15 @@ from ehresmann.cover import (CanonicalPath, GeneratorError,
                              cover_mult, cover_plus_star,
                              enumerate_canonical, fes_witness_check,
                              max_edge_for_letter, phi, verify_cover)
-from ehresmann.report import FAIL, PASS, first_witness
+from ehresmann.report import INCONCLUSIVE, PASS, Check, Report, first_witness
 from ehresmann.resgraph import (RestrictionUndefinedError, corestrict_path,
                                 restrict_path)
-from oracles import (parent_verify_cover, perturbed_table, random_generating_set,
-                     reference_all_paths, reference_canonical_preimage,
+from oracles import (parent_state_checks, parent_verify_cover, perturbed_table,
+                     random_generating_set, reference_all_paths,
+                     reference_associativity_witness, reference_canonical_preimage,
                      reference_canonicalize, reference_enumerate_canonical,
                      reference_generating_closure, reference_mult_witnesses,
-                     reference_unfactored_forms, reference_verify_cover, to_path)
+                     reference_verify_cover, to_path)
 
 
 def e2_cover():
@@ -382,53 +384,121 @@ def _verify_outcome(verify, S, gens, length):
         return type(exc), str(exc)
 
 
-def _count_calls(monkeypatch, name):
-    """A one-element list counting the calls of cover.<name>, which the
-    cover module makes through its global name."""
-    calls = [0]
-    original = getattr(cover, name)
+def _status(outcome):
+    return "raised" if isinstance(outcome, tuple) else Report(outcome).status
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
 
-    monkeypatch.setattr(cover, name, counted)
-    return calls
+def _pinned_verify(monkeypatch):
+    """verify(S, gens, length): the outcome of verify_cover, asserting that
+    it called neither enumerate_canonical nor, outside canonical_preimage,
+    cover_mult.  Such a call raises at once, so a listing that would never
+    end fails fast; the oracles, called outside verify, use both freely."""
+    pinned, forbidden = [False], []
+
+    def pin(name):
+        original = getattr(cover, name)
+
+        def guarded(*args):
+            if pinned[0]:
+                forbidden.append(name)
+                raise RuntimeError(f"verify_cover called {name}")
+            return original(*args)
+
+        monkeypatch.setattr(cover, name, guarded)
+
+    pin("enumerate_canonical")
+    pin("cover_mult")
+    preimage = cover.canonical_preimage
+
+    def preimage_unpinned(cg, s):
+        was, pinned[0] = pinned[0], False
+        try:
+            return preimage(cg, s)
+        finally:
+            pinned[0] = was
+
+    monkeypatch.setattr(cover, "canonical_preimage", preimage_unpinned)
+
+    def verify(S, gens, length):
+        pinned[0] = True
+        try:
+            got = _verify_outcome(verify_cover, S, gens, length)
+        finally:
+            pinned[0] = False
+        assert not forbidden, (forbidden, gens, length)
+        return got
+
+    return verify
+
+
+_GATED = ("phi_preserves_unary_operations", "phi_preserves_multiplication",
+          "forms_factor_through_edges")
+
+
+def _gate_reason(cg, S):
+    """None when the cover graph axioms pass and S is associative, else the
+    witness of verify_cover's INCONCLUSIVE answers."""
+    failing = tuple(c.name for c in resgraph.check_axioms(cg.graph, max_chain=2).failures())
+    if failing:
+        return ("cover graph axioms fail",) + failing
+    if reference_associativity_witness(S.mult) is not None:
+        return ("S is not associative",)
+    return None
 
 
 def _differential(monkeypatch):
-    """compare(S, gens, length), which asserts that verify_cover gives the
-    outcome of its bounded parent and of the product-by-product reference
-    (every check's name, status and witness, or the same exception) and
-    returns (outcome, path): the outcome is PASS, FAIL or raised, and the
-    path says how verify_cover decided, by the saturated states ("states"),
-    or by listing the forms after a state failed ("states failed") or
-    without trying the states ("listed"); "states and listed" when the
-    states passed and the forms were listed all the same, and None when
-    verify_cover raised before either."""
-    listings = _count_calls(monkeypatch, "enumerate_canonical")
-    passes = []
-    saturated = cover._saturated_pass
+    """compare(S, gens, length), which runs verify_cover pinned
+    (_pinned_verify) and returns (outcome, path): the outcome is PASS,
+    FAIL, INCONCLUSIVE or raised, and the path "states" under the gate
+    (the cover graph axioms pass and S is associative), "off gate"
+    otherwise, and None when the cover graph build raised.
+
+    Under the gate every check's name, status and witness, or the
+    exception, is that of the bounded parent and of the product-by-product
+    reference, and the state checks are the parent's also when a later
+    check raises; compare.failing_states counts the failing ones by name.
+    Off the gate the unary, the multiplication and the factor checks are
+    INCONCLUSIVE with the gate's reason, every other check is the
+    parent's, and verify_cover raises only where the parent does."""
+    verify = _pinned_verify(monkeypatch)
+    states = []
+    state_checks = cover._state_checks
 
     def recorded(cg, length):
-        passes.append(saturated(cg, length))
-        return passes[-1]
+        states.append(state_checks(cg, length))
+        return states[-1]
 
-    monkeypatch.setattr(cover, "_saturated_pass", recorded)
+    monkeypatch.setattr(cover, "_state_checks", recorded)
 
     def compare(S, gens, length):
-        before = listings[0]
-        passes.clear()
-        got = _verify_outcome(verify_cover, S, gens, length)
-        listed = listings[0] - before
-        assert got == _verify_outcome(parent_verify_cover, S, gens, length) == _verify_outcome(
-            reference_verify_cover, S, gens, length), (S.mult, S.plus, S.star, gens, length)
-        outcome = ("raised" if isinstance(got, tuple)
-                   else "PASS" if all(c.ok for c in got) else "FAIL")
-        if passes == [True]:
-            return outcome, "states" if not listed else "states and listed"
-        return outcome, "states failed" if passes else "listed" if listed else None
+        states.clear()
+        got = verify(S, gens, length)
+        parent = _verify_outcome(parent_verify_cover, S, gens, length)
+        where = (S.mult, S.plus, S.star, gens, length)
+        try:
+            cg = cover.build_cover_graph(S, gens)
+        except ValueError:
+            assert got == parent, where
+            return "raised", None
+        reason = _gate_reason(cg, S)
+        if reason is None:
+            assert got == parent == _verify_outcome(
+                reference_verify_cover, S, gens, length), where
+            assert states == [parent_state_checks(cg, length)], where
+            compare.failing_states.update(c.name for c in states[0] if not c.ok)
+            return _status(got), "states"
+        assert not states, where
+        if isinstance(got, tuple):
+            assert isinstance(parent, tuple), where
+        else:
+            assert [c for c in got if c.name in _GATED] == [
+                Check(name, INCONCLUSIVE, reason) for name in _GATED], where
+            if not isinstance(parent, tuple):
+                assert [c for c in got if c.name not in _GATED] == [
+                    c for c in parent if c.name not in _GATED], where
+        return _status(got), "off gate"
 
+    compare.failing_states = collections.Counter()
     return compare
 
 
@@ -532,53 +602,110 @@ def _perturbed_covers(seed):
             yield T, cg, length
 
 
+def _perturbed_tables(seed, count):
+    """count perturbed tables per corpus cover case, each with its
+    generators and the length bounds to check them at."""
+    rng = random.Random(seed)
+    for name, S, gens in corpus.cover_cases():
+        for _ in range(count):
+            yield perturbed_table(S, rng), gens, range(3 if name == "pt2" else 4)
+
+
+def _random_plus_star(seed, count):
+    """count tables each of two associative ones, the six relations on two
+    points holding (0,0) that {(0,0),(0,1),(1,0)} and {(0,0)} generate, and
+    the corpus product complete2_t2, with x^+ and x^* random maps onto a
+    random set of commuting idempotents closed under products (each fixed
+    by both maps), and a random generating set.  Their covers often pass
+    the gate with a failing state, of either kind; most of those then fail
+    to map a preimage back."""
+    rng = random.Random(seed)
+    Rel = relmonoid.Rel
+    alg = relmonoid.generate(2, [Rel.from_pairs(2, [(0, 0), (0, 1), (1, 0)]),
+                                 Rel.from_pairs(2, [(0, 0)])])
+    for base in (alg.to_semigroup(), dict(corpus.semigroups())["complete2_t2_product"]):
+        mult, n = base.mult, base.n
+        idempotents = [x for x in range(n) if mult[x][x] == x]
+        made = 0
+        while made < count:
+            P = rng.sample(idempotents, rng.randint(1, len(idempotents)))
+            if any(mult[a][b] != mult[b][a] or mult[a][b] not in P for a in P for b in P):
+                continue
+            plus = [x if x in P else rng.choice(P) for x in range(n)]
+            star = [x if x in P else rng.choice(P) for x in range(n)]
+            T = core.OpTableSemigroup(n, mult, plus, star)
+            made += 1
+            yield T, random_generating_set(T, rng)
+
+
 def test_factored_mult_check_matches_pairwise_on_perturbed_tables(monkeypatch):
     # every length bound up to the given one, on perturbed tables and on
     # covers with perturbed letter-edge rows, which reach verify_cover
     # through its graph build: non-associative tables and failing graph
-    # axioms list the forms, undefined rows make cover_mult raise, and a
-    # failing state lists the forms for the parent's first witness
+    # axioms answer INCONCLUSIVE, and a failing state gives the parent's
+    # first witness
     compare = _differential(monkeypatch)
     seen = collections.Counter()
-    rng = random.Random(24)
-    for name, S, gens in corpus.cover_cases():
-        for _ in range(60):
-            T = perturbed_table(S, rng)
-            for length in range(3 if name == "pt2" else 4):
-                seen.update(compare(T, gens, length))
+    for T, gens, lengths in _perturbed_tables(24, 60):
+        for length in lengths:
+            seen.update(compare(T, gens, length))
     for T, cg, length in _perturbed_covers(20221):
         with monkeypatch.context() as patch:
             patch.setattr(cover, "build_cover_graph", lambda S, gens, cg=cg: cg)
             for bound in range(length + 1):
                 seen.update(compare(T, cg.gens, bound))
-    assert seen["states and listed"] == 0, seen
-    assert all(seen[k] for k in ("PASS", "FAIL", "raised", "states", "states failed",
-                                 "listed")), seen
+    assert all(seen[k] for k in ("PASS", "FAIL", "INCONCLUSIVE", "raised", "states",
+                                 "off gate")), seen
+    assert compare.failing_states["phi_preserves_unary_operations"], compare.failing_states
 
 
-def test_factor_check_matches_product_of_edges_on_perturbed_tables(monkeypatch):
-    # each form against its prefix times its last edge, one cover product per
-    # form of length 2 or more up to the first witness, gives the witness or
-    # exception of multiplying every form out from its edges
-    def factor_check(witnesses, cg, forms):
-        try:
-            return first_witness("forms_factor_through_edges", witnesses(cg, forms))
-        except RestrictionUndefinedError as exc:
-            return type(exc), str(exc)
+def _revalued_covers(seed, count):
+    """count covers each of the corpus cover cases and the I(3) and PT(3)
+    covers, with one or two letters valued at a random element: the graph,
+    and so the gate, stays, and phi often fails to preserve the operations,
+    on forms that share a signature with other forms."""
+    rng = random.Random(seed)
+    covers = [(S, gens) for _, S, gens in corpus.cover_cases()]
+    for S, gens in covers + [(cg.S, cg.gens) for cg in _i3_pt3_covers()]:
+        for _ in range(count):
+            cg = build_cover_graph(S, gens)
+            for _ in range(rng.randint(1, 2)):
+                cg.valuation[rng.choice(cg.letters)] = rng.randrange(S.n)
+            yield cg
 
-    products = _count_calls(monkeypatch, "cover_mult")
-    statuses = {PASS: 0, FAIL: 0, "raised": 0}
-    for _, cg, length in _perturbed_covers(20221):
-        forms = enumerate_canonical(cg, length)
-        before = products[0]
-        check = factor_check(cover._unfactored_forms, cg, forms)
-        made = products[0] - before
-        assert check == factor_check(reference_unfactored_forms, cg, forms)
-        status = "raised" if isinstance(check, tuple) else check.status
-        statuses[status] += 1
-        if status == PASS:
-            assert made == sum(u.length >= 2 for u in forms)
-    assert min(statuses.values()) > 0, statuses
+
+def test_state_witnesses_match_parent_on_failing_states(monkeypatch):
+    # failing states of both kinds under the gate: the unary witness is the
+    # representative of the first failing state, the multiplication witness
+    # that of the first failing pair of signatures, as the parent's listing
+    compare = _differential(monkeypatch)
+    seen = collections.Counter()
+    for T, gens in _random_plus_star(28, 100):
+        for length in range(4):
+            seen.update(compare(T, gens, length))
+    for cg in _revalued_covers(2, 30):
+        with monkeypatch.context() as patch:
+            patch.setattr(cover, "build_cover_graph", lambda S, gens, cg=cg: cg)
+            for length in range(4 if cg.S.n < 10 else 3):
+                seen.update(compare(cg.S, cg.gens, length))
+    failing = compare.failing_states
+    assert failing["phi_preserves_unary_operations"] >= 100, failing
+    assert failing["phi_preserves_multiplication"] >= 100, failing
+    assert all(seen[k] for k in ("PASS", "FAIL", "raised", "states")), seen
+
+
+def test_state_checks_raise_where_a_move_is_undefined():
+    # the gate keeps every move of a letter edge defined; a -1 entry in its
+    # restriction or corestriction row raises InvariantError instead of
+    # being read as an index
+    _, S, gens = corpus.cover_cases()[1]
+    for table in ("restrict_table", "corestrict_table"):
+        cg = build_cover_graph(S, gens)
+        j = next(i for i, c in enumerate(cg.edges) if c[1])
+        row = getattr(cg.graph, table)[j]
+        row[next(v for v, i in enumerate(row) if i >= 0)] = -1
+        with pytest.raises(InvariantError):
+            cover._state_checks(cg, 3)
 
 
 def _unperturbed_covers():
@@ -594,55 +721,44 @@ def _unperturbed_covers():
 
 
 def test_saturated_states_list_no_forms_and_make_no_products(monkeypatch):
-    # an Ehresmann cover passes on its states alone: no form is listed and
-    # the checks make no cover product (canonical_preimage still makes its
-    # own), so a silent fallback to the listing cannot hide, not even at a
-    # length bound whose listing would never end
-    listings = _count_calls(monkeypatch, "enumerate_canonical")
-    products = _count_calls(monkeypatch, "cover_mult")
-    preimage = cover.canonical_preimage
-
-    def preimage_uncounted(cg, s):
-        before = products[0]
-        try:
-            return preimage(cg, s)
-        finally:
-            products[0] = before
-
-    monkeypatch.setattr(cover, "canonical_preimage", preimage_uncounted)
+    # no form is listed and the checks make no cover product, whatever the
+    # answer (canonical_preimage still makes its own); _differential pins
+    # every input of the differential tests, and here the same holds at a
+    # length bound whose listing would never end: Ehresmann covers pass, and
+    # failing and off-gate inputs answer
+    verify = _pinned_verify(monkeypatch)
     _, pt2, pt2_gens = corpus.cover_cases()[1]
     cases = [(cg.S, cg.gens, length) for cg, length in _unperturbed_covers()]
     for S, gens, length in cases + [(pt2, pt2_gens, 40)]:
-        rep = verify_cover(S, gens, length)
-        assert rep.ok and listings == [0] and products == [0], (gens, length, listings, products)
+        assert all(c.ok for c in verify(S, gens, length)), (gens, length)
+    seen = collections.Counter()
+    for T, gens in _random_plus_star(28, 30):
+        seen[_status(verify(T, gens, 40))] += 1
+    for T, gens, _ in _perturbed_tables(24, 10):
+        seen[_status(verify(T, gens, 40))] += 1
+    for T, cg, _ in itertools.islice(_perturbed_covers(20221), 60):
+        with monkeypatch.context() as patch:
+            patch.setattr(cover, "build_cover_graph", lambda S, gens, cg=cg: cg)
+            seen[_status(verify(T, cg.gens, 40))] += 1
+    assert all(seen[k] for k in ("PASS", "FAIL", "INCONCLUSIVE", "raised")), seen
 
 
 def test_verify_cover_matches_product_by_product_reference(monkeypatch):
     # every check's name, status and witness, or the exception, against the
-    # verification that makes one cover product per form and projection
-    outcomes = {"PASS": 0, "FAIL": 0, "raised": 0}
-
-    def compare(S, gens, length):
-        got = _verify_outcome(verify_cover, S, gens, length)
-        assert got == _verify_outcome(reference_verify_cover, S, gens, length), (
-            S.mult, S.plus, S.star, gens, length)
-        if isinstance(got, tuple):
-            outcomes["raised"] += 1
-        else:
-            outcomes["PASS" if all(c.ok for c in got) else "FAIL"] += 1
-
+    # verification that makes one cover product per form and projection,
+    # under the gate; off it, the INCONCLUSIVE answers (_differential)
+    compare = _differential(monkeypatch)
+    outcomes = collections.Counter()
     for cg, length in _unperturbed_covers():
-        compare(cg.S, cg.gens, length)
-    rng = random.Random(18)
-    for name, S, gens in corpus.cover_cases():
-        for _ in range(110):
-            compare(perturbed_table(S, rng), gens, 2 if name == "pt2" else 3)
+        outcomes.update(compare(cg.S, cg.gens, length))
+    for T, gens, lengths in _perturbed_tables(18, 110):
+        outcomes.update(compare(T, gens, lengths[-1]))
     # perturbed letter-edge rows reach verify_cover through its graph build
     for T, cg, length in _perturbed_covers(20221):
         with monkeypatch.context() as patch:
             patch.setattr(cover, "build_cover_graph", lambda S, gens, cg=cg: cg)
-            compare(T, cg.gens, length)
-    assert min(outcomes.values()) > 0, outcomes
+            outcomes.update(compare(T, cg.gens, length))
+    assert all(outcomes[k] for k in ("PASS", "FAIL", "raised", "states", "off gate")), outcomes
 
 
 def test_generating_closure_matches_every_pair_rounds():
