@@ -122,35 +122,74 @@ def _rows_differ(table, y):
     return lambda x: tuple(table[table[x][y]]) != through(table[x])
 
 
+def _byte_rows(table):
+    """The rows of a table of 8 to 256 elements as bytes, or None for any
+    other size; a table of bytes rows is returned as it is.  Row x read
+    through row a, z -> x (a z), is then one C call, rows[a].translate(rows[x]
+    + bytes(256 - n)), since a translate table has 256 entries.  Below 8
+    elements converting and padding the rows costs more than it saves."""
+    if not 8 <= len(table) <= 256:
+        return None
+    if type(table[0]) is bytes:
+        return table
+    # bytearray reads a list of ints about twice as fast as bytes does
+    return list(map(bytes, map(bytearray, table)))
+
+
+_BYTE_IDS = bytes(range(256))
+
+
 def greedy_generators(table) -> list:
     """A generating set of the table by right products: the greedy one of
     right_cayley_graph over the elements in decreasing order of |xS|, the
     number of distinct entries of row x, ties in index order.  An element
     with a large row reaches many others by right products, so few are
-    needed (B(3): 5 of 512 elements, PT(4): 5 of 625)."""
-    rank = sorted(range(len(table)), key=lambda x: -len(set(table[x])))
+    needed (B(3): 5 of 512 elements, PT(4): 5 of 625).  The rows may be
+    lists or bytes."""
+    n = len(table)
+    rows = _byte_rows(table)
+    if rows is None:
+        missing = [n - len(set(row)) for row in table]
+    else:
+        # the ids left when those in row x are deleted from range(n)
+        ids = _BYTE_IDS[:n]
+        missing = [len(ids.translate(None, row)) for row in rows]
+    rank = sorted(range(n), key=missing.__getitem__)
     return right_cayley_graph(rank, lambda y, g: table[y][g])[0]
 
 
 def associativity_witness(table, gens=None):
     """First (x, y, z) in lexicographic order with (x y) z != x (y z), or
-    None when the validated table is associative.
+    None when the validated table is associative; the rows may be lists or
+    bytes.
 
     Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
     1.2) compares rows for y in a generating set A only: gens, or
     greedy_generators(table).  The y with (x y) z = x (y z) for all x, z
     are closed under the product even in a non-associative table, and A
     reaches every element by right products, so n^2 |A| lookups decide a
-    pass.  On a failure every row is compared, so the witness is the first
-    triple whichever A was used.
+    pass; on a table of 8 to 256 elements row x a is compared with row a
+    read through row x, one translate per (x, a).  On a failure every row
+    is compared, so the witness is the first triple whichever A was used.
     """
     n = len(table)
     if n < 2:
         return None     # [] and [[0]]
     rng = range(n)
+    rows = _byte_rows(table)
     if gens is None:
-        gens = greedy_generators(table)
-    if not any(any(map(_rows_differ(table, a), rng)) for a in gens):
+        gens = greedy_generators(rows or table)
+    if rows is None:
+        fails = any(any(map(_rows_differ(table, a), rng)) for a in gens)
+    else:
+        pad = bytes(256 - n)
+        through = [row + pad for row in rows]
+        # row x a against row a read through row x, for every x
+        fails = any(any(map(operator.ne,
+                            map(rows.__getitem__, map(operator.itemgetter(a), rows)),
+                            map(rows[a].translate, through)))
+                    for a in gens)
+    if not fails:
         return None
     differs = [_rows_differ(table, y) for y in rng]
     x, y = next((x, y) for x in rng for y in rng if differs[y](x))
@@ -221,11 +260,18 @@ def _memoised(fn):
 
 
 @_memoised
+def _rows(S: OpTableSemigroup):
+    """S.mult as bytes rows (_byte_rows), or None."""
+    return _byte_rows(S.mult)
+
+
+@_memoised
 def _light(S: OpTableSemigroup) -> tuple:
     """A = greedy_generators(S.mult) and the associativity_witness of
     Light's test on A."""
-    gens = greedy_generators(S.mult)
-    return gens, associativity_witness(S.mult, gens)
+    table = _rows(S) or S.mult
+    gens = greedy_generators(table)
+    return gens, associativity_witness(table, gens)
 
 
 def _gather(idx):
@@ -283,21 +329,36 @@ def verify_ehresmann(S: OpTableSemigroup) -> Report:
     """
     m, p, st = S.mult, S.plus, S.star
     rng = range(S.n)
-    through_p = _gather(p)
+    rows = _rows(S)
 
     def plus_rows():
-        # row x of (x y)^+ against the same row read at y^+
-        for row in m:
-            lhs = _gather(row)(p)
-            yield lhs, through_p(lhs)
+        # row x of (x y)^+ against the same row read at y^+; as bytes, the
+        # row read through plus, and plus read through that
+        if rows is None:
+            through_p = _gather(p)
+            for row in m:
+                lhs = _gather(row)(p)
+                yield lhs, through_p(lhs)
+            return
+        pad, bp = bytes(256 - S.n), bytes(p)
+        P = bp + pad
+        for row in rows:
+            lhs = row.translate(P)
+            yield lhs, bp.translate(lhs + pad)
 
     def star_rows():
-        # row x of (x y)^* against row x^* of it, one per value of x^*
-        at = {}
-        for row, e in zip(m, st):
-            if e not in at:
-                at[e] = _gather(m[e])(st)
-            yield _gather(row)(st), at[e]
+        # row x of (x y)^* against row x^* of it, read through star once per
+        # value of x^* (as bytes, once per row)
+        if rows is None:
+            at = {}
+            for row, e in zip(m, st):
+                if e not in at:
+                    at[e] = _gather(m[e])(st)
+                yield _gather(row)(st), at[e]
+            return
+        ST = bytes(st) + bytes(256 - S.n)
+        at = [row.translate(ST) for row in rows]
+        yield from zip(at, map(at.__getitem__, st))
 
     assoc = _light(S)[1]
     return Report([

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import getitem
 
 from .core import (_memoised, associativity_witness, contract_expand_neighbours, saturate,
                    validate_table)
@@ -33,12 +34,17 @@ class Semilattice:
             raise ValueError("need at least one element")
         validate_table(self.meet, self.n, "meet")
         rng = range(self.n)
-        for e in rng:
-            for f in rng:
-                if self.meet[e][f] != self.meet[f][e]:
-                    raise ValueError(f"meet not commutative at ({e},{f})")
-            if self.meet[e][e] != e:
-                raise ValueError(f"meet not idempotent at {e}")
+        # the table against its transpose and its diagonal against the ids
+        # at C level; the pair loop runs on a rejected table only, to name
+        # its first error
+        if (list(map(list, zip(*self.meet))) != self.meet
+                or list(map(getitem, self.meet, rng)) != list(rng)):
+            for e in rng:
+                for f in rng:
+                    if self.meet[e][f] != self.meet[f][e]:
+                        raise ValueError(f"meet not commutative at ({e},{f})")
+                if self.meet[e][e] != e:
+                    raise ValueError(f"meet not idempotent at {e}")
         w = associativity_witness(self.meet)
         if w is not None:
             raise ValueError("meet not associative at ({},{},{})".format(*w))

@@ -8,7 +8,8 @@ from ehresmann.relmonoid import ClosureOverflowError, Rel
 from ehresmann.resgraph import ResGraph
 from ehresmann.report import FAIL, INCONCLUSIVE, PASS
 
-from oracles import (brute_min_congruence, perturbed_table,
+from oracles import (brute_min_congruence, parent_associativity_witness,
+                     parent_greedy_generators, parent_verify_ehresmann, perturbed_table,
                      reference_associativity_witness,
                      reference_equivalent_factorizations, reference_matchify,
                      reference_natural_orders,
@@ -527,6 +528,68 @@ def test_associativity_kernel_matches_triple_loop_oracle():
     pt3 = relmonoid.full_PT(3).to_semigroup().mult
     index_order = core.right_cayley_graph(range(64), lambda y, g: pt3[y][g])[0]
     assert (len(core.greedy_generators(pt3)), len(index_order)) == (4, 20)
+
+
+def _direct_product(S, T):
+    """S x T with every operation taken coordinatewise, (s, t) numbered
+    s |T| + t."""
+    k = T.n
+    pairs = [(s, t) for s in range(S.n) for t in range(k)]
+    return OpTableSemigroup(
+        S.n * k, [[S.mult[s][u] * k + T.mult[t][v] for u, v in pairs] for s, t in pairs],
+        [S.plus[s] * k + T.plus[t] for s, t in pairs],
+        [S.star[s] * k + T.star[t] for s, t in pairs])
+
+
+def _with_identity(S):
+    """S with an identity 1 = n adjoined, 1^+ = 1^* = 1."""
+    n = S.n
+    mult = [row + [x] for x, row in enumerate(S.mult)] + [list(range(n + 1))]
+    return OpTableSemigroup(n + 1, mult, S.plus + [n], S.star + [n])
+
+
+def _byte_row_inputs(rng):
+    """The corpus semigroups, full B(2), I(3) and PT(3), and tables of 7, 8,
+    255, 256 and 257 elements, at both ends of the byte rows (cyclic groups,
+    chains and direct products of corpus tables, one with an identity
+    adjoined); then, eight times for each of the first and three times for
+    each boundary table, a copy with one random edit of mult, plus or star
+    and a copy of that with a second edit."""
+    small = [S for _, S in corpus.semigroups()]
+    small += [alg.to_semigroup() for alg in (relmonoid.full_B(2), relmonoid.full_I(3),
+                                             relmonoid.full_PT(3))]
+    pt3_chain4 = _direct_product(small[-1], corpus.chain(4))
+    boundary = [corpus.cyclic_group(k) for k in (7, 8, 255, 256, 257)]
+    boundary += [corpus.chain(7), corpus.chain(8),
+                 _direct_product(corpus.cyclic_group(15), corpus.chain(17)), pt3_chain4,
+                 _direct_product(small[-3], corpus.cyclic_group(16)), _with_identity(pt3_chain4)]
+    assert sorted({S.n for S in boundary}) == [7, 8, 255, 256, 257]
+    edited = []
+    for S in small * 8 + boundary * 3:
+        T = perturbed_table(S, rng)
+        edited += [T, perturbed_table(T, rng)]
+    return small + boundary + edited
+
+
+def test_byte_rows_match_parent_kernel():
+    """Light's test, its generating set A and the nine checks of
+    verify_ehresmann by byte rows give the parent's answers, witnesses
+    included, on every table of the kernel corpus, at both ends of the byte
+    rows and on edited copies, where each check fails somewhere with byte
+    rows and somewhere without."""
+    for table in _kernel_corpus_tables():
+        assert core.greedy_generators(table) == parent_greedy_generators(table)
+        assert core.associativity_witness(table) == parent_associativity_witness(table)
+    fails = {}
+    for S in _byte_row_inputs(random.Random(29)):
+        got = core.verify_ehresmann(S)
+        assert core._light(S)[0] == parent_greedy_generators(S.mult)
+        assert got.checks == parent_verify_ehresmann(S).checks
+        assert core.associativity_witness(S.mult) == got["associativity"].witness
+        for check in got.checks:
+            if check.status == FAIL:
+                fails.setdefault(check.name, set()).add(core._rows(S) is None)
+    assert len(fails) == 9 and all(sides == {False, True} for sides in fails.values()), fails
 
 
 def test_sigma_and_orders_are_computed_once_per_semigroup():

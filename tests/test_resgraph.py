@@ -24,6 +24,16 @@ def test_semilattice_validation():
         Semilattice(2, [[0, 0], [1, 1]])  # not commutative
     with pytest.raises(ValueError):
         Semilattice(2, [[1, 0], [0, 1]])  # not idempotent
+    # the first error in row order names its pair or element, commutativity
+    # of a row before idempotence of its element
+    for edits, message in ((((1, 2, 0), (2, 2, 1)), "meet not commutative at (1,2)"),
+                           (((1, 1, 0), (2, 3, 0)), "meet not idempotent at 1")):
+        meet = [[min(e, f) for f in range(4)] for e in range(4)]
+        for e, f, v in edits:
+            meet[e][f] = v
+        with pytest.raises(ValueError) as info:
+            Semilattice(4, meet)
+        assert str(info.value) == message
     sl = chain_semilattice(3)
     assert sl.leq(0, 2) and not sl.leq(2, 0)
     assert sl.below(1) == [0, 1]
