@@ -27,7 +27,13 @@ def closure_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get("EHRESMANN_MAX_CLOSURE")
-    return int(env) if env else DEFAULT_CLOSURE_CAP
+    if not env:
+        return DEFAULT_CLOSURE_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"EHRESMANN_MAX_CLOSURE must be an integer, "
+                         f"not {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -189,14 +195,16 @@ def all_partial_bijections(n: int):
     return [a for a in all_partial_maps(n) if classify(a)["in_I"]]
 
 
-def _table(n: int, bits: list, register) -> list:
+def _table(n: int, bits: list, register, candidates=None) -> list:
     """The multiplication table of the relations bits[0], bits[1], ...,
     read off the right Cayley graph of a greedy generating set A.
 
-    register(mask) is the id of a relation; it may append a new relation
-    to bits, which is then reached as well.  Composition is associative,
-    so for y = p a_j a generator's row follows the graph, a y = (a p) a_j,
-    and every other row is a generator's row read through an earlier row,
+    A is taken from candidates, ids scanned in order; by default every id
+    in index order, including those register appends.  register(mask) is
+    the id of a relation; it may append a new relation to bits, which is
+    then reached as well.  Composition is associative, so for y = p a_j a
+    generator's row follows the graph, a y = (a p) a_j, and every other
+    row is a generator's row read through an earlier row,
     y x = p (a_j x): n |A| compositions and n^2 lookups instead of n^2
     compositions.
     """
@@ -213,7 +221,8 @@ def _table(n: int, bits: list, register) -> list:
             times[g] = _right_multiplier(n, bits[g])
         return register(times[g](bits[y]))
 
-    gens, order, word, right = core.right_cayley_graph(every_id(), multiply)
+    gens, order, word, right = core.right_cayley_graph(
+        every_id() if candidates is None else candidates, multiply)
     words = [(z, *word[z]) for z in order]
     rows = [None] * len(bits)
     for g in gens:
@@ -226,62 +235,118 @@ def _table(n: int, bits: list, register) -> list:
     return rows
 
 
-def _plus_star(n: int, bits: list, id_of):
-    """The plus and star tables: the ids of dom and ran of each relation."""
-    pairs = [[id_of(x) for x in _dom_ran_bits(n, b)] for b in bits]
+def _plus_star(dom_ran_bits: list, id_of):
+    """The plus and star tables: the ids of the masks of dom and ran of
+    each relation, looked up relation by relation, dom first."""
+    pairs = [[id_of(x) for x in d_r] for d_r in dom_ran_bits]
     return [d for d, _ in pairs], [r for _, r in pairs]
 
 
 @dataclass
 class RelationAlgebra:
+    """Relations closed under compose, dom and ran, numbered by their
+    position in elements.
+
+    The elements never change after construction, so the multiplication,
+    plus and star tables are built once and kept in _tables, a memo slot
+    that takes no part in construction, repr or equality: generate fills it
+    from its own closure, and to_semigroup fills it for a listed algebra.
+    Every semigroup to_semigroup returns shares these lists, which nothing
+    mutates.
+    """
+
     n: int
     elements: list  # Rel values, closed under compose/dom/ran
     index: dict = field(init=False)     # Rel value -> its position in elements
+    _tables: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         self.index = {r: i for i, r in enumerate(self.elements)}
 
     def to_semigroup(self) -> OpTableSemigroup:
-        bits = [a.bits for a in self.elements]
-        index_of = {b: i for i, b in enumerate(bits)}
+        """The algebra as a table semigroup named by its relations.
 
-        def element(b):
-            if b not in index_of:
-                raise ValueError(f"{Rel(self.n, b)!r} is a product or projection "
-                                 "of the elements but not one of them")
-            return index_of[b]
+        The tables are read from _tables.  A listed algebra, such as
+        full_PT(n), has them built by _table over candidates ranked by
+        |ran|, then |dom|, both descending, ties in index order: a relation
+        with a large range and domain reaches many others by right
+        products, so A is small (4 on PT(3) and I(4), 5 on PT(4), 10 on
+        B(3), against 20, 30, 66 and 37 in index order).  The ranks are
+        popcounts of the dom and ran masks, so a product outside the
+        elements raises ValueError from _table before a dom or ran outside
+        them raises from the plus and star lookups.
+        """
+        if self._tables is None:
+            n, bits = self.n, [a.bits for a in self.elements]
+            index_of = {b: i for i, b in enumerate(bits)}
 
-        mult = _table(self.n, bits, element)
-        plus, star = _plus_star(self.n, bits, element)
+            def element(b):
+                if b not in index_of:
+                    raise ValueError(f"{Rel(n, b)!r} is a product or projection "
+                                     "of the elements but not one of them")
+                return index_of[b]
+
+            dom_ran_bits = [_dom_ran_bits(n, b) for b in bits]
+            ranked = sorted(range(len(bits)), key=lambda i: (
+                -dom_ran_bits[i][1].bit_count(), -dom_ran_bits[i][0].bit_count()))
+            mult = _table(n, bits, element, ranked)
+            self._tables = (mult, *_plus_star(dom_ran_bits, element))
+        mult, plus, star = self._tables
         names = [repr(a) for a in self.elements]
-        return OpTableSemigroup(len(bits), mult, plus, star, names)
+        return OpTableSemigroup(len(self.elements), mult, plus, star, names)
 
 
 def _round_order(seeds, mult, plus, star) -> list:
     """The order in which the round-by-round closure meets the elements of
     a table: the seeds first; then each round adds plus and star of the
     elements the last round added, then every product a b and b a of such
-    an a with an element b met so far, in that order."""
-    seen = bytearray(len(mult))
+    an a with an element b met so far, in that order.
+
+    It returns as soon as every element has been met: elements are only
+    ever appended, so later products would meet nothing new and the order
+    is that of replaying every round to the end.
+    """
+    size = len(mult)
+    seen = bytearray(size)
     order = []
 
     def meet(items):
+        """Append the items not met yet; true once every element is met."""
         for c in dict.fromkeys(items):
             if not seen[c]:
                 seen[c] = 1
                 order.append(c)
+        return len(order) == size
 
     meet(seeds)
     start = 0
-    while start < len(order) < len(mult):
+    while start < len(order):
         frontier = order[start:]
         start = len(order)
-        meet(x for a in frontier for x in (plus[a], star[a]))
+        if meet(x for a in frontier for x in (plus[a], star[a])):
+            return order
         snapshot = list(order)
         for a in frontier:
-            meet(chain.from_iterable(zip(
-                map(mult[a].__getitem__, snapshot), [mult[b][a] for b in snapshot])))
+            if meet(chain.from_iterable(zip(
+                    map(mult[a].__getitem__, snapshot), [mult[b][a] for b in snapshot]))):
+                return order
     return order
+
+
+def _renumbered(order, mult, plus, star):
+    """The tables with element order[i] renamed i: rank[order[i]] = i, and
+    each row read through the order, then mapped by rank."""
+    if len(order) < 2:
+        # nothing to rename, and itemgetter of a single index returns an
+        # item rather than a tuple
+        return mult, plus, star
+    rank = [0] * len(order)
+    for i, x in enumerate(order):
+        rank[x] = i
+    get, to_rank = operator.itemgetter(*order), rank.__getitem__
+    return ([list(map(to_rank, get(mult[x]))) for x in order],
+            list(map(to_rank, get(plus))), list(map(to_rank, get(star))))
 
 
 def generate(n: int, generators, cap: int | None = None) -> RelationAlgebra:
@@ -289,10 +354,13 @@ def generate(n: int, generators, cap: int | None = None) -> RelationAlgebra:
     composition, dom and ran.
 
     The closure is found Froidure-Pin style, by right multiplication with
-    the generators and every dom and ran met on the way; the elements are
-    then numbered in the order of the round-by-round closure, which adds
-    dom and ran of each new relation, then its products with every known
-    relation on both sides.
+    the generators and every dom and ran met on the way, candidates in the
+    order they are met; its multiplication table is read off that right
+    Cayley graph (_table).  The elements are then numbered in the order of
+    the round-by-round closure, which adds dom and ran of each new
+    relation, then its products with every known relation on both sides,
+    and the tables are renumbered to match and kept on the algebra, so
+    to_semigroup builds none.
     """
     cap = closure_cap(cap)
     gens = sorted(set(generators), key=lambda r: r.bits)
@@ -314,14 +382,15 @@ def generate(n: int, generators, cap: int | None = None) -> RelationAlgebra:
 
     seeds = [register(g.bits) for g in gens]
     mult = _table(n, bits, register)
-    plus, star = _plus_star(n, bits, index_of.__getitem__)
+    plus, star = _plus_star([_dom_ran_bits(n, b) for b in bits], index_of.__getitem__)
     order = _round_order(seeds, mult, plus, star)
     if len(order) != len(bits):
         raise core.InvariantError(
             f"the round-by-round closure met {len(order)} of the "
             f"{len(bits)} relations of the Froidure-Pin closure")
-    elements = [Rel(n, bits[i]) for i in order]
-    return RelationAlgebra(n, elements)
+    alg = RelationAlgebra(n, [Rel(n, bits[i]) for i in order])
+    alg._tables = _renumbered(order, mult, plus, star)
+    return alg
 
 
 def full_B(n: int) -> RelationAlgebra:

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to cross-check the main algorithms."""
 
 import functools
+import itertools
 import operator
 import random
 from collections import deque
@@ -699,6 +700,78 @@ def reference_table(alg):
     star = [alg.index[relmonoid.ran(a)] for a in alg.elements]
     names = [repr(a) for a in alg.elements]
     return core.OpTableSemigroup(len(alg.elements), mult, plus, star, names)
+
+
+def parent_round_order(seeds, mult, plus, star):
+    """The round-by-round order, every round replayed to the end: no early
+    return once every element has been met."""
+    seen = bytearray(len(mult))
+    order = []
+
+    def meet(items):
+        for c in dict.fromkeys(items):
+            if not seen[c]:
+                seen[c] = 1
+                order.append(c)
+
+    meet(seeds)
+    start = 0
+    while start < len(order) < len(mult):
+        frontier = order[start:]
+        start = len(order)
+        meet(x for a in frontier for x in (plus[a], star[a]))
+        snapshot = list(order)
+        for a in frontier:
+            meet(itertools.chain.from_iterable(zip(
+                map(mult[a].__getitem__, snapshot), [mult[b][a] for b in snapshot])))
+    return order
+
+
+def parent_to_semigroup(alg):
+    """to_semigroup as a fresh table build that ignores the memo slot:
+    _table over candidates in index order, then the dom and ran lookups."""
+    n, bits = alg.n, [a.bits for a in alg.elements]
+    index_of = {b: i for i, b in enumerate(bits)}
+
+    def element(b):
+        if b not in index_of:
+            raise ValueError(f"{relmonoid.Rel(n, b)!r} is a product or projection "
+                             "of the elements but not one of them")
+        return index_of[b]
+
+    mult = relmonoid._table(n, bits, element)
+    pairs = [[element(x) for x in relmonoid._dom_ran_bits(n, b)] for b in bits]
+    names = [repr(a) for a in alg.elements]
+    return core.OpTableSemigroup(len(bits), mult, [d for d, _ in pairs],
+                                 [r for _, r in pairs], names)
+
+
+def parent_generate(n, generators, cap=None):
+    """generate with its closure table dropped: the Froidure-Pin closure,
+    numbered by parent_round_order, as an algebra with an empty memo slot."""
+    cap = relmonoid.closure_cap(cap)
+    gens = sorted(set(generators), key=lambda r: r.bits)
+    for g in gens:
+        if g.n != n:
+            raise ValueError("generator ground size mismatch")
+    bits, index_of = [], {}
+
+    def register(b):
+        if b not in index_of:
+            if len(bits) >= cap:
+                raise relmonoid.ClosureOverflowError(
+                    f"closure exceeded cap of {cap} elements")
+            index_of[b] = len(bits)
+            bits.append(b)
+            for x in relmonoid._dom_ran_bits(n, b):
+                register(x)
+        return index_of[b]
+
+    seeds = [register(g.bits) for g in gens]
+    mult = relmonoid._table(n, bits, register)
+    pairs = [[index_of[x] for x in relmonoid._dom_ran_bits(n, b)] for b in bits]
+    order = parent_round_order(seeds, mult, [d for d, _ in pairs], [r for _, r in pairs])
+    return relmonoid.RelationAlgebra(n, [relmonoid.Rel(n, bits[i]) for i in order])
 
 
 class ReferenceResGraph:

@@ -222,6 +222,18 @@ def test_relgen_closure_over_the_cap_is_input_error(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == "input error: closure exceeded cap of 3 elements\n" * 2
 
 
+def test_relgen_cap_that_is_not_an_integer_is_input_error(tmp_path, monkeypatch, capsys):
+    doc = io.dump_relgen(2, [corpus.Rel.from_pairs(2, [(0, 1), (1, 0)])])
+    path, entries = tmp_path / "gen.json", tmp_path / "corpus.json"
+    io.save(path, doc)
+    io.save(entries, [{"name": "gen", "payload": doc, "expect": {"ehresmann": True}}])
+    monkeypatch.setenv("EHRESMANN_MAX_CLOSURE", "abc")
+    assert cli.main(["verify", str(path)]) == EXIT_INPUT
+    assert cli.main(["corpus-run", str(entries)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: EHRESMANN_MAX_CLOSURE must be an integer, not 'abc'\n" * 2)
+
+
 def test_analyze_semilattice(e2_file, capsys):
     assert cli.main(["analyze", e2_file]) == EXIT_OK
     out = capsys.readouterr().out

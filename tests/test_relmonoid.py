@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from ehresmann import core, corpus, relmonoid
 from ehresmann.relmonoid import ClosureOverflowError, Rel
 
-from oracles import compose_pairs, reference_generate, reference_table
+from oracles import (compose_pairs, parent_generate, parent_round_order,
+                     parent_to_semigroup, reference_generate, reference_table)
 
 
 def rel(n, *pairs):
@@ -264,3 +266,105 @@ def test_pairs_match_the_full_scan():
             r = Rel(n, bits)
             assert r.pairs() == _scanned_pairs(r), r
             assert Rel.from_pairs(n, r.pairs()) == r
+
+
+# a transposition, a 4-cycle and the partial identity on three points:
+# they generate I(4), 209 elements
+I4_GENERATORS = ([(0, 1), (1, 0), (2, 2), (3, 3)], [(0, 1), (1, 2), (2, 3), (3, 0)],
+                 [(0, 0), (1, 1), (2, 2)])
+
+
+def _same_tables(S, T):
+    assert (S.mult, S.plus, S.star, S.names) == (T.mult, T.plus, T.star, T.names)
+
+
+def _check_against_parent(n, gens, cap=None):
+    """generate against the path that builds the table again in
+    to_semigroup: the same elements, tables and round order, or
+    ClosureOverflowError from both.  Returns what was compared."""
+    try:
+        parent = parent_generate(n, gens, cap=cap)
+    except ClosureOverflowError:
+        with pytest.raises(ClosureOverflowError):
+            relmonoid.generate(n, gens, cap=cap)
+        return "overflow"
+    alg = relmonoid.generate(n, gens, cap=cap)
+    assert alg.elements == parent.elements and alg.index == parent.index
+    if not alg.elements:
+        for a in (alg, parent):
+            with pytest.raises(core.MalformedTableError, match="at least one element"):
+                a.to_semigroup()
+        return "empty"
+    S = alg.to_semigroup()
+    _same_tables(S, parent_to_semigroup(parent))
+    # the generators come first and the tables are renumbered into round
+    # order, so the round order of the new tables is the identity
+    seeds = range(len(set(gens)))
+    order = relmonoid._round_order(seeds, S.mult, S.plus, S.star)
+    assert order == parent_round_order(seeds, S.mult, S.plus, S.star) == list(range(S.n))
+    return "tables"
+
+
+def _random_relation(rng, n, kind):
+    if kind == "bijection":
+        image = rng.sample(range(n), n)
+        return Rel.from_pairs(n, [(x, image[x]) for x in range(n) if rng.random() < 0.8])
+    if kind == "map":
+        return Rel.from_pairs(n, [(x, rng.randrange(n)) for x in range(n)
+                                  if rng.random() < 0.8])
+    return Rel.from_pairs(n, [(x, y) for x in range(n) for y in range(n)
+                              if rng.random() < 0.3])
+
+
+def test_generate_matches_parent_path_on_random_generators():
+    """Ground sizes 1 to 4, no generator to three, partial bijections,
+    partial maps and arbitrary relations, caps from 1 to 400."""
+    rng = random.Random(30)
+    seen = Counter()
+    for n in range(1, 5):
+        for count in range(4):
+            for kind in ("bijection", "map", "relation"):
+                for cap in (1, 8, 60, 400):
+                    gens = [_random_relation(rng, n, kind) for _ in range(count)]
+                    seen[_check_against_parent(n, gens, cap)] += 1
+    assert set(seen) == {"overflow", "empty", "tables"}, seen
+
+
+@pytest.mark.parametrize("n, gens, size", [
+    (2, [[(0, 0), (0, 1)]], 3),
+    (2, [[(0, 0), (0, 1)], [(1, 0)]], 8),
+    (2, [[(0, 1), (1, 0)]], 2),
+    (4, I4_GENERATORS, 209)])
+def test_generate_matches_parent_path_on_corpus_and_bench_generators(n, gens, size):
+    rels = [Rel.from_pairs(n, g) for g in gens]
+    assert _check_against_parent(n, rels) == "tables"
+    assert len(relmonoid.generate(n, rels).elements) == size
+
+
+@pytest.mark.parametrize("builder, sizes", [
+    (relmonoid.full_B, (1, 2, 3)), (relmonoid.full_PT, (1, 2, 3, 4)),
+    (relmonoid.full_PTc, (1, 2, 3)), (relmonoid.full_I, (1, 2, 3, 4))])
+def test_listed_tables_match_parent_path(builder, sizes):
+    """The ranked candidates give the tables of the index order."""
+    for n in sizes:
+        alg = builder(n)
+        S = alg.to_semigroup()
+        _same_tables(S, parent_to_semigroup(alg))
+        # the table is built once and read again
+        assert alg.to_semigroup().mult is S.mult
+
+
+@pytest.mark.parametrize("elements, missing", [
+    # {(0,1)} ; {(0,1)} is the empty relation, which is not listed
+    ([[(0, 1)], [(0, 0)], [(1, 1)]], "Rel{}"),
+    # {(0,0),(0,1)} is idempotent, but its dom {(0,0)} is not listed
+    ([[(0, 0), (0, 1)]], "Rel{(0,0)}")])
+def test_to_semigroup_of_a_non_closed_algebra_is_value_error(elements, missing):
+    alg = relmonoid.RelationAlgebra(2, [Rel.from_pairs(2, e) for e in elements])
+    message = re.escape(f"{missing} is a product or projection of the elements "
+                        "but not one of them")
+    for _ in range(2):   # nothing is kept from a failed build
+        with pytest.raises(ValueError, match=message):
+            alg.to_semigroup()
+    with pytest.raises(ValueError, match=message):
+        parent_to_semigroup(alg)
