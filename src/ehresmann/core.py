@@ -38,7 +38,8 @@ def _check_row(row, n: int, label: str) -> None:
 
 def validate_table(table, n: int, label: str = "mult") -> None:
     """Raise MalformedTableError unless table is a list of n list rows of
-    ints in range(n)."""
+    ints in range(n).  Loaded documents are checked here, since JSON never
+    yields bytes rows."""
     if not isinstance(table, list) or len(table) != n:
         raise MalformedTableError(f"{label} table must be a list of {n} rows")
     # a row is accepted by C-level scans, types first so that every entry is
@@ -122,13 +123,17 @@ def _rows_differ(table, y):
     return lambda x: tuple(table[table[x][y]]) != through(table[x])
 
 
+# the table sizes held as bytes rows
+BYTE_ROW_SIZES = range(8, 257)
+
+
 def _byte_rows(table):
     """The rows of a table of 8 to 256 elements as bytes, or None for any
     other size; a table of bytes rows is returned as it is.  Row x read
     through row a, z -> x (a z), is then one C call, rows[a].translate(rows[x]
     + bytes(256 - n)), since a translate table has 256 entries.  Below 8
     elements converting and padding the rows costs more than it saves."""
-    if not 8 <= len(table) <= 256:
+    if len(table) not in BYTE_ROW_SIZES:
         return None
     if type(table[0]) is bytes:
         return table
@@ -137,6 +142,20 @@ def _byte_rows(table):
 
 
 _BYTE_IDS = bytes(range(256))
+
+
+def _from_byte_rows(rows, n: int) -> list:
+    """The list rows of n bytes rows of length n, checked at C level: no
+    entry is left when the ids range(n) are deleted from the joined rows.
+    A bad entry raises MalformedTableError, naming the first one."""
+    if len(rows) != n or set(map(type, rows)) != {bytes} or set(map(len, rows)) != {n}:
+        raise MalformedTableError(f"mult table must be a list of {n} bytes rows "
+                                  f"of length {n}")
+    ids = _BYTE_IDS[:n]
+    if b"".join(rows).translate(None, ids):
+        i = next(i for i, row in enumerate(rows) if row.translate(None, ids))
+        _check_row(list(rows[i]), n, f"mult[{i}]")
+    return list(map(list, rows))
 
 
 def greedy_generators(table) -> list:
@@ -205,6 +224,10 @@ class OpTableSemigroup:
     depend only on them (projections, natural orders, sigma, fibers) are
     computed once per object and cached in a private field that takes no
     part in construction, repr or equality.
+
+    The tables the toolkit builds may give mult as bytes rows: they are
+    checked by _from_byte_rows, kept as the _rows memo and replaced by
+    their list rows, so the object equals the one the lists would give.
     """
 
     n: int
@@ -218,7 +241,12 @@ class OpTableSemigroup:
     def __post_init__(self):
         if self.n <= 0:
             raise MalformedTableError("need at least one element")
-        validate_table(self.mult, self.n)
+        rows = self.mult
+        if isinstance(rows, list) and rows and type(rows[0]) is bytes:
+            self.mult = _from_byte_rows(rows, self.n)
+            self._memo[_rows.__name__] = _byte_rows(rows)
+        else:
+            validate_table(rows, self.n)
         _check_row(self.plus, self.n, "plus")
         _check_row(self.star, self.n, "star")
         if self.names is not None and len(self.names) != self.n:
@@ -261,7 +289,8 @@ def _memoised(fn):
 
 @_memoised
 def _rows(S: OpTableSemigroup):
-    """S.mult as bytes rows (_byte_rows), or None."""
+    """S.mult as bytes rows (_byte_rows), or None; preset when S was
+    given bytes rows."""
     return _byte_rows(S.mult)
 
 

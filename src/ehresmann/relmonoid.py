@@ -206,7 +206,9 @@ def _table(n: int, bits: list, register, candidates=None) -> list:
     generator's row follows the graph, a y = (a p) a_j, and every other
     row is a generator's row read through an earlier row,
     y x = p (a_j x): n |A| compositions and n^2 lookups instead of n^2
-    compositions.
+    compositions.  At core.BYTE_ROW_SIZES (8 to 256 elements) the rows are
+    bytes and each of those reads is one translate,
+    rows[a_j].translate(rows[p] + pad); otherwise they are lists.
     """
     times = {}
 
@@ -224,14 +226,23 @@ def _table(n: int, bits: list, register, candidates=None) -> list:
     gens, order, word, right = core.right_cayley_graph(
         every_id() if candidates is None else candidates, multiply)
     words = [(z, *word[z]) for z in order]
-    rows = [None] * len(bits)
+    size = len(bits)
+    rows = [None] * size
     for g in gens:
-        row = rows[g] = [None] * len(bits)
+        row = rows[g] = [None] * size
         for z, p, j in words:
             row[z] = right[g if p is None else row[p]][j]
-    for z, p, j in words:
-        if p is not None:
-            rows[z] = list(map(rows[p].__getitem__, rows[gens[j]]))
+    if size in core.BYTE_ROW_SIZES:
+        pad = bytes(256 - size)
+        for g in gens:
+            rows[g] = bytes(rows[g])
+        for z, p, j in words:
+            if p is not None:
+                rows[z] = rows[gens[j]].translate(rows[p] + pad)
+    else:
+        for z, p, j in words:
+            if p is not None:
+                rows[z] = list(map(rows[p].__getitem__, rows[gens[j]]))
     return rows
 
 
@@ -251,8 +262,10 @@ class RelationAlgebra:
     plus and star tables are built once and kept in _tables, a memo slot
     that takes no part in construction, repr or equality: generate fills it
     from its own closure, and to_semigroup fills it for a listed algebra.
-    Every semigroup to_semigroup returns shares these lists, which nothing
-    mutates.
+    The mult table is kept as _table builds it: bytes rows for 8 to 256
+    elements, which every semigroup to_semigroup returns keeps as its
+    core._rows memo, and list rows otherwise, which it shares as its mult.
+    Nothing mutates either.
     """
 
     n: int
@@ -336,7 +349,9 @@ def _round_order(seeds, mult, plus, star) -> list:
 
 def _renumbered(order, mult, plus, star):
     """The tables with element order[i] renamed i: rank[order[i]] = i, and
-    each row read through the order, then mapped by rank."""
+    each row read through the order, then mapped by rank.  Bytes rows stay
+    bytes, each renamed by two translates: bytes(order) through the row,
+    then the result through the rank table."""
     if len(order) < 2:
         # nothing to rename, and itemgetter of a single index returns an
         # item rather than a tuple
@@ -345,8 +360,13 @@ def _renumbered(order, mult, plus, star):
     for i, x in enumerate(order):
         rank[x] = i
     get, to_rank = operator.itemgetter(*order), rank.__getitem__
-    return ([list(map(to_rank, get(mult[x]))) for x in order],
-            list(map(to_rank, get(plus))), list(map(to_rank, get(star))))
+    if type(mult[0]) is bytes:
+        pad = bytes(256 - len(order))
+        through, by_rank = bytes(order), bytes(rank) + pad
+        rows = [through.translate(mult[x] + pad).translate(by_rank) for x in order]
+    else:
+        rows = [list(map(to_rank, get(mult[x]))) for x in order]
+    return rows, list(map(to_rank, get(plus))), list(map(to_rank, get(star)))
 
 
 def generate(n: int, generators, cap: int | None = None) -> RelationAlgebra:

@@ -727,9 +727,54 @@ def parent_round_order(seeds, mult, plus, star):
     return order
 
 
+def parent_table(n, bits, register, candidates=None):
+    """relmonoid._table with list rows at every size: the generators' rows
+    follow the right Cayley graph, and every other row y = p a_j is row
+    a_j read through row p, entry by entry."""
+    times = {}
+
+    def every_id():
+        i = 0
+        while i < len(bits):
+            yield i
+            i += 1
+
+    def multiply(y, g):
+        if g not in times:
+            times[g] = relmonoid._right_multiplier(n, bits[g])
+        return register(times[g](bits[y]))
+
+    gens, order, word, right = core.right_cayley_graph(
+        every_id() if candidates is None else candidates, multiply)
+    words = [(z, *word[z]) for z in order]
+    rows = [None] * len(bits)
+    for g in gens:
+        row = rows[g] = [None] * len(bits)
+        for z, p, j in words:
+            row[z] = right[g if p is None else row[p]][j]
+    for z, p, j in words:
+        if p is not None:
+            rows[z] = list(map(rows[p].__getitem__, rows[gens[j]]))
+    return rows
+
+
+def parent_renumbered(order, mult, plus, star):
+    """relmonoid._renumbered on list rows: each row read through the order,
+    then mapped by rank, entry by entry."""
+    if len(order) < 2:
+        return mult, plus, star
+    rank = [0] * len(order)
+    for i, x in enumerate(order):
+        rank[x] = i
+    get, to_rank = operator.itemgetter(*order), rank.__getitem__
+    return ([list(map(to_rank, get(mult[x]))) for x in order],
+            list(map(to_rank, get(plus))), list(map(to_rank, get(star))))
+
+
 def parent_to_semigroup(alg):
     """to_semigroup as a fresh table build that ignores the memo slot:
-    _table over candidates in index order, then the dom and ran lookups."""
+    parent_table over candidates in index order, then the dom and ran
+    lookups."""
     n, bits = alg.n, [a.bits for a in alg.elements]
     index_of = {b: i for i, b in enumerate(bits)}
 
@@ -739,7 +784,7 @@ def parent_to_semigroup(alg):
                              "of the elements but not one of them")
         return index_of[b]
 
-    mult = relmonoid._table(n, bits, element)
+    mult = parent_table(n, bits, element)
     pairs = [[element(x) for x in relmonoid._dom_ran_bits(n, b)] for b in bits]
     names = [repr(a) for a in alg.elements]
     return core.OpTableSemigroup(len(bits), mult, [d for d, _ in pairs],
@@ -747,8 +792,9 @@ def parent_to_semigroup(alg):
 
 
 def parent_generate(n, generators, cap=None):
-    """generate with its closure table dropped: the Froidure-Pin closure,
-    numbered by parent_round_order, as an algebra with an empty memo slot."""
+    """generate on list rows: the Froidure-Pin closure of parent_table,
+    numbered by parent_round_order, its tables renumbered to match by
+    parent_renumbered and kept in the memo slot."""
     cap = relmonoid.closure_cap(cap)
     gens = sorted(set(generators), key=lambda r: r.bits)
     for g in gens:
@@ -768,10 +814,13 @@ def parent_generate(n, generators, cap=None):
         return index_of[b]
 
     seeds = [register(g.bits) for g in gens]
-    mult = relmonoid._table(n, bits, register)
+    mult = parent_table(n, bits, register)
     pairs = [[index_of[x] for x in relmonoid._dom_ran_bits(n, b)] for b in bits]
-    order = parent_round_order(seeds, mult, [d for d, _ in pairs], [r for _, r in pairs])
-    return relmonoid.RelationAlgebra(n, [relmonoid.Rel(n, bits[i]) for i in order])
+    plus, star = [d for d, _ in pairs], [r for _, r in pairs]
+    order = parent_round_order(seeds, mult, plus, star)
+    alg = relmonoid.RelationAlgebra(n, [relmonoid.Rel(n, bits[i]) for i in order])
+    alg._tables = parent_renumbered(order, mult, plus, star)
+    return alg
 
 
 class ReferenceResGraph:

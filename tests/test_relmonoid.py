@@ -278,10 +278,27 @@ def _same_tables(S, T):
     assert (S.mult, S.plus, S.star, S.names) == (T.mult, T.plus, T.star, T.names)
 
 
+def _kept_band(alg, S):
+    """S holds the mult table alg keeps rather than a second conversion of
+    it, and S.mult is int list rows either way: with 8 to 256 elements the
+    kept table is bytes rows and is S's core._rows memo, otherwise it is
+    list rows and is S.mult.  Returns the size band."""
+    kept = alg._tables[0]
+    assert type(S.mult) is list and {type(row) for row in S.mult} == {list}
+    assert {type(v) for row in S.mult for v in row} == {int}
+    if 8 <= S.n <= 256:
+        assert {type(row) for row in kept} == {bytes}
+        assert core._rows(S) is kept
+        return "bytes"
+    assert S.mult is kept
+    return "lists below 8" if S.n < 8 else "lists above 256"
+
+
 def _check_against_parent(n, gens, cap=None):
-    """generate against the path that builds the table again in
-    to_semigroup: the same elements, tables and round order, or
-    ClosureOverflowError from both.  Returns what was compared."""
+    """generate against the list-based parent: the same elements, the
+    same tables as the parent's kept ones and as a fresh build in index
+    order, and the same round order, or ClosureOverflowError from both.
+    Returns what was compared."""
     try:
         parent = parent_generate(n, gens, cap=cap)
     except ClosureOverflowError:
@@ -296,7 +313,11 @@ def _check_against_parent(n, gens, cap=None):
                 a.to_semigroup()
         return "empty"
     S = alg.to_semigroup()
+    # the kept tables against the parent's renumbered lists, then against a
+    # fresh build in index order
+    _same_tables(S, parent.to_semigroup())
     _same_tables(S, parent_to_semigroup(parent))
+    _kept_band(alg, S)
     # the generators come first and the tables are renumbered into round
     # order, so the round order of the new tables is the identity
     seeds = range(len(set(gens)))
@@ -351,7 +372,40 @@ def test_listed_tables_match_parent_path(builder, sizes):
         S = alg.to_semigroup()
         _same_tables(S, parent_to_semigroup(alg))
         # the table is built once and read again
-        assert alg.to_semigroup().mult is S.mult
+        assert _kept_band(alg, S) == _kept_band(alg, alg.to_semigroup())
+
+
+def _greedy_generators(alg):
+    """The relations of the table's greedy generating set by right
+    products: 5 of B(3)'s 512, 5 of PT(4)'s 625."""
+    return [alg.elements[g] for g in core.greedy_generators(alg.to_semigroup().mult)]
+
+
+def test_byte_band_boundaries_match_parent_path():
+    """generate and to_semigroup against the list-based parent on closures
+    below 8 elements, from 8 to 256, where the tables are bytes rows, and
+    above 256: the tables, the round order and the handover of the kept
+    rows, each band reached by both."""
+    generated = [(2, [rel(2, (0, 0), (0, 1))]), (2, [rel(2, (0, 1), (1, 0))]),
+                 (2, [rel(2, (0, 0), (0, 1)), rel(2, (1, 0))]),
+                 (4, [Rel.from_pairs(4, g) for g in I4_GENERATORS]),
+                 (3, _greedy_generators(relmonoid.full_B(3))),
+                 (4, _greedy_generators(relmonoid.full_PT(4)))]
+    bands, sizes = Counter(), []
+    for n, gens in generated:
+        assert _check_against_parent(n, gens) == "tables"
+        alg = relmonoid.generate(n, gens)
+        bands[_kept_band(alg, alg.to_semigroup())] += 1
+        sizes.append(len(alg.elements))
+    assert sizes == [3, 2, 8, 209, 512, 625]
+    listed = [relmonoid.full_PT(1), relmonoid.full_I(2), relmonoid.full_PT(2),
+              relmonoid.full_I(4), relmonoid.full_B(3), relmonoid.full_PT(4)]
+    for alg in listed:
+        S = alg.to_semigroup()
+        _same_tables(S, parent_to_semigroup(alg))
+        bands[_kept_band(alg, S)] += 1
+    assert [len(alg.elements) for alg in listed] == [2, 7, 9, 209, 512, 625]
+    assert bands == {"lists below 8": 4, "bytes": 4, "lists above 256": 4}, bands
 
 
 @pytest.mark.parametrize("elements, missing", [

@@ -58,6 +58,36 @@ def test_table_errors_name_the_first_bad_entry():
         core.validate_table([[]], 1)
 
 
+def test_bytes_rows_are_checked_and_kept():
+    """A mult of bytes rows, as the relation monoids hand theirs over, is
+    checked for shape and range: a bad entry still raises, naming the
+    first one, and a good table gives the semigroup of its list rows."""
+    S = relmonoid.full_I(3).to_semigroup()
+    n, rows = S.n, list(map(bytes, S.mult))
+    T = OpTableSemigroup(n, rows, S.plus, S.star, S.names)
+    assert T == S and type(T.mult[0]) is list and core._rows(T) is rows
+
+    def edited(i, row):
+        return rows[:i] + [row] + rows[i + 1:]
+
+    for bad, message in (
+            (edited(5, rows[5][:3] + bytes([n]) + rows[5][4:]), f"mult[5][3] = {n} out of range"),
+            (edited(n - 1, rows[n - 1][:-1] + b"\xff"), f"mult[{n - 1}][{n - 1}] = 255 out of range"),
+            (edited(2, rows[2][:-1]), None), (edited(2, rows[2] + b"\x00"), None),
+            # n^2 bytes in all, one row short and the next one long
+            (edited(2, rows[2][:-1])[:3] + [rows[3] + b"\x00"] + rows[4:], None),
+            (rows[:-1], None), (rows + rows[:1], None),
+            (edited(3, S.mult[3]), None), (edited(3, bytearray(rows[3])), None)):
+        with pytest.raises(MalformedTableError) as exc:
+            OpTableSemigroup(n, bad, S.plus, S.star)
+        assert message is None or str(exc.value) == message
+    # below 8 elements the rows are checked the same way and not kept
+    small = OpTableSemigroup(2, [b"\x00\x01", b"\x01\x01"], [0, 1], [0, 1])
+    assert small.mult == [[0, 1], [1, 1]] and core._rows(small) is None
+    with pytest.raises(MalformedTableError, match=r"mult\[0\]\[1\] = 2 out of range"):
+        OpTableSemigroup(2, [b"\x00\x02", b"\x01\x01"], [0, 1], [0, 1])
+
+
 def test_empty_product_rejected():
     with pytest.raises(ValueError):
         corpus.chain(2).prod([])
