@@ -173,14 +173,18 @@ def classify_restriction(G: ResGraph) -> RestrictionClass:
 def check_partial_action_laws(pa: PartialAction) -> Report:
     """For deterministic relations: domains (ranges) are order ideals and
     the maps are order-preserving in the available direction."""
-    sides = []
-    if all(relmonoid.classify(r)["in_PT"] for r in pa.phi.values()):
-        sides.append("LD")
-    if all(relmonoid.classify(r)["in_PTc"] for r in pa.phi.values()):
-        sides.append("RD")
+    classes = [relmonoid.classify(r) for r in pa.phi.values()]
+    sides = [side for side, flag in (("LD", "in_PT"), ("RD", "in_PTc"))
+             if all(c[flag] for c in classes)]
     if not sides:
         raise ValueError("laws need a deterministic premorphism (LD or RD)")
-    sl, checks = pa.sl, []
+    return _order_laws(pa, sides)
+
+
+def _order_laws(pa: PartialAction, sides) -> Report:
+    """check_partial_action_laws on the given sides.  The order is read off
+    the meet rows: f <= e exactly when meet[f][e] == f."""
+    meet, checks = pa.sl.meet, []
     for side, ideal, monotone in (
             ("LD", "domains_are_order_ideals", "maps_order_preserving"),
             ("RD", "ranges_are_order_ideals", "inverse_maps_order_preserving")):
@@ -190,10 +194,10 @@ def check_partial_action_laws(pa: PartialAction) -> Report:
                     for t, rel in _phi_items(pa)}
             checks.append(first_witness(ideal, (
                 (t, f, e) for t, m in maps.items() for e in sorted(m)
-                for f in sl.below(e) if f not in m)))
+                for f in pa.sl.below(e) if f not in m)))
             checks.append(first_witness(monotone, (
-                (t, f, e) for t, m in maps.items() for e in m for f in m
-                if sl.leq(f, e) and not sl.leq(m[f], m[e]))))
+                (t, f, e) for t, m in maps.items() for e, me in m.items()
+                for f, mf in m.items() if meet[f][e] == f and meet[mf][me] != mf)))
     return Report(checks)
 
 
@@ -205,8 +209,8 @@ def validate_partial_action(pa: PartialAction) -> Report:
         return Report(checks)
     checks.append(first_witness("relations_are_partial_bijections", (
         (t,) for t, rel in _phi_items(pa) if not relmonoid.classify(rel)["in_I"])))
-    if checks[-1].ok:
-        checks.extend(check_partial_action_laws(pa).checks)
+    if checks[-1].ok:  # partial bijections are deterministic on both sides
+        checks.extend(_order_laws(pa, ("LD", "RD")).checks)
     return Report(checks)
 
 

@@ -64,6 +64,38 @@ def _synthesized_semigroup(args):
     return None
 
 
+def _document_reports(kind, obj, source, side=None, max_chain=3):
+    """What verify checks on a document, and corpus-run reads: a (verdict,
+    header lines, Report) triple per verdict, the Report None for a check
+    that is skipped.  A relgen is checked as the semigroup it generates, and
+    a premorphism on a semilattice ground as a partial action."""
+    header = None
+    if kind == "relgen":
+        n, gens = obj
+        alg = relmonoid.generate(n, gens)
+        kind, obj = "semigroup", alg.to_semigroup()
+        header = [f"generated {len(alg.elements)} relations on ground size {n}",
+                  "ehresmann axioms:"]
+    if kind == "semigroup":
+        rep = core.verify_ehresmann(obj)
+        out = [("ehresmann", header or [f"ehresmann axioms on {source}:"], rep)]
+        if side and not rep.ok:
+            out.append(("restriction",
+                        ["skipping restriction check: Ehresmann axioms failed"], None))
+        elif side:
+            out.append(("restriction", [f"restriction ({side}):"],
+                        core.verify_restriction(obj, side)))
+        return out
+    if kind == "resgraph":
+        return [("graph_axioms", [f"graph axioms on {source}:"],
+                 resgraph.check_axioms(obj, max_chain=max_chain))]
+    if isinstance(obj, actions.PartialAction):
+        return [("partial_action", [f"partial action laws on {source}:"],
+                 actions.validate_partial_action(obj))]
+    return [("partial_action", [f"premorphism laws on {source}:"],
+             actions.validate_premorphism(obj))]
+
+
 def cmd_verify(args) -> int:
     synth = _synthesized_semigroup(args)
     if synth is not None:
@@ -75,35 +107,12 @@ def cmd_verify(args) -> int:
     else:
         raise io.SchemaError("verify needs a file or a --full-* flag")
     source = args.path if args.path else "synthesized monoid"
-    reports = []
-    lines = []
-    if kind == "semigroup":
-        rep = core.verify_ehresmann(obj)
-        reports.append(rep)
-        lines += [f"ehresmann axioms on {source}:"] + rep.lines()
-        if args.side:
-            if not rep.ok:
-                lines.append("skipping restriction check: Ehresmann axioms failed")
-            else:
-                rrep = core.verify_restriction(obj, args.side)
-                reports.append(rrep)
-                lines += [f"restriction ({args.side}):"] + rrep.lines()
-    elif kind == "relgen":
-        n, gens = obj
-        alg = relmonoid.generate(n, gens)
-        S = alg.to_semigroup()
-        rep = core.verify_ehresmann(S)
-        reports.append(rep)
-        lines += [f"generated {len(alg.elements)} relations on ground size {n}",
-                  "ehresmann axioms:"] + rep.lines()
-    elif kind == "resgraph":
-        rep = resgraph.check_axioms(obj, max_chain=args.max_chain)
-        reports.append(rep)
-        lines += [f"graph axioms on {source}:"] + rep.lines()
-    elif kind == "premorphism":
-        rep = actions.validate_premorphism(obj)
-        reports.append(rep)
-        lines += [f"premorphism laws on {source}:"] + rep.lines()
+    reports, lines = [], []
+    for _, header, rep in _document_reports(kind, obj, source, args.side, args.max_chain):
+        lines += header
+        if rep is not None:
+            reports.append(rep)
+            lines += rep.lines()
     _emit(args, {"reports": [_report_payload(source, r) for r in reports]}, lines)
     return _exit(reports)
 
@@ -345,16 +354,15 @@ def _corpus_expectations():
 
 
 def cmd_corpus_run(args) -> int:
-    entries = []
     if args.builtin:
-        for name, kind, obj, expect in _corpus_expectations():
-            entries.append((name, kind, obj, expect))
+        entries = _corpus_expectations()
+    elif not args.path:
+        raise io.SchemaError("corpus-run needs a file or --builtin")
     else:
-        if not args.path:
-            raise io.SchemaError("corpus-run needs a file or --builtin")
         raw = io.read_json(args.path)
         if not isinstance(raw, list):
             raise io.SchemaError("a corpus file must be a list of entries")
+        entries = []
         for item in raw:
             kind, obj = io.load_document(io._need(item, "payload", "corpus entry"))
             name = io._need(item, "name", "corpus entry")
@@ -365,20 +373,7 @@ def cmd_corpus_run(args) -> int:
             entries.append((name, kind, obj, expect))
     bad = 0
     for name, kind, obj, expect in entries:
-        results = {}
-        if kind == "semigroup":
-            results["ehresmann"] = core.verify_ehresmann(obj).ok
-        elif kind == "resgraph":
-            results["graph_axioms"] = resgraph.check_axioms(obj).ok
-        elif kind == "premorphism":
-            if isinstance(obj, actions.PartialAction):
-                results["partial_action"] = actions.validate_partial_action(obj).ok
-            else:
-                results["partial_action"] = actions.validate_premorphism(obj).ok
-        elif kind == "relgen":
-            n, gens = obj
-            S = relmonoid.generate(n, gens).to_semigroup()
-            results["ehresmann"] = core.verify_ehresmann(S).ok
+        results = {verdict: rep.ok for verdict, _, rep in _document_reports(kind, obj, name)}
         ok = all(results.get(k) == v for k, v in expect.items())
         bad += 0 if ok else 1
         marks = " ".join(f"{k}={v}" for k, v in sorted(results.items()))

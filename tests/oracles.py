@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import operator
 import random
 from collections import deque
@@ -2068,3 +2069,101 @@ def random_partial_action(rng, k):
                                               if act(g, x) in at])
            for s, g in enumerate(group)}
     return actions.PartialAction(sl, resgraph.FiniteMonoid(len(group), mult, 0), phi)
+
+
+def parent_validate_partial_action(pa):
+    """The premorphism laws, then the partial bijections by one
+    relmonoid.classify per relation, then the order laws with the LD and RD
+    halves written out."""
+    checks = list(actions.validate_premorphism(pa).checks)
+    if not all(c.ok for c in checks):
+        return Report(checks)
+    checks.append(first_witness("relations_are_partial_bijections", (
+        (t,) for t in sorted(pa.phi) if not relmonoid.classify(pa.phi[t])["in_I"])))
+    if checks[-1].ok:
+        checks.extend(reference_check_partial_action_laws(pa).checks)
+    return Report(checks)
+
+
+def parent_verify_reports(kind, obj, source, side=None, max_chain=3):
+    """The text lines and reports of `verify` on a loaded document, by the
+    per-kind table the command kept before it shared one with corpus-run:
+    a relgen is checked without its restriction side, and a premorphism on
+    a semilattice ground by the premorphism laws alone."""
+    reports, lines = [], []
+    if kind == "semigroup":
+        rep = core.verify_ehresmann(obj)
+        reports.append(rep)
+        lines += [f"ehresmann axioms on {source}:"] + rep.lines()
+        if side:
+            if not rep.ok:
+                lines.append("skipping restriction check: Ehresmann axioms failed")
+            else:
+                rrep = core.verify_restriction(obj, side)
+                reports.append(rrep)
+                lines += [f"restriction ({side}):"] + rrep.lines()
+    elif kind == "relgen":
+        n, gens = obj
+        alg = relmonoid.generate(n, gens)
+        rep = core.verify_ehresmann(alg.to_semigroup())
+        reports.append(rep)
+        lines += [f"generated {len(alg.elements)} relations on ground size {n}",
+                  "ehresmann axioms:"] + rep.lines()
+    elif kind == "resgraph":
+        rep = resgraph.check_axioms(obj, max_chain=max_chain)
+        reports.append(rep)
+        lines += [f"graph axioms on {source}:"] + rep.lines()
+    elif kind == "premorphism":
+        rep = actions.validate_premorphism(obj)
+        reports.append(rep)
+        lines += [f"premorphism laws on {source}:"] + rep.lines()
+    return lines, reports
+
+
+def parent_corpus_results(kind, obj):
+    """The verdicts of `corpus-run` on a loaded document, by the per-kind
+    table the command kept before it shared one with verify."""
+    if kind == "semigroup":
+        return {"ehresmann": core.verify_ehresmann(obj).ok}
+    if kind == "resgraph":
+        return {"graph_axioms": resgraph.check_axioms(obj).ok}
+    if kind == "relgen":
+        n, gens = obj
+        return {"ehresmann": core.verify_ehresmann(
+            relmonoid.generate(n, gens).to_semigroup()).ok}
+    if isinstance(obj, actions.PartialAction):
+        return {"partial_action": actions.validate_partial_action(obj).ok}
+    return {"partial_action": actions.validate_premorphism(obj).ok}
+
+
+def perturbed_document(doc, rng):
+    """A copy of a semigroup, resgraph, relgen or premorphism document with
+    one entry changed, so that it still loads: a table entry set to another
+    element, a restriction or corestriction sent to another edge, or one
+    pair added to or removed from a generator or a relation."""
+    doc = json.loads(json.dumps(doc))
+    kind = doc["kind"]
+    if kind == "semigroup":
+        n = len(doc["mult"])
+        table = rng.choice(("plus", "star", "mult", "mult"))
+        row = rng.choice(doc["mult"]) if table == "mult" else doc[table]
+        row[rng.randrange(n)] = rng.randrange(n)
+        return doc
+    if kind == "resgraph":
+        entries = doc["restrict"] + doc["corestrict"]
+        if entries:
+            rng.choice(entries)["to"] = rng.randrange(len(doc["edges"]))
+        return doc
+    if kind == "relgen":
+        n, pairs = doc["ground_size"], rng.choice(doc["generators"])
+    else:
+        ground = doc["ground"]
+        n = (len(ground["semilattice"]["elements"]) if "semilattice" in ground
+             else ground["size"])
+        pairs = doc["phi"][rng.choice(sorted(doc["phi"]))]
+    pair = [rng.randrange(n), rng.randrange(n)]
+    if pair in pairs:
+        pairs.remove(pair)
+    else:
+        pairs.append(pair)
+    return doc

@@ -15,8 +15,9 @@ from ehresmann.actions import (PartialAction, Premorphism, build_pair_form,
 from ehresmann.relmonoid import Rel
 from ehresmann.resgraph import Semilattice, chain_semilattice
 
-from oracles import (parent_validate_premorphism, random_partial_action,
-                     reference_check_partial_action_laws, search_sigma_label_violation)
+from oracles import (parent_validate_partial_action, parent_validate_premorphism,
+                     random_partial_action, reference_check_partial_action_laws,
+                     search_sigma_label_violation)
 
 
 def test_premorphism_from_e2t2_graph():
@@ -331,6 +332,28 @@ def test_premorphism_laws_match_parent_on_flipped_relations(monkeypatch):
         "relations_nonempty FAIL", "identity_in_phi_1 FAIL", "phi_s_phi_t_in_phi_st PASS",
         "phi_s_phi_t_in_phi_st FAIL", "partial action PASS",
         "partial action FAIL")) >= 5, seen
+
+
+def test_partial_action_validation_classifies_each_relation_once(monkeypatch):
+    # the same checks as the parent's, which classified each relation once
+    # for the partial bijections and up to twice more for the order laws
+    rng = random.Random(5)
+    pas = [pa for _, pa in corpus.partial_actions()]
+    pas += [random_partial_action(rng, 2 + i % 3) for i in range(12)]
+    classify, calls = relmonoid.classify, []
+    monkeypatch.setattr(relmonoid, "classify", lambda r: calls.append(r) or classify(r))
+    for pa in pas + [v for pa in pas for v in _flipped(pa, rng, 4)]:
+        calls.clear()
+        got = validate_partial_action(pa).checks
+        assert len(calls) <= len(pa.phi)
+        assert got == parent_validate_partial_action(pa).checks
+        try:
+            want = reference_check_partial_action_laws(pa).checks
+        except ValueError:
+            continue
+        calls.clear()
+        assert check_partial_action_laws(pa).checks == want
+        assert len(calls) == len(pa.phi)
 
 
 def test_pair_form_iso_check_validates_once(monkeypatch):

@@ -486,6 +486,35 @@ def test_premorphism_document(tmp_path):
     assert cli.main(["verify", str(path)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+def test_relgen_verify_reads_the_side_of_its_semigroup(side, tmp_path, capsys):
+    # the eight-element monoid is Ehresmann and right but not left restriction
+    relgen, table = tmp_path / "eight_relgen.json", tmp_path / "eight.json"
+    io.save(relgen, io.dump_relgen(2, corpus._eight_generators()))
+    io.save(table, io.dump_semigroup(corpus.eight_monoid()))
+    code = cli.main(["verify", str(relgen), "--side", side])
+    out = capsys.readouterr().out.splitlines()
+    assert cli.main(["verify", str(table), "--side", side]) == code
+    assert out[2:] == capsys.readouterr().out.splitlines()[1:]
+    assert out[:2] == ["generated 8 relations on ground size 2", "ehresmann axioms:"]
+    assert code == (EXIT_OK if side == "right" else EXIT_FAIL)
+    assert ("FAIL  x y^+ = (x y)^+ x  witness=(0, 0)" in out) == (side != "right")
+
+
+def test_verify_non_injective_partial_action_fails(tmp_path, capsys):
+    # phi_t = {(0,0),(1,0)} satisfies the premorphism laws but is not a
+    # partial bijection
+    pa = corpus.pa_chain2()
+    pa.phi[1] = corpus.Rel.from_pairs(2, [(0, 0), (1, 0)])
+    path = tmp_path / "pa.json"
+    io.save(path, io.dump_premorphism(pa))
+    assert cli.main(["verify", str(path)]) == EXIT_FAIL
+    assert capsys.readouterr().out.splitlines() == [
+        f"partial action laws on {path}:", "PASS  relations_nonempty",
+        "PASS  identity_in_phi_1", "PASS  phi_s_phi_t_in_phi_st",
+        "FAIL  relations_are_partial_bijections  witness=(1,)"]
+
+
 def test_deterministic_output(e2t2_graph_file, capsys):
     cli.main(["product", "check", e2t2_graph_file])
     first = capsys.readouterr().out
@@ -584,8 +613,9 @@ def _fuzz_documents():
          ["verify {}", "graph-check {}", "product check {}"]),
         (io.dump_relgen(2, [relmonoid.Rel.from_pairs(2, [(0, 1)]),
                             relmonoid.Rel.from_pairs(2, [(0, 0), (1, 0)])]),
-         ["verify {}"]),
+         ["verify {}", "verify {} --side both"]),
         (io.dump_premorphism(pm), ["verify {}"]),
+        (io.dump_premorphism(corpus.pa_chain2()), ["verify {}"]),
         (io.dump_premorphism(actions.Premorphism(pm.mon, pm.ground, pm.phi)),
          ["verify {}"]),
     ]
@@ -634,3 +664,98 @@ def test_document_fuzzer_never_raises(tmp_path, capsys):
                     argv, where, fuzzed)
                 codes.add(code)
     assert codes >= {EXIT_OK, EXIT_FAIL, EXIT_INPUT}, codes
+
+
+def _differential_documents(rng):
+    """Every builtin corpus entry, plain premorphisms, seeded partial actions
+    and seeded relgens, each followed by two one-edit and two two-edit
+    perturbations of it."""
+    from ehresmann import actions, relmonoid
+    from oracles import perturbed_document, random_partial_action
+
+    dump = {"semigroup": io.dump_semigroup, "resgraph": io.dump_resgraph,
+            "premorphism": io.dump_premorphism}
+    docs = [dump[kind](obj) for _, kind, obj, _ in cli._corpus_expectations()]
+    docs += [io.dump_premorphism(actions.graph_to_premorphism(G))
+             for G in (corpus.e2t2_graph(), corpus.e2t2_reverse_graph(),
+                       corpus.complete2_t2_graph())]
+    docs += [io.dump_premorphism(random_partial_action(rng, k)) for k in (2, 3, 3, 4)]
+    docs.append(io.dump_relgen(2, corpus._eight_generators()))
+    docs += [io.dump_relgen(2, [relmonoid.Rel(2, rng.randrange(16))
+                                for _ in range(rng.randint(1, 3))]) for _ in range(6)]
+    docs += [io.dump_relgen(3, [relmonoid.Rel(3, rng.randrange(512))]) for _ in range(2)]
+    out = []
+    for doc in docs:
+        out.append(doc)
+        for edits in (1, 1, 2, 2):
+            for _ in range(edits):
+                doc = perturbed_document(doc, rng)
+            out.append(doc)
+    return out
+
+
+def test_verify_and_corpus_run_share_one_verdict(tmp_path, capsys):
+    """Against the per-kind tables verify and corpus-run each kept before
+    they shared one dispatch: every answer is the same, except that a relgen
+    under --side answers as the document of the semigroup it generates, and
+    a partial action by validate_partial_action; verify's exit code without
+    --side is 0 exactly when corpus-run reads every verdict true."""
+    import collections
+    import random
+
+    from ehresmann import actions, relmonoid
+    from oracles import (parent_corpus_results, parent_validate_partial_action,
+                         parent_verify_reports)
+
+    path, generated = tmp_path / "doc.json", tmp_path / "generated.json"
+    seen, entries, plain_codes = collections.Counter(), [], []
+    for i, doc in enumerate(_differential_documents(random.Random(11))):
+        path.write_text(json.dumps(doc))
+        try:
+            kind, obj = io.load_path(path)
+        except ValueError:
+            continue
+        for side in ([None, "left", "right", "both"]
+                     if kind in ("semigroup", "relgen") else [None]):
+            argv = ["verify", str(path)] + (["--side", side] if side else [])
+            code = cli.main(argv)
+            out = capsys.readouterr().out.splitlines()
+            try:
+                lines, reports = parent_verify_reports(kind, obj, str(path), side)
+            except (ValueError, relmonoid.ClosureOverflowError):
+                assert code == EXIT_INPUT, argv
+                continue
+            if kind == "relgen" and side:
+                generated.write_text(json.dumps(io.dump_semigroup(
+                    relmonoid.generate(*obj).to_semigroup())))
+                assert cli.main(["verify", str(generated), "--side", side]) == code
+                assert out[2:] == capsys.readouterr().out.splitlines()[1:], argv
+                assert out[:len(lines)] == lines, argv
+                seen[f"relgen --side exit {cli._exit(reports)} -> {code}"] += 1
+            elif isinstance(obj, actions.PartialAction):
+                rep = parent_validate_partial_action(obj)
+                assert actions.validate_partial_action(obj).checks == rep.checks
+                assert out == [f"partial action laws on {path}:"] + rep.lines(), argv
+                assert code == cli._exit([rep]), argv
+                seen[f"partial action exit {cli._exit(reports)} -> {code}"] += 1
+            else:
+                assert (code, out) == (cli._exit(reports), lines), argv
+            if side is None:
+                plain_codes.append(code)
+        entries.append({"name": f"doc{i}", "expect": {}, "payload": doc})
+        seen[kind] += 1
+
+    corpus_file = tmp_path / "corpus.json"
+    corpus_file.write_text(json.dumps(entries))
+    assert cli.main(["corpus-run", str(corpus_file)]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert len(rows) == len(entries) == len(plain_codes)
+    for row, entry, code in zip(rows, entries, plain_codes):
+        results = dict(mark.split("=") for mark in row.split()[2:])
+        kind, obj = io.load_document(entry["payload"])
+        assert results == {k: str(v) for k, v in parent_corpus_results(kind, obj).items()}
+        assert (code == EXIT_OK) == all(v == "True" for v in results.values()), row
+    assert min(seen[key] for key in (
+        "semigroup", "resgraph", "relgen", "premorphism", "relgen --side exit 0 -> 0",
+        "relgen --side exit 0 -> 1", "partial action exit 0 -> 0",
+        "partial action exit 0 -> 1", "partial action exit 1 -> 1")) >= 3, seen
