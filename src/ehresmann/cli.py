@@ -64,7 +64,7 @@ def _synthesized_semigroup(args):
     return None
 
 
-def _document_reports(kind, obj, source, side=None, max_chain=3):
+def _document_reports(kind, obj, source, side=None, max_chain=None):
     """What verify checks on a document, and corpus-run reads: a (verdict,
     header lines, Report) triple per verdict, the Report None for a check
     that is skipped.  A relgen is checked as the semigroup it generates, and
@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="axiom checks by document kind")
     p.add_argument("path", nargs="?")
     p.add_argument("--side", choices=["left", "right", "both"])
-    p.add_argument("--max-chain", type=int, default=3, dest="max_chain")
+    p.add_argument("--max-chain", type=int, dest="max_chain",
+                   help="cap on the chain length of R4/CR4 (default: none)")
     p.add_argument("--full-B", type=int, dest="full_B",
                    help="synthesize the full relation monoid on 1..3 points")
     p.add_argument("--full-PT", type=int, dest="full_PT",
@@ -421,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph-check", help="edge and path axiom checks")
     p.add_argument("path")
-    p.add_argument("--max-chain", type=int, default=3, dest="max_chain")
+    p.add_argument("--max-chain", type=int, dest="max_chain",
+                   help="cap on the chain length of R4/CR4 (default: none)")
     p.add_argument("--path-bound", type=int, default=3, dest="path_bound",
                    help="kept for compatibility; only names the header, since the "
                         "path laws are read off the edge laws at every length")

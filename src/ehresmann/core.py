@@ -107,6 +107,28 @@ def saturate(start, steps, bound=None) -> dict:
     return seen
 
 
+def first_paths(states, moves, paths) -> dict:
+    """The path to each state of a saturate search, in a copy of paths,
+    which gives one to each start: moves(s) lists the (step, t) pairs of
+    state s in the order steps listed its states t, each step a tuple.  The
+    path to a state t new at level k + 1 is that to the first state s of
+    level k with a step to t, followed by its first such step.
+
+    Where the steps of a path depend only on its state, this is the first
+    path to t in path order (by length, then prefix, then step).  A path
+    whose state is new at level k + 1 extends one whose state is new at
+    level k (an older state would have stepped there sooner), and saturate
+    steps the states of a level in order, each by its steps in order; so,
+    by induction on the level, the first paths come in the order of the
+    states."""
+    paths = dict(paths)
+    for s, k in states.items():
+        for step, t in moves(s):
+            if t not in paths and states.get(t) == k + 1:
+                paths[t] = paths[s] + step
+    return paths
+
+
 def _find(parent, x):
     """Root of x in a union-find forest (Tarjan 1975), halving the path;
     parent is a list or a dict of every node."""

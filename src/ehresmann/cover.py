@@ -330,13 +330,14 @@ def _state_checks(cg: CoverGraph, len_bound: int):
             for m in below(d):
                 E2[m] = t = forth[E[m]]
                 R2[m] = mult[mult[R[m]][va]][proj[t]]
-            yield a, e, (d, mult[mult[f][va]][proj[e]], e, tuple(C2), tuple(R2), tuple(E2))
+            yield (a, e), (d, mult[mult[f][va]][proj[e]], e, tuple(C2), tuple(R2), tuple(E2))
 
     def down(e, row):
         return tuple(row[m] if meet[m][e] == m else -1 for m in range(n))
 
-    starts = [(e, proj[e], e, down(e, proj), down(e, proj), down(e, range(n))) for e in range(n)]
-    states = core.saturate(starts, lambda s: [t for _, _, t in moves(s)], len_bound)
+    starts = {(e, proj[e], e, down(e, proj), down(e, proj), down(e, range(n))): (e,)
+              for e in range(n)}
+    states = core.saturate(starts, lambda s: [t for _, t in moves(s)], len_bound)
     unary = [s for s in states if proj[s[0]] != plus[s[1]] or proj[s[2]] != star[s[1]]][:1]
     left, right = {}, {}
     for s in states:
@@ -345,11 +346,7 @@ def _state_checks(cg: CoverGraph, len_bound: int):
     pair = next(([u, v] for (fu, r, C), u in left.items() for (fv, d, R), v in right.items()
                  for m in (meet[r][d],) if mult[C[m]][R[m]] != mult[fu][fv]), [])
     if unary or pair:
-        rep = {s: (s[0],) for s, k in states.items() if k == 0}
-        for s, k in states.items():
-            for a, e, t in moves(s):
-                if t not in rep and states.get(t) == k + 1:
-                    rep[t] = rep[s] + (a, e)
+        rep = core.first_paths(states, moves, starts)
 
     def check(name, failing):
         if not failing:
@@ -412,21 +409,13 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     there are states, whatever len_bound is.
 
     Witnesses.  The representative of a state is the first form with it in
-    enumerate_canonical's order, by length, then prefix, then last edge.
-    A form whose state is new at level k + 1 extends one whose state is new
-    at level k (an older state would have stepped there sooner), and the
-    search steps the states of a level in order, each by its letter edges
-    in that order.  So, by induction on the level, the representatives
-    come in the order of the states, and that of a state t new at level
-    k + 1 is rep[s] j for the first s of level k, and its first edge j,
-    that step to t.  The unary witness is the representative of the first
-    failing state.  The first form with a signature is the representative
-    of the first state with it, so the first failing pair of forms, u
-    first, is (rep of the first left signature that fails with some right
-    signature, rep of the first right signature it fails with).  The
-    representatives are rebuilt only when a check fails, by one pass over
-    the states in order: rep[t] = rep[s] j the first time a step of s
-    reaches t with level[t] = level[s] + 1.
+    enumerate_canonical's order, by length, then prefix, then last edge;
+    core.first_paths rebuilds them, only when a check fails, and they come
+    in the order of the states.  The unary witness is the representative
+    of the first failing state.  The first form with a signature is the
+    representative of the first state with it, so the first failing pair
+    of forms, u first, is (rep of the first left signature that fails with
+    some right signature, rep of the first right signature it fails with).
 
     Factors.  u = p c, with c the last edge, is p times c when p
     corestricted to x = p.r is p and c restricted to x = c.d is c.  CR2
@@ -436,7 +425,7 @@ def verify_cover(S: OpTableSemigroup, gens, len_bound: int = 3) -> Report:
     factors, and the factor check passes at every len_bound.
     """
     cg = build_cover_graph(S, gens)
-    graph_report = check_axioms(cg.graph, max_chain=2)
+    graph_report = check_axioms(cg.graph)
     failing = tuple(c.name for c in graph_report.failures())
     checks = [Check("cover_graph_axioms", graph_report.status, failing or None)]
     off_gate = (("cover graph axioms fail",) + failing if failing

@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import getitem
+from operator import getitem, itemgetter
 
-from .core import (_memoised, associativity_witness, contract_expand_neighbours, saturate,
-                   validate_table)
+from .core import (_memoised, associativity_witness, contract_expand_neighbours, first_paths,
+                   saturate, validate_table)
 from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
@@ -382,36 +382,81 @@ def corestrict_path(G: ResGraph, p, f: int) -> tuple:
 # ---------------------------------------------------------------------------
 # axiom checking
 
-def _chains(G: ResGraph, max_chain: int) -> list:
-    """The chains up to max_chain that R4 and CR4 check or extend, in path
-    order: by length, then prefix, then last edge id.  Entry k is (prefix,
-    last edge id, composite edge id or -1, the chain's edges), the edges
-    first with prefix -1.  Implied chains (see check_axioms) are left out:
-    only the chains without a composite edge are extended."""
-    edges, ids, mul = G.sorted_edges(), G.edge_id, G.mon.mul
-    chains = [(-1, i, -1, (c,)) for i, c in enumerate(edges)]
-    # (chain, label) of the chains extended next
-    level = [(i, c[1]) for i, c in enumerate(edges)]
-    for length in range(2, max_chain + 1):
-        extended, level = level, []
-        for f, lab in extended:
-            path = chains[f][3]
-            for c in G.edges_from(path[-1][2]):
-                label = mul(lab, c[1])
-                comp = ids.get((path[0][0], label, c[2]), -1)
-                if comp < 0:
-                    if length == max_chain:
-                        continue
-                    level.append((len(chains), label))
-                chains.append((f, ids[c], comp, path + (c,)))
-    return chains
+def _chain_moves(G: ResGraph, R: Side, C: Side):
+    """(starts, moves) of the chain search of check_axioms, which defines
+    the states.  starts maps the state of each edge to the edge as a
+    chain; moves(s) lists ((c,), t) for each edge c out of the target, in
+    id order, t the state of the chain followed by c, and leaves out the
+    chains that can never close.  A row holds -1 where v is not below the
+    near end or the fold is undefined, and a last -1 that index -1 reads."""
+    edges, ids, mul, below, n = R.edges, R.ids, G.mon.mul, R.sl.below, R.sl.n
+    # steps[i][v]: the far end of edge i moved to v; wants[c][v]: the far
+    # end R4 asks of a chain with composite edge c, -2 where c moved to v is
+    # not a c-labelled edge at v.  The laws run on total maps, so a table
+    # entry is -1 exactly where v is not below the edge's end.
+    steps, wants = [], []
+    for s in (R, C):
+        fars = [c[s.far] for c in edges] + [-1]
+        steps.append([tuple(map(fars.__getitem__, row)) + (-1,) for row in s.table])
+        wants.append([])
+        for c, row, step in zip(edges, s.table, steps[-1]):
+            want = list(step)
+            for v in below(c[s.end]):
+                x = edges[row[v]]
+                if x[s.end] != v or x[1] != c[1]:
+                    want[v] = -2
+            wants[-1].append(tuple(want))
+    rwants, cwants = wants
+    closable = [{c[1][:k] for c in G.edges_from(v) for k in range(len(c[1]) + 1)}
+                for v in range(n)] if G.mon.is_free else None
+    starts, nexts = {}, [[] for _ in range(n)]
+    for c, rstep, cstep in zip(edges, *steps):
+        starts[c + (rstep, cstep)] = (c,)
+        # rows have n + 1 >= 2 entries, so an itemgetter of one gives a tuple
+        nexts[c[0]].append(((c,), c[1], c[2], rstep, itemgetter(*cstep)))
+
+    def first_off(row, want, v):
+        return -1 if row == want else next((u for u in below(v) if row[u] != want[u]), -1)
+
+    def moves(state):
+        if len(state) == 3:
+            return ()
+        d, lab, r, rrow, crow = state
+        folded, out = itemgetter(*rrow), []
+        for step, a, t, rstep, unfolded in nexts[r]:
+            label = mul(lab, a)
+            if closable is not None and label not in closable[d]:
+                continue
+            rrow2, crow2 = folded(rstep), unfolded(crow)
+            comp = ids.get((d, label, t), -1)
+            out.append((step, (d, label, t, rrow2, crow2) if comp < 0 else (
+                comp, first_off(rrow2, rwants[comp], d), first_off(crow2, cwants[comp], t))))
+        return out
+
+    return starts, moves
 
 
-def _edge_laws(s: Side, chains, one) -> list:
-    """R1-R5 on the restriction side, CR1-CR5 on the corestriction side.
-    With total maps a left side is undefined only where R1 (CR1) fails, by
-    moving an image to a vertex not below its end; that fails the law.
-    R4 (CR4) checks the chains of _chains with a composite edge."""
+def _chain_laws(G: ResGraph, R: Side, C: Side, max_chain: int | None) -> list:
+    """R4 and CR4 off one saturate over the chain states (see check_axioms)
+    of the chains up to max_chain, or of every length when it is None."""
+    starts, moves = _chain_moves(G, R, C)
+    # one level past the cap: a state there means the cap cut the search
+    states = saturate(starts, lambda s: [t for _, t in moves(s)], max_chain)
+    cut = max_chain is not None and max(states.values()) >= max_chain
+    verdicts = [s for s, k in states.items()
+                if len(s) == 3 and (max_chain is None or k < max_chain)]
+    failing = [next((v for v in verdicts if v[i] >= 0), None) for i in (1, 2)]
+    paths = first_paths(states, moves, starts) if any(failing) else None
+    return [Check(s.prefix + "4", FAIL, (paths[f], f[i])) if f
+            else Check(s.prefix + "4", INCONCLUSIVE, ("chain cap reached", max_chain)) if cut
+            else Check(s.prefix + "4", PASS) for s, i, f in zip((R, C), (1, 2), failing)]
+
+
+def _edge_laws(s: Side, r4: Check, one) -> list:
+    """R1-R5 on the restriction side, CR1-CR5 on the corestriction side,
+    R4 (CR4) given.  With total maps a left side is undefined only where R1
+    (CR1) fails, by moving an image to a vertex not below its end; that
+    fails the law."""
     edges, table, end, far = s.edges, s.table, s.end, s.far
     below, meet = s.sl.below, s.sl.meet
 
@@ -428,42 +473,13 @@ def _edge_laws(s: Side, chains, one) -> list:
                 twice = table[row[g]]
                 yield from ((c, g, h) for h in below(g) if twice[h] != row[h])
 
-    def r4():
-        # rows[k][v]: the far end (target on the restriction side, source on
-        # corestriction) of chain k folded to v, -1 where v is not below its
-        # near end or the fold is undefined.  Rows end in a -1 that index -1
-        # reads, so a row is its prefix's composed with its last edge's: that
-        # edge is moved last on the restriction side and first on
-        # corestriction.  wants[c][v] is the far end R4 asks of a chain with
-        # composite edge c, -2 where c moved to v is not a c-labelled edge at v.
-        steps = [[edges[j][far] if j >= 0 else -1 for j in row] + [-1] for row in table]
-        wants = [[-1] * (s.sl.n + 1) for _ in edges]
-        for c, row, want in zip(edges, table, wants):
-            for v in below(c[end]):
-                x = edges[row[v]]
-                want[v] = x[far] if x[end] == v and x[1] == c[1] else -2
-        rows = []
-        for prefix, i, comp, path in chains:
-            step = steps[i]
-            if prefix < 0:
-                row = step
-            elif end == 0:
-                row = [step[w] for w in rows[prefix]]
-            else:
-                prev = rows[prefix]
-                row = [prev[w] for w in step]
-            rows.append(row)
-            if comp >= 0 and row != wants[comp]:
-                yield from ((path, v) for v in below(edges[comp][end])
-                            if row[v] != wants[comp][v])
-
     loop = [s.ids[(e, one, e)] for e in range(s.sl.n)]
     return [
         first_witness(s.prefix + "1", r1()),
         first_witness(s.prefix + "2", (
             (c,) for i, (c, row) in enumerate(zip(edges, table)) if row[c[end]] != i)),
         first_witness(s.prefix + "3", r3()),
-        first_witness(s.prefix + "4", r4()),
+        r4,
         first_witness(s.prefix + "5", (
             (e, f) for e in range(s.sl.n) for f in below(e)
             if table[loop[e]][f] != loop[f]))]
@@ -484,18 +500,66 @@ def _compatibility(R: Side, C: Side):
                     yield (c, g, h)
 
 
-def check_axioms(G: ResGraph, max_chain: int = 3) -> Report:
+def check_axioms(G: ResGraph, max_chain: int | None = None) -> Report:
     """Machine-check the edge-level restriction/corestriction axioms.
 
-    The chain axioms R4 and CR4 quantify over arbitrarily long edge chains;
-    they are checked for chains up to max_chain.  A chain is implied, and
-    skipped, when a proper prefix p1 of it, of length >= 2, has a composite
-    edge e.  For p = p1 p2, e p2 has the composite edge of p, and the fold of
-    p at v is the fold of p1 at v followed by that of p2 from where it ends,
-    so R4 for p at v follows from R4 for p1 at v and for e p2 at v; CR4
-    likewise, with p1 taken at the source of the folded p2.  Both shorter
-    chains come earlier by length, so a failing implied chain has an earlier
-    failing chain, and the first witness is never implied.
+    The chain axioms R4 and CR4 quantify over edge chains of every length:
+    a chain p of length >= 2 from d to r with a composite edge e, the edge
+    (d, label of p, r), needs e restricted to each v <= d to be the edge
+    from v with that label to where p folded to v ends (R4), and dually for
+    corestriction (CR4).  The witness is the first failing chain in path
+    order (by length, then prefix, then last edge id) with the first
+    failing v.  They are decided at every length, or for the chains up to
+    max_chain when it is given.
+
+    Implied chains.  A chain is implied when a proper prefix p1 of it, of
+    length >= 2, has a composite edge e.  For p = p1 p2, e p2 has the
+    composite edge of p, and the fold of p at v is the fold of p1 at v
+    followed by that of p2 from where it ends, so R4 for p at v follows
+    from R4 for p1 at v and for e p2 at v; CR4 likewise, with p1 taken at
+    the source of the folded p2.  Both shorter chains come earlier by
+    length, so a failing implied chain has an earlier failing chain: the
+    first witness is never implied, and by induction on length the laws
+    hold for every chain when they hold for those that are not implied.
+    So a chain with a composite edge is checked and not extended.  Over a
+    free monoid labels only grow, and a composite edge starts at the
+    chain's source with the chain's label; so a chain whose label is no
+    prefix of an edge label out of its source has no composite edge, nor
+    has any extension of it, and it is not extended either.
+
+    States.  The state of a chain (_chain_moves) is its source, label,
+    target and its two fold rows: the far end of the chain folded to each
+    vertex, on each side.  The composite edge is looked up by the first
+    three, and a law at v compares a row at v with that edge moved to v;
+    the state of p c is the state of p with c's label multiplied in, c's
+    target, and each row one table step on.  So chains with one state have
+    one verdict and, edge by edge, extensions with one state.  A chain
+    with a composite edge has the state (composite id, first failing v for
+    R4 or -1, the same for CR4).  core.saturate, breadth-first from the
+    states of the edges keeping only new states, reaches at level k the
+    states of the chains of length k + 1 that are checked or extended and
+    not reached earlier.  There are finitely many: sources and targets are
+    vertices, labels are monoid elements, or over a free monoid prefixes
+    of the finitely many edge labels out of the source, and rows are
+    tuples over -1..n-1.  So the search stops after at most as many levels
+    as there are states, at the first level that adds none; no later level
+    would add one, and the verdict states reached are those of the chains
+    of every length.  Under max_chain = k the search runs to level k, one
+    past the chains up to length k, and reads the verdicts of the levels
+    below k.  A state at level k means the cap cut the search short: a law
+    that no chain up to k fails is then INCONCLUSIVE, with the witness
+    ("chain cap reached", k), since a longer chain may fail it.
+
+    Witnesses.  The representative of a state is the first chain with it
+    in path order; core.first_paths rebuilds them, only when a law fails,
+    and they come in the order of the states, as the search steps each
+    state by the edges out of its target in id order.  The first failing
+    chain F (up to the cap) is not implied, and no prefix of it is
+    dropped, as it has a composite edge; so its state is reached, a
+    verdict state.  The representative of that state fails at the same v
+    and is not after F, so it is F, and the states before it have
+    representatives before F, none failing: the witness is the
+    representative of the first failing verdict state.
     """
     sl, mon = G.sl, G.mon
     one = mon.one
@@ -512,9 +576,8 @@ def check_axioms(G: ResGraph, max_chain: int = 3) -> Report:
     if not all(c.ok for c in checks):
         return Report(checks)
 
-    chains = _chains(G, max_chain)
-    for s in sides:
-        checks += _edge_laws(s, chains, one)
+    for s, r4 in zip(sides, _chain_laws(G, *sides, max_chain)):
+        checks += _edge_laws(s, r4, one)
     checks.append(first_witness("C", _compatibility(*sides)))
 
     if not mon.is_free:

@@ -10,7 +10,9 @@ from ehresmann.resgraph import (FiniteMonoid, FreeMonoid, ResGraph,
                                 chain_semilattice, contract_step,
                                 corestrict_path, equivalent_paths, make_path,
                                 path_d, path_label, path_r, restrict_path)
-from oracles import (ReferenceResGraph, parent_check_path_axioms, reference_all_paths,
+from oracles import (ReferenceResGraph, parent_chains, parent_check_axioms,
+                     parent_check_path_axioms, reference_all_paths,
+                     reference_corestrict_path, reference_restrict_path,
                      reference_build_product, reference_check_axioms,
                      reference_check_path_axioms,
                      reference_cover_graph, reference_edge_le, reference_edge_le_l,
@@ -647,28 +649,32 @@ def test_chain_label_is_the_product_in_path_order():
 ABC = (1, ("a", "b", "c"), 1)
 
 
-def _abc_graph():
+def _abc_graph(word="abc"):
     """The rectangle graph on the two-chain 0 < 1 with the edges (1,a,0),
     (0,b,0), (0,c,1) and (1,abc,1), each with the edges below it, and the
-    identity loops.  No edge is labelled ab or bc, so no proper part of the
-    chain (1,a,0)(0,b,0)(0,c,1) has a composite edge."""
+    identity loops; for another word the same, with an edge (0,x,0) for
+    each inner letter x.  No edge is labelled by a proper part of the word
+    longer than a letter, so no proper part of the chain along it has a
+    composite edge."""
     sl = chain_semilattice(2)
-    tops = [(1, ("a",), 0), (0, ("b",), 0), (0, ("c",), 1), ABC]
+    tops = ([(1, (word[0],), 0)] + [(0, (x,), 0) for x in word[1:-1]]
+            + [(0, (word[-1],), 1), (1, tuple(word), 1)])
     edges = {(d, lab, r) for d0, lab, r0 in tops for d in sl.below(d0) for r in sl.below(r0)}
-    return resgraph.rectangle_graph(sl, FreeMonoid(("a", "b", "c")),
+    return resgraph.rectangle_graph(sl, FreeMonoid(tuple(word)),
                                     edges | {(0, (), 0), (1, (), 1)})
 
 
-def _abc_far_end_moved(G, maps):
-    """Copies of the maps with one entry of an edge labelled abc sent to the
-    edge with the same near end and label but the other far end."""
+def _abc_far_end_moved(G, maps, label=ABC[1]):
+    """Copies of the maps with one entry of an edge labelled label (abc)
+    sent to the edge with the same near end and label but the other far
+    end."""
     out = []
     for side, end in ((0, 0), (1, 2)):
         for key, image in sorted(maps[side].items()):
-            if key[0][1] != ABC[1]:
+            if key[0][1] != label:
                 continue
             for other in G.sorted_edges():
-                if other[end] == image[end] and other[1] == ABC[1] and other != image:
+                if other[end] == image[end] and other[1] == label and other != image:
                     moved = [dict(m) for m in maps]
                     moved[side][key] = other
                     out.append(tuple(moved))
@@ -686,7 +692,11 @@ def test_chain_without_composite_prefix_is_checked():
         maps = [dict(m) for m in _maps_of(G)]
         maps[side][(ABC, 0)] = (0, ABC[1], 0)
         H = ResGraph(G.sl, G.mon, G.edges, *maps)
-        assert resgraph.check_axioms(H, 2).ok
+        # chains of length 2 leave the search open: cap 2 cuts it short
+        assert [(c.name, c.status, c.witness) for c in resgraph.check_axioms(H, 2).failures()] == [
+            (name, INCONCLUSIVE, ("chain cap reached", 2)) for name in ("R4", "CR4")]
+        assert [(c.name, c.witness) for c in resgraph.check_axioms(H).failures()] == [
+            (law, (chain, 0))]
         for max_chain in (3, 4):
             rep = resgraph.check_axioms(H, max_chain)
             assert [(c.name, c.witness) for c in rep.failures()] == [(law, (chain, 0))]
@@ -707,14 +717,45 @@ def _composite_chains(G, max_chain):
     return implied, [p for p in chains if p not in implied]
 
 
-def _kernel_checked(G, max_chain):
-    """The chains resgraph._chains gives a composite edge."""
-    return [path for _, _, comp, path in resgraph._chains(G, max_chain) if comp >= 0]
+def _search_checked(G, max_chain):
+    """The chains check_axioms' chain search checks up to max_chain: the
+    first chain to each state with a composite edge."""
+    starts, moves = resgraph._chain_moves(G, resgraph.Side(G, 0), resgraph.Side(G, 2))
+    states = core.saturate(starts, lambda s: [t for _, t in moves(s)], max_chain - 1)
+    paths = core.first_paths(states, moves, starts)
+    return [paths[s] for s in states if len(s) == 3]
+
+
+def _first_failing(vertices, law):
+    """The first vertex at which law is false or raises, or None."""
+    for v in vertices:
+        try:
+            if not law(v):
+                return v
+        except RestrictionUndefinedError:
+            return v
+    return None
+
+
+def _first_per_verdict(G, chains):
+    """The first of chains, each with a composite edge, for each verdict:
+    (composite, the first vertex at which R4 fails or None, the same for
+    CR4), by the reference folds, a fold that raises failing."""
+    out = {}
+    for p in chains:
+        comp = (p[0][0], path_label(G, p), p[-1][2])
+        r4 = _first_failing(G.sl.below(comp[0]), lambda v: G.restrict(comp, v) == (
+            v, comp[1], reference_restrict_path(G, p, v)[-1][2]))
+        cr4 = _first_failing(G.sl.below(comp[2]), lambda v: G.corestrict(comp, v) == (
+            reference_corestrict_path(G, p, v)[0][0], comp[1], v))
+        out.setdefault((comp, r4, cr4), p)
+    return list(out.values())
 
 
 def test_pruned_chain_laws_match_reference():
-    # the kernel checks R4 and CR4 on the chains that are not implied; the
-    # reference checks every chain, and the reports are the same
+    # the kernel checks R4 and CR4 on the first of the chains that are not
+    # implied with each verdict; the reference checks every chain, and the
+    # reports are the same
     seen = collections.Counter()
     graphs = list(corpus.pm_graphs()) + [("abc", _abc_graph())] + [
         (f"random graph {i}", G)
@@ -726,9 +767,7 @@ def test_pruned_chain_laws_match_reference():
             variants += _abc_far_end_moved(G, maps)
         for max_chain in (3, 4):
             implied, checked = _composite_chains(G, max_chain)
-            assert _kernel_checked(G, max_chain) == checked, name
             seen["implied"] += len(implied)
-            seen["checked at length >= 3"] += sum(len(p) >= 3 for p in checked)
             for restrict, corestrict in variants:
                 H = ResGraph(G.sl, G.mon, G.edges, restrict, corestrict)
                 want = _outcome(reference_check_axioms, H, max_chain)
@@ -740,12 +779,112 @@ def test_pruned_chain_laws_match_reference():
                     statuses = {law: st for law, st, _ in got[1]}
                     assert FAIL in (statuses["R1"], statuses["CR1"]), name
                     continue
+                if "R4" in [row[0] for row in got[1]]:
+                    searched = _search_checked(H, max_chain)
+                    assert searched == _first_per_verdict(H, checked), (name, max_chain)
+                    seen["checked at length >= 3"] += sum(len(p) >= 3 for p in searched)
+                # where the cap cut the search, a law the reference passes is
+                # INCONCLUSIVE
+                cut = (INCONCLUSIVE, ("chain cap reached", max_chain))
+                seen["cut"] += sum(row[1:] == cut for row in got[1])
+                got = ("report", [(law, PASS, None) if (status, witness) == cut
+                                  else (law, status, witness) for law, status, witness in got[1]])
                 assert got == want, (name, max_chain)
                 for law, status, witness in want[1]:
                     if law in ("R4", "CR4") and status == FAIL:
                         seen[f"witness of length {len(witness[0])}"] += 1
     assert seen["implied"] and seen["checked at length >= 3"], seen
     assert seen["witness of length 2"] and seen["witness of length 3"], seen
+
+
+def test_chain_of_length_four_is_checked_at_every_length():
+    # the top edge moved to the wrong far end breaks R4 (CR4) only for the
+    # chain a b c d: the parent's default cap 3 passed it, the uncapped
+    # search fails it with the parent's witness at cap 4
+    G = _abc_graph("abcd")
+    top = (1, tuple("abcd"), 1)
+    chain = ((1, ("a",), 0), (0, ("b",), 0), (0, ("c",), 0), (0, ("d",), 1))
+    assert resgraph.check_axioms(G).ok
+    for side, law in ((0, "R4"), (1, "CR4")):
+        maps = [dict(m) for m in _maps_of(G)]
+        maps[side][(top, 0)] = (0, top[1], 0)
+        H = ResGraph(G.sl, G.mon, G.edges, *maps)
+        assert parent_check_axioms(H).ok
+        assert [(c.name, c.witness) for c in resgraph.check_axioms(H).failures()] == [
+            (law, (chain, 0))]
+        assert _outcome(resgraph.check_axioms, H) == _outcome(parent_check_axioms, H, 4)
+
+
+def _two_paths_graph():
+    """The rectangle graph on the two-chain 0 < 1 with every edge labelled
+    a, b, c or abc, and the identity loops.  The chains a b from 1 to 1,
+    through 0 and through 1, have one source, label and target."""
+    sl, words = chain_semilattice(2), [("a",), ("b",), ("c",), ("a", "b", "c")]
+    return resgraph.rectangle_graph(sl, FreeMonoid(("a", "b", "c")), {
+        (d, w, r) for w in words for d in range(2) for r in range(2)} | {(0, (), 0), (1, (), 1)})
+
+
+def _letters_moved_down(maps):
+    """Copies of the two-paths graph's maps with, on one side, each letter
+    edge (1,x,1) moved to 0 sent to (0,x,0): then the chain a b through 1
+    folds to 0 there, while the one through 0 does not, in that side's row
+    alone, and a b c through 1 breaks R4 (CR4)."""
+    out = []
+    for side in (0, 1):
+        moved = [dict(m) for m in maps]
+        for x in "abc":
+            moved[side][((1, (x,), 1), 0)] = (0, (x,), 0)
+        out.append(tuple(moved))
+    return out
+
+
+def test_chain_states_match_the_capped_parent():
+    # with no cap the chain states answer as the parent's listed chains at
+    # its top bound, 8, or the bound where it first lists over 5,000 chains
+    # (6 on the abc graphs, with 10^4 chains, 10^6 at 8); under a cap k the
+    # answer is the parent's at k, except that a law the parent passed at k
+    # is INCONCLUSIVE where the search was cut, which needs a chain of
+    # length k + 1 that is not implied; and a law that passes under a cap
+    # passes at every length
+    seen = collections.Counter()
+    graphs = [(name, G, []) for name, G in corpus.pm_graphs()]
+    for word in ("abc", "abcd"):
+        G = _abc_graph(word)
+        graphs.append((word, G, _abc_far_end_moved(G, _maps_of(G), tuple(word))))
+    G = _two_paths_graph()
+    graphs.append(("two paths", G, _letters_moved_down(_maps_of(G))))
+    graphs += [(f"random graph {i}", G, [])
+               for i, G in enumerate(random_down_rectangle_graphs(random.Random(33), 40))]
+    for name, G, moved in graphs:
+        # the parent's chains depend on the edges alone
+        listed = {}
+        for k in range(1, 9):
+            listed[k] = parent_chains(G, k)
+            if len(listed[k]) > 5000:
+                break
+        top = k
+        maps = _maps_of(G)
+        for restrict, corestrict in [maps] + _perturbed(G, maps) + _wrong_end(G, maps) + moved:
+            H = ResGraph(G.sl, G.mon, G.edges, restrict, corestrict)
+            seen["cases"] += 1
+            uncapped = _outcome(resgraph.check_axioms, H)
+            assert uncapped == _outcome(parent_check_axioms, H, top, listed[top]), name
+            laws = {law: status for law, status, _ in uncapped[1]}
+            for k in range(1, top + 1):
+                got = _outcome(resgraph.check_axioms, H, k)
+                want = _outcome(parent_check_axioms, H, k, listed[k])
+                assert len(got[1]) == len(want[1]), (name, k)
+                for row, wanted in zip(got[1], want[1]):
+                    assert row == wanted or (wanted[1] == PASS and row == (
+                        wanted[0], INCONCLUSIVE, ("chain cap reached", k))), (name, k)
+                    assert row[1] != PASS or laws[row[0]] == PASS, (name, k, row)
+                if got != want:
+                    seen[f"cut at cap {k}"] += 1
+                    if k + 2 not in listed:
+                        listed[k + 2] = parent_chains(G, k + 2)
+                    assert len(listed[k + 2][-1][3]) > k, (name, k)
+            seen["uncapped " + Report([Check(*row) for row in uncapped[1]]).status] += 1
+    assert seen["uncapped FAIL"] and seen["cut at cap 3"], seen
 
 
 def test_round_trip_names_the_first_mismatch():
