@@ -38,8 +38,8 @@ def _check_row(row, n: int, label: str) -> None:
 
 def validate_table(table, n: int, label: str = "mult") -> None:
     """Raise MalformedTableError unless table is a list of n list rows of
-    ints in range(n).  Loaded documents are checked here, since JSON never
-    yields bytes rows."""
+    ints in range(n).  A loaded document's table is checked here unless
+    io.load_semigroup hands it over as bytes rows."""
     if not isinstance(table, list) or len(table) != n:
         raise MalformedTableError(f"{label} table must be a list of {n} rows")
     # a row is accepted by C-level scans, types first so that every entry is
@@ -199,19 +199,27 @@ def greedy_generators(table) -> list:
     return right_cayley_graph(rank, lambda y, g: table[y][g])[0]
 
 
+# below this many elements Light's test on all of S beats finding a greedy
+# generating set first on the tables validated most (semilattices: 10-60%
+# less time up to 16 elements), though a cyclic group takes up to 40% more
+# from 6 elements on
+ALL_ROWS_BELOW = 13
+
+
 def associativity_witness(table, gens=None):
     """First (x, y, z) in lexicographic order with (x y) z != x (y z), or
     None when the validated table is associative; the rows may be lists or
     bytes.
 
     Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
-    1.2) compares rows for y in a generating set A only: gens, or
-    greedy_generators(table).  The y with (x y) z = x (y z) for all x, z
-    are closed under the product even in a non-associative table, and A
-    reaches every element by right products, so n^2 |A| lookups decide a
-    pass; on a table of 8 to 256 elements row x a is compared with row a
-    read through row x, one translate per (x, a).  On a failure every row
-    is compared, so the witness is the first triple whichever A was used.
+    1.2) compares rows for y in a generating set A only: gens, or else all
+    of S below ALL_ROWS_BELOW elements and greedy_generators(table) from
+    there.  The y with (x y) z = x (y z) for all x, z are closed under the
+    product even in a non-associative table, and A reaches every element by
+    right products, so n^2 |A| lookups decide a pass; on a table of 8 to
+    256 elements row x a is compared with row a read through row x, one
+    translate per (x, a).  On a failure every row is compared, so the
+    witness is the first triple whichever A was used.
     """
     n = len(table)
     if n < 2:
@@ -219,7 +227,7 @@ def associativity_witness(table, gens=None):
     rng = range(n)
     rows = _byte_rows(table)
     if gens is None:
-        gens = greedy_generators(rows or table)
+        gens = rng if n < ALL_ROWS_BELOW else greedy_generators(rows or table)
     if rows is None:
         fails = any(any(map(_rows_differ(table, a), rng)) for a in gens)
     else:
@@ -247,7 +255,8 @@ class OpTableSemigroup:
     computed once per object and cached in a private field that takes no
     part in construction, repr or equality.
 
-    The tables the toolkit builds may give mult as bytes rows: they are
+    The tables the toolkit builds, and those io.load_semigroup reads from
+    a document of 8 to 256 elements, may give mult as bytes rows: they are
     checked by _from_byte_rows, kept as the _rows memo and replaced by
     their list rows, so the object equals the one the lists would give.
     """

@@ -12,7 +12,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .actions import PartialAction, Premorphism
-from .core import OpTableSemigroup
+from .core import BYTE_ROW_SIZES, OpTableSemigroup
 from .cover import CanonicalPath
 from .relmonoid import Rel
 from .resgraph import FiniteMonoid, FreeMonoid, ResGraph, Semilattice, Side
@@ -72,22 +72,31 @@ def _pair_list(value, what):
     return [tuple(p) for p in value]
 
 
-def read_json(path):
-    """The JSON value in the file at path; SchemaError if it cannot be read."""
+def _read(path):
+    """(text, JSON value) of the file at path; SchemaError if it cannot be
+    read.  json.load reads a file the same way: json.loads(fh.read())."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+            return text, json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
+def read_json(path):
+    """The JSON value in the file at path; SchemaError if it cannot be read."""
+    return _read(path)[1]
+
+
 def load_path(path):
-    return load_document(read_json(path))
+    text, doc = _read(path)
+    return load_document(doc, text)
 
 
-def load_document(doc):
+def load_document(doc, text=None):
     """(kind, object) for a document; SchemaError if it is malformed,
-    including the ValueErrors of the constructors that check its tables."""
+    including the ValueErrors of the constructors that check its tables.
+    text is the JSON text doc was parsed from, if known (load_semigroup)."""
     kind = _need(doc, "kind", "document")
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
@@ -101,19 +110,35 @@ def load_document(doc):
         "premorphism": load_premorphism,
     }[kind]
     try:
-        return kind, loader(doc)
+        return kind, loader(doc, text) if kind == "semigroup" else loader(doc)
     except SchemaError:
         raise
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
-def load_semigroup(doc) -> OpTableSemigroup:
+def load_semigroup(doc, text=None) -> OpTableSemigroup:
+    """The semigroup of a document.  Given text, the JSON text doc was
+    parsed from, a table of 8 to 256 elements (BYTE_ROW_SIZES) whose rows
+    are lists goes to OpTableSemigroup as bytes rows, checked at C level.
+    bytearray takes exactly the ints 0..255 from a JSON value, and JSON
+    true and false too, so that route is taken only when text holds
+    neither token.  A table it rejects is checked again as lists, so every
+    document is accepted or named in error as the list route alone would."""
     elements = _need_strings(doc, "elements", "semigroup")
     mult = _need(doc, "mult", "semigroup")
     plus = _need(doc, "plus", "semigroup")
     star = _need(doc, "star", "semigroup")
-    return OpTableSemigroup(len(elements), mult, plus, star, list(elements))
+    n, names = len(elements), list(elements)
+    if (text is not None and n in BYTE_ROW_SIZES and type(mult) is list
+            and {list}.issuperset(map(type, mult))
+            and not ("true" in text or "false" in text)):
+        try:
+            return OpTableSemigroup(n, list(map(bytes, map(bytearray, mult))),
+                                    plus, star, names)
+        except (TypeError, ValueError):     # bytearray's, or MalformedTableError
+            pass
+    return OpTableSemigroup(n, mult, plus, star, names)
 
 
 def dump_semigroup(S: OpTableSemigroup) -> dict:

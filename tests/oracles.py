@@ -7,7 +7,7 @@ import operator
 import random
 from collections import deque
 
-from ehresmann import actions, core, corpus, cover, product, relmonoid, resgraph
+from ehresmann import actions, core, corpus, cover, io, product, relmonoid, resgraph
 from ehresmann.report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
@@ -265,6 +265,68 @@ def parent_verify_ehresmann(S) -> Report:
         core._each("(x^+)^* = x^+", map(st.__getitem__, p), p),
         core._each("(x^*)^+ = x^*", map(p.__getitem__, st), st),
     ])
+
+
+# ---------------------------------------------------------------------------
+# the list-row parent of the byte-row loader: a semigroup document read by
+# json.load and every table checked as lists of ints, whatever its size
+
+def _parent_check_row(row, n, label):
+    if not isinstance(row, list) or len(row) != n:
+        raise core.MalformedTableError(f"{label} must be a list of length {n}")
+    for j, v in enumerate(row):
+        # bool is an int subclass; JSON true must not pass as 1
+        if type(v) is not int or not 0 <= v < n:
+            raise core.MalformedTableError(f"{label}[{j}] = {v!r} out of range")
+
+
+def parent_validate_table(table, n, label="mult"):
+    """Raise MalformedTableError unless table is a list of n list rows of
+    ints in range(n)."""
+    if not isinstance(table, list) or len(table) != n:
+        raise core.MalformedTableError(f"{label} table must be a list of {n} rows")
+    ids = frozenset(range(n))
+    for i, row in enumerate(table):
+        if not (isinstance(row, list) and len(row) == n
+                and {int}.issuperset(map(type, row)) and ids.issuperset(row)):
+            _parent_check_row(row, n, f"{label}[{i}]")
+
+
+def _parent_load_semigroup(doc):
+    elements = io._need_strings(doc, "elements", "semigroup")
+    mult = io._need(doc, "mult", "semigroup")
+    plus = io._need(doc, "plus", "semigroup")
+    star = io._need(doc, "star", "semigroup")
+    n = len(elements)
+    if n <= 0:
+        raise core.MalformedTableError("need at least one element")
+    parent_validate_table(mult, n)
+    _parent_check_row(plus, n, "plus")
+    _parent_check_row(star, n, "star")
+    return core.OpTableSemigroup(n, mult, plus, star, list(elements))
+
+
+def parent_load_path(path):
+    """(kind, object) of the document in the file at path by the parent's
+    route, semigroup tables checked by parent_validate_table; SchemaError
+    with the parent's message if it is unreadable or malformed."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise io.SchemaError(f"cannot read {path}: {exc}") from exc
+    kind = io._need(doc, "kind", "document")
+    if kind != "semigroup":
+        return io.load_document(doc)
+    version = io._need(doc, "version", kind)
+    if type(version) is not int or version != io.VERSION:
+        raise io.SchemaError(f"unsupported version {version!r}; expected {io.VERSION}")
+    try:
+        return kind, _parent_load_semigroup(doc)
+    except io.SchemaError:
+        raise
+    except ValueError as exc:
+        raise io.SchemaError(str(exc)) from exc
 
 
 def reference_generating_closure(S, gens):

@@ -589,24 +589,30 @@ def test_table_commands_check_the_axioms_first(tmp_path, capsys):
 
 
 # one value of each JSON type for the document fuzzer, with ints that are in
-# and out of range and containers that are empty or not
-_FUZZ_VALUES = [None, "x", "0", -1, 0, 1, 2, 7, 0.5, 1.0, True, False,
+# and out of range (of a table and of a byte) and containers that are empty
+# or not
+_FUZZ_VALUES = [None, "x", "0", -1, 0, 1, 2, 7, 255, 256, 300, 0.5, 1.0, True, False,
                 [], [0, 1], [[0, 1]], {}, {"0": [[0, 0]]}]
+
+
+def _semigroup_commands(gens):
+    """The commands that read a semigroup document, over generators gens."""
+    return ["verify {}", "verify {} --side both", "analyze {}", "sigma {}",
+            f"factorize {{}} --seq {gens}", f"cover build {{}} --gens {gens}",
+            f"cover verify {{}} --gens {gens} --len 2", "iso {}",
+            f"preimage {{}} --gens {gens} --element 1", "proper-ideal {} --max-len 2"]
 
 
 def _fuzz_documents():
     """(document, commands that read it, {} standing for its path) for every
-    document kind, each also wrapped as the one entry of a corpus file."""
+    document kind, each also wrapped as the one entry of a corpus file.  The
+    eight-element monoid's table is loaded as bytes rows."""
     from ehresmann import actions, relmonoid
 
-    ff = corpus.flip_flop()
     pm = actions.graph_to_premorphism(corpus.e2t2_graph())
     kinds = [
-        (io.dump_semigroup(ff),
-         ["verify {}", "verify {} --side both", "analyze {}", "sigma {}",
-          "factorize {} --seq 0,1,2", "cover build {} --gens 0,1,2",
-          "cover verify {} --gens 0,1,2 --len 2", "iso {}",
-          "preimage {} --gens 0,1,2 --element 1", "proper-ideal {} --max-len 2"]),
+        (io.dump_semigroup(corpus.flip_flop()), _semigroup_commands("0,1,2")),
+        (io.dump_semigroup(corpus.eight_monoid()), _semigroup_commands("0,1")),
         (io.dump_resgraph(corpus.e2t2_graph()),
          ["verify {}", "graph-check {}", "product build {}", "product check {}"]),
         (io.dump_resgraph(cover.build_cover_graph(corpus.chain(2), [0, 1]).graph),

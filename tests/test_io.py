@@ -130,6 +130,71 @@ def test_constructor_errors_are_schema_errors():
         assert str(info.value) == message
 
 
+def _loader_documents():
+    """Semigroup documents of 2, 7, 8, 9, 34, 64, 256 and 257 elements, on
+    both sides of the byte rows, each as it is and with one entry, row or
+    name edited to a value the schema rejects or a byte boundary."""
+    from ehresmann import relmonoid
+
+    tables = [corpus.chain(2), corpus.cyclic_group(7), corpus.eight_monoid(),
+              corpus.rel_pt2(), relmonoid.full_I(3).to_semigroup(),
+              relmonoid.full_PT(3).to_semigroup(), corpus.cyclic_group(256),
+              corpus.cyclic_group(257)]
+    rng = random.Random(34)
+    for S in tables:
+        doc = io.dump_semigroup(S)
+        n = S.n
+        yield doc
+        for value in (True, False, 1.0, -1, n, 255, 256, "3", None, []):
+            for x, y in ((0, 0), (rng.randrange(n), rng.randrange(n))):
+                edited = json.loads(json.dumps(doc))
+                edited["mult"][x][y] = value
+                yield edited
+        for row in (n, "row", {"0": 0}, doc["mult"][1][:-1], doc["mult"][1] + [0]):
+            edited = json.loads(json.dumps(doc))
+            edited["mult"][rng.randrange(n)] = row
+            yield edited
+        for key, value in (("plus", n), ("star", True)):
+            edited = json.loads(json.dumps(doc))
+            edited[key][n - 1] = value
+            yield edited
+        edited = json.loads(json.dumps(doc))
+        edited["elements"][0] = "true"
+        yield edited
+
+
+def test_loader_matches_parent_route(tmp_path):
+    """load_path gives the parent's object, or SchemaError with the parent's
+    message, on every loader document; those of 8 to 256 elements that it
+    accepts without a true or false token in their text come with bytes
+    rows preset."""
+    from oracles import parent_load_path
+
+    path = tmp_path / "doc.json"
+    errors = accepted = 0
+    for doc in _loader_documents():
+        text = json.dumps(doc)
+        path.write_text(text)
+        try:
+            want = parent_load_path(path)
+        except io.SchemaError as exc:
+            with pytest.raises(io.SchemaError) as info:
+                io.load_path(path)
+            assert str(info.value) == str(exc)
+            errors += 1
+            continue
+        kind, got = io.load_path(path)
+        S = want[1]
+        assert (kind, got.n, got.names) == ("semigroup", S.n, S.names)
+        assert (got.mult, got.plus, got.star) == (S.mult, S.plus, S.star)
+        assert {type(v) for row in got.mult for v in row} == {int}
+        preset = "true" not in text and "false" not in text and S.n in core.BYTE_ROW_SIZES
+        assert ("_rows" in got._memo) == preset
+        assert core._rows(got) == core._byte_rows(S.mult)
+        accepted += 1
+    assert errors > 100 and accepted > 20
+
+
 def test_canonical_form_serialization():
     from ehresmann.cover import CanonicalPath
     loop = CanonicalPath.loop_at(2)
