@@ -319,7 +319,49 @@ def _round_order(seeds, mult, plus, star) -> list:
     It returns as soon as every element has been met: elements are only
     ever appended, so later products would meet nothing new and the order
     is that of replaying every round to the end.
+
+    Up to 256 elements (list rows are made bytes first) every id is a byte
+    and the order met so far is a bytearray.  A round's plus and star are
+    two translates of the frontier, interleaved by slice assignment; for a
+    frontier element a, row a and column a (a strided slice of the joined
+    rows) are read at the snapshot by one translate each and interleaved
+    the same way.  One translate deletes the ids already met, so the
+    Python-level dedup runs only over what is met for the first time.
+    Above 256 elements the rows are lists and each product is one loop
+    step.
     """
+    size = len(mult)
+    if size > 256:
+        return _round_order_lists(seeds, mult, plus, star)
+    rows = mult if size and type(mult[0]) is bytes else list(map(bytes, mult))
+    pad = bytes(256 - size)
+    plus, star, flat = bytes(plus) + pad, bytes(star) + pad, b"".join(rows)
+    order = bytearray(dict.fromkeys(seeds))
+
+    def meet(first, second):
+        """Append the ids of first and second, read alternately, that are
+        not met yet; true once every element is met."""
+        buf = bytearray(2 * len(first))
+        buf[0::2], buf[1::2] = first, second
+        order.extend(dict.fromkeys(buf.translate(None, order)))
+        return len(order) == size
+
+    start = 0
+    while start < len(order) < size:
+        frontier = order[start:]
+        start = len(order)
+        if meet(frontier.translate(plus), frontier.translate(star)):
+            break
+        snapshot = bytes(order)
+        for a in frontier:
+            if meet(snapshot.translate(rows[a] + pad),
+                    snapshot.translate(flat[a::size] + pad)):
+                break
+    return list(order)
+
+
+def _round_order_lists(seeds, mult, plus, star) -> list:
+    """_round_order on list rows, one loop step per product."""
     size = len(mult)
     seen = bytearray(size)
     order = []
@@ -376,18 +418,21 @@ def generate(n: int, generators, cap: int | None = None) -> RelationAlgebra:
     The closure is found Froidure-Pin style, by right multiplication with
     the generators and every dom and ran met on the way, candidates in the
     order they are met; its multiplication table is read off that right
-    Cayley graph (_table).  The elements are then numbered in the order of
-    the round-by-round closure, which adds dom and ran of each new
-    relation, then its products with every known relation on both sides,
-    and the tables are renumbered to match and kept on the algebra, so
-    to_semigroup builds none.
+    Cayley graph (_table).  register computes the dom and ran masks of each
+    new relation once and keeps them for the plus and star tables.  The
+    elements are then numbered in the order of the round-by-round closure,
+    which adds dom and ran of each new relation, then its products with
+    every known relation on both sides, replayed on the table by
+    _round_order (bytes rows up to 256 elements), and the tables are
+    renumbered to match and kept on the algebra, so to_semigroup builds
+    none.
     """
     cap = closure_cap(cap)
     gens = sorted(set(generators), key=lambda r: r.bits)
     for g in gens:
         if g.n != n:
             raise ValueError("generator ground size mismatch")
-    bits, index_of = [], {}
+    bits, dom_ran_bits, index_of = [], [], {}
 
     def register(b):
         if b not in index_of:
@@ -396,13 +441,15 @@ def generate(n: int, generators, cap: int | None = None) -> RelationAlgebra:
                     f"closure exceeded cap of {cap} elements")
             index_of[b] = len(bits)
             bits.append(b)
-            for x in _dom_ran_bits(n, b):
+            masks = _dom_ran_bits(n, b)
+            dom_ran_bits.append(masks)
+            for x in masks:
                 register(x)
         return index_of[b]
 
     seeds = [register(g.bits) for g in gens]
     mult = _table(n, bits, register)
-    plus, star = _plus_star([_dom_ran_bits(n, b) for b in bits], index_of.__getitem__)
+    plus, star = _plus_star(dom_ran_bits, index_of.__getitem__)
     order = _round_order(seeds, mult, plus, star)
     if len(order) != len(bits):
         raise core.InvariantError(

@@ -408,6 +408,72 @@ def test_byte_band_boundaries_match_parent_path():
     assert bands == {"lists below 8": 4, "bytes": 4, "lists above 256": 4}, bands
 
 
+def test_round_order_matches_parent_on_raw_closure_tables(monkeypatch):
+    """_round_order on the tables generate hands it, before renumbering,
+    against the parent's list loop: random closures in each band of
+    core.BYTE_ROW_SIZES, whose orders are not the identity."""
+    calls = []
+
+    def recording(seeds, mult, plus, star):
+        order = round_order(seeds, mult, plus, star)
+        calls.append((order, parent_round_order(seeds, mult, plus, star), len(mult)))
+        return order
+
+    round_order = relmonoid._round_order
+    monkeypatch.setattr(relmonoid, "_round_order", recording)
+    rng = random.Random(35)
+    for _ in range(40):
+        n, kind = rng.choice((2, 3, 4)), rng.choice(("bijection", "map", "relation"))
+        relmonoid.generate(n, [_random_relation(rng, n, kind)
+                               for _ in range(rng.randint(1, 4))])
+    bands, moved = Counter(), 0
+    for got, want, size in calls:
+        assert got == want
+        bands["below 8" if size < 8 else "bytes" if size <= 256 else "above 256"] += 1
+        moved += got != list(range(size))
+    assert set(bands) == {"below 8", "bytes", "above 256"}, bands
+    assert moved >= len(calls) // 2, (moved, len(calls))
+
+
+def _random_total_table(rng, size, closed):
+    """A random table with random plus and star on range(size) in which
+    the first `closed` ids are closed under all three, shuffled, and seeds
+    among those ids, one of them repeated."""
+    perm = rng.sample(range(size), size)
+
+    def pick(*args):
+        inside = all(x < closed for x in args)
+        return perm[rng.randrange(closed if inside else size)]
+
+    rank = {x: i for i, x in enumerate(perm)}
+    mult = [[pick(rank[a], rank[b]) for b in range(size)] for a in range(size)]
+    plus = [pick(rank[a]) for a in range(size)]
+    star = [pick(rank[a]) for a in range(size)]
+    seeds = [perm[rng.randrange(closed)] for _ in range(rng.randint(1, 4))]
+    seeds.insert(rng.randrange(len(seeds) + 1), rng.choice(seeds))
+    return seeds, mult, plus, star
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 255, 256, 257])
+def test_round_order_matches_parent_on_random_tables(size):
+    """Random total tables, not Ehresmann, with seeds repeated and out of
+    order; some have a closed part that the seeds never leave, so the
+    order stops short of size.  Tables of 8 to 256 elements give the same
+    order as bytes rows and as list rows."""
+    rng = random.Random(size)
+    short = 0
+    for trial in range(6):
+        closed = size if trial % 2 else rng.randint(1, size)
+        seeds, mult, plus, star = _random_total_table(rng, size, closed)
+        want = parent_round_order(seeds, mult, plus, star)
+        assert relmonoid._round_order(seeds, mult, plus, star) == want
+        if size in core.BYTE_ROW_SIZES:
+            rows = [bytes(row) for row in mult]
+            assert relmonoid._round_order(seeds, rows, plus, star) == want
+        short += len(want) < size
+    assert short or size == 1
+
+
 @pytest.mark.parametrize("elements, missing", [
     # {(0,1)} ; {(0,1)} is the empty relation, which is not listed
     ([[(0, 1)], [(0, 0)], [(1, 1)]], "Rel{}"),
