@@ -11,6 +11,7 @@ import functools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
 
 from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
@@ -137,33 +138,83 @@ def _find(parent, x):
     return x
 
 
-def _rows_differ(table, y):
-    """The test x -> (x y) z != x (y z) for some z, by whole rows: row x y
-    of the table against row y read through row x.  Needs len(table) >= 2,
-    since itemgetter returns a tuple only for two or more indices."""
-    through = operator.itemgetter(*table[y])
-    return lambda x: tuple(table[table[x][y]]) != through(table[x])
-
+# ---------------------------------------------------------------------------
+# the row primitive, one implementation per representation of the rows
 
 # the table sizes held as bytes rows
 BYTE_ROW_SIZES = range(8, 257)
 
+_BYTE_IDS = bytes(range(256))
+
+
+class _ListRows:
+    """Rows as lists of n ids, each its own lookup and read through by
+    itemgetter, or below two ids (all 0) by a slice, since itemgetter of
+    one index returns an item."""
+
+    row = list
+    lookup = lookups = staticmethod(lambda g: g)
+    missing = staticmethod(lambda rows: [len(row) - len(set(row)) for row in rows])
+    columns = staticmethod(lambda rows: list(map(list, zip(*rows))))
+
+    def __init__(self, n: int):
+        self.getter = operator.itemgetter if n > 1 else (
+            lambda *f: operator.itemgetter(slice(len(f))))
+
+    def read(self, f, g):
+        return list(self.getter(*f)(g))
+
+    def pairwise(self, fs, gs):
+        return map(list, map(operator.itemgetter.__call__, starmap(self.getter, fs), gs))
+
+    def through(self, f, gs):
+        return map(list, map(self.getter(*f), gs))
+
+
+class _ByteRows:
+    """Rows as bytes of at most 256 ids; a lookup is a row padded to the 256
+    entries of a translate table, so a read is one translate."""
+
+    row = bytes
+    lookup = staticmethod(lambda g: g.ljust(256))
+    lookups = staticmethod(lambda gs: map(bytes.ljust, gs, repeat(256)))
+    read = staticmethod(bytes.translate)
+    pairwise = staticmethod(functools.partial(map, bytes.translate))
+    through = staticmethod(lambda f, gs: map(f.translate, gs))
+    # the ids left when those in a row are deleted from range(n)
+    missing = staticmethod(
+        lambda rows: [len(_BYTE_IDS[:len(r)].translate(None, r)) for r in rows])
+
+    @staticmethod
+    def columns(rows):
+        n, flat = len(rows[0]), b"".join(rows)
+        return [flat[a::n] for a in range(n)]
+
+
+def row_form(n: int):
+    """The row primitive for tables of n elements: bytes rows at
+    BYTE_ROW_SIZES (8 to 256 elements), list rows at any other size, as
+    below 8 elements converting the rows costs more than it saves and above
+    256 an id does not fit in a byte.
+
+    R = row_form(n) gives R.row(ids), a row; rows of one form are equal
+    exactly when their entries are.  Row g read through row f, z -> g[f[z]],
+    is R.read(f, R.lookup(g)), a lookup made once per row and table;
+    R.through(f, R.lookups(gs)) reads each g through one f, and
+    R.pairwise(fs, R.lookups(gs)) each through the f beside it, one C-level
+    batch each.  R.missing(rows) counts the ids of range(n) each row
+    misses, and R.columns(rows) gives the columns of rows of one length."""
+    return _ByteRows if n in BYTE_ROW_SIZES else _ListRows(n)
+
 
 def _byte_rows(table):
-    """The rows of a table of 8 to 256 elements as bytes, or None for any
-    other size; a table of bytes rows is returned as it is.  Row x read
-    through row a, z -> x (a z), is then one C call, rows[a].translate(rows[x]
-    + bytes(256 - n)), since a translate table has 256 entries.  Below 8
-    elements converting and padding the rows costs more than it saves."""
+    """The rows of a table of 8 to 256 elements as bytes, as its row_form
+    holds them, or None at any other size; bytes rows are returned as
+    they are."""
     if len(table) not in BYTE_ROW_SIZES:
         return None
-    if type(table[0]) is bytes:
-        return table
     # bytearray reads a list of ints about twice as fast as bytes does
-    return list(map(bytes, map(bytearray, table)))
-
-
-_BYTE_IDS = bytes(range(256))
+    return table if type(table[0]) is bytes else list(map(bytes, map(bytearray, table)))
 
 
 def _from_byte_rows(rows, n: int) -> list:
@@ -187,15 +238,8 @@ def greedy_generators(table) -> list:
     with a large row reaches many others by right products, so few are
     needed (B(3): 5 of 512 elements, PT(4): 5 of 625).  The rows may be
     lists or bytes."""
-    n = len(table)
-    rows = _byte_rows(table)
-    if rows is None:
-        missing = [n - len(set(row)) for row in table]
-    else:
-        # the ids left when those in row x are deleted from range(n)
-        ids = _BYTE_IDS[:n]
-        missing = [len(ids.translate(None, row)) for row in rows]
-    rank = sorted(range(n), key=missing.__getitem__)
+    missing = row_form(len(table)).missing(_byte_rows(table) or table)
+    rank = sorted(range(len(table)), key=missing.__getitem__)
     return right_cayley_graph(rank, lambda y, g: table[y][g])[0]
 
 
@@ -208,42 +252,34 @@ ALL_ROWS_BELOW = 13
 
 def associativity_witness(table, gens=None):
     """First (x, y, z) in lexicographic order with (x y) z != x (y z), or
-    None when the validated table is associative; the rows may be lists or
-    bytes.
+    None when the validated table is associative; the rows may be lists,
+    or bytes at BYTE_ROW_SIZES.
 
     Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
     1.2) compares rows for y in a generating set A only: gens, or else all
     of S below ALL_ROWS_BELOW elements and greedy_generators(table) from
     there.  The y with (x y) z = x (y z) for all x, z are closed under the
     product even in a non-associative table, and A reaches every element by
-    right products, so n^2 |A| lookups decide a pass; on a table of 8 to
-    256 elements row x a is compared with row a read through row x, one
-    translate per (x, a).  On a failure every row is compared, so the
-    witness is the first triple whichever A was used.
+    right products, so n^2 |A| lookups decide a pass: row x a against row
+    x read through row a, for every x, in the table's row_form.  On a
+    failure every row is compared, so the witness is the first triple
+    whichever A was used.
     """
     n = len(table)
-    if n < 2:
-        return None     # [] and [[0]]
-    rng = range(n)
-    rows = _byte_rows(table)
+    R, rng, rows = row_form(n), range(n), _byte_rows(table) or table
     if gens is None:
-        gens = rng if n < ALL_ROWS_BELOW else greedy_generators(rows or table)
-    if rows is None:
-        fails = any(any(map(_rows_differ(table, a), rng)) for a in gens)
-    else:
-        pad = bytes(256 - n)
-        through = [row + pad for row in rows]
-        # row x a against row a read through row x, for every x
-        fails = any(any(map(operator.ne,
-                            map(rows.__getitem__, map(operator.itemgetter(a), rows)),
-                            map(rows[a].translate, through)))
-                    for a in gens)
-    if not fails:
+        gens = rng if n < ALL_ROWS_BELOW else greedy_generators(rows)
+    lookups = list(R.lookups(rows))
+    if not any(any(map(operator.ne, map(rows.__getitem__, map(operator.itemgetter(a), rows)),
+                       R.through(rows[a], lookups)))
+               for a in gens):
         return None
-    differs = [_rows_differ(table, y) for y in rng]
-    x, y = next((x, y) for x in rng for y in rng if differs[y](x))
-    mx, my = table[x], table[y]
-    return (x, y, next(z for z in rng if table[mx[y]][z] != mx[my[z]]))
+    # row x y against row x read through row y, for every x and y
+    x, y = next((x, y) for x in rng for y, differs in enumerate(map(
+        operator.ne, map(rows.__getitem__, rows[x]),
+        R.pairwise(rows, repeat(lookups[x])))) if differs)
+    mx, my = rows[x], rows[y]
+    return (x, y, next(z for z in rng if rows[mx[y]][z] != mx[my[z]]))
 
 
 @dataclass
@@ -256,9 +292,10 @@ class OpTableSemigroup:
     part in construction, repr or equality.
 
     The tables the toolkit builds, and those io.load_semigroup reads from
-    a document of 8 to 256 elements, may give mult as bytes rows: they are
-    checked by _from_byte_rows, kept as the _rows memo and replaced by
-    their list rows, so the object equals the one the lists would give.
+    a document of 8 to 256 elements, may give mult as bytes rows, the rows
+    of its row_form: they are checked by _from_byte_rows, kept as the _rows
+    memo and replaced by their list rows, so the object equals the one the
+    lists would give.
     """
 
     n: int
@@ -334,15 +371,6 @@ def _light(S: OpTableSemigroup) -> tuple:
     return gens, associativity_witness(table, gens)
 
 
-def _gather(idx):
-    """seq -> tuple(seq[i] for i in idx) in one C-level itemgetter call;
-    itemgetter returns a bare item for a single index, so that is wrapped."""
-    if len(idx) == 1:
-        i, = idx
-        return lambda seq: (seq[i],)
-    return operator.itemgetter(*idx)
-
-
 def _each(name, lhs, rhs) -> Check:
     """An identity in x, both sides given as sequences over x; the witness
     is the first x where they differ."""
@@ -368,7 +396,9 @@ def _commute(name, m, u) -> Check:
     and a witness is sought only at the first x whose value has a partner
     it does not commute with."""
     image = list(set(u))
-    at = _gather(image)
+    if len(image) < 2:      # one value commutes, and itemgetter(e) is an item
+        return Check(name, PASS)
+    at = operator.itemgetter(*image)
     rows = [at(m[e]) for e in image]
     cols = list(zip(*rows))
     if rows == cols:
@@ -389,36 +419,19 @@ def verify_ehresmann(S: OpTableSemigroup) -> Report:
     """
     m, p, st = S.mult, S.plus, S.star
     rng = range(S.n)
-    rows = _rows(S)
+    R, rows = row_form(S.n), _rows(S) or m
+    P = R.row(p)
 
     def plus_rows():
-        # row x of (x y)^+ against the same row read at y^+; as bytes, the
-        # row read through plus, and plus read through that
-        if rows is None:
-            through_p = _gather(p)
-            for row in m:
-                lhs = _gather(row)(p)
-                yield lhs, through_p(lhs)
-            return
-        pad, bp = bytes(256 - S.n), bytes(p)
-        P = bp + pad
-        for row in rows:
-            lhs = row.translate(P)
-            yield lhs, bp.translate(lhs + pad)
+        # row x of (x y)^+, plus read through row x, against the same row
+        # read at y^+, that row read through plus
+        lhs = list(R.pairwise(rows, repeat(R.lookup(P))))
+        return zip(lhs, R.through(P, R.lookups(lhs)))
 
     def star_rows():
-        # row x of (x y)^* against row x^* of it, read through star once per
-        # value of x^* (as bytes, once per row)
-        if rows is None:
-            at = {}
-            for row, e in zip(m, st):
-                if e not in at:
-                    at[e] = _gather(m[e])(st)
-                yield _gather(row)(st), at[e]
-            return
-        ST = bytes(st) + bytes(256 - S.n)
-        at = [row.translate(ST) for row in rows]
-        yield from zip(at, map(at.__getitem__, st))
+        # row x of (x y)^*, star read through row x, against row x^* of it
+        at = list(R.pairwise(rows, repeat(R.lookup(R.row(st)))))
+        return zip(at, map(at.__getitem__, st))
 
     assoc = _light(S)[1]
     return Report([
@@ -440,22 +453,24 @@ def verify_restriction(S: OpTableSemigroup, side: str = "both") -> Report:
     order."""
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be left, right or both, not {side!r}")
-    m, p, st = S.mult, S.plus, S.star
+    R, rows = row_form(S.n), _rows(S) or S.mult
 
     def left_rows():
-        # x y^+ against (x y)^+ x: column x at the image of plus, which
-        # holds n |P| entries on an Ehresmann table, read through plus and
-        # then through row x
-        image = sorted(set(p))
-        pos = {e: i for i, e in enumerate(image)}
-        through_p, through_pos = _gather(p), _gather([pos[e] for e in p])
-        for row, col in zip(m, zip(*[m[e] for e in image])):
-            yield through_p(row), _gather(row)(through_pos(col))
+        # x y^+ against (x y)^+ x: row x read through plus, against column
+        # x, taken at the image of plus only, read through plus, then row x
+        image = sorted(set(S.plus))
+        pos = dict(zip(image, range(len(image))))
+        at_plus = R.through(R.row(map(pos.__getitem__, S.plus)),
+                            R.lookups(R.columns([rows[e] for e in image])))
+        return zip(R.through(R.row(S.plus), R.lookups(rows)),
+                   R.pairwise(rows, R.lookups(at_plus)))
 
     def right_rows():
-        # x^* y against y (x y)^*
-        for row, e in zip(m, st):
-            yield m[e], list(map(operator.getitem, m, _gather(row)(st)))
+        # x^* y against y (x y)^*: star read through row x, then row y read
+        # at entry y of that, for every y
+        at_star = R.pairwise(rows, repeat(R.lookup(R.row(S.star))))
+        return zip(map(rows.__getitem__, S.star),
+                   (R.row(map(operator.getitem, rows, t)) for t in at_star))
 
     checks = []
     if side in ("left", "both"):

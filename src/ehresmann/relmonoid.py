@@ -11,7 +11,7 @@ import functools
 import operator
 import os
 from dataclasses import dataclass, field
-from itertools import chain, product as iproduct
+from itertools import chain, product as iproduct, repeat
 
 from . import core
 from .core import OpTableSemigroup
@@ -204,11 +204,9 @@ def _table(n: int, bits: list, register, candidates=None) -> list:
     the id of a relation; it may append a new relation to bits, which is
     then reached as well.  Composition is associative, so for y = p a_j a
     generator's row follows the graph, a y = (a p) a_j, and every other
-    row is a generator's row read through an earlier row,
-    y x = p (a_j x): n |A| compositions and n^2 lookups instead of n^2
-    compositions.  At core.BYTE_ROW_SIZES (8 to 256 elements) the rows are
-    bytes and each of those reads is one translate,
-    rows[a_j].translate(rows[p] + pad); otherwise they are lists.
+    row is an earlier row read through a generator's row, y x = p (a_j x):
+    n |A| compositions and n^2 lookups instead of n^2 compositions, each
+    row of lookups one R.read of R = core.row_form(len(bits)).
     """
     times = {}
 
@@ -227,22 +225,16 @@ def _table(n: int, bits: list, register, candidates=None) -> list:
         every_id() if candidates is None else candidates, multiply)
     words = [(z, *word[z]) for z in order]
     size = len(bits)
+    R = core.row_form(size)
     rows = [None] * size
     for g in gens:
-        row = rows[g] = [None] * size
+        row = [None] * size
         for z, p, j in words:
             row[z] = right[g if p is None else row[p]][j]
-    if size in core.BYTE_ROW_SIZES:
-        pad = bytes(256 - size)
-        for g in gens:
-            rows[g] = bytes(rows[g])
-        for z, p, j in words:
-            if p is not None:
-                rows[z] = rows[gens[j]].translate(rows[p] + pad)
-    else:
-        for z, p, j in words:
-            if p is not None:
-                rows[z] = list(map(rows[p].__getitem__, rows[gens[j]]))
+        rows[g] = R.row(row)
+    for z, p, j in words:
+        if p is not None:
+            rows[z] = R.read(rows[gens[j]], R.lookup(rows[p]))
     return rows
 
 
@@ -262,10 +254,9 @@ class RelationAlgebra:
     plus and star tables are built once and kept in _tables, a memo slot
     that takes no part in construction, repr or equality: generate fills it
     from its own closure, and to_semigroup fills it for a listed algebra.
-    The mult table is kept as _table builds it: bytes rows for 8 to 256
-    elements, which every semigroup to_semigroup returns keeps as its
-    core._rows memo, and list rows otherwise, which it shares as its mult.
-    Nothing mutates either.
+    The mult table is kept as _table builds it, in its core.row_form: bytes
+    rows, which every semigroup to_semigroup returns keeps as its core._rows
+    memo, or list rows, which it shares as its mult.  Nothing mutates either.
     """
 
     n: int
@@ -391,24 +382,16 @@ def _round_order_lists(seeds, mult, plus, star) -> list:
 
 def _renumbered(order, mult, plus, star):
     """The tables with element order[i] renamed i: rank[order[i]] = i, and
-    each row read through the order, then mapped by rank.  Bytes rows stay
-    bytes, each renamed by two translates: bytes(order) through the row,
-    then the result through the rank table."""
-    if len(order) < 2:
-        # nothing to rename, and itemgetter of a single index returns an
-        # item rather than a tuple
-        return mult, plus, star
+    each row read through the order, then mapped by rank: in the
+    core.row_form of mult, rank read through row x read through the
+    order."""
     rank = [0] * len(order)
     for i, x in enumerate(order):
         rank[x] = i
-    get, to_rank = operator.itemgetter(*order), rank.__getitem__
-    if type(mult[0]) is bytes:
-        pad = bytes(256 - len(order))
-        through, by_rank = bytes(order), bytes(rank) + pad
-        rows = [through.translate(mult[x] + pad).translate(by_rank) for x in order]
-    else:
-        rows = [list(map(to_rank, get(mult[x]))) for x in order]
-    return rows, list(map(to_rank, get(plus))), list(map(to_rank, get(star)))
+    R = core.row_form(len(order))
+    renamed = R.through(R.row(order), R.lookups(map(mult.__getitem__, order)))
+    rows = list(R.pairwise(renamed, repeat(R.lookup(R.row(rank)))))
+    return rows, [rank[plus[x]] for x in order], [rank[star[x]] for x in order]
 
 
 def generate(n: int, generators, cap: int | None = None) -> RelationAlgebra:

@@ -151,7 +151,7 @@ def reference_verify_ehresmann(S):
             list(map(m[u[x]].__getitem__, u)), list(map(cols[u[x]].__getitem__, u))))
 
     gens = core.right_cayley_graph(rng, lambda y, g: m[y][g])[0]
-    assoc = core.associativity_witness(m, gens)
+    assoc = parent_associativity_witness(m, gens)
     return Report([
         Check("associativity", FAIL if assoc else PASS, assoc),
         each("x^+ x = x", lambda x: m[p[x]][x] == x),
@@ -187,9 +187,45 @@ def reference_verify_restriction(S, side="both"):
 
 # ---------------------------------------------------------------------------
 # the list-row parent of the byte-row kernel: Light's test, its greedy A and
-# verify_ehresmann comparing rows by itemgetter at every table size;
-# parent_verify_ehresmann calls the two functions above it where core reads
-# them off the memoised _light
+# verify_ehresmann comparing rows by itemgetter at every table size, with
+# copies of the row helpers they used, so that a rewrite of core's leaves
+# them as they were; parent_verify_ehresmann calls the two functions above
+# it where core reads them off the memoised _light
+
+
+def _parent_rows_differ(table, y):
+    """The test x -> (x y) z != x (y z) for some z, by whole rows: row x y
+    of the table against row y read through row x.  Needs len(table) >= 2,
+    since itemgetter returns a tuple only for two or more indices."""
+    through = operator.itemgetter(*table[y])
+    return lambda x: tuple(table[table[x][y]]) != through(table[x])
+
+
+def _parent_gather(idx):
+    """seq -> tuple(seq[i] for i in idx) in one C-level itemgetter call;
+    itemgetter returns a bare item for a single index, so that is wrapped."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda seq: (seq[i],)
+    return operator.itemgetter(*idx)
+
+
+def _parent_commute(name, m, u):
+    """u(x) u(y) = u(y) u(x).  Both sides depend on u(x) and u(y) only, so
+    the table restricted to the image of u is compared with its transpose,
+    and a witness is sought only at the first x whose value has a partner
+    it does not commute with."""
+    image = list(set(u))
+    at = _parent_gather(image)
+    rows = [at(m[e]) for e in image]
+    cols = list(zip(*rows))
+    if rows == cols:
+        return Check(name, PASS)
+    bad = {e for e, row, col in zip(image, rows, cols) if row != col}
+    x = next(x for x, e in enumerate(u) if e in bad)
+    e = u[x]
+    return Check(name, FAIL, (x, next(y for y, f in enumerate(u) if m[e][f] != m[f][e])))
+
 
 def parent_greedy_generators(table) -> list:
     """A generating set of the table by right products: the greedy one of
@@ -219,9 +255,9 @@ def parent_associativity_witness(table, gens=None):
     rng = range(n)
     if gens is None:
         gens = parent_greedy_generators(table)
-    if not any(any(map(core._rows_differ(table, a), rng)) for a in gens):
+    if not any(any(map(_parent_rows_differ(table, a), rng)) for a in gens):
         return None
-    differs = [core._rows_differ(table, y) for y in rng]
+    differs = [_parent_rows_differ(table, y) for y in rng]
     x, y = next((x, y) for x in rng for y in rng if differs[y](x))
     mx, my = table[x], table[y]
     return (x, y, next(z for z in rng if table[mx[y]][z] != mx[my[z]]))
@@ -234,7 +270,7 @@ def parent_verify_ehresmann(S) -> Report:
     first in lexicographic order of its variables.  The identities in two
     variables are compared by whole rows at C level, one x at a time.
     """
-    _gather = core._gather
+    _gather = _parent_gather
     m, p, st = S.mult, S.plus, S.star
     rng = range(S.n)
     through_p = _gather(p)
@@ -257,10 +293,10 @@ def parent_verify_ehresmann(S) -> Report:
     return Report([
         Check("associativity", FAIL if assoc else PASS, assoc),
         core._each("x^+ x = x", map(operator.getitem, map(m.__getitem__, p), rng), rng),
-        core._commute("x^+ y^+ = y^+ x^+", m, p),
+        _parent_commute("x^+ y^+ = y^+ x^+", m, p),
         core._by_rows("(x y)^+ = (x y^+)^+", plus_rows()),
         core._each("x x^* = x", map(operator.getitem, m, st), rng),
-        core._commute("x^* y^* = y^* x^*", m, st),
+        _parent_commute("x^* y^* = y^* x^*", m, st),
         core._by_rows("(x y)^* = (x^* y)^*", star_rows()),
         core._each("(x^+)^* = x^+", map(st.__getitem__, p), p),
         core._each("(x^*)^+ = x^*", map(p.__getitem__, st), st),

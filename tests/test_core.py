@@ -760,3 +760,42 @@ def test_verify_matches_reference_scans():
         for check in got.checks + restriction.checks:
             fails[check.name] = fails.get(check.name, 0) + (check.status == FAIL)
     assert len(fails) == 11 and min(fails.values()) >= 5, fails
+    # and at both ends of the byte rows, where each restriction identity
+    # fails on bytes rows and on list rows
+    sides = {}
+    for S in _byte_row_inputs(random.Random(29)):
+        if S.n not in (7, 8, 255, 256, 257):
+            continue
+        want = reference_verify_restriction(OpTableSemigroup(S.n, S.mult, S.plus, S.star)).checks
+        assert core.verify_restriction(S, "both").checks == want
+        assert core.verify_restriction(S, "left").checks + core.verify_restriction(
+            S, "right").checks == want
+        for check in want:
+            if check.status == FAIL:
+                sides.setdefault(check.name, set()).add(core._rows(S) is None)
+    assert len(sides) == 2 and all(band == {False, True} for band in sides.values()), sides
+
+
+def test_row_forms_match_comprehensions():
+    """Both row forms against plain comprehensions, on seeded random rows at
+    the ends of the byte rows and at 1 and 2 elements, where itemgetter of
+    fewer than two indices returns an item: a row read through another, one
+    at a time, through one row and pairwise; the ids each row misses; and
+    the columns."""
+    rng = random.Random(36)
+    for n in (1, 2, 7, 8, 255, 256, 257):
+        fs, gs = ([[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        fs[0], gs[-1] = list(range(n)), [n - 1] * n     # nothing and all but one missed
+        assert (core.row_form(n) is core._ByteRows) == (8 <= n <= 256)
+        for R in [core._ListRows(n)] + ([core._ByteRows] if n <= 256 else []):
+            F, G = list(map(R.row, fs)), list(map(R.row, gs))
+            assert list(map(R.read, F, map(R.lookup, G))) == [
+                R.row([g[z] for z in f]) for f, g in zip(fs, gs)]
+            assert list(R.pairwise(F, R.lookups(G))) == [
+                R.row([g[z] for z in f]) for f, g in zip(fs, gs)]
+            for f in fs[0], fs[n // 2]:
+                assert list(R.through(R.row(f), R.lookups(G))) == [
+                    R.row([g[z] for z in f]) for g in gs]
+            assert R.missing(F + G) == [n - len(set(f)) for f in fs + gs]
+            assert R.columns(F) == [R.row([f[a] for f in fs]) for a in range(n)]
+            assert R.columns(F[:3]) == [R.row([f[a] for f in fs[:3]]) for a in range(n)]
