@@ -39,8 +39,7 @@ def _check_row(row, n: int, label: str) -> None:
 
 def validate_table(table, n: int, label: str = "mult") -> None:
     """Raise MalformedTableError unless table is a list of n list rows of
-    ints in range(n).  A loaded document's table is checked here unless
-    io.load_semigroup hands it over as bytes rows."""
+    ints in range(n); table_rows checks list rows here."""
     if not isinstance(table, list) or len(table) != n:
         raise MalformedTableError(f"{label} table must be a list of {n} rows")
     # a row is accepted by C-level scans, types first so that every entry is
@@ -203,32 +202,30 @@ def row_form(n: int):
     R.through(f, R.lookups(gs)) reads each g through one f, and
     R.pairwise(fs, R.lookups(gs)) each through the f beside it, one C-level
     batch each.  R.missing(rows) counts the ids of range(n) each row
-    misses, and R.columns(rows) gives the columns of rows of one length."""
+    misses, and R.columns(rows) gives the columns of rows of one length.
+    Every table class holds its table in this form, as table_rows gives it."""
     return _ByteRows if n in BYTE_ROW_SIZES else _ListRows(n)
 
 
-def _byte_rows(table):
-    """The rows of a table of 8 to 256 elements as bytes, as its row_form
-    holds them, or None at any other size; bytes rows are returned as
-    they are."""
-    if len(table) not in BYTE_ROW_SIZES:
-        return None
-    # bytearray reads a list of ints about twice as fast as bytes does
-    return table if type(table[0]) is bytes else list(map(bytes, map(bytearray, table)))
-
-
-def _from_byte_rows(rows, n: int) -> list:
-    """The list rows of n bytes rows of length n, checked at C level: no
-    entry is left when the ids range(n) are deleted from the joined rows.
-    A bad entry raises MalformedTableError, naming the first one."""
-    if len(rows) != n or set(map(type, rows)) != {bytes} or set(map(len, rows)) != {n}:
-        raise MalformedTableError(f"mult table must be a list of {n} bytes rows "
+def table_rows(table, n: int, label: str = "mult") -> list:
+    """The rows of an n-element table in row_form(n), checked: list rows by
+    validate_table, and bytes rows at C level, where no entry is left when
+    the ids range(n) are deleted from the joined rows.  A bad entry raises
+    MalformedTableError naming the first one, by the same message in either
+    form.  Rows given in row_form(n) are returned as they are, so a table
+    is held once, in the form every row kernel reads."""
+    if not (isinstance(table, list) and table and type(table[0]) is bytes):
+        validate_table(table, n, label)
+        # bytearray reads a list of ints about twice as fast as bytes does
+        return list(map(bytes, map(bytearray, table))) if n in BYTE_ROW_SIZES else table
+    if len(table) != n or set(map(type, table)) != {bytes} or set(map(len, table)) != {n}:
+        raise MalformedTableError(f"{label} table must be a list of {n} bytes rows "
                                   f"of length {n}")
     ids = _BYTE_IDS[:n]
-    if b"".join(rows).translate(None, ids):
-        i = next(i for i, row in enumerate(rows) if row.translate(None, ids))
-        _check_row(list(rows[i]), n, f"mult[{i}]")
-    return list(map(list, rows))
+    if b"".join(table).translate(None, ids):
+        i = next(i for i, row in enumerate(table) if row.translate(None, ids))
+        _check_row(list(table[i]), n, f"{label}[{i}]")
+    return table if n in BYTE_ROW_SIZES else list(map(list, table))
 
 
 def greedy_generators(table) -> list:
@@ -236,9 +233,9 @@ def greedy_generators(table) -> list:
     right_cayley_graph over the elements in decreasing order of |xS|, the
     number of distinct entries of row x, ties in index order.  An element
     with a large row reaches many others by right products, so few are
-    needed (B(3): 5 of 512 elements, PT(4): 5 of 625).  The rows may be
-    lists or bytes."""
-    missing = row_form(len(table)).missing(_byte_rows(table) or table)
+    needed (B(3): 5 of 512 elements, PT(4): 5 of 625).  The rows are in
+    row_form(len(table)), as table_rows gives them."""
+    missing = row_form(len(table)).missing(table)
     rank = sorted(range(len(table)), key=missing.__getitem__)
     return right_cayley_graph(rank, lambda y, g: table[y][g])[0]
 
@@ -252,8 +249,8 @@ ALL_ROWS_BELOW = 13
 
 def associativity_witness(table, gens=None):
     """First (x, y, z) in lexicographic order with (x y) z != x (y z), or
-    None when the validated table is associative; the rows may be lists,
-    or bytes at BYTE_ROW_SIZES.
+    None when the validated table, its rows in row_form(len(table)) as
+    table_rows gives them, is associative.
 
     Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
     1.2) compares rows for y in a generating set A only: gens, or else all
@@ -266,7 +263,7 @@ def associativity_witness(table, gens=None):
     whichever A was used.
     """
     n = len(table)
-    R, rng, rows = row_form(n), range(n), _byte_rows(table) or table
+    R, rng, rows = row_form(n), range(n), table
     if gens is None:
         gens = rng if n < ALL_ROWS_BELOW else greedy_generators(rows)
     lookups = list(R.lookups(rows))
@@ -291,11 +288,9 @@ class OpTableSemigroup:
     computed once per object and cached in a private field that takes no
     part in construction, repr or equality.
 
-    The tables the toolkit builds, and those io.load_semigroup reads from
-    a document of 8 to 256 elements, may give mult as bytes rows, the rows
-    of its row_form: they are checked by _from_byte_rows, kept as the _rows
-    memo and replaced by their list rows, so the object equals the one the
-    lists would give.
+    mult may be given as list rows or as bytes rows; table_rows checks it
+    and holds it in row_form(n), bytes rows from 8 to 256 elements and list
+    rows at any other size, so the object is the same whichever was given.
     """
 
     n: int
@@ -309,12 +304,7 @@ class OpTableSemigroup:
     def __post_init__(self):
         if self.n <= 0:
             raise MalformedTableError("need at least one element")
-        rows = self.mult
-        if isinstance(rows, list) and rows and type(rows[0]) is bytes:
-            self.mult = _from_byte_rows(rows, self.n)
-            self._memo[_rows.__name__] = _byte_rows(rows)
-        else:
-            validate_table(rows, self.n)
+        self.mult = table_rows(self.mult, self.n)
         _check_row(self.plus, self.n, "plus")
         _check_row(self.star, self.n, "star")
         if self.names is not None and len(self.names) != self.n:
@@ -356,19 +346,11 @@ def _memoised(fn):
 
 
 @_memoised
-def _rows(S: OpTableSemigroup):
-    """S.mult as bytes rows (_byte_rows), or None; preset when S was
-    given bytes rows."""
-    return _byte_rows(S.mult)
-
-
-@_memoised
 def _light(S: OpTableSemigroup) -> tuple:
     """A = greedy_generators(S.mult) and the associativity_witness of
     Light's test on A."""
-    table = _rows(S) or S.mult
-    gens = greedy_generators(table)
-    return gens, associativity_witness(table, gens)
+    gens = greedy_generators(S.mult)
+    return gens, associativity_witness(S.mult, gens)
 
 
 def _each(name, lhs, rhs) -> Check:
@@ -419,18 +401,18 @@ def verify_ehresmann(S: OpTableSemigroup) -> Report:
     """
     m, p, st = S.mult, S.plus, S.star
     rng = range(S.n)
-    R, rows = row_form(S.n), _rows(S) or m
+    R = row_form(S.n)
     P = R.row(p)
 
     def plus_rows():
         # row x of (x y)^+, plus read through row x, against the same row
         # read at y^+, that row read through plus
-        lhs = list(R.pairwise(rows, repeat(R.lookup(P))))
+        lhs = list(R.pairwise(m, repeat(R.lookup(P))))
         return zip(lhs, R.through(P, R.lookups(lhs)))
 
     def star_rows():
         # row x of (x y)^*, star read through row x, against row x^* of it
-        at = list(R.pairwise(rows, repeat(R.lookup(R.row(st)))))
+        at = list(R.pairwise(m, repeat(R.lookup(R.row(st)))))
         return zip(at, map(at.__getitem__, st))
 
     assoc = _light(S)[1]
@@ -453,7 +435,7 @@ def verify_restriction(S: OpTableSemigroup, side: str = "both") -> Report:
     order."""
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be left, right or both, not {side!r}")
-    R, rows = row_form(S.n), _rows(S) or S.mult
+    R, rows = row_form(S.n), S.mult
 
     def left_rows():
         # x y^+ against (x y)^+ x: row x read through plus, against column
@@ -517,15 +499,20 @@ def natural_orders(S: OpTableSemigroup) -> OrderRelations:
     m, p, st = S.mult, S.plus, S.star
     P = projections(S)
     fast = verify_ehresmann(S).ok and {m[e][f] for e in P for f in P} <= set(P)
-    col = {f: [row[f] for row in m] for f in P}
+    R = row_form(S.n)
+    col = R.columns(m)
+    at = {f: R.lookup(col[f]) for f in P}
     le_l, le_r, le = [], [], []
     for a in range(S.n):
         pa = m[p[a]]
-        le_l.append(list(map(a.__eq__, pa)))
-        le_r.append(list(map(a.__eq__, col[st[a]])))
-        # one row of a^+ b f == a per candidate f; a <= b if any holds
-        hits = [[col[f][y] == a for y in pa] for f in ((st[a],) if fast else P)]
-        le.append(list(map(any, zip(*hits))))
+        le_l.append([x == a for x in pa])
+        le_r.append([x == a for x in col[st[a]]])
+        # column f read through row a^+ is a^+ b f for every b; a <= b when
+        # it is a at f = a^*, or off the fast path at some f in P
+        if fast:
+            le.append([x == a for x in R.read(pa, at[st[a]])])
+        else:
+            le.append([a in t for t in zip(*(R.read(pa, at[f]) for f in P))])
     return OrderRelations(le_l, le_r, le)
 
 
@@ -567,9 +554,11 @@ def sigma(S: OpTableSemigroup):
         if ra == rb:
             continue
         parent[rb] = ra
+        ma, mb = m[a], m[b]
         for z in range(n) if assoc else gens:
-            for x, y in ((m[z][a], m[z][b]), (m[a][z], m[b][z])):
-                if find(x) != find(y):
+            mz = m[z]
+            for x, y in ((mz[a], mz[b]), (ma[z], mb[z])):
+                if x != y and find(x) != find(y):
                     work.append((x, y))
     groups = {}
     for x in range(n):
@@ -577,8 +566,9 @@ def sigma(S: OpTableSemigroup):
     index = {r: i for i, r in enumerate(groups)}
     co = [index[find(x)] for x in range(n)]
     reps = [c[0] for c in groups.values()]
+    R = row_form(len(reps))
     quotient = OpTableSemigroup(
-        len(reps), [[co[m[r][t]] for t in reps] for r in reps],
+        len(reps), [R.row([co[m[r][t]] for t in reps]) for r in reps],
         [co[S.plus[r]] for r in reps], [co[S.star[r]] for r in reps],
         ["[" + S.name(r) + "]" for r in reps])
     return Congruence(n, co, [tuple(c) for c in groups.values()]), quotient

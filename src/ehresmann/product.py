@@ -73,7 +73,7 @@ def build_product(G: ResGraph):
     composite that is not an edge, or a pair that inconsistent tables make
     non-composable) is recomputed pair by pair by the definition, so the
     first error in row order, with its type and message, is the
-    definition's.
+    definition's.  Each row is handed over in core.row_form.
     """
     edges, ids, mul = G.sorted_edges(), G.edge_id, G.mon.mul
     blank = [-1] * (len(edges) + 1)
@@ -95,7 +95,7 @@ def build_product(G: ResGraph):
     sources = [d[0] for d in edges]
     # per target of a left factor: the meet with each source, and each
     # right factor restricted to it
-    at_target = {}
+    at_target, R = {}, core.row_form(len(edges))
     mult = []
     for c, crow in zip(edges, ctab):
         gather = at_target.get(c[2])
@@ -106,7 +106,7 @@ def build_product(G: ResGraph):
         row = list(map(getitem, map(comp.__getitem__, map(crow.__getitem__, ms)), ys))
         if -1 in row:
             row = [_edge_product(G, c, d) for d in edges]
-        mult.append(row)
+        mult.append(R.row(row))
     plus = list(map(loops.__getitem__, sources))
     star = [loops[c[2]] for c in edges]
     names = [G.edge_str(c) for c in edges]

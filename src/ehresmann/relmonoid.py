@@ -254,9 +254,9 @@ class RelationAlgebra:
     plus and star tables are built once and kept in _tables, a memo slot
     that takes no part in construction, repr or equality: generate fills it
     from its own closure, and to_semigroup fills it for a listed algebra.
-    The mult table is kept as _table builds it, in its core.row_form: bytes
-    rows, which every semigroup to_semigroup returns keeps as its core._rows
-    memo, or list rows, which it shares as its mult.  Nothing mutates either.
+    The mult table is kept as _table builds it, in its core.row_form, and
+    every semigroup to_semigroup returns shares it as its mult; nothing
+    mutates it.
     """
 
     n: int

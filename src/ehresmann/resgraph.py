@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from operator import getitem, itemgetter
 
 from .core import (_memoised, associativity_witness, contract_expand_neighbours, first_paths,
-                   saturate, validate_table)
+                   row_form, saturate, table_rows)
 from .report import Check, FAIL, INCONCLUSIVE, PASS, Report, first_witness
 
 
@@ -32,12 +32,12 @@ class Semilattice:
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError("need at least one element")
-        validate_table(self.meet, self.n, "meet")
+        self.meet = table_rows(self.meet, self.n, "meet")
         rng = range(self.n)
         # the table against its transpose and its diagonal against the ids
         # at C level; the pair loop runs on a rejected table only, to name
         # its first error
-        if (list(map(list, zip(*self.meet))) != self.meet
+        if (row_form(self.n).columns(self.meet) != self.meet
                 or list(map(getitem, self.meet, rng)) != list(rng)):
             for e in rng:
                 for f in rng:
@@ -76,7 +76,7 @@ class FiniteMonoid:
     names: list | None = None
 
     def __post_init__(self):
-        validate_table(self.mult, self.n)
+        self.mult = table_rows(self.mult, self.n)
         w = associativity_witness(self.mult)
         if w is not None:
             raise ValueError("monoid not associative at ({},{},{})".format(*w))

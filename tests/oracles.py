@@ -96,7 +96,7 @@ def brute_min_congruence(S):
 
 def perturbed_table(S, rng):
     """S with one entry of plus, star or mult changed."""
-    mult = [row[:] for row in S.mult]
+    mult = [list(row) for row in S.mult]
     plus, star = S.plus[:], S.star[:]
     table = rng.choice((plus, star, mult, mult))
     row = rng.choice(table) if table is mult else table

@@ -165,9 +165,8 @@ def _loader_documents():
 
 def test_loader_matches_parent_route(tmp_path):
     """load_path gives the parent's object, or SchemaError with the parent's
-    message, on every loader document; those of 8 to 256 elements that it
-    accepts without a true or false token in their text come with bytes
-    rows preset."""
+    message, on every loader document; those it accepts hold their rows in
+    their core.row_form, bytes rows from 8 to 256 elements."""
     from oracles import parent_load_path
 
     path = tmp_path / "doc.json"
@@ -188,9 +187,7 @@ def test_loader_matches_parent_route(tmp_path):
         assert (kind, got.n, got.names) == ("semigroup", S.n, S.names)
         assert (got.mult, got.plus, got.star) == (S.mult, S.plus, S.star)
         assert {type(v) for row in got.mult for v in row} == {int}
-        preset = "true" not in text and "false" not in text and S.n in core.BYTE_ROW_SIZES
-        assert ("_rows" in got._memo) == preset
-        assert core._rows(got) == core._byte_rows(S.mult)
+        assert {type(row) for row in got.mult} == {core.row_form(S.n).row}
         accepted += 1
     assert errors > 100 and accepted > 20
 

@@ -280,17 +280,16 @@ def _same_tables(S, T):
 
 def _kept_band(alg, S):
     """S holds the mult table alg keeps rather than a second conversion of
-    it, and S.mult is int list rows either way: with 8 to 256 elements the
-    kept table is bytes rows and is S's core._rows memo, otherwise it is
-    list rows and is S.mult.  Returns the size band."""
+    it: S.mult is the kept table, of int rows in S's core.row_form, bytes
+    rows with 8 to 256 elements and list rows otherwise.  Returns the size
+    band."""
     kept = alg._tables[0]
-    assert type(S.mult) is list and {type(row) for row in S.mult} == {list}
+    assert S.mult is kept and type(S.mult) is list
     assert {type(v) for row in S.mult for v in row} == {int}
     if 8 <= S.n <= 256:
         assert {type(row) for row in kept} == {bytes}
-        assert core._rows(S) is kept
         return "bytes"
-    assert S.mult is kept
+    assert {type(row) for row in kept} == {list}
     return "lists below 8" if S.n < 8 else "lists above 256"
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ehresmann import actions, core, corpus, cover, product, relmonoid
+from ehresmann import actions, core, corpus, cover, io, product, relmonoid
 from ehresmann.core import MalformedTableError, OpTableSemigroup
 from ehresmann.relmonoid import Rel
 from ehresmann.resgraph import (FiniteMonoid, FreeMonoid, ResGraph,
@@ -61,11 +61,11 @@ def test_table_errors_name_the_first_bad_entry():
 def test_bytes_rows_are_checked_and_kept():
     """A mult of bytes rows, as the relation monoids hand theirs over, is
     checked for shape and range: a bad entry still raises, naming the
-    first one, and a good table gives the semigroup of its list rows."""
+    first one, and a good table is kept as the semigroup's mult."""
     S = relmonoid.full_I(3).to_semigroup()
     n, rows = S.n, list(map(bytes, S.mult))
     T = OpTableSemigroup(n, rows, S.plus, S.star, S.names)
-    assert T == S and type(T.mult[0]) is list and core._rows(T) is rows
+    assert T == S and T.mult is rows
 
     def edited(i, row):
         return rows[:i] + [row] + rows[i + 1:]
@@ -77,15 +77,56 @@ def test_bytes_rows_are_checked_and_kept():
             # n^2 bytes in all, one row short and the next one long
             (edited(2, rows[2][:-1])[:3] + [rows[3] + b"\x00"] + rows[4:], None),
             (rows[:-1], None), (rows + rows[:1], None),
-            (edited(3, S.mult[3]), None), (edited(3, bytearray(rows[3])), None)):
+            (edited(3, list(rows[3])), None), (edited(3, bytearray(rows[3])), None)):
         with pytest.raises(MalformedTableError) as exc:
             OpTableSemigroup(n, bad, S.plus, S.star)
         assert message is None or str(exc.value) == message
-    # below 8 elements the rows are checked the same way and not kept
+    # below 8 elements the rows are checked the same way and held as lists
     small = OpTableSemigroup(2, [b"\x00\x01", b"\x01\x01"], [0, 1], [0, 1])
-    assert small.mult == [[0, 1], [1, 1]] and core._rows(small) is None
+    assert small.mult == [[0, 1], [1, 1]] and {type(row) for row in small.mult} == {list}
     with pytest.raises(MalformedTableError, match=r"mult\[0\]\[1\] = 2 out of range"):
         OpTableSemigroup(2, [b"\x00\x02", b"\x01\x01"], [0, 1], [0, 1])
+
+
+def test_table_classes_hold_rows_in_row_form():
+    """Each table class, built from list rows and from bytes rows, is one
+    object holding its rows in core.row_form(n), at both ends of the bytes
+    rows and at 1 and 2 elements, and is written back as the int lists that
+    went in; a bad entry raises the same message, naming it, in either form.
+    With 257 elements bytes rows hold ids below 256 only, so x & y & 255,
+    a semigroup, is given as bytes there, and the semilattice x & y and the
+    cyclic group, which use id 256, as lists only."""
+    for n in (1, 2, 7, 8, 255, 256, 257):
+        rng = range(n)
+        tables = {"mult": [[x & y & 255 for y in rng] for x in rng],
+                  "meet": [[x & y for y in rng] for x in rng],
+                  "monoid": [[(x + y) % n for y in rng] for x in rng]}
+        builders = {"mult": lambda t: OpTableSemigroup(n, t, list(rng), list(rng)),
+                    "meet": lambda t: Semilattice(n, t),
+                    "monoid": lambda t: FiniteMonoid(n, t, 0)}
+        dumps = {"mult": lambda X: io.dump_semigroup(X)["mult"],
+                 "meet": lambda X: io._dump_semilattice(X)["meet"],
+                 "monoid": lambda X: io._dump_monoid(X)["mult"]}
+        for kind, table in tables.items():
+            forms = [table] + ([list(map(bytes, table))] if max(map(max, table)) < 256 else [])
+            assert len(forms) == (1 if n == 257 and kind != "mult" else 2)
+            built = [builders[kind](rows) for rows in forms]
+            for X in built:
+                rows = X.meet if kind == "meet" else X.mult
+                assert {type(row) for row in rows} == {core.row_form(n).row}
+                assert X == built[0] and dumps[kind](X) == table
+            if n == 256:    # every byte is an id
+                continue
+            x, y = n // 2, n - 1
+            bad = [list(row) for row in table]
+            bad[x][y] = n
+            messages = []
+            for rows in [bad] + ([list(map(bytes, bad))] if n < 256 else []):
+                with pytest.raises(MalformedTableError) as exc:
+                    builders[kind](rows)
+                messages.append(str(exc.value))
+            label = "meet" if kind == "meet" else "mult"
+            assert set(messages) == {f"{label}[{x}][{y}] = {n} out of range"}
 
 
 def test_empty_product_rejected():
