@@ -262,19 +262,19 @@ def build_pair_form(pa: PartialAction):
 
 
 def _pair_form(pa: PartialAction):
-    """build_pair_form of a validated partial action."""
+    """build_pair_form of a validated partial action, its rows handed over
+    in core.row_form."""
     sl, mon = pa.sl, pa.mon
     pairs = [(e, s) for s in sorted(mon.elements())
              for e in range(sl.n) if pa.phi[s].row(e)]
     idx = {p: i for i, p in enumerate(pairs)}
     k = len(pairs)
     inverse = {s: _inverse(pa.phi[s]) for s in mon.elements()}
-    mult = [[0] * k for _ in range(k)]
-    for i, (e, s) in enumerate(pairs):
+    R, mult = core.row_form(k), []
+    for e, s in pairs:
         es, inv = _apply(pa.phi[s], e), inverse[s]
-        for j, (f, t) in enumerate(pairs):
-            # ranges are order ideals, so the meet stays in ran(phi_s)
-            mult[i][j] = idx[(inv(sl.meet[es][f]), mon.mul(s, t))]
+        # ranges are order ideals, so the meet stays in ran(phi_s)
+        mult.append(R.row([idx[(inv(sl.meet[es][f]), mon.mul(s, t))] for f, t in pairs]))
     plus = [idx[(e, mon.one)] for (e, s) in pairs]
     star = [idx[(_apply(pa.phi[s], e), mon.one)] for (e, s) in pairs]
     names = [f"({sl.name(e)},{mon.label_str(s)})" for (e, s) in pairs]

@@ -140,34 +140,25 @@ def _find(parent, x):
 # ---------------------------------------------------------------------------
 # the row primitive, one implementation per representation of the rows
 
-# the table sizes held as bytes rows
-BYTE_ROW_SIZES = range(8, 257)
+# the table sizes held as bytes rows: every size at which an id fits in a
+# byte, and 0, the closure of no generators, which itemgetter cannot read
+BYTE_ROW_SIZES = range(257)
 
 _BYTE_IDS = bytes(range(256))
 
 
 class _ListRows:
-    """Rows as lists of n ids, each its own lookup and read through by
-    itemgetter, or below two ids (all 0) by a slice, since itemgetter of
-    one index returns an item."""
+    """Rows as lists of more than 256 ids, each its own lookup and read
+    through by itemgetter."""
 
     row = list
     lookup = lookups = staticmethod(lambda g: g)
     missing = staticmethod(lambda rows: [len(row) - len(set(row)) for row in rows])
     columns = staticmethod(lambda rows: list(map(list, zip(*rows))))
-
-    def __init__(self, n: int):
-        self.getter = operator.itemgetter if n > 1 else (
-            lambda *f: operator.itemgetter(slice(len(f))))
-
-    def read(self, f, g):
-        return list(self.getter(*f)(g))
-
-    def pairwise(self, fs, gs):
-        return map(list, map(operator.itemgetter.__call__, starmap(self.getter, fs), gs))
-
-    def through(self, f, gs):
-        return map(list, map(self.getter(*f), gs))
+    read = staticmethod(lambda f, g: list(operator.itemgetter(*f)(g)))
+    pairwise = staticmethod(lambda fs, gs: map(list, map(
+        operator.itemgetter.__call__, starmap(operator.itemgetter, fs), gs)))
+    through = staticmethod(lambda f, gs: map(list, map(operator.itemgetter(*f), gs)))
 
 
 class _ByteRows:
@@ -191,10 +182,9 @@ class _ByteRows:
 
 
 def row_form(n: int):
-    """The row primitive for tables of n elements: bytes rows at
-    BYTE_ROW_SIZES (8 to 256 elements), list rows at any other size, as
-    below 8 elements converting the rows costs more than it saves and above
-    256 an id does not fit in a byte.
+    """The row primitive for tables of n elements: bytes rows wherever an id
+    fits in a byte, up to 256 elements (BYTE_ROW_SIZES), and list rows
+    above.
 
     R = row_form(n) gives R.row(ids), a row; rows of one form are equal
     exactly when their entries are.  Row g read through row f, z -> g[f[z]],
@@ -204,7 +194,7 @@ def row_form(n: int):
     batch each.  R.missing(rows) counts the ids of range(n) each row
     misses, and R.columns(rows) gives the columns of rows of one length.
     Every table class holds its table in this form, as table_rows gives it."""
-    return _ByteRows if n in BYTE_ROW_SIZES else _ListRows(n)
+    return _ByteRows if n in BYTE_ROW_SIZES else _ListRows
 
 
 def table_rows(table, n: int, label: str = "mult") -> list:
@@ -213,7 +203,8 @@ def table_rows(table, n: int, label: str = "mult") -> list:
     the ids range(n) are deleted from the joined rows.  A bad entry raises
     MalformedTableError naming the first one, by the same message in either
     form.  Rows given in row_form(n) are returned as they are, so a table
-    is held once, in the form every row kernel reads."""
+    is held once, in the form every row kernel reads: bytes rows up to 256
+    elements, list rows above, where bytes rows given are made lists."""
     if not (isinstance(table, list) and table and type(table[0]) is bytes):
         validate_table(table, n, label)
         # bytearray reads a list of ints about twice as fast as bytes does
@@ -289,8 +280,8 @@ class OpTableSemigroup:
     part in construction, repr or equality.
 
     mult may be given as list rows or as bytes rows; table_rows checks it
-    and holds it in row_form(n), bytes rows from 8 to 256 elements and list
-    rows at any other size, so the object is the same whichever was given.
+    and holds it in row_form(n), bytes rows up to 256 elements and list
+    rows above, so the object is the same whichever was given.
     """
 
     n: int

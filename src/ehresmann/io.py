@@ -119,10 +119,10 @@ def load_document(doc, text=None):
 
 def load_semigroup(doc, text=None) -> OpTableSemigroup:
     """The semigroup of a document.  Given text, the JSON text doc was
-    parsed from, a table of 8 to 256 elements (BYTE_ROW_SIZES) whose rows
-    are lists goes to OpTableSemigroup as bytes rows, checked at C level.
-    bytearray takes exactly the ints 0..255 from a JSON value, and JSON
-    true and false too, so that route is taken only when text holds
+    parsed from, a table of at most 256 elements (BYTE_ROW_SIZES) whose
+    rows are lists goes to OpTableSemigroup as bytes rows, checked at C
+    level.  bytearray takes exactly the ints 0..255 from a JSON value, and
+    JSON true and false too, so that route is taken only when text holds
     neither token.  A table it rejects is checked again as lists, so every
     document is accepted or named in error as the list route alone would."""
     elements = _need_strings(doc, "elements", "semigroup")

@@ -311,22 +311,21 @@ def _round_order(seeds, mult, plus, star) -> list:
     ever appended, so later products would meet nothing new and the order
     is that of replaying every round to the end.
 
-    Up to 256 elements (list rows are made bytes first) every id is a byte
-    and the order met so far is a bytearray.  A round's plus and star are
-    two translates of the frontier, interleaved by slice assignment; for a
-    frontier element a, row a and column a (a strided slice of the joined
-    rows) are read at the snapshot by one translate each and interleaved
-    the same way.  One translate deletes the ids already met, so the
-    Python-level dedup runs only over what is met for the first time.
-    Above 256 elements the rows are lists and each product is one loop
-    step.
+    mult is in core.row_form(len(mult)), as _table gives it.  Up to 256
+    elements its rows are bytes and the order met so far is a bytearray.
+    A round's plus and star are two translates of the frontier, interleaved
+    by slice assignment; for a frontier element a, row a and column a (a
+    strided slice of the joined rows) are read at the snapshot by one
+    translate each and interleaved the same way.  One translate deletes the
+    ids already met, so the Python-level dedup runs only over what is met
+    for the first time.  Above 256 elements the rows are lists and each
+    product is one loop step.
     """
     size = len(mult)
-    if size > 256:
+    if size not in core.BYTE_ROW_SIZES:
         return _round_order_lists(seeds, mult, plus, star)
-    rows = mult if size and type(mult[0]) is bytes else list(map(bytes, mult))
     pad = bytes(256 - size)
-    plus, star, flat = bytes(plus) + pad, bytes(star) + pad, b"".join(rows)
+    plus, star, flat = bytes(plus) + pad, bytes(star) + pad, b"".join(mult)
     order = bytearray(dict.fromkeys(seeds))
 
     def meet(first, second):
@@ -345,7 +344,7 @@ def _round_order(seeds, mult, plus, star) -> list:
             break
         snapshot = bytes(order)
         for a in frontier:
-            if meet(snapshot.translate(rows[a] + pad),
+            if meet(snapshot.translate(mult[a] + pad),
                     snapshot.translate(flat[a::size] + pad)):
                 break
     return list(order)

@@ -146,7 +146,8 @@ class ResGraph:
     and corestrict_table[edge id][h], holding the id of the resulting edge,
     or -1 where the map is undefined, gives a non-edge, or the vertex is not
     below the edge's source (target).  from_tables takes such tables
-    directly.
+    directly.  has_restrictions is true when both maps are present, as they
+    are on every graph built from tables.
 
     Edges, out-lists, monoid and tables never change after construction, so
     the analyses that depend only on them (the normal-form regime, the edge
@@ -158,17 +159,19 @@ class ResGraph:
         self._number(sl, mon, edges)
         self._restrict = restrict
         self._corestrict = corestrict
+        self.has_restrictions = restrict is not None and corestrict is not None
         self.restrict_table = self._table(restrict, 0)
         self.corestrict_table = self._table(corestrict, 2)
 
     @classmethod
     def from_tables(cls, sl: Semilattice, mon, edges, restrict_table, corestrict_table):
         """The graph on edges, a sorted list without repeats, with the given
-        tables: rows numbered as edges, entries as in the constructor.  Its
-        maps are read back from the tables."""
+        tables: rows numbered as edges, entries as in the constructor.  It
+        has both maps, read back from the tables when first asked for."""
         G = cls.__new__(cls)
         G._number(sl, mon, edges, edges)
         G.restrict_table, G.corestrict_table = restrict_table, corestrict_table
+        G.has_restrictions = True
         return G
 
     def _number(self, sl, mon, edges, edge_list=None):
@@ -214,10 +217,6 @@ class ResGraph:
         below, edges = self.sl.below, self._edge_list
         return {(c, v): edges[row[v]] for c, row in zip(edges, table)
                 for v in below(c[end]) if row[v] >= 0}
-
-    @property
-    def has_restrictions(self) -> bool:
-        return self._restrict is not None and self._corestrict is not None
 
     def sorted_edges(self):
         return list(self._edge_list)

@@ -2336,3 +2336,101 @@ def perturbed_document(doc, rng):
     else:
         pairs.append(pair)
     return doc
+
+
+# ---------------------------------------------------------------------------
+# the census of small models: every labelled table on a few points, and the
+# definitions it is checked against
+
+def labelled_semigroups(k):
+    """Every associative table on range(k), labelled (1, 8, 113 and 3,492
+    on 1-4 points, OEIS A023814): backtracking over the cells in row-major
+    order, each partial table checked on every triple whose four products
+    are filled in."""
+    rng = range(k)
+    m = [[None] * k for _ in rng]
+    cells = [(x, y) for x in rng for y in rng]
+    out = []
+
+    def associative_so_far():
+        for a in rng:
+            for b in rng:
+                p = m[a][b]
+                if p is None:
+                    continue
+                for c in rng:
+                    q = m[b][c]
+                    if q is None:
+                        continue
+                    left, right = m[p][c], m[a][q]
+                    if left is not None and right is not None and left != right:
+                        return False
+        return True
+
+    def fill(i):
+        if i == len(cells):
+            out.append([row[:] for row in m])
+            return
+        x, y = cells[i]
+        for v in rng:
+            m[x][y] = v
+            if associative_so_far():
+                fill(i + 1)
+        m[x][y] = None
+
+    fill(0)
+    return out
+
+
+def census_triples(tables):
+    """Every (mult, plus, star) with mult one of the associative tables,
+    x^+ an idempotent e with e x = x and x^* one with x e = x.  The
+    identities x^+ x = x, x x^* = x and (x^+)^* = x^+ force this (the last
+    two make x^+ = x^+ (x^+)^* idempotent), and so does Lawson's definition,
+    so every triple left out fails both."""
+    for mult in tables:
+        rng = range(len(mult))
+        idempotents = [e for e in rng if mult[e][e] == e]
+        pluses = [[e for e in idempotents if mult[e][x] == x] for x in rng]
+        stars = [[e for e in idempotents if mult[x][e] == x] for x in rng]
+        for plus in itertools.product(*pluses):
+            for star in itertools.product(*stars):
+                yield mult, list(plus), list(star)
+
+
+def lawson_ehresmann(mult, plus, star):
+    """Whether an associative table with two unary operations is an
+    Ehresmann semigroup by Lawson's definition (J. Algebra 1991), using no
+    identity of core.verify_ehresmann: the images of plus and star are one
+    set E of commuting idempotents closed under the product; x^+ is the
+    least e in E with e x = x and x^* the least with x e = x, in the order
+    e <= f iff e f = e; x^+ = y^+ implies (z x)^+ = (z y)^+, and x^* = y^*
+    implies (x z)^* = (y z)^*."""
+    rng = range(len(mult))
+    E = set(plus)
+    if set(star) != E or any(mult[e][f] != mult[f][e] or mult[e][f] not in E
+                             or mult[e][e] != e for e in E for f in E):
+        return False
+
+    def least(e, fixing):
+        return e in fixing and all(mult[e][f] == e for f in fixing)
+
+    for x in rng:
+        if not (least(plus[x], [e for e in E if mult[e][x] == x])
+                and least(star[x], [e for e in E if mult[x][e] == x])):
+            return False
+    return all(plus[mult[z][x]] == plus[mult[z][y]] for x in rng for y in rng
+               if plus[x] == plus[y] for z in rng) and all(
+        star[mult[x][z]] == star[mult[y][z]] for x in rng for y in rng
+        if star[x] == star[y] for z in rng)
+
+
+def definition_orders(S):
+    """The natural orders by their definitions over the projections:
+    a <=_l b iff a = e b, a <=_r b iff a = b f, and a <= b iff a = e b f,
+    for some projections e and f."""
+    m, P, rng = S.mult, core.projections(S), range(S.n)
+    return core.OrderRelations(
+        [[any(m[e][b] == a for e in P) for b in rng] for a in rng],
+        [[any(m[b][f] == a for f in P) for b in rng] for a in rng],
+        [[any(m[m[e][b]][f] == a for e in P for f in P) for b in rng] for a in rng])

@@ -178,6 +178,27 @@ def test_pair_form_outputs_proper_restriction():
         assert len(star_pairs) == S.n, name
 
 
+def test_pair_form_rows_are_handed_over_in_row_form(monkeypatch):
+    """build_pair_form hands OpTableSemigroup its rows in core.row_form, so
+    validate_table never runs on them, and each product (e,s)(f,t) is the
+    pair of the definition, (x, s t) with x phi_s = e phi_s ^ f."""
+    rng = random.Random(38)
+    pas = [pa for _, pa in corpus.partial_actions()]
+    pas += [random_partial_action(rng, 2 + i % 3) for i in range(8)]
+    checked = []
+    validate = core.validate_table
+    monkeypatch.setattr(core, "validate_table", lambda *a: checked.append(a) or validate(*a))
+    for pa in pas:
+        S, pairs = build_pair_form(pa)
+        assert {type(row) for row in S.mult} == {bytes}
+        for (e, s), row in zip(pairs, S.mult):
+            es = actions._apply(pa.phi[s], e)
+            assert [pairs[x] for x in row] == [
+                (next(x for x in range(pa.sl.n) if pa.phi[s].has(x, pa.sl.meet[es][f])),
+                 pa.mon.mul(s, t)) for f, t in pairs]
+    assert checked == []
+
+
 def test_pair_form_iso_with_product():
     for name, pa in corpus.partial_actions():
         rep = pair_form_iso_check(pa)

@@ -555,7 +555,10 @@ def _byte_row_inputs(rng):
     chains and direct products of corpus tables, one with an identity
     adjoined); then, eight times for each of the first and three times for
     each boundary table, a copy with one random edit of mult, plus or star
-    and a copy of that with a second edit."""
+    and a copy of that with a second edit; last, each boundary table with
+    star of 0 set to the first element that does not commute with some
+    value of star, where there is one, so that x^* y^* = y^* x^* fails on
+    list rows too."""
     small = [S for _, S in corpus.semigroups()]
     small += [alg.to_semigroup() for alg in (relmonoid.full_B(2), relmonoid.full_I(3),
                                              relmonoid.full_PT(3))]
@@ -569,6 +572,11 @@ def _byte_row_inputs(rng):
     for S in small * 8 + boundary * 3:
         T = perturbed_table(S, rng)
         edited += [T, perturbed_table(T, rng)]
+    for S in boundary:
+        m, image = S.mult, set(S.star)
+        a = next((a for a in range(S.n) if any(m[a][e] != m[e][a] for e in image)), None)
+        if a is not None:
+            edited.append(OpTableSemigroup(S.n, S.mult, [*S.plus], [a, *S.star[1:]]))
     return small + boundary + edited
 
 
@@ -779,16 +787,17 @@ def test_verify_matches_reference_scans():
 
 def test_row_forms_match_comprehensions():
     """Both row forms against plain comprehensions, on seeded random rows at
-    the ends of the byte rows and at 1 and 2 elements, where itemgetter of
-    fewer than two indices returns an item: a row read through another, one
-    at a time, through one row and pairwise; the ids each row misses; and
-    the columns."""
+    the ends of the byte rows and at 1 and 2 elements: a row read through
+    another, one at a time, through one row and pairwise; the ids each row
+    misses; and the columns.  List rows serve only above 256 elements and
+    are checked from 2 elements up, as itemgetter of one index returns an
+    item."""
     rng = random.Random(36)
     for n in (1, 2, 7, 8, 255, 256, 257):
         fs, gs = ([[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(2))
         fs[0], gs[-1] = list(range(n)), [n - 1] * n     # nothing and all but one missed
-        assert (core.row_form(n) is core._ByteRows) == (8 <= n <= 256)
-        for R in [core._ListRows(n)] + ([core._ByteRows] if n <= 256 else []):
+        assert core.row_form(n) is (core._ByteRows if n <= 256 else core._ListRows)
+        for R in ([core._ListRows] if n > 1 else []) + ([core._ByteRows] if n <= 256 else []):
             F, G = list(map(R.row, fs)), list(map(R.row, gs))
             assert list(map(R.read, F, map(R.lookup, G))) == [
                 R.row([g[z] for z in f]) for f, g in zip(fs, gs)]

@@ -166,7 +166,7 @@ def _loader_documents():
 def test_loader_matches_parent_route(tmp_path):
     """load_path gives the parent's object, or SchemaError with the parent's
     message, on every loader document; those it accepts hold their rows in
-    their core.row_form, bytes rows from 8 to 256 elements."""
+    their core.row_form, bytes rows up to 256 elements."""
     from oracles import parent_load_path
 
     path = tmp_path / "doc.json"

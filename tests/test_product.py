@@ -42,7 +42,7 @@ def test_e2t2_product_frozen_table():
         [c0, c1, c2, c3],
         [c3, c3, c3, c3],
     ]
-    assert S.mult == expected_mult
+    assert [list(row) for row in S.mult] == expected_mult
     assert S.plus == [c0, c0, c2, c2]
     assert S.star == [c0, c0, c2, c0]
 

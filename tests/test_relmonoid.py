@@ -281,16 +281,15 @@ def _same_tables(S, T):
 def _kept_band(alg, S):
     """S holds the mult table alg keeps rather than a second conversion of
     it: S.mult is the kept table, of int rows in S's core.row_form, bytes
-    rows with 8 to 256 elements and list rows otherwise.  Returns the size
-    band."""
+    rows up to 256 elements and list rows above.  Returns the size band."""
     kept = alg._tables[0]
     assert S.mult is kept and type(S.mult) is list
     assert {type(v) for row in S.mult for v in row} == {int}
-    if 8 <= S.n <= 256:
+    if S.n <= 256:
         assert {type(row) for row in kept} == {bytes}
         return "bytes"
     assert {type(row) for row in kept} == {list}
-    return "lists below 8" if S.n < 8 else "lists above 256"
+    return "lists above 256"
 
 
 def _check_against_parent(n, gens, cap=None):
@@ -382,9 +381,9 @@ def _greedy_generators(alg):
 
 def test_byte_band_boundaries_match_parent_path():
     """generate and to_semigroup against the list-based parent on closures
-    below 8 elements, from 8 to 256, where the tables are bytes rows, and
-    above 256: the tables, the round order and the handover of the kept
-    rows, each band reached by both."""
+    of 2 to 256 elements, where the tables are bytes rows, and above 256,
+    where they are list rows: the tables, the round order and the handover
+    of the kept rows, each band reached by both."""
     generated = [(2, [rel(2, (0, 0), (0, 1))]), (2, [rel(2, (0, 1), (1, 0))]),
                  (2, [rel(2, (0, 0), (0, 1)), rel(2, (1, 0))]),
                  (4, [Rel.from_pairs(4, g) for g in I4_GENERATORS]),
@@ -404,13 +403,13 @@ def test_byte_band_boundaries_match_parent_path():
         _same_tables(S, parent_to_semigroup(alg))
         bands[_kept_band(alg, S)] += 1
     assert [len(alg.elements) for alg in listed] == [2, 7, 9, 209, 512, 625]
-    assert bands == {"lists below 8": 4, "bytes": 4, "lists above 256": 4}, bands
+    assert bands == {"bytes": 8, "lists above 256": 4}, bands
 
 
 def test_round_order_matches_parent_on_raw_closure_tables(monkeypatch):
     """_round_order on the tables generate hands it, before renumbering,
-    against the parent's list loop: random closures in each band of
-    core.BYTE_ROW_SIZES, whose orders are not the identity."""
+    against the parent's list loop: random closures below 8 elements, up
+    to 256 and above, whose orders are not the identity."""
     calls = []
 
     def recording(seeds, mult, plus, star):
@@ -428,9 +427,9 @@ def test_round_order_matches_parent_on_raw_closure_tables(monkeypatch):
     bands, moved = Counter(), 0
     for got, want, size in calls:
         assert got == want
-        bands["below 8" if size < 8 else "bytes" if size <= 256 else "above 256"] += 1
+        bands["below 8" if size < 8 else "8 to 256" if size <= 256 else "above 256"] += 1
         moved += got != list(range(size))
-    assert set(bands) == {"below 8", "bytes", "above 256"}, bands
+    assert set(bands) == {"below 8", "8 to 256", "above 256"}, bands
     assert moved >= len(calls) // 2, (moved, len(calls))
 
 
@@ -457,18 +456,15 @@ def _random_total_table(rng, size, closed):
 def test_round_order_matches_parent_on_random_tables(size):
     """Random total tables, not Ehresmann, with seeds repeated and out of
     order; some have a closed part that the seeds never leave, so the
-    order stops short of size.  Tables of 8 to 256 elements give the same
-    order as bytes rows and as list rows."""
+    order stops short of size.  Each table goes in as core.table_rows
+    gives it, bytes rows up to 256 elements and list rows above."""
     rng = random.Random(size)
     short = 0
     for trial in range(6):
         closed = size if trial % 2 else rng.randint(1, size)
         seeds, mult, plus, star = _random_total_table(rng, size, closed)
         want = parent_round_order(seeds, mult, plus, star)
-        assert relmonoid._round_order(seeds, mult, plus, star) == want
-        if size in core.BYTE_ROW_SIZES:
-            rows = [bytes(row) for row in mult]
-            assert relmonoid._round_order(seeds, rows, plus, star) == want
+        assert relmonoid._round_order(seeds, core.table_rows(mult, size), plus, star) == want
         short += len(want) < size
     assert short or size == 1
 

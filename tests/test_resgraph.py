@@ -426,6 +426,22 @@ def test_table_built_cover_graph_round_trips_through_a_document():
         _assert_same_structure(H, G, name)
 
 
+def test_cover_graph_has_restrictions_without_reading_its_maps_back():
+    """A cover graph, built from tables, answers has_restrictions and is
+    written to a document without reading its maps back as dicts; its
+    restrict and corestrict give the values and messages of the same graph
+    built from those dicts by the constructor."""
+    cases = list(corpus.cover_cases())
+    cases.append(("PT(3)", relmonoid.full_PT(3).to_semigroup(), [27, 39, 41]))
+    for name, S, gens in cases:
+        G = cover.build_cover_graph(S, gens).graph
+        assert G.has_restrictions, name
+        io.dump_resgraph(G)
+        assert not {"_restrict", "_corestrict"} & set(vars(G)), name
+        H = ResGraph(G.sl, G.mon, G.edges, *_maps_of(G))
+        _assert_same_structure(G, H, name)
+
+
 def _wrong_end(G, maps):
     """Copies of the maps with one entry sent to an edge whose source
     (restriction) or target (corestriction) is not the vertex asked for."""

@@ -81,19 +81,20 @@ def test_bytes_rows_are_checked_and_kept():
         with pytest.raises(MalformedTableError) as exc:
             OpTableSemigroup(n, bad, S.plus, S.star)
         assert message is None or str(exc.value) == message
-    # below 8 elements the rows are checked the same way and held as lists
-    small = OpTableSemigroup(2, [b"\x00\x01", b"\x01\x01"], [0, 1], [0, 1])
-    assert small.mult == [[0, 1], [1, 1]] and {type(row) for row in small.mult} == {list}
+    # at 2 elements the rows are checked the same way and kept as bytes
+    rows = [b"\x00\x01", b"\x01\x01"]
+    small = OpTableSemigroup(2, rows, [0, 1], [0, 1])
+    assert small.mult is rows and [list(row) for row in small.mult] == [[0, 1], [1, 1]]
     with pytest.raises(MalformedTableError, match=r"mult\[0\]\[1\] = 2 out of range"):
         OpTableSemigroup(2, [b"\x00\x02", b"\x01\x01"], [0, 1], [0, 1])
 
 
 def test_table_classes_hold_rows_in_row_form():
     """Each table class, built from list rows and from bytes rows, is one
-    object holding its rows in core.row_form(n), at both ends of the bytes
-    rows and at 1 and 2 elements, and is written back as the int lists that
-    went in; a bad entry raises the same message, naming it, in either form.
-    With 257 elements bytes rows hold ids below 256 only, so x & y & 255,
+    object holding its rows in core.row_form(n), bytes rows at 1, 2, 7, 8,
+    255 and 256 elements and list rows at 257, and is written back as the
+    int lists that went in; a bad entry raises the same message, naming it,
+    in either form.  With 257 elements bytes rows hold ids below 256 only, so x & y & 255,
     a semigroup, is given as bytes there, and the semilattice x & y and the
     cyclic group, which use id 256, as lists only."""
     for n in (1, 2, 7, 8, 255, 256, 257):
@@ -113,7 +114,8 @@ def test_table_classes_hold_rows_in_row_form():
             built = [builders[kind](rows) for rows in forms]
             for X in built:
                 rows = X.meet if kind == "meet" else X.mult
-                assert {type(row) for row in rows} == {core.row_form(n).row}
+                assert {type(row) for row in rows} == {bytes if n <= 256 else list}
+                assert core.row_form(n).row is (bytes if n <= 256 else list)
                 assert X == built[0] and dumps[kind](X) == table
             if n == 256:    # every byte is an id
                 continue
