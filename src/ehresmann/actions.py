@@ -214,25 +214,22 @@ def validate_partial_action(pa: PartialAction) -> Report:
     return Report(checks)
 
 
-def _apply(rel: Rel, x: int):
-    row = rel.row(x)
-    if not row or row & (row - 1):
-        raise core.InvariantError(f"relation is not defined or not single-valued at {x}")
-    return row.bit_length() - 1
-
-
-def _inverse(rel: Rel):
-    """The converse of rel as a map, read off its pairs once; it raises at
-    a point with no or several preimages."""
-    xs = [[] for _ in range(rel.n)]
-    for x, y in rel.pairs():
-        xs[y].append(x)
-
-    def apply(y: int):
-        if len(xs[y]) != 1:
-            raise core.InvariantError(f"relation is not defined or not injective at {y}")
-        return xs[y][0]
-    return apply
+def _maps(pa: PartialAction):
+    """Each phi_t read once into two rows, fwd[t][x] = x phi_t and
+    bwd[t][y] = y phi_t^{-1}, with -1 off the domain and the range.  It
+    raises InvariantError where a relation is not single-valued or not
+    injective, which a validated partial action never is."""
+    fwd, bwd = {}, {}
+    for t, rel in _phi_items(pa):
+        f, b = [-1] * pa.sl.n, [-1] * pa.sl.n
+        for x, y in rel.pairs():
+            if f[x] >= 0:
+                raise core.InvariantError(f"phi_{t} is not single-valued at {x}")
+            if b[y] >= 0:
+                raise core.InvariantError(f"phi_{t} is not injective at {y}")
+            f[x], b[y] = y, x
+        fwd[t], bwd[t] = f, b
+    return fwd, bwd
 
 
 def partial_action_graph(pa: PartialAction) -> ResGraph:
@@ -243,13 +240,13 @@ def partial_action_graph(pa: PartialAction) -> ResGraph:
 
 
 def _action_graph(pa: PartialAction) -> ResGraph:
-    """partial_action_graph of a validated partial action."""
-    edges = _phi_edges(pa)
-    inverse = {t: _inverse(rel) for t, rel in _phi_items(pa)}
-    restrict = {((x, t, y), g): (g, t, _apply(pa.phi[t], g))
-                for (x, t, y) in edges for g in pa.sl.below(x)}
-    corestrict = {((x, t, y), h): (inverse[t](h), t, h)
-                  for (x, t, y) in edges for h in pa.sl.below(y)}
+    """partial_action_graph of a validated partial action, its maps read
+    off the rows of _maps: an edge (x, t, y) restricts to g below x as
+    (g, t, fwd[t][g]) and corestricts to h below y as (bwd[t][h], t, h)."""
+    fwd, bwd = _maps(pa)
+    below, edges = pa.sl.below, _phi_edges(pa)
+    restrict = {((x, t, y), g): (g, t, fwd[t][g]) for (x, t, y) in edges for g in below(x)}
+    corestrict = {((x, t, y), h): (bwd[t][h], t, h) for (x, t, y) in edges for h in below(y)}
     return ResGraph(pa.sl, pa.mon, edges, restrict, corestrict)
 
 
@@ -262,21 +259,20 @@ def build_pair_form(pa: PartialAction):
 
 
 def _pair_form(pa: PartialAction):
-    """build_pair_form of a validated partial action, its rows handed over
-    in core.row_form."""
+    """build_pair_form of a validated partial action, read off the rows of
+    _maps, its rows handed over in core.row_form."""
     sl, mon = pa.sl, pa.mon
-    pairs = [(e, s) for s in sorted(mon.elements())
-             for e in range(sl.n) if pa.phi[s].row(e)]
+    fwd, bwd = _maps(pa)
+    pairs = [(e, s) for s in sorted(mon.elements()) for e in range(sl.n) if fwd[s][e] >= 0]
     idx = {p: i for i, p in enumerate(pairs)}
     k = len(pairs)
-    inverse = {s: _inverse(pa.phi[s]) for s in mon.elements()}
     R, mult = core.row_form(k), []
     for e, s in pairs:
-        es, inv = _apply(pa.phi[s], e), inverse[s]
         # ranges are order ideals, so the meet stays in ran(phi_s)
-        mult.append(R.row([idx[(inv(sl.meet[es][f]), mon.mul(s, t))] for f, t in pairs]))
+        meet, inv, times = sl.meet[fwd[s][e]], bwd[s], mon.mult[s]
+        mult.append(R.row([idx[(inv[meet[f]], times[t])] for f, t in pairs]))
     plus = [idx[(e, mon.one)] for (e, s) in pairs]
-    star = [idx[(_apply(pa.phi[s], e), mon.one)] for (e, s) in pairs]
+    star = [idx[(fwd[s][e], mon.one)] for (e, s) in pairs]
     names = [f"({sl.name(e)},{mon.label_str(s)})" for (e, s) in pairs]
     return OpTableSemigroup(k, mult, plus, star, names), pairs
 
@@ -288,5 +284,6 @@ def pair_form_iso_check(pa: PartialAction) -> Report:
     S1, pairs = _pair_form(pa)
     G = _action_graph(pa)
     S2, _ = product.build_product(G)
-    psi = [G.edge_id[(e, s, _apply(pa.phi[s], e))] for (e, s) in pairs]
+    # the star of (e, s) is (e phi_s, 1)
+    psi = [G.edge_id[(e, s, pairs[j][0])] for (e, s), j in zip(pairs, S1.star)]
     return Report(core.isomorphism_checks(S1, S2, psi, pairs.__getitem__))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import getitem, itemgetter
 
 from .core import (_memoised, associativity_witness, contract_expand_neighbours, first_paths,
@@ -145,9 +145,10 @@ class ResGraph:
     stores each map once as an integer table, restrict_table[edge id][g]
     and corestrict_table[edge id][h], holding the id of the resulting edge,
     or -1 where the map is undefined, gives a non-edge, or the vertex is not
-    below the edge's source (target).  from_tables takes such tables
-    directly.  has_restrictions is true when both maps are present, as they
-    are on every graph built from tables.
+    below the edge's source (target).  It keeps the dicts only to name a
+    value that is not an edge in the error.  from_tables takes such tables
+    directly and keeps no dicts.  has_restrictions is true when both maps
+    are present, as they are on every graph built from tables.
 
     Edges, out-lists, monoid and tables never change after construction, so
     the analyses that depend only on them (the normal-form regime, the edge
@@ -167,10 +168,12 @@ class ResGraph:
     def from_tables(cls, sl: Semilattice, mon, edges, restrict_table, corestrict_table):
         """The graph on edges, a sorted list without repeats, with the given
         tables: rows numbered as edges, entries as in the constructor.  It
-        has both maps, read back from the tables when first asked for."""
+        has both maps and keeps no dicts: a table holds only edge ids, so
+        its -1 entries below an edge's end are undefined."""
         G = cls.__new__(cls)
         G._number(sl, mon, edges, edges)
         G.restrict_table, G.corestrict_table = restrict_table, corestrict_table
+        G._restrict = G._corestrict = None
         G.has_restrictions = True
         return G
 
@@ -202,21 +205,6 @@ class ResGraph:
                     row[v] = ids.get(given.get((c, v)), -1)
             table.append(row)
         return table
-
-    # the maps of a graph built from tables, read back when first asked
-    # for; the constructor sets both attributes itself
-    @cached_property
-    def _restrict(self):
-        return self._read_back(self.restrict_table, 0)
-
-    @cached_property
-    def _corestrict(self):
-        return self._read_back(self.corestrict_table, 2)
-
-    def _read_back(self, table, end):
-        below, edges = self.sl.below, self._edge_list
-        return {(c, v): edges[row[v]] for c, row in zip(edges, table)
-                for v in below(c[end]) if row[v] >= 0}
 
     def sorted_edges(self):
         return list(self._edge_list)
@@ -250,9 +238,9 @@ class ResGraph:
         if not self.sl.leq(v, c[end]):
             raise RestrictionUndefinedError(
                 f"{kind} of {self.edge_str(c)} to non-lower vertex {v}")
-        if given is None:
+        if given is None and not self.has_restrictions:
             raise RestrictionUndefinedError(f"graph has no {kind} structure")
-        out = given.get((c, v))
+        out = None if given is None else given.get((c, v))
         if out is None:
             raise RestrictionUndefinedError(
                 f"{kind} of {self.edge_str(c)} to {self.sl.name(v)} is undefined")

@@ -2254,6 +2254,78 @@ def parent_validate_partial_action(pa):
     return Report(checks)
 
 
+def _parent_apply(rel, x):
+    row = rel.row(x)
+    if not row or row & (row - 1):
+        raise core.InvariantError(f"relation is not defined or not single-valued at {x}")
+    return row.bit_length() - 1
+
+
+def _parent_inverse(rel):
+    """The converse of rel as a map, read off its pairs once; it raises at
+    a point with no or several preimages."""
+    xs = [[] for _ in range(rel.n)]
+    for x, y in rel.pairs():
+        xs[y].append(x)
+
+    def apply(y):
+        if len(xs[y]) != 1:
+            raise core.InvariantError(f"relation is not defined or not injective at {y}")
+        return xs[y][0]
+    return apply
+
+
+def parent_action_graph(pa):
+    """actions._action_graph as it was before the maps were read into rows:
+    x phi_t from the bit mask of x at each call, and y phi_t^{-1} from the
+    pairs gathered once per label."""
+    edges = actions._phi_edges(pa)
+    inverse = {t: _parent_inverse(rel) for t, rel in actions._phi_items(pa)}
+    restrict = {((x, t, y), g): (g, t, _parent_apply(pa.phi[t], g))
+                for (x, t, y) in edges for g in pa.sl.below(x)}
+    corestrict = {((x, t, y), h): (inverse[t](h), t, h)
+                  for (x, t, y) in edges for h in pa.sl.below(y)}
+    return resgraph.ResGraph(pa.sl, pa.mon, edges, restrict, corestrict)
+
+
+def parent_partial_action_graph(pa):
+    actions._require(parent_validate_partial_action(pa), "not a partial action")
+    return parent_action_graph(pa)
+
+
+def parent_pair_form(pa):
+    """actions._pair_form as it was before the maps were read into rows."""
+    sl, mon = pa.sl, pa.mon
+    pairs = [(e, s) for s in sorted(mon.elements())
+             for e in range(sl.n) if pa.phi[s].row(e)]
+    idx = {p: i for i, p in enumerate(pairs)}
+    k = len(pairs)
+    inverse = {s: _parent_inverse(pa.phi[s]) for s in mon.elements()}
+    R, mult = core.row_form(k), []
+    for e, s in pairs:
+        es, inv = _parent_apply(pa.phi[s], e), inverse[s]
+        mult.append(R.row([idx[(inv(sl.meet[es][f]), mon.mul(s, t))] for f, t in pairs]))
+    plus = [idx[(e, mon.one)] for (e, s) in pairs]
+    star = [idx[(_parent_apply(pa.phi[s], e), mon.one)] for (e, s) in pairs]
+    names = [f"({sl.name(e)},{mon.label_str(s)})" for (e, s) in pairs]
+    return core.OpTableSemigroup(k, mult, plus, star, names), pairs
+
+
+def parent_build_pair_form(pa):
+    actions._require(parent_validate_partial_action(pa), "not a partial action")
+    return parent_pair_form(pa)
+
+
+def parent_pair_form_iso_check(pa):
+    """actions.pair_form_iso_check with the parent's pair form and graph."""
+    actions._require(parent_validate_partial_action(pa), "not a partial action")
+    S1, pairs = parent_pair_form(pa)
+    G = parent_action_graph(pa)
+    S2, _ = product.build_product(G)
+    psi = [G.edge_id[(e, s, _parent_apply(pa.phi[s], e))] for (e, s) in pairs]
+    return Report(core.isomorphism_checks(S1, S2, psi, pairs.__getitem__))
+
+
 def parent_verify_reports(kind, obj, source, side=None, max_chain=3):
     """The text lines and reports of `verify` on a loaded document, by the
     per-kind table the command kept before it shared one with corpus-run:
@@ -2423,6 +2495,23 @@ def lawson_ehresmann(mult, plus, star):
                if plus[x] == plus[y] for z in rng) and all(
         star[mult[x][z]] == star[mult[y][z]] for x in rng for y in rng
         if star[x] == star[y] for z in rng)
+
+
+def definition_proper_sides(S, class_of):
+    """Whether S is a proper left and a proper right restriction semigroup,
+    by the definitions: left, x y^+ = (x y)^+ x for all x and y, and no
+    a != b with a^+ = b^+ and a sigma b; right, x^* y = y (x y)^* and no
+    a != b with a^* = b^* and a sigma b.  sigma is given by the class of
+    each element."""
+    m, rng = S.mult, range(S.n)
+
+    def proper(unary):
+        return not any(unary[a] == unary[b] and class_of[a] == class_of[b]
+                       for a in rng for b in rng if a != b)
+
+    left = all(m[x][S.plus[y]] == m[S.plus[m[x][y]]][x] for x in rng for y in rng)
+    right = all(m[S.star[x]][y] == m[y][S.star[m[x][y]]] for x in rng for y in rng)
+    return left and proper(S.plus), right and proper(S.star)
 
 
 def definition_orders(S):

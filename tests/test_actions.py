@@ -13,11 +13,13 @@ from ehresmann.actions import (PartialAction, Premorphism, build_pair_form,
                                partial_action_graph, premorphism_to_graph,
                                validate_partial_action, validate_premorphism)
 from ehresmann.relmonoid import Rel
-from ehresmann.resgraph import Semilattice, chain_semilattice
+from ehresmann.resgraph import FiniteMonoid, Semilattice, chain_semilattice
 
-from oracles import (parent_validate_partial_action, parent_validate_premorphism,
-                     random_partial_action, reference_check_partial_action_laws,
-                     search_sigma_label_violation)
+from oracles import (parent_build_pair_form, parent_pair_form_iso_check,
+                     parent_partial_action_graph, parent_validate_partial_action,
+                     parent_validate_premorphism, random_partial_action,
+                     reference_check_partial_action_laws, search_sigma_label_violation)
+from test_resgraph import _assert_same_structure, _outcome
 
 
 def test_premorphism_from_e2t2_graph():
@@ -192,11 +194,50 @@ def test_pair_form_rows_are_handed_over_in_row_form(monkeypatch):
         S, pairs = build_pair_form(pa)
         assert {type(row) for row in S.mult} == {bytes}
         for (e, s), row in zip(pairs, S.mult):
-            es = actions._apply(pa.phi[s], e)
+            es = next(y for y in range(pa.sl.n) if pa.phi[s].has(e, y))
             assert [pairs[x] for x in row] == [
                 (next(x for x in range(pa.sl.n) if pa.phi[s].has(x, pa.sl.meet[es][f])),
                  pa.mon.mul(s, t)) for f, t in pairs]
     assert checked == []
+
+
+def _pair_form_outcome(build, pa):
+    out = _outcome(build, pa)
+    if out[0] == "value":
+        S, pairs = out[1]
+        return ("value", S.n, S.mult, S.plus, S.star, S.names, pairs)
+    return out
+
+
+def test_pair_form_and_action_graph_match_parent():
+    """The pair form, the action graph and the isomorphism report, built
+    from the rows of actions._maps, against the parent's, which applied
+    each phi_t point by point: on the corpus, on random partial actions at
+    every size the generator makes, and on a phi with a label outside its
+    monoid, where both graphs raise on the label."""
+    rng = random.Random(39)
+    pas = list(corpus.partial_actions())
+    pas += [(f"random{k}_{i}", random_partial_action(rng, k)) for k in range(6) for i in range(4)]
+    stray = corpus.pa_chain2()
+    stray.phi[7] = Rel.from_pairs(2, [(0, 0)])
+    pas.append(("pa_chain2_label7", stray))
+    for name, pa in pas:
+        assert (_pair_form_outcome(build_pair_form, pa)
+                == _pair_form_outcome(parent_build_pair_form, pa)), name
+        assert (_outcome(pair_form_iso_check, pa)
+                == _outcome(parent_pair_form_iso_check, pa)), name
+        got = _outcome(partial_action_graph, pa)
+        want = _outcome(parent_partial_action_graph, pa)
+        if got[0] == "raise":
+            assert got == want, name
+            continue
+        G, H = got[1], want[1]
+        assert G.sorted_edges() == H.sorted_edges(), name
+        assert G.restrict_table == H.restrict_table, name
+        assert G.corestrict_table == H.corestrict_table, name
+        assert (G._restrict, G._corestrict) == (H._restrict, H._corestrict), name
+        _assert_same_structure(G, H, name)
+    assert got == want == ("raise", ValueError, "label 7 not a monoid element")
 
 
 def test_pair_form_iso_with_product():
@@ -271,14 +312,16 @@ def test_sigma_label_violation_search_is_deterministic():
 
 
 def test_partial_map_application_rejects_two_valued_relations():
+    one = FiniteMonoid(1, [[0]], 0)
     two_valued = Rel.from_pairs(2, [(0, 0), (0, 1), (1, 1)])
-    assert actions._apply(two_valued, 1) == 1
-    with pytest.raises(core.InvariantError):
-        actions._apply(two_valued, 0)
-    inverse = actions._inverse(two_valued)
-    assert inverse(0) == 0
-    with pytest.raises(core.InvariantError, match="not defined or not injective at 1"):
-        inverse(1)
+    with pytest.raises(core.InvariantError, match="not single-valued at 0"):
+        actions._maps(PartialAction(chain_semilattice(2), one, {0: two_valued}))
+    non_injective = Rel.from_pairs(2, [(0, 1), (1, 1)])
+    with pytest.raises(core.InvariantError, match="not injective at 1"):
+        actions._maps(PartialAction(chain_semilattice(2), one, {0: non_injective}))
+    fwd, bwd = actions._maps(PartialAction(chain_semilattice(2), one,
+                                           {0: Rel.from_pairs(2, [(1, 0)])}))
+    assert (fwd, bwd) == ({0: [-1, 0]}, {0: [1, -1]})
 
 
 def test_partial_action_laws_match_side_by_side():

@@ -9,14 +9,16 @@ longer and run in a separate process:
 
 import pytest
 
-from ehresmann import core, cover, product
+from ehresmann import actions, core, cover, product
 from ehresmann.core import OpTableSemigroup
 
 from oracles import (brute_min_congruence, census_triples, definition_orders,
-                     labelled_semigroups, lawson_ehresmann)
+                     definition_proper_sides, labelled_semigroups, lawson_ehresmann)
 
-# points -> (labelled semigroups, triples, models of Lawson's definition)
-CENSUS = {1: (1, 1, 1), 2: (8, 18, 6), 3: (113, 1092, 78), 4: (3492, 208124, 1708)}
+# points -> (labelled semigroups, triples, models of Lawson's definition,
+# strictly proper models)
+CENSUS = {1: (1, 1, 1, 1), 2: (8, 18, 6, 6), 3: (113, 1092, 78, 66),
+          4: (3492, 208124, 1708, 1168)}
 
 
 def check_census(points):
@@ -26,7 +28,10 @@ def check_census(points):
     of a brute-force search over partitions; natural_orders are a = e b,
     a = b f and a = e b f over projections e and f; verify_cover over all of
     S at length 3 passes; and on the strictly proper models
-    structure_iso_check passes.  Returns the census counts.
+    structure_iso_check passes, round_trip_check passes on the underlying
+    graph, and classify_restriction of that graph finds S proper left
+    (right) restriction exactly when the definitions say so, with sigma
+    from the brute-force search.  Returns the census counts.
 
     Only the models are checked.  A triple that passes verify_ehresmann but
     is not a model (12 on 3 points, 756 on 4) is the wrong PASS verdict of
@@ -34,7 +39,7 @@ def check_census(points):
     projections a projection; its fix changes the benchmark's expected
     verdicts and is left out of this census."""
     tables = labelled_semigroups(points)
-    triples = models = 0
+    triples = models = strictly_proper = 0
     for mult, plus, star in census_triples(tables):
         triples += 1
         if not lawson_ehresmann(mult, plus, star):
@@ -45,12 +50,18 @@ def check_census(points):
         assert {type(row) for row in S.mult} == {bytes}, what
         assert core.verify_ehresmann(S).ok, what
         cong, _ = core.sigma(S)
-        assert cong.class_of == brute_min_congruence(S)[0], what
+        class_of = brute_min_congruence(S)[0]
+        assert cong.class_of == class_of, what
         assert core.natural_orders(S) == definition_orders(S), what
         assert cover.verify_cover(S, range(points), 3).ok, what
         if core.is_strictly_proper(S):
+            strictly_proper += 1
             assert product.structure_iso_check(S).ok, what
-    counts = (len(tables), triples, models)
+            G = product.underlying_graph(S).graph
+            assert product.round_trip_check(G).ok, what
+            sides = actions.classify_restriction(G)
+            assert (sides.left, sides.right) == definition_proper_sides(S, class_of), what
+    counts = (len(tables), triples, models, strictly_proper)
     assert counts == CENSUS[points], counts
     return counts
 

@@ -299,7 +299,11 @@ def _assert_same_structure(G, ref, what):
 
 
 def _maps_of(G):
-    # the dicts the graph was built from
+    """The dicts the graph was built from; a graph built from tables keeps
+    none, so they are those of its document twin, which the constructor
+    builds from dicts."""
+    if G.has_restrictions and G._restrict is None:
+        G = io.load_document(io.dump_resgraph(G))[1]
     return G._restrict, G._corestrict
 
 
@@ -428,18 +432,38 @@ def test_table_built_cover_graph_round_trips_through_a_document():
 
 def test_cover_graph_has_restrictions_without_reading_its_maps_back():
     """A cover graph, built from tables, answers has_restrictions and is
-    written to a document without reading its maps back as dicts; its
-    restrict and corestrict give the values and messages of the same graph
-    built from those dicts by the constructor."""
+    written to a document without building an entry dict; its restrict and
+    corestrict give the values and messages of the same graph built from
+    its document's dicts by the constructor."""
     cases = list(corpus.cover_cases())
     cases.append(("PT(3)", relmonoid.full_PT(3).to_semigroup(), [27, 39, 41]))
     for name, S, gens in cases:
         G = cover.build_cover_graph(S, gens).graph
         assert G.has_restrictions, name
         io.dump_resgraph(G)
-        assert not {"_restrict", "_corestrict"} & set(vars(G)), name
+        assert (G._restrict, G._corestrict) == (None, None), name
         H = ResGraph(G.sl, G.mon, G.edges, *_maps_of(G))
         _assert_same_structure(G, H, name)
+
+
+def test_table_built_graph_reads_minus_one_as_undefined():
+    """A table holds only edge ids, so an entry of -1 below an edge's end
+    is undefined: a cover graph's tables with one entry cut give the
+    message, values and verdicts of the graph built from its document's
+    dicts without that entry."""
+    for name, S, gens in corpus.cover_cases():
+        G = cover.build_cover_graph(S, gens).graph
+        edges, maps = G.sorted_edges(), _maps_of(G)
+        c = edges[-1]
+        for side, kind in enumerate(("restrict", "corestrict")):
+            v = c[2 * side]
+            tables = [[list(row) for row in t] for t in (G.restrict_table, G.corestrict_table)]
+            tables[side][G.edge_id[c]][v] = -1
+            cut = [dict(m) for m in maps]
+            del cut[side][(c, v)]
+            H = ResGraph.from_tables(G.sl, G.mon, edges, *tables)
+            assert _outcome(getattr(H, kind), c, v)[2].endswith("is undefined"), name
+            _assert_same_structure(H, ResGraph(G.sl, G.mon, G.edges, *cut), name)
 
 
 def _wrong_end(G, maps):
